@@ -149,7 +149,7 @@ def _expression_payload(expr: GroupExpression) -> dict:
     return payload
 
 
-def _chi_oracles(kind: str, chi: int, n: int, d: int, parity: str) -> dict[str, int]:
+def _chi_oracles(kind: str, chi: int, n: int, d: int) -> dict[str, int]:
     if kind == "bd":
         oracles = {
             "cycle_type_average": oracle_bd_burnside(chi, n, d),
@@ -163,9 +163,10 @@ def _chi_oracles(kind: str, chi: int, n: int, d: int, parity: str) -> dict[str, 
         if d == 2:
             oracles["closed_d2_form"] = chi_f2(chi, n)
         return oracles
-    # bupper: complement against the fat diagonal one level up
+    # bupper: complement against the strata of the fat diagonal one level
+    # up, summed directly so that the check does not reuse chi_b_upper
     if d < n:
-        return {"complement": chi_sp(chi, n) - chi_bd(chi, n, d + 1, parity)}
+        return {"complement": chi_sp(chi, n) - stratification_sum_bd(chi, n, d + 1)}
     return {"complement": chi_sp(chi, n)}
 
 
@@ -201,7 +202,7 @@ def _cmd_chi(args) -> int:
         value = formula(chi, n, d, space.parity)
         oracles = None
         if args.verify:
-            oracles = _chi_oracles(kind, chi, n, d, space.parity)
+            oracles = _chi_oracles(kind, chi, n, d)
             bad = {name: got for name, got in oracles.items() if got != value}
             if bad:
                 detail = ", ".join(f"{name}={got}" for name, got in sorted(bad.items()))
@@ -263,7 +264,10 @@ def _cmd_pi1(args) -> int:
         ds = _parse_range(args.d, "-d")
         if len(ns) != 1 or len(ds) != 1:
             raise UsageError("pi1 bd takes single -n and -d")
-        expr = pi1_bd(space, ns[0], ds[0])
+        try:
+            expr = pi1_bd(space, ns[0], ds[0])
+        except ValueError as exc:
+            raise UsageError(str(exc))
         _emit(
             "pi1 bd",
             {"space": _space_echo(space), "n": ns[0], "d": ds[0]},

@@ -17,27 +17,32 @@ Conventions:
   cap(X, n, d)   complement sp(X, n) - fat_u(X, n, d+1): unordered n-tuples
                  where no value has multiplicity > d
 
-Two independent oracles recompute the fat-diagonal answers by exhaustive
-enumeration (set partitions, and a cycle-type average) so the closed
-formulas never stand alone.
+chi is additive over the strata of these loci.  A stratum of X^n (a set
+partition with k blocks) is a configuration space of k points, with chi
+falling(chi, k); a stratum of sp(X, n) with alpha_i points of multiplicity
+i is that modulo prod S_{alpha_i}, with chi falling(chi, k) / prod(alpha_i!).
+The strata sums are coefficients of power series, which the closed formulas
+read off without enumerating anything; the enumerations stay as oracles.
+
+  chi_sp       [q^n] (1 - q)^(-chi)
+  chi_b_upper  [q^n] (1 + q + ... + q^d)^chi
+  chi_bd       chi_sp - chi_b_upper(d - 1)
+  chi_fd       chi^n - n! [x^n] (sum_{j<d} x^j / j!)^chi
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .algebra import binomial_gen, falling_factorial
-from .combinatorics import (
-    AlphaSequence,
-    alpha_sequences,
-    count_set_partitions_of_type,
-    set_partitions_cached,
-)
+from .combinatorics import AlphaSequence, alpha_sequences, set_partitions_cached
 from .errors import InternalConsistencyError, UnsupportedSpaceError, check_guard
 from .permgroup import PermutationGroupModel, conjugacy_classes_sn
 
 MAX_ORACLE_N = 10
+MAX_STRATA_N = 40
+# Closed-formula work: big-integer products made, times n for their length.
+MAX_FORMULA_WORK = 10**9
 
 
 def _require_even(parity: str, what: str) -> None:
@@ -48,10 +53,11 @@ def _require_even(parity: str, what: str) -> None:
         )
 
 
-def _as_exact_int(value: Fraction, what: str) -> int:
-    if value.denominator != 1:
-        raise InternalConsistencyError(f"{what}: non-integral value {value}")
-    return int(value)
+def _exact_div(num: int, den: int, what: str) -> int:
+    value, rest = divmod(num, den)
+    if rest:
+        raise InternalConsistencyError(f"{what}: non-integral value {num}/{den}")
+    return value
 
 
 def chi_sp(chi: int, n: int) -> int:
@@ -83,7 +89,7 @@ def chi_gamma_product(chi: int, group: PermutationGroupModel) -> int:
     total = 0
     for cycle_count, elements in group.cycle_count_histogram().items():
         total += elements * chi**cycle_count
-    return _as_exact_int(Fraction(total, group.order()), "chi_gamma_product")
+    return _exact_div(total, group.order(), "chi_gamma_product")
 
 
 def chi_f_config(chi: int, k: int, parity: str) -> int:
@@ -118,19 +124,18 @@ def chi_stratum(chi: int, alpha: AlphaSequence) -> int:
     Equals falling_factorial(chi, sum(alpha_i)) / prod(alpha_i!); the
     division is exact.  Valid over closed even-dimensional manifolds.
     """
-    k = alpha.num_blocks
-    value = Fraction(falling_factorial(chi, k), alpha.factorial_product())
-    return _as_exact_int(value, f"chi_stratum({chi}, {alpha.parts})")
+    value = falling_factorial(chi, alpha.num_blocks)
+    return _exact_div(value, alpha.factorial_product(), f"chi_stratum({chi}, {alpha.parts})")
 
 
 def chi_fd(chi: int, n: int, d: int, parity: str = "even") -> int:
     """Euler characteristic of the ordered fat diagonal: n-tuples in which
     some value occurs at least d times.  Even-dimensional closed manifolds.
 
-    chi^n minus the multiplicity-bounded complement, summed over
-    multiplicity vectors with parts < d; each vector is weighted by the
-    number of set partitions realizing it.  (The unweighted sum is wrong for
-    d >= 3: it breaks the thin-diagonal identity chi_fd(chi, n, n) = chi.)
+    chi^n minus a_n, the sum of the strata whose blocks are all smaller
+    than d: n! [x^n] (sum_{j<d} x^j / j!)^chi.  So a_k = chi^k for k < d,
+    and J.C.P. Miller's recurrence for powers of a series gives the rest in
+    integers, for any chi: k a_k = sum_{0<j<d} ((chi+1) j - k) C(k, j) a_{k-j}.
 
     >>> chi_fd(2, 3, 2)
     8
@@ -140,17 +145,22 @@ def chi_fd(chi: int, n: int, d: int, parity: str = "even") -> int:
     _require_even(parity, "ordered fat diagonal")
     if not 2 <= d <= n:
         raise ValueError(f"needs 2 <= d <= n, got d={d}, n={n}")
-    total = chi**n
-    for alpha in alpha_sequences(n, d - 1):
-        weight = count_set_partitions_of_type(alpha)
-        total -= weight * falling_factorial(chi, alpha.num_blocks)
-    return total
+    check_guard((n - d + 1) * (d - 1) * n, MAX_FORMULA_WORK, "closed formula work")
+    a = [chi**k for k in range(d)]
+    for k in range(d, n + 1):
+        acc, binom = 0, 1
+        for j in range(1, d):
+            binom = binom * (k - j + 1) // j
+            acc += ((chi + 1) * j - k) * (binom * a[k - j])
+        a.append(_exact_div(acc, k, f"chi_fd({chi}, {n}, {d})"))
+    return chi**n - a[n]
 
 
 def chi_bd(chi: int, n: int, d: int, parity: str = "even") -> int:
     """Euler characteristic of the unordered fat diagonal: points of the
     n-th symmetric product where some value has multiplicity >= d.  Even-
-    dimensional closed manifolds.
+    dimensional closed manifolds.  Its strata are those of sp(X, n) that
+    chi_b_upper(d - 1) leaves out, so by additivity it is the difference.
 
     >>> chi_bd(2, 4, 2)
     5
@@ -160,12 +170,7 @@ def chi_bd(chi: int, n: int, d: int, parity: str = "even") -> int:
     _require_even(parity, "unordered fat diagonal")
     if not 2 <= d <= n:
         raise ValueError(f"needs 2 <= d <= n, got d={d}, n={n}")
-    total = Fraction(chi_sp(chi, n))
-    for alpha in alpha_sequences(n, d - 1):
-        total -= Fraction(
-            falling_factorial(chi, alpha.num_blocks), alpha.factorial_product()
-        )
-    return _as_exact_int(total, f"chi_bd({chi}, {n}, {d})")
+    return chi_sp(chi, n) - chi_b_upper(chi, n, d - 1, parity)
 
 
 def chi_f2(chi: int, n: int) -> int:
@@ -188,10 +193,7 @@ def chi_b2(chi: int, n: int) -> int:
     """
     if n < 2:
         raise ValueError(f"needs n >= 2, got {n}")
-    value = Fraction(chi_sp(chi, n)) - Fraction(
-        falling_factorial(chi, n), math.factorial(n)
-    )
-    return _as_exact_int(value, f"chi_b2({chi}, {n})")
+    return chi_sp(chi, n) - binomial_gen(chi, n)
 
 
 def chi_b_upper(chi: int, n: int, d: int, parity: str = "even") -> int:
@@ -199,7 +201,9 @@ def chi_b_upper(chi: int, n: int, d: int, parity: str = "even") -> int:
     symmetric product.  Even-dimensional closed manifolds only; for general
     complexes this is not a function of chi.
 
-    Sum of the strata with all multiplicities <= d.
+    The strata with all multiplicities <= d sum to [q^n] (1 + q + ... +
+    q^d)^chi = [q^n] (1 - q^(d+1))^chi (1 - q)^(-chi), that is
+    sum_{j <= n/(d+1)} (-1)^j binomial_gen(chi, j) chi_sp(chi, n - j(d+1)).
 
     >>> chi_b_upper(2, 2, 1)
     1
@@ -209,25 +213,21 @@ def chi_b_upper(chi: int, n: int, d: int, parity: str = "even") -> int:
     _require_even(parity, "multiplicity-bounded symmetric product")
     if not 1 <= d <= n:
         raise ValueError(f"needs 1 <= d <= n, got d={d}, n={n}")
-    total = Fraction(0)
-    for alpha in alpha_sequences(n, d):
-        total += Fraction(
-            falling_factorial(chi, alpha.num_blocks), alpha.factorial_product()
-        )
-    return _as_exact_int(total, f"chi_b_upper({chi}, {n}, {d})")
+    terms = n // (d + 1) + 1
+    check_guard(n * terms * n, MAX_FORMULA_WORK, "closed formula work")
+    return sum((-1) ** j * binomial_gen(chi, j) * chi_sp(chi, n - j * (d + 1))
+               for j in range(terms))
 
 
 def stratification_sum_bd(chi: int, n: int, d: int) -> int:
     """Recompute chi_bd as the direct sum of its strata: multiplicity
     vectors of weight n whose largest used part is >= d.  Used as a
     cross-check of the closed formula."""
+    check_guard(n, MAX_STRATA_N, "stratification_sum_bd")
     if not 2 <= d <= n:
         raise ValueError(f"needs 2 <= d <= n, got d={d}, n={n}")
-    total = 0
-    for alpha in alpha_sequences(n, n):
-        if any(alpha.parts[i] for i in range(d - 1, n)):
-            total += chi_stratum(chi, alpha)
-    return total
+    return sum(chi_stratum(chi, alpha) for alpha in alpha_sequences(n, n)
+               if any(alpha.parts[d - 1:]))
 
 
 def oracle_fd_setpartitions(chi: int, n: int, d: int) -> int:
@@ -274,6 +274,4 @@ def oracle_bd_burnside(chi: int, n: int, d: int) -> int:
             if heaviest >= d:
                 fixed += falling_factorial(chi, part.num_blocks)
         total += class_size * fixed
-    return _as_exact_int(
-        Fraction(total, math.factorial(n)), f"oracle_bd_burnside({chi}, {n}, {d})"
-    )
+    return _exact_div(total, math.factorial(n), f"oracle_bd_burnside({chi}, {n}, {d})")

@@ -336,7 +336,12 @@ def space_from_json(data) -> SpaceModel:
     except (KeyError, TypeError, ValueError):
         raise ValueError('space JSON needs "betti": [ints]')
     h1_raw = data.get("h1", {"rank": betti[1] if len(betti) > 1 else 0, "torsion": []})
-    h1 = AbelianDescriptor.of(int(h1_raw.get("rank", 0)), tuple(h1_raw.get("torsion", ())))
+    try:
+        rank = int(h1_raw.get("rank", 0))
+        torsion = tuple(int(t) for t in h1_raw.get("torsion", ()))
+    except (AttributeError, TypeError, ValueError):
+        raise ValueError('space JSON needs "h1": {"rank": int, "torsion": [ints]}')
+    h1 = AbelianDescriptor.of(rank, torsion)
     pi1 = data.get("pi1", "opaque:unspecified")
     if pi1 in ("trivial", "abelian"):
         kind, plabel = pi1, None

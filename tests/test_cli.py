@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 from fatdiag.cli import main
 
@@ -230,6 +231,59 @@ def test_exit_code_resource_guard(capsys, monkeypatch):
     monkeypatch.setenv("FATDIAG_GUARD_SCALE", "0.1")
     rc, _, err = run(capsys, "strata", "depth", "--degree", "4", "--gens", "(1 2 3 4)")
     assert rc == 4
+
+
+def test_closed_formula_guard_limits_work(capsys):
+    # every n <= 1000 answers at any d.  For d > n/2 the point of
+    # multiplicity m >= d is unique: C(n, m) chi (chi - 1)^(n - m) per m.
+    payload = run_json(capsys, "chi", "fd", "--space", "sphere:2", "-n", "1000", "-d", "501")
+    assert payload["result"] == str(sum(2 * math.comb(1000, m) for m in range(501, 1001)))
+    # beyond the estimated-work limit the guard trips before any work, and
+    # the stratum-enumeration oracle of --verify is guarded too
+    for argv, guard in (
+        (("chi", "fd", "--space", "sphere:2", "-n", "100000", "-d", "50000"),
+         "closed formula work"),
+        (("chi", "bupper", "--space", "torus", "-n", "1500", "-d", "1"), "closed formula work"),
+        (("chi", "bupper", "--space", "torus", "-n", "60", "-d", "2", "--verify"),
+         "stratification_sum_bd"),
+    ):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 4, argv
+        assert guard in err
+        assert out == ""
+
+
+def test_bupper_oracle_catches_wrong_formula(capsys, monkeypatch):
+    import fatdiag.cli
+    import fatdiag.eulerchar
+
+    right = fatdiag.eulerchar.chi_b_upper
+
+    def off_by_one(*args):
+        return right(*args) + 1
+
+    # patching the library too shows the oracle does not route through it
+    monkeypatch.setattr(fatdiag.cli, "chi_b_upper", off_by_one)
+    monkeypatch.setattr(fatdiag.eulerchar, "chi_b_upper", off_by_one)
+    rc, out, err = run(
+        capsys, "chi", "bupper", "--space", "sphere:2", "-n", "6", "-d", "2", "--verify"
+    )
+    assert rc == 3
+    assert "complement" in err
+
+
+def test_malformed_input_is_usage_error(capsys):
+    cases = [
+        ("pi1", "bd", "--space", "circle", "-n", "0", "-d", "0"),
+        ("chi", "sp", "--space", '{"betti": [1, 1], "h1": [1]}', "-n", "2"),
+        ("chi", "sp", "--space",
+         '{"betti": [1, 1], "h1": {"rank": 1, "torsion": ["a"]}}', "-n", "2"),
+    ]
+    for argv in cases:
+        rc, out, err = run(capsys, *argv)
+        assert rc == 1, argv
+        assert out == ""
+        assert err.startswith("error:"), err
 
 
 def test_guard_scale_env_validation(capsys, monkeypatch):

@@ -246,3 +246,50 @@ def test_bad_arguments():
         chi_fd(2, 3, 4)
     with pytest.raises(ValueError):
         chi_bd(2, 0, 1)
+
+
+# sparse grid up to n = 200; the closed formulas enumerate nothing, so these
+# run in well under a second
+LARGE_N = (33, 64, 127, 200)
+CHIS = range(-4, 5)
+
+
+def test_large_n_fat_diagonal_identities():
+    for n in LARGE_N:
+        for chi in CHIS:
+            # a point of multiplicity d > n/2 is unique and splits off
+            for d in (n // 2 + 1, (3 * n) // 4, n - 1, n):
+                assert chi_bd(chi, n, d) == chi * chi_sp(chi, n - d)
+            assert chi_fd(chi, n, n) == chi
+            assert chi_fd(chi, n, n - 1) == n * chi**2 - (n - 1) * chi
+            assert chi_f2(chi, n) == chi_fd(chi, n, 2)
+            assert chi_b2(chi, n) == chi_bd(chi, n, 2)
+
+
+def test_large_n_bounded_multiplicity_and_vanishing():
+    from fatdiag.algebra import binomial_gen
+
+    for n in LARGE_N:
+        for chi in CHIS:
+            assert chi_b_upper(chi, n, 1) == binomial_gen(chi, n)
+            assert chi_b_upper(chi, n, n) == chi_sp(chi, n)
+        for d in (2, 3, n // 3, n // 2 + 1, n):
+            assert chi_bd(0, n, d) == 0
+            assert chi_b_upper(0, n, d) == 0
+        for d in (2, 3, n - 2, n):
+            assert chi_fd(0, n, d) == 0
+
+
+def test_closed_forms_match_stratum_enumeration():
+    # the sums over multiplicity vectors that the closed formulas replaced
+    from fatdiag.algebra import falling_factorial
+    from fatdiag.combinatorics import alpha_sequences, count_set_partitions_of_type
+
+    for n in (9, 16):
+        for d in range(2, n + 1):
+            bounded = alpha_sequences(n, d - 1)
+            weights = [(count_set_partitions_of_type(a), a.num_blocks) for a in bounded]
+            for chi in CHIS:
+                assert chi_bd(chi, n, d) == stratification_sum_bd(chi, n, d)
+                ordered = sum(w * falling_factorial(chi, k) for w, k in weights)
+                assert chi_fd(chi, n, d) == chi**n - ordered
