@@ -11,8 +11,8 @@ The main entry points:
                fat diagonals and their complements
   invariants   invariant Poincare polynomials of quotients X^n / G
   fundgroup    fundamental-group descriptors of the same spaces
-  strata       multiplicity stratifications: stabilizers, depth, subgroup
-               chain length
+  strata       equality-pattern stratifications: stabilizer orders counted
+               by cycle partition, depth, subgroup chain length
   graphconf    Euler characteristics of two-point configuration spaces of
                graphs, with a discretized cross-check
   spaces       small model of a space (Betti numbers, H_1, pi_1 kind, parity)

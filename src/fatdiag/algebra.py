@@ -7,6 +7,7 @@ many non-negative degrees with integer or Fraction coefficients.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
@@ -37,7 +38,7 @@ def binomial_gen(a: int, k: int) -> int:
     """Generalized binomial coefficient falling_factorial(a, k) / k!.
 
     Defined for any integer a, including negative a, where it equals
-    (-1)^k binomial(k - a - 1, k).  The division is always exact.
+    (-1)^k binomial(k - a - 1, k); for 0 <= a < k it is 0.
 
     >>> binomial_gen(6, 4)
     15
@@ -46,16 +47,9 @@ def binomial_gen(a: int, k: int) -> int:
     """
     if k < 0:
         raise ValueError(f"binomial_gen needs k >= 0, got {k}")
-    num = falling_factorial(a, k)
-    den = 1
-    for j in range(2, k + 1):
-        den *= j
-    q, r = divmod(num, den)
-    if r != 0:
-        raise InternalConsistencyError(
-            f"binomial_gen({a}, {k}): non-exact division {num}/{den}"
-        )
-    return q
+    if a >= 0:
+        return math.comb(a, k)
+    return (-1) ** k * math.comb(k - a - 1, k)
 
 
 class GradedPolynomial:

@@ -53,7 +53,7 @@ from .eulerchar import (
 from .fundgroup import GroupExpression, pi1_bd, pi1_gamma_product
 from .graphconf import discretized_chi_f2, farber_chi_f2, fixture, graph_from_json
 from .invariants import invariant_poincare
-from .permgroup import PermutationGroupModel, parse_cycles
+from .permgroup import PermutationGroupModel
 from .selfcheck import run_suite
 from .spaces import SpaceModel, parse_space
 from .strata import depth as strata_depth
@@ -106,18 +106,11 @@ def _space(args) -> SpaceModel:
 
 
 def _group(args) -> PermutationGroupModel:
-    degree = args.degree
-    text = args.gens or ""
-    gens = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        try:
-            gens.append(parse_cycles(chunk, degree))
-        except ValueError as exc:
-            raise UsageError(f"bad --gens: {exc}")
-    return PermutationGroupModel(degree, gens)
+    gens = [chunk for chunk in (args.gens or "").split(";") if chunk.strip()]
+    try:
+        return PermutationGroupModel(args.degree, gens)
+    except ValueError as exc:
+        raise UsageError(f"bad --degree or --gens: {exc}")
 
 
 def _space_echo(space: SpaceModel) -> dict:

@@ -44,12 +44,6 @@ class AlphaSequence:
         """Number of parts sum(alpha_i)."""
         return sum(self.parts)
 
-    def multiplicity(self, size: int) -> int:
-        """Number of parts of the given size."""
-        if 1 <= size <= len(self.parts):
-            return self.parts[size - 1]
-        return 0
-
     def factorial_product(self) -> int:
         """prod(alpha_i!), the symmetry factor permuting equal-size parts."""
         out = 1
@@ -130,16 +124,6 @@ class SetPartition:
 
     def max_block_size(self) -> int:
         return max(len(b) for b in self.blocks) if self.blocks else 0
-
-    def block_sizes(self) -> tuple[int, ...]:
-        """Sizes in decreasing order."""
-        return tuple(sorted((len(b) for b in self.blocks), reverse=True))
-
-    def block_index_of(self, x: int) -> int:
-        for i, b in enumerate(self.blocks):
-            if x in b:
-                return i
-        raise KeyError(x)
 
     def type_alpha(self) -> AlphaSequence:
         """Multiplicity vector of the block sizes, length n."""

@@ -266,7 +266,7 @@ def oracle_bd_burnside(chi: int, n: int, d: int) -> int:
         raise ValueError(f"needs 2 <= d <= n, got d={d}, n={n}")
     total = 0
     for ctype, class_size in conjugacy_classes_sn(n):
-        weights = ctype.cycle_lengths()
+        weights = [l for l, a in enumerate(ctype.parts, start=1) for _ in range(a)]
         c = len(weights)
         fixed = 0
         for part in set_partitions_cached(c):

@@ -59,7 +59,7 @@ def invariant_poincare(
     acc = GradedPolynomial.zero()
     for ctype, count in group.cycle_type_histogram().items():
         term = GradedPolynomial.one()
-        for length, mult in enumerate(ctype.counts, start=1):
+        for length, mult in enumerate(ctype.parts, start=1):
             if mult:
                 term = term * graded_trace_cycle(poincare, length) ** mult
         acc = acc + term.scale(count)

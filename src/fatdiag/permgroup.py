@@ -1,8 +1,15 @@
 """Permutations, cycle types, and finite permutation groups.
 
-Permutations act on the points {0, ..., degree-1}.  The cycle notation
-parser and formatter use 1-indexed points, matching the usual written form
-"(1 2 3)(4 5)".
+A permutation of the points {0, ..., degree-1} is the plain tuple of its
+images: g[i] is the image of i.  The product g*h applies h first, so its
+image tuple is (g[h[0]], g[h[1]], ...).  Inputs are validated once, where
+they enter: parse_cycles checks cycle notation and PermutationGroupModel
+checks each generator; everything built from those is a permutation by
+construction.  A cycle type is an AlphaSequence: parts[l - 1] cycles of
+length l.
+
+The cycle notation parser and formatter use 1-indexed points, matching the
+usual written form "(1 2 3)(4 5)".
 
 Convention for the induced action on coordinate tuples, used throughout:
 (g . x)_i = x_{g^{-1}(i)}, so that g moves the coordinate sitting in slot j
@@ -13,7 +20,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from collections import Counter
 from functools import lru_cache
 
 from .combinatorics import AlphaSequence, alpha_sequences
@@ -23,214 +30,143 @@ MAX_GROUP_ORDER = 10**6
 MAX_TRANSITIVITY_DEGREE = 4
 MAX_CONJUGACY_N = 20
 
+Perm = tuple[int, ...]
 
-@dataclass(frozen=True)
-class Permutation:
-    """Bijection of {0, ..., n-1}, stored as the tuple of images."""
 
-    images: tuple[int, ...]
+def _compose(g: Perm, h: Perm) -> Perm:
+    """The product g*h: apply h, then g."""
+    return tuple(map(g.__getitem__, h))
 
-    def __post_init__(self):
-        if sorted(self.images) != list(range(len(self.images))):
-            raise ValueError(f"not a permutation of 0..{len(self.images) - 1}: {self.images}")
 
-    @classmethod
-    def identity(cls, degree: int) -> "Permutation":
-        return cls(tuple(range(degree)))
+def _from_cycles(cycles, degree: int) -> Perm:
+    """Image tuple of disjoint cycles of 0-indexed points (not checked)."""
+    images = list(range(degree))
+    for cyc in cycles:
+        for i, p in enumerate(cyc):
+            images[p] = cyc[(i + 1) % len(cyc)]
+    return tuple(images)
 
-    @classmethod
-    def from_cycles(cls, cycles, degree: int) -> "Permutation":
-        """Build from disjoint cycles of 0-indexed points."""
-        images = list(range(degree))
-        seen: set[int] = set()
-        for cyc in cycles:
-            for p in cyc:
-                if not 0 <= p < degree:
-                    raise ValueError(f"point {p} out of range for degree {degree}")
-                if p in seen:
-                    raise ValueError(f"point {p} repeated across cycles")
-                seen.add(p)
-            for i, p in enumerate(cyc):
-                images[p] = cyc[(i + 1) % len(cyc)]
-        return cls(tuple(images))
 
-    @property
-    def degree(self) -> int:
-        return len(self.images)
+def _cycles(g: Perm, include_fixed: bool = False) -> list[tuple[int, ...]]:
+    """Disjoint cycles, each starting at its minimum, ordered by minimum."""
+    seen = [False] * len(g)
+    out = []
+    for start in range(len(g)):
+        if seen[start]:
+            continue
+        cyc = [start]
+        seen[start] = True
+        p = g[start]
+        while p != start:
+            cyc.append(p)
+            seen[p] = True
+            p = g[p]
+        if len(cyc) > 1 or include_fixed:
+            out.append(tuple(cyc))
+    return out
 
-    def __call__(self, point: int) -> int:
-        return self.images[point]
 
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        """Composition: (self * other)(i) = self(other(i))."""
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch")
-        return Permutation(tuple(self.images[j] for j in other.images))
-
-    def inverse(self) -> "Permutation":
-        images = [0] * self.degree
-        for i, j in enumerate(self.images):
-            images[j] = i
-        return Permutation(tuple(images))
-
-    def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.images))
-
-    def cycles(self, include_fixed: bool = False) -> list[tuple[int, ...]]:
-        """Disjoint cycles, each starting at its minimum, ordered by minimum."""
-        seen = [False] * self.degree
-        out = []
-        for start in range(self.degree):
-            if seen[start]:
-                continue
-            cyc = [start]
-            seen[start] = True
-            p = self.images[start]
-            while p != start:
-                cyc.append(p)
-                seen[p] = True
-                p = self.images[p]
-            if len(cyc) > 1 or include_fixed:
-                out.append(tuple(cyc))
-        return out
-
-    def cycle_type(self) -> "CycleType":
-        counts = [0] * self.degree
-        for cyc in self.cycles(include_fixed=True):
-            counts[len(cyc) - 1] += 1
-        return CycleType(tuple(counts))
-
-    def cycle_count(self) -> int:
-        """Number of cycles including fixed points."""
-        return len(self.cycles(include_fixed=True))
-
-    def __repr__(self) -> str:
-        return f"Permutation({format_cycles(self)!r}, degree={self.degree})"
+def _cycle_type(g: Perm) -> tuple[int, ...]:
+    """Cycle-length counts: entry l - 1 is the number of cycles of length l."""
+    counts = [0] * len(g)
+    for cyc in _cycles(g, include_fixed=True):
+        counts[len(cyc) - 1] += 1
+    return tuple(counts)
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
-def parse_cycles(text: str, degree: int) -> Permutation:
+def parse_cycles(text: str, degree: int) -> Perm:
     """Parse 1-indexed cycle notation like "(1 2 3)(4 5)".
 
     Points may be separated by spaces or commas; "e", "()" and "" denote the
     identity.  Points not mentioned are fixed.
 
-    >>> parse_cycles("(1 2 3)(4 5)", 5).images
+    >>> parse_cycles("(1 2 3)(4 5)", 5)
     (1, 2, 0, 4, 3)
     """
     text = text.strip()
     if text in ("", "e", "()", "id"):
-        return Permutation.identity(degree)
+        return tuple(range(degree))
     stripped = _CYCLE_RE.sub("", text)
     if stripped.strip():
         raise ValueError(f"cannot parse cycle notation: {text!r}")
     cycles = []
+    seen: set[int] = set()
     for body in _CYCLE_RE.findall(text):
-        points = [p for p in body.replace(",", " ").split() if p]
-        if not points:
-            continue
         cyc = []
-        for p in points:
+        for p in body.replace(",", " ").split():
             if not p.isdigit() or int(p) < 1:
                 raise ValueError(f"bad point {p!r} in {text!r} (points are 1-indexed)")
-            if int(p) > degree:
+            point = int(p) - 1
+            if point >= degree:
                 raise ValueError(f"point {p} exceeds degree {degree}")
-            cyc.append(int(p) - 1)
-        cycles.append(tuple(cyc))
-    return Permutation.from_cycles(cycles, degree)
+            if point in seen:
+                raise ValueError(f"point {p} repeated across cycles")
+            seen.add(point)
+            cyc.append(point)
+        cycles.append(cyc)
+    return _from_cycles(cycles, degree)
 
 
-def format_cycles(g: Permutation) -> str:
+def format_cycles(g: Perm) -> str:
     """1-indexed cycle notation; fixed points omitted; identity is "e"."""
-    cycles = g.cycles()
+    cycles = _cycles(g)
     if not cycles:
         return "e"
     return "".join("(" + " ".join(str(p + 1) for p in cyc) + ")" for cyc in cycles)
 
 
-@dataclass(frozen=True)
-class CycleType:
-    """Multiplicities of cycle lengths: counts[l - 1] cycles of length l."""
-
-    counts: tuple[int, ...]
-
-    @property
-    def degree(self) -> int:
-        return sum(l * c for l, c in enumerate(self.counts, start=1))
-
-    @property
-    def cycle_count(self) -> int:
-        return sum(self.counts)
-
-    def as_alpha(self) -> AlphaSequence:
-        return AlphaSequence(self.counts)
-
-    def cycle_lengths(self) -> tuple[int, ...]:
-        """All cycle lengths, decreasing, one entry per cycle."""
-        out = []
-        for l, c in enumerate(self.counts, start=1):
-            out.extend([l] * c)
-        return tuple(sorted(out, reverse=True))
-
-    def centralizer_order(self) -> int:
-        """Order of the centralizer in the full symmetric group:
-        prod over lengths l of (counts_l! * l^counts_l)."""
-        out = 1
-        for l, c in enumerate(self.counts, start=1):
-            out *= math.factorial(c) * l**c
-        return out
-
-
-def centralizer_order_sn(ctype: CycleType) -> int:
-    return ctype.centralizer_order()
-
-
-def conjugacy_classes_sn(n: int) -> list[tuple[CycleType, int]]:
+def conjugacy_classes_sn(n: int) -> list[tuple[AlphaSequence, int]]:
     """Conjugacy classes of the full symmetric group on n points.
 
     Returns (cycle type, class size) pairs in a deterministic order; the
-    class sizes sum to n!.
+    class size is n! over the centralizer order prod_l (alpha_l! l^alpha_l),
+    and the sizes sum to n!.
 
-    >>> [(t.counts, s) for t, s in conjugacy_classes_sn(3)]
+    >>> [(t.parts, s) for t, s in conjugacy_classes_sn(3)]
     [((3, 0, 0), 1), ((1, 1, 0), 3), ((0, 0, 1), 2)]
     """
     check_guard(n, MAX_CONJUGACY_N, "conjugacy_classes_sn")
     out = []
     for alpha in alpha_sequences(n, n):
-        ctype = CycleType(alpha.parts)
-        out.append((ctype, math.factorial(n) // ctype.centralizer_order()))
+        centralizer = alpha.factorial_product() * math.prod(
+            l**a for l, a in enumerate(alpha.parts, start=1))
+        out.append((alpha, math.factorial(n) // centralizer))
     return out
 
 
 class PermutationGroupModel:
     """Finite permutation group given by generators; elements enumerated lazily.
 
-    Enumeration is a plain closure walk and is guarded at 10^6 elements.
+    Generators are image tuples or cycle-notation strings.  Enumeration is a
+    plain closure walk and is guarded at 10^6 elements.
     """
 
     def __init__(self, degree: int, generators) -> None:
+        if degree < 0:
+            raise ValueError(f"degree must be >= 0, got {degree}")
         self.degree = degree
         gens = []
         for g in generators:
             if isinstance(g, str):
                 g = parse_cycles(g, degree)
-            if g.degree != degree:
-                raise ValueError(f"generator degree {g.degree} != {degree}")
-            gens.append(g)
-        self.generators: tuple[Permutation, ...] = tuple(gens)
-        self._elements: frozenset[Permutation] | None = None
+            elif sorted(g) != list(range(degree)):
+                raise ValueError(f"generator {g} is not a permutation of 0..{degree - 1}")
+            gens.append(tuple(g))
+        self.generators: tuple[Perm, ...] = tuple(gens)
+        self._elements: frozenset[Perm] | None = None
 
-    def elements(self) -> frozenset[Permutation]:
+    def elements(self) -> frozenset[Perm]:
         if self._elements is None:
-            found = {Permutation.identity(self.degree)}
+            found = {tuple(range(self.degree))}
             frontier = list(found)
             while frontier:
                 nxt = []
                 for h in frontier:
                     for g in self.generators:
-                        p = g * h
+                        p = _compose(g, h)
                         if p not in found:
                             found.add(p)
                             nxt.append(p)
@@ -242,11 +178,11 @@ class PermutationGroupModel:
     def order(self) -> int:
         return len(self.elements())
 
-    def sorted_elements(self) -> list[Permutation]:
+    def sorted_elements(self) -> list[Perm]:
         """Elements in lexicographic order of their image tuples."""
-        return sorted(self.elements(), key=lambda g: g.images)
+        return sorted(self.elements())
 
-    def __contains__(self, g: Permutation) -> bool:
+    def __contains__(self, g: Perm) -> bool:
         return g in self.elements()
 
     def __iter__(self):
@@ -254,19 +190,12 @@ class PermutationGroupModel:
 
     def cycle_count_histogram(self) -> dict[int, int]:
         """Map cycle count -> number of elements with that many cycles."""
-        hist: dict[int, int] = {}
-        for g in self.elements():
-            c = g.cycle_count()
-            hist[c] = hist.get(c, 0) + 1
-        return hist
+        return dict(Counter(len(_cycles(g, include_fixed=True)) for g in self.elements()))
 
-    def cycle_type_histogram(self) -> dict[CycleType, int]:
+    def cycle_type_histogram(self) -> dict[AlphaSequence, int]:
         """Map cycle type -> number of elements of that type."""
-        hist: dict[CycleType, int] = {}
-        for g in self.elements():
-            t = g.cycle_type()
-            hist[t] = hist.get(t, 0) + 1
-        return hist
+        hist = Counter(map(_cycle_type, self.elements()))
+        return {AlphaSequence(t): count for t, count in hist.items()}
 
     def orbits(self) -> list[frozenset[int]]:
         """Orbits on points, ordered by minimum element."""
@@ -279,7 +208,7 @@ class PermutationGroupModel:
             return x
 
         for g in self.generators:
-            for i, j in enumerate(g.images):
+            for i, j in enumerate(g):
                 parent[find(i)] = find(j)
         groups: dict[int, set[int]] = {}
         for p in range(self.degree):
@@ -309,7 +238,7 @@ class PermutationGroupModel:
             nxt = []
             for t in frontier:
                 for g in self.generators:
-                    u = tuple(g(p) for p in t)
+                    u = _compose(g, t)
                     if u not in seen:
                         seen.add(u)
                         nxt.append(u)
@@ -320,23 +249,19 @@ class PermutationGroupModel:
 def symmetric_group(n: int) -> PermutationGroupModel:
     if n <= 1:
         return PermutationGroupModel(n, [])
-    gens = [Permutation.from_cycles([tuple(range(n))], n)]
-    if n >= 2:
-        gens.append(Permutation.from_cycles([(0, 1)], n))
-    return PermutationGroupModel(n, gens)
+    return PermutationGroupModel(n, [_from_cycles([range(n)], n), _from_cycles([(0, 1)], n)])
 
 
 def alternating_group(n: int) -> PermutationGroupModel:
     if n <= 2:
         return PermutationGroupModel(n, [])
-    gens = [Permutation.from_cycles([(i, i + 1, i + 2)], n) for i in range(n - 2)]
-    return PermutationGroupModel(n, gens)
+    return PermutationGroupModel(n, [_from_cycles([(i, i + 1, i + 2)], n) for i in range(n - 2)])
 
 
 def cyclic_group(n: int) -> PermutationGroupModel:
     if n <= 1:
         return PermutationGroupModel(n, [])
-    return PermutationGroupModel(n, [Permutation.from_cycles([tuple(range(n))], n)])
+    return PermutationGroupModel(n, [_from_cycles([range(n)], n)])
 
 
 def trivial_group(n: int) -> PermutationGroupModel:
@@ -348,20 +273,13 @@ def regular_representation(group: PermutationGroupModel) -> PermutationGroupMode
     group of degree equal to the group order."""
     elems = group.sorted_elements()
     index = {g: i for i, g in enumerate(elems)}
-    gens = []
-    for g in group.generators:
-        images = tuple(index[g * h] for h in elems)
-        gens.append(Permutation(images))
+    gens = [tuple(index[_compose(g, h)] for h in elems) for g in group.generators]
     return PermutationGroupModel(len(elems), gens)
 
 
 @lru_cache(maxsize=8)
-def _symmetric_cached(n: int) -> PermutationGroupModel:
+def symmetric_group_cached(n: int) -> PermutationGroupModel:
+    """Memoized full symmetric group with its elements already enumerated."""
     group = symmetric_group(n)
     group.elements()
     return group
-
-
-def symmetric_group_cached(n: int) -> PermutationGroupModel:
-    """Memoized full symmetric group with its elements already enumerated."""
-    return _symmetric_cached(n)

@@ -1,5 +1,6 @@
 """Equality-pattern stratification of a cartesian power under a permutation
-group: pattern stabilizers, stratification depth, and subgroup chain length.
+group: pattern stabilizer orders, stratification depth, and subgroup chain
+length.
 
 A set partition P of the n coordinates is an equality pattern; its
 stabilizer in G consists of the elements mapping every block to itself.
@@ -17,50 +18,46 @@ tested by comparing orders.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
 
-from .combinatorics import SetPartition, set_partitions
+from .combinatorics import set_partitions
 from .errors import check_guard
-from .permgroup import Permutation, PermutationGroupModel
+from .permgroup import Perm, PermutationGroupModel, _compose
 
 MAX_DEPTH_DEGREE = 9
 MAX_SUBGROUP_ORDER = 120
 
 
-def stabilizer_of_pattern(
-    group: PermutationGroupModel, pattern: SetPartition
-) -> frozenset[Permutation]:
-    """Elements of the group fixing an equality pattern: g with i and g(i)
-    always in the same block.
-
-    >>> from .permgroup import symmetric_group
-    >>> from .combinatorics import SetPartition
-    >>> pat = SetPartition.from_blocks([{0, 1}, {2}])
-    >>> len(stabilizer_of_pattern(symmetric_group(3), pat))
-    2
-    """
-    if pattern.n != group.degree:
-        raise ValueError(f"pattern on {pattern.n} points, group degree {group.degree}")
-    labels = pattern.as_labels()
-    return frozenset(
-        g for g in group.elements()
-        if all(labels[g.images[i]] == labels[i] for i in range(group.degree))
-    )
+def _cycle_minima(g: Perm) -> tuple[int, ...]:
+    """For each point, the minimum of its cycle under g."""
+    root = [-1] * len(g)
+    for start in range(len(g)):
+        p = start
+        while root[p] < 0:
+            root[p] = start
+            p = g[p]
+    return tuple(root)
 
 
 def _stabilizer_sizes(group: PermutationGroupModel) -> dict[tuple[int, ...], int]:
-    """Map each pattern (as a label vector) to the order of its stabilizer."""
+    """Map each pattern (as a label vector) to the order of its stabilizer.
+
+    g fixes a pattern exactly when each of its cycles lies inside one block,
+    that is when every point shares a block with the minimum of its cycle.
+    The elements are therefore counted once by cycle partition, keyed by the
+    vector of cycle minima, and each pattern sums the counts of the cycle
+    partitions that refine it: at most min(|G|, Bell(n)) vectors per pattern.
+    """
     n = group.degree
-    elements = group.elements()
+    by_cycles = Counter(map(_cycle_minima, group.elements()))
     out: dict[tuple[int, ...], int] = {}
     for pattern in set_partitions(n):
         labels = pattern.as_labels()
-        size = sum(
-            1
-            for g in elements
-            if all(labels[g.images[i]] == labels[i] for i in range(n))
+        out[labels] = sum(
+            count
+            for root, count in by_cycles.items()
+            if all(labels[root[i]] == labels[i] for i in range(n))
         )
-        out[labels] = size
     return out
 
 
@@ -120,81 +117,6 @@ def depth(group: PermutationGroupModel) -> int:
     return best[discrete]
 
 
-@dataclass(frozen=True)
-class StabilizerClassPoset:
-    """Conjugacy classes (in the group) of realized pattern stabilizers,
-    with the coarsening-induced order between them.
-
-    representatives holds one subgroup per class, sorted by order then by
-    element list; leq holds index pairs (i, j) meaning class i arises at a
-    pattern refining one where class j arises, i.e. i <= j.
-    """
-
-    representatives: tuple[frozenset[Permutation], ...]
-    leq: frozenset[tuple[int, int]]
-
-
-def stabilizer_class_poset(group: PermutationGroupModel) -> StabilizerClassPoset:
-    """Conjugacy classes of pattern stabilizers and their coarsening order.
-
-    Guarded like depth; intended for small degrees.
-    """
-    n = group.degree
-    check_guard(n, MAX_DEPTH_DEGREE, "stabilizer class poset")
-    elements = group.elements()
-
-    def conjugacy_class(sub: frozenset[Permutation]) -> frozenset[frozenset[Permutation]]:
-        return frozenset(
-            frozenset(g * h * g.inverse() for h in sub) for g in elements
-        )
-
-    patterns = list(set_partitions(n))
-    stabs = {p.as_labels(): stabilizer_of_pattern(group, p) for p in patterns}
-
-    classes: list[frozenset[frozenset[Permutation]]] = []
-    class_of: dict[tuple[int, ...], int] = {}
-    for labels, sub in stabs.items():
-        cls = conjugacy_class(sub)
-        try:
-            idx = classes.index(cls)
-        except ValueError:
-            idx = len(classes)
-            classes.append(cls)
-        class_of[labels] = idx
-
-    relations: set[tuple[int, int]] = {(i, i) for i in range(len(classes))}
-    for labels in stabs:
-        b = max(labels) + 1
-        for i in range(b):
-            for j in range(i + 1, b):
-                merged = _merge_labels(labels, i, j)
-                relations.add((class_of[labels], class_of[merged]))
-    # transitive closure
-    changed = True
-    while changed:
-        changed = False
-        for (a, b1) in list(relations):
-            for (c, d) in list(relations):
-                if b1 == c and (a, d) not in relations:
-                    relations.add((a, d))
-                    changed = True
-
-    def rep_key(cls):
-        rep = min(sorted(h.images for h in sub) for sub in cls)
-        return (len(rep), rep)
-
-    order = sorted(range(len(classes)), key=lambda i: rep_key(classes[i]))
-    rank = {old: new for new, old in enumerate(order)}
-    reps = []
-    for i in order:
-        chosen = min(classes[i], key=lambda sub: sorted(h.images for h in sub))
-        reps.append(chosen)
-    return StabilizerClassPoset(
-        representatives=tuple(reps),
-        leq=frozenset((rank[a], rank[b]) for a, b in relations),
-    )
-
-
 def length_sn(n: int) -> int:
     """Longest subgroup chain length in the full symmetric group on n
     points: floor((3n-1)/2) minus the number of ones in the binary
@@ -208,7 +130,7 @@ def length_sn(n: int) -> int:
     return (3 * n - 1) // 2 - bin(n).count("1")
 
 
-def _closure(subgroup: frozenset[Permutation], extra: Permutation) -> frozenset[Permutation]:
+def _closure(subgroup: frozenset[Perm], extra: Perm) -> frozenset[Perm]:
     """Subgroup generated by a known subgroup and one more element."""
     elems = set(subgroup)
     frontier = [extra]
@@ -218,13 +140,13 @@ def _closure(subgroup: frozenset[Permutation], extra: Permutation) -> frozenset[
             continue
         elems.add(x)
         for y in list(elems):
-            for p in (x * y, y * x):
+            for p in (_compose(x, y), _compose(y, x)):
                 if p not in elems:
                     frontier.append(p)
     return frozenset(elems)
 
 
-def all_subgroups(group: PermutationGroupModel) -> set[frozenset[Permutation]]:
+def all_subgroups(group: PermutationGroupModel) -> set[frozenset[Perm]]:
     """Every subgroup, as a frozenset of elements.
 
     Breadth-first over one-generator extensions: each known subgroup is
@@ -233,8 +155,8 @@ def all_subgroups(group: PermutationGroupModel) -> set[frozenset[Permutation]]:
     """
     check_guard(group.order(), MAX_SUBGROUP_ORDER, "subgroup enumeration")
     elements = group.sorted_elements()
-    trivial = frozenset([Permutation.identity(group.degree)])
-    found: set[frozenset[Permutation]] = {trivial}
+    trivial = frozenset([tuple(range(group.degree))])
+    found: set[frozenset[Perm]] = {trivial}
     queue = [trivial]
     while queue:
         sub = queue.pop()
@@ -242,7 +164,7 @@ def all_subgroups(group: PermutationGroupModel) -> set[frozenset[Permutation]]:
         for g in elements:
             if g in covered:
                 continue
-            covered.update(h * g for h in sub)
+            covered.update(_compose(h, g) for h in sub)
             bigger = _closure(sub, g)
             if bigger not in found:
                 found.add(bigger)
@@ -261,7 +183,7 @@ def group_length(group: PermutationGroupModel) -> int:
     2
     """
     subgroups = sorted(all_subgroups(group), key=len)
-    longest: dict[frozenset[Permutation], int] = {}
+    longest: dict[frozenset[Perm], int] = {}
     for sub in subgroups:
         best = 0
         for smaller in subgroups:

@@ -24,18 +24,19 @@ def test_falling_factorial_rejects_negative_k():
 def test_binomial_gen_matches_choose_for_nonnegative():
     import math
 
+    # against the falling-factorial definition, an independent path
     for a in range(0, 12):
         for k in range(0, 12):
-            assert binomial_gen(a, k) == math.comb(a, k)
+            assert binomial_gen(a, k) == falling_factorial(a, k) // math.factorial(k)
 
 
 def test_binomial_gen_negative_upper_index():
-    # binomial_gen(-m, k) = (-1)^k * C(m+k-1, k)
+    # binomial_gen(-m, k) = (-1)^k * C(m+k-1, k) = falling(-m, k) / k!
     import math
 
     for m in range(1, 7):
         for k in range(0, 7):
-            assert binomial_gen(-m, k) == (-1) ** k * math.comb(m + k - 1, k)
+            assert binomial_gen(-m, k) == falling_factorial(-m, k) // math.factorial(k)
     assert binomial_gen(-2, 3) == -4
 
 

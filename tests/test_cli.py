@@ -278,12 +278,20 @@ def test_malformed_input_is_usage_error(capsys):
         ("chi", "sp", "--space", '{"betti": [1, 1], "h1": [1]}', "-n", "2"),
         ("chi", "sp", "--space",
          '{"betti": [1, 1], "h1": {"rank": 1, "torsion": ["a"]}}', "-n", "2"),
+        ("chi", "gamma", "--space", "sphere:2", "--degree", "-1", "--gens", ""),
+        ("betti", "gamma", "--space", "torus", "--degree", "-1", "--gens", ""),
+        ("pi1", "gamma", "--space", "torus", "--degree", "-3", "--gens", ""),
+        ("strata", "depth", "--degree", "-2", "--gens", ""),
+        ("strata", "length", "--degree", "-1", "--gens", ""),
     ]
     for argv in cases:
         rc, out, err = run(capsys, *argv)
         assert rc == 1, argv
         assert out == ""
         assert err.startswith("error:"), err
+    # degree 0 is a valid (empty) permutation group
+    rc, out, _ = run(capsys, "strata", "depth", "--degree", "0", "--gens", "")
+    assert rc == 0 and json.loads(out)["result"] == "0"
 
 
 def test_guard_scale_env_validation(capsys, monkeypatch):

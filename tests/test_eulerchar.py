@@ -64,7 +64,7 @@ def _orbit_count_on_colorings(group, colors: int) -> int:
 
     seen: set[tuple[int, ...]] = set()
     total = 0
-    inverses = [g.inverse() for g in group]
+    inverses = [tuple(sorted(range(group.degree), key=g.__getitem__)) for g in group]
     for start in itertools.product(range(colors), repeat=group.degree):
         if start in seen:
             continue
@@ -74,7 +74,7 @@ def _orbit_count_on_colorings(group, colors: int) -> int:
         while stack:
             x = stack.pop()
             for ginv in inverses:
-                y = tuple(x[ginv(i)] for i in range(group.degree))
+                y = tuple(x[ginv[i]] for i in range(group.degree))
                 if y not in seen:
                     seen.add(y)
                     stack.append(y)

@@ -4,12 +4,14 @@ import math
 
 import pytest
 
+from fatdiag.combinatorics import AlphaSequence
 from fatdiag.errors import ResourceGuardError
 from fatdiag.permgroup import (
-    CycleType,
-    Permutation,
+    PermutationGroupModel,
+    _compose,
+    _cycle_type,
+    _cycles,
     alternating_group,
-    centralizer_order_sn,
     conjugacy_classes_sn,
     cyclic_group,
     format_cycles,
@@ -22,14 +24,13 @@ from fatdiag.permgroup import (
 
 def test_parse_and_format_cycles():
     g = parse_cycles("(1 2 3)(4 5)", 6)
-    assert g(0) == 1 and g(1) == 2 and g(2) == 0
-    assert g(3) == 4 and g(4) == 3 and g(5) == 5
+    assert g == (1, 2, 0, 4, 3, 5)
     assert format_cycles(g) == "(1 2 3)(4 5)"
-    assert parse_cycles("()", 3).is_identity()
-    assert parse_cycles("", 3).is_identity()
-    assert parse_cycles("e", 3).is_identity()
-    assert format_cycles(Permutation.identity(4)) == "e"
-    assert parse_cycles("(1, 2)", 2).images == (1, 0)
+    assert parse_cycles("()", 3) == (0, 1, 2)
+    assert parse_cycles("", 3) == (0, 1, 2)
+    assert parse_cycles("e", 3) == (0, 1, 2)
+    assert format_cycles((0, 1, 2, 3)) == "e"
+    assert parse_cycles("(1, 2)", 2) == (1, 0)
 
 
 def test_parse_cycles_rejects_garbage():
@@ -39,35 +40,53 @@ def test_parse_cycles_rejects_garbage():
         parse_cycles("(0 1)", 3)
     with pytest.raises(ValueError):
         parse_cycles("(1 4)", 3)
+    with pytest.raises(ValueError):
+        parse_cycles("(1 2 1)", 3)
+    with pytest.raises(ValueError):
+        parse_cycles("(1 2", 3)
+
+
+def test_group_model_validates_inputs():
+    # generators are checked once, where they enter
+    with pytest.raises(ValueError):
+        PermutationGroupModel(3, [(0, 0, 1)])
+    with pytest.raises(ValueError):
+        PermutationGroupModel(3, [(1, 0)])
+    with pytest.raises(ValueError):
+        PermutationGroupModel(3, ["(1 4)"])
+    with pytest.raises(ValueError):
+        PermutationGroupModel(-1, [])
+    assert PermutationGroupModel(0, []).order() == 1
+    assert PermutationGroupModel(3, [(1, 0, 2), "(2 3)"]).order() == 6
 
 
 def test_composition_convention():
     # (a*b) applies b first, then a
     a = parse_cycles("(1 2)", 3)
     b = parse_cycles("(2 3)", 3)
-    ab = a * b
-    assert ab(0) == 1 and ab(1) == 2 and ab(2) == 0
+    ab = _compose(a, b)
+    assert ab == (1, 2, 0)
     assert format_cycles(ab) == "(1 2 3)"
-    ba = b * a
+    ba = _compose(b, a)
     assert format_cycles(ba) == "(1 3 2)"
-    assert (a * a.inverse()).is_identity()
+    assert _compose(a, a) == (0, 1, 2)
 
 
 def test_cycle_structure():
     g = parse_cycles("(1 2 3)(4 5)", 7)
-    assert g.cycle_type().cycle_lengths() == (3, 2, 1, 1)
-    assert g.cycle_type().counts == (2, 1, 1, 0, 0, 0, 0)
-    assert g.cycle_count() == 4
-    assert sorted(len(c) for c in g.cycles(include_fixed=False)) == [2, 3]
+    assert _cycles(g, include_fixed=True) == [(0, 1, 2), (3, 4), (5,), (6,)]
+    assert _cycle_type(g) == (2, 1, 1, 0, 0, 0, 0)
+    assert sorted(len(c) for c in _cycles(g)) == [2, 3]
 
 
 def test_cycle_type_helper():
-    ct = CycleType((2, 1, 0))
-    assert ct.degree == 4
-    assert ct.cycle_count == 3
-    assert ct.cycle_lengths() == (2, 1, 1)
-    assert ct.centralizer_order() == 4
-    assert centralizer_order_sn(ct) == ct.centralizer_order()
+    # cycle types are AlphaSequences: weight = degree, num_blocks = cycles
+    hist = symmetric_group(4).cycle_type_histogram()
+    transposition = AlphaSequence((2, 1, 0, 0))
+    assert transposition.weight == 4
+    assert transposition.num_blocks == 3
+    assert hist[transposition] == 6  # 4! over the centralizer order 2! * 2
+    assert dict(conjugacy_classes_sn(4))[transposition] == 6
 
 
 def test_conjugacy_classes_sum_to_group_order():
@@ -114,8 +133,11 @@ def test_cycle_count_histogram_matches_classes():
     assert sum(hist.values()) == 120
     by_classes: dict = {}
     for ct, size in conjugacy_classes_sn(5):
-        by_classes[ct.cycle_count] = by_classes.get(ct.cycle_count, 0) + size
+        by_classes[ct.num_blocks] = by_classes.get(ct.num_blocks, 0) + size
     assert hist == by_classes
+    # the centralizer formula of conjugacy_classes_sn against enumeration
+    for n in range(1, 7):
+        assert symmetric_group(n).cycle_type_histogram() == dict(conjugacy_classes_sn(n))
 
 
 def test_orbits_and_transitivity():

@@ -4,10 +4,11 @@ import math
 
 import pytest
 
-from fatdiag.combinatorics import SetPartition
+from fatdiag.combinatorics import SetPartition, set_partitions
 from fatdiag.errors import ResourceGuardError
 from fatdiag.permgroup import (
     PermutationGroupModel,
+    _compose,
     alternating_group,
     cyclic_group,
     regular_representation,
@@ -15,28 +16,38 @@ from fatdiag.permgroup import (
     trivial_group,
 )
 from fatdiag.strata import (
+    _stabilizer_sizes,
     all_subgroups,
     depth,
     group_length,
     length_sn,
-    stabilizer_class_poset,
-    stabilizer_of_pattern,
 )
 
 
-def test_stabilizer_of_pattern():
-    pat = SetPartition.from_blocks([{0, 1}, {2}])
-    stab = stabilizer_of_pattern(symmetric_group(3), pat)
-    assert len(stab) == 2
-    one_block = SetPartition.from_blocks([{0, 1, 2}])
-    assert len(stabilizer_of_pattern(symmetric_group(3), one_block)) == 6
-    discrete = SetPartition.from_blocks([{0}, {1}, {2}])
-    assert len(stabilizer_of_pattern(symmetric_group(3), discrete)) == 1
-
-
-def test_stabilizer_of_pattern_checks_degree():
-    with pytest.raises(ValueError):
-        stabilizer_of_pattern(symmetric_group(4), SetPartition.from_blocks([{0, 1}]))
+def test_stabilizer_sizes_match_element_scan():
+    s3 = _stabilizer_sizes(symmetric_group(3))
+    assert s3[SetPartition.from_blocks([{0, 1}, {2}]).as_labels()] == 2
+    assert s3[SetPartition.from_blocks([{0, 1, 2}]).as_labels()] == 6
+    assert s3[SetPartition.from_blocks([{0}, {1}, {2}]).as_labels()] == 1
+    groups = [
+        symmetric_group(3),
+        symmetric_group(4),
+        alternating_group(4),
+        PermutationGroupModel(4, ["(1 2 3 4)", "(1 3)"]),  # D4
+        cyclic_group(6),
+        regular_representation(symmetric_group(3)),
+        PermutationGroupModel(5, ["(1 2)", "(3 4 5)", "(3 4)"]),  # S2 x S3
+    ]
+    for group in groups:
+        sizes = _stabilizer_sizes(group)
+        patterns = list(set_partitions(group.degree))
+        assert len(sizes) == len(patterns)
+        for pattern in patterns:
+            # g fixes the pattern when i and g(i) always share a block
+            labels = pattern.as_labels()
+            direct = sum(1 for g in group.elements()
+                         if all(labels[g[i]] == labels[i] for i in range(group.degree)))
+            assert sizes[labels] == direct, (group.generators, labels)
 
 
 def test_depth_symmetric_groups():
@@ -75,23 +86,6 @@ def test_depth_guard():
         depth(trivial_group(10))
 
 
-def test_stabilizer_class_poset_s3():
-    poset = stabilizer_class_poset(symmetric_group(3))
-    sizes = sorted(len(r) for r in poset.representatives)
-    assert sizes == [1, 2, 6]
-    idx = {len(r): i for i, r in enumerate(poset.representatives)}
-    assert (idx[1], idx[2]) in poset.leq
-    assert (idx[2], idx[6]) in poset.leq
-    assert (idx[1], idx[6]) in poset.leq
-    assert (idx[6], idx[1]) not in poset.leq
-
-
-def test_stabilizer_class_poset_reflexive():
-    poset = stabilizer_class_poset(cyclic_group(4))
-    for i in range(len(poset.representatives)):
-        assert (i, i) in poset.leq
-
-
 def test_length_sn_values():
     assert [length_sn(n) for n in range(1, 11)] == [0, 1, 2, 4, 5, 6, 7, 10, 11, 12]
     # independent form of the same count
@@ -113,7 +107,7 @@ def test_all_subgroups_are_closed():
     for sub in all_subgroups(symmetric_group(3)):
         for a in sub:
             for b in sub:
-                assert a * b in sub
+                assert _compose(a, b) in sub
 
 
 def test_group_length_small():
