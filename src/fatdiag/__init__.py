@@ -1,8 +1,8 @@
 """Exact invariants of permutation products and bounded-multiplicity configuration spaces.
 
-Everything here is computed in exact arithmetic: Python integers for the
-invariants themselves, fractions.Fraction for the intermediate averages that
-appear in Burnside-style counts.  Floating point is never used.
+Everything here is computed in exact integer arithmetic: the group averages
+of Burnside-style counts are integer sums divided exactly by the group order,
+and a remainder is reported as a bug.  Floating point is never used.
 
 The main entry points:
 

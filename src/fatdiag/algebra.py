@@ -1,19 +1,15 @@
-"""Exact scalar arithmetic and graded polynomials.
+"""Exact integer arithmetic and graded polynomials.
 
-Integers are plain Python ints (arbitrary precision); exact rationals are
-fractions.Fraction.  A GradedPolynomial models a Poincare polynomial: finitely
-many non-negative degrees with integer or Fraction coefficients.
+Integers are plain Python ints (arbitrary precision); averages that must be
+integral are taken as exact integer divisions by their callers.  A
+GradedPolynomial models a Poincare polynomial: finitely many non-negative
+degrees with integer coefficients.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import Iterable, Mapping, Union
-
-from .errors import InternalConsistencyError
-
-Scalar = Union[int, Fraction]
+from typing import Iterable, Mapping
 
 
 def falling_factorial(x: int, k: int) -> int:
@@ -53,7 +49,7 @@ def binomial_gen(a: int, k: int) -> int:
 
 
 class GradedPolynomial:
-    """Polynomial in one variable t with exact coefficients, degrees >= 0.
+    """Polynomial in one variable t with integer coefficients, degrees >= 0.
 
     Immutable in practice: all operations return new instances.  Zero
     coefficients are dropped on construction, so equality is structural.
@@ -61,9 +57,9 @@ class GradedPolynomial:
 
     __slots__ = ("_coeffs",)
 
-    def __init__(self, coeffs: Mapping[int, Scalar] | Iterable[tuple[int, Scalar]] = ()):
+    def __init__(self, coeffs: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        clean: dict[int, Scalar] = {}
+        clean: dict[int, int] = {}
         for deg, c in items:
             if deg < 0:
                 raise ValueError(f"negative degree {deg} in graded polynomial")
@@ -75,7 +71,7 @@ class GradedPolynomial:
         self._coeffs = clean
 
     @classmethod
-    def from_list(cls, coeffs: Iterable[Scalar]) -> "GradedPolynomial":
+    def from_list(cls, coeffs: Iterable[int]) -> "GradedPolynomial":
         """Build from a dense coefficient list, index = degree.
 
         >>> GradedPolynomial.from_list([1, 2, 1]).coefficient(1)
@@ -91,14 +87,14 @@ class GradedPolynomial:
     def one(cls) -> "GradedPolynomial":
         return cls({0: 1})
 
-    def coefficient(self, deg: int) -> Scalar:
+    def coefficient(self, deg: int) -> int:
         return self._coeffs.get(deg, 0)
 
-    def coefficients(self) -> dict[int, Scalar]:
+    def coefficients(self) -> dict[int, int]:
         """Degree -> coefficient map (a copy, zero entries omitted)."""
         return dict(self._coeffs)
 
-    def to_list(self) -> list[Scalar]:
+    def to_list(self) -> list[int]:
         """Dense coefficient list from degree 0 through the degree."""
         if not self._coeffs:
             return [0]
@@ -124,14 +120,14 @@ class GradedPolynomial:
         return GradedPolynomial(out)
 
     def __mul__(self, other: "GradedPolynomial") -> "GradedPolynomial":
-        out: dict[int, Scalar] = {}
+        out: dict[int, int] = {}
         for d1, c1 in self._coeffs.items():
             for d2, c2 in other._coeffs.items():
                 deg = d1 + d2
                 out[deg] = out.get(deg, 0) + c1 * c2
         return GradedPolynomial(out)
 
-    def scale(self, factor: Scalar) -> "GradedPolynomial":
+    def scale(self, factor: int) -> "GradedPolynomial":
         return GradedPolynomial({d: factor * c for d, c in self._coeffs.items()})
 
     def __pow__(self, exponent: int) -> "GradedPolynomial":
@@ -165,26 +161,9 @@ class GradedPolynomial:
         """Terms of odd degree."""
         return GradedPolynomial({d: c for d, c in self._coeffs.items() if d % 2 == 1})
 
-    def evaluate(self, x: Scalar) -> Scalar:
+    def evaluate(self, x: int) -> int:
         """Value at x, exactly."""
         return sum(c * x**d for d, c in self._coeffs.items())
-
-    def as_integer_coefficients(self) -> "GradedPolynomial":
-        """Assert every coefficient is an integer and normalize to int.
-
-        Raises InternalConsistencyError otherwise; used after exact rational
-        averages that must land in the integers.
-        """
-        out: dict[int, Scalar] = {}
-        for d, c in self._coeffs.items():
-            if isinstance(c, Fraction):
-                if c.denominator != 1:
-                    raise InternalConsistencyError(
-                        f"non-integral coefficient {c} in degree {d}"
-                    )
-                c = int(c)
-            out[d] = c
-        return GradedPolynomial(out)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GradedPolynomial):

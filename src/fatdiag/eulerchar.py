@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 
 from .algebra import binomial_gen, falling_factorial
-from .combinatorics import AlphaSequence, alpha_sequences, set_partitions_cached
+from .combinatorics import alpha_sequences, factorial_product, set_partitions_cached
 from .errors import InternalConsistencyError, UnsupportedSpaceError, check_guard
 from .permgroup import PermutationGroupModel, conjugacy_classes_sn
 
@@ -116,7 +116,7 @@ def chi_f_config(chi: int, k: int, parity: str) -> int:
     return out
 
 
-def chi_stratum(chi: int, alpha: AlphaSequence) -> int:
+def chi_stratum(chi: int, alpha: tuple[int, ...]) -> int:
     """Euler characteristic of one multiplicity stratum of the symmetric
     product: unordered collections of sum(alpha_i) distinct points, alpha_i
     of them carrying multiplicity i.
@@ -124,8 +124,8 @@ def chi_stratum(chi: int, alpha: AlphaSequence) -> int:
     Equals falling_factorial(chi, sum(alpha_i)) / prod(alpha_i!); the
     division is exact.  Valid over closed even-dimensional manifolds.
     """
-    value = falling_factorial(chi, alpha.num_blocks)
-    return _exact_div(value, alpha.factorial_product(), f"chi_stratum({chi}, {alpha.parts})")
+    value = falling_factorial(chi, sum(alpha))
+    return _exact_div(value, factorial_product(alpha), f"chi_stratum({chi}, {alpha})")
 
 
 def chi_fd(chi: int, n: int, d: int, parity: str = "even") -> int:
@@ -227,7 +227,15 @@ def stratification_sum_bd(chi: int, n: int, d: int) -> int:
     if not 2 <= d <= n:
         raise ValueError(f"needs 2 <= d <= n, got d={d}, n={n}")
     return sum(chi_stratum(chi, alpha) for alpha in alpha_sequences(n, n)
-               if any(alpha.parts[d - 1:]))
+               if any(alpha[d - 1:]))
+
+
+def _block_weights(labels: tuple[int, ...], weights) -> list[int]:
+    """Total weight of each block of the set partition with these labels."""
+    out = [0] * (max(labels) + 1)
+    for lab, w in zip(labels, weights):
+        out[lab] += w
+    return out
 
 
 def oracle_fd_setpartitions(chi: int, n: int, d: int) -> int:
@@ -242,9 +250,11 @@ def oracle_fd_setpartitions(chi: int, n: int, d: int) -> int:
     if not 2 <= d <= n:
         raise ValueError(f"needs 2 <= d <= n, got d={d}, n={n}")
     total = 0
-    for part in set_partitions_cached(n):
-        if part.max_block_size() >= d:
-            total += falling_factorial(chi, part.num_blocks)
+    ones = [1] * n
+    for labels in set_partitions_cached(n):
+        sizes = _block_weights(labels, ones)
+        if max(sizes) >= d:
+            total += falling_factorial(chi, len(sizes))
     return total
 
 
@@ -266,12 +276,11 @@ def oracle_bd_burnside(chi: int, n: int, d: int) -> int:
         raise ValueError(f"needs 2 <= d <= n, got d={d}, n={n}")
     total = 0
     for ctype, class_size in conjugacy_classes_sn(n):
-        weights = [l for l, a in enumerate(ctype.parts, start=1) for _ in range(a)]
-        c = len(weights)
+        weights = [l for l, a in enumerate(ctype, start=1) for _ in range(a)]
         fixed = 0
-        for part in set_partitions_cached(c):
-            heaviest = max(sum(weights[i] for i in block) for block in part.blocks)
-            if heaviest >= d:
-                fixed += falling_factorial(chi, part.num_blocks)
+        for labels in set_partitions_cached(len(weights)):
+            blocks = _block_weights(labels, weights)
+            if max(blocks) >= d:
+                fixed += falling_factorial(chi, len(blocks))
         total += class_size * fixed
     return _exact_div(total, math.factorial(n), f"oracle_bd_burnside({chi}, {n}, {d})")

@@ -15,8 +15,6 @@ Only free ranks are computed here; torsion of the quotients is out of scope.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .algebra import GradedPolynomial
 from .errors import InternalConsistencyError
 from .permgroup import PermutationGroupModel
@@ -46,9 +44,10 @@ def invariant_poincare(
     """Poincare polynomial of the quotient of X^n by a permutation group,
     where poincare is the Poincare polynomial of X.
 
-    Averages, over the group, the product over cycles of the graded trace;
-    the result must have non-negative integer coefficients (they are
-    dimensions of invariant subspaces), and anything else is a bug.
+    Averages, over the group, the product over cycles of the graded trace:
+    the integer sum is divided by |G| coefficient by coefficient.  The
+    result must have non-negative integer coefficients (they are dimensions
+    of invariant subspaces), and anything else is a bug.
 
     >>> torus = GradedPolynomial.from_list([1, 2, 1])
     >>> from .permgroup import cyclic_group
@@ -59,17 +58,23 @@ def invariant_poincare(
     acc = GradedPolynomial.zero()
     for ctype, count in group.cycle_type_histogram().items():
         term = GradedPolynomial.one()
-        for length, mult in enumerate(ctype.parts, start=1):
+        for length, mult in enumerate(ctype, start=1):
             if mult:
                 term = term * graded_trace_cycle(poincare, length) ** mult
         acc = acc + term.scale(count)
-    averaged = acc.scale(Fraction(1, order)).as_integer_coefficients()
-    for deg, c in averaged.coefficients().items():
-        if c < 0:
+    ranks = {}
+    for deg, c in acc.coefficients().items():
+        rank, rest = divmod(c, order)
+        if rest:
             raise InternalConsistencyError(
-                f"negative invariant rank {c} in degree {deg}"
+                f"non-integral coefficient {c}/{order} in degree {deg}"
             )
-    return averaged
+        if rank < 0:
+            raise InternalConsistencyError(
+                f"negative invariant rank {rank} in degree {deg}"
+            )
+        ranks[deg] = rank
+    return GradedPolynomial(ranks)
 
 
 def macdonald_poincare_sp(poincare: GradedPolynomial, n: int) -> GradedPolynomial:

@@ -5,8 +5,8 @@ images: g[i] is the image of i.  The product g*h applies h first, so its
 image tuple is (g[h[0]], g[h[1]], ...).  Inputs are validated once, where
 they enter: parse_cycles checks cycle notation and PermutationGroupModel
 checks each generator; everything built from those is a permutation by
-construction.  A cycle type is an AlphaSequence: parts[l - 1] cycles of
-length l.
+construction.  A cycle type is a multiplicity vector (see combinatorics):
+entry l - 1 is the number of cycles of length l.
 
 The cycle notation parser and formatter use 1-indexed points, matching the
 usual written form "(1 2 3)(4 5)".
@@ -23,10 +23,13 @@ import re
 from collections import Counter
 from functools import lru_cache
 
-from .combinatorics import AlphaSequence, alpha_sequences
+from .combinatorics import alpha_sequences, factorial_product
 from .errors import check_guard
 
-MAX_GROUP_ORDER = 10**6
+# Group enumeration work: elements found times the degree, which bounds
+# both the memory of the element set and the time of the closure walk.
+MAX_GROUP_WORK = 4 * 10**6
+MAX_TUPLE_ORBIT = 10**6
 MAX_TRANSITIVITY_DEGREE = 4
 MAX_CONJUGACY_N = 20
 
@@ -118,21 +121,21 @@ def format_cycles(g: Perm) -> str:
     return "".join("(" + " ".join(str(p + 1) for p in cyc) + ")" for cyc in cycles)
 
 
-def conjugacy_classes_sn(n: int) -> list[tuple[AlphaSequence, int]]:
+def conjugacy_classes_sn(n: int) -> list[tuple[tuple[int, ...], int]]:
     """Conjugacy classes of the full symmetric group on n points.
 
     Returns (cycle type, class size) pairs in a deterministic order; the
     class size is n! over the centralizer order prod_l (alpha_l! l^alpha_l),
     and the sizes sum to n!.
 
-    >>> [(t.parts, s) for t, s in conjugacy_classes_sn(3)]
+    >>> conjugacy_classes_sn(3)
     [((3, 0, 0), 1), ((1, 1, 0), 3), ((0, 0, 1), 2)]
     """
     check_guard(n, MAX_CONJUGACY_N, "conjugacy_classes_sn")
     out = []
     for alpha in alpha_sequences(n, n):
-        centralizer = alpha.factorial_product() * math.prod(
-            l**a for l, a in enumerate(alpha.parts, start=1))
+        centralizer = factorial_product(alpha) * math.prod(
+            l**a for l, a in enumerate(alpha, start=1))
         out.append((alpha, math.factorial(n) // centralizer))
     return out
 
@@ -141,7 +144,8 @@ class PermutationGroupModel:
     """Finite permutation group given by generators; elements enumerated lazily.
 
     Generators are image tuples or cycle-notation strings.  Enumeration is a
-    plain closure walk and is guarded at 10^6 elements.
+    plain closure walk, guarded on its work |G| * degree before any element
+    is built and again after each layer of the walk.
     """
 
     def __init__(self, degree: int, generators) -> None:
@@ -160,6 +164,7 @@ class PermutationGroupModel:
 
     def elements(self) -> frozenset[Perm]:
         if self._elements is None:
+            check_guard(self.degree, MAX_GROUP_WORK, "group enumeration")
             found = {tuple(range(self.degree))}
             frontier = list(found)
             while frontier:
@@ -170,7 +175,8 @@ class PermutationGroupModel:
                         if p not in found:
                             found.add(p)
                             nxt.append(p)
-                check_guard(len(found), MAX_GROUP_ORDER, "group enumeration")
+                check_guard(len(found) * self.degree, MAX_GROUP_WORK,
+                            "group enumeration")
                 frontier = nxt
             self._elements = frozenset(found)
         return self._elements
@@ -192,10 +198,9 @@ class PermutationGroupModel:
         """Map cycle count -> number of elements with that many cycles."""
         return dict(Counter(len(_cycles(g, include_fixed=True)) for g in self.elements()))
 
-    def cycle_type_histogram(self) -> dict[AlphaSequence, int]:
+    def cycle_type_histogram(self) -> Counter[tuple[int, ...]]:
         """Map cycle type -> number of elements of that type."""
-        hist = Counter(map(_cycle_type, self.elements()))
-        return {AlphaSequence(t): count for t, count in hist.items()}
+        return Counter(map(_cycle_type, self.elements()))
 
     def orbits(self) -> list[frozenset[int]]:
         """Orbits on points, ordered by minimum element."""
@@ -230,7 +235,7 @@ class PermutationGroupModel:
         target = 1
         for j in range(d):
             target *= n - j
-        check_guard(target, MAX_GROUP_ORDER, "tuple orbit enumeration")
+        check_guard(target, MAX_TUPLE_ORBIT, "tuple orbit enumeration")
         start = tuple(range(d))
         seen = {start}
         frontier = [start]

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
@@ -36,7 +37,7 @@ from .eulerchar import (
     oracle_fd_setpartitions,
     stratification_sum_bd,
 )
-from .fundgroup import pi1_bd, pi1_gamma_product
+from .fundgroup import pi1_bd, pi1_bgamma_abelian, pi1_gamma_product
 from .graphconf import Graph, discretized_chi_f2, farber_chi_f2, fixture
 from .invariants import invariant_poincare, macdonald_poincare_sp
 from .permgroup import (
@@ -114,7 +115,7 @@ def check_fd_corrected(fast: bool = False) -> str:
     # the coefficient-free variant: wrong for d >= 3
     chi = 2
     uncorrected = chi**3 - sum(
-        falling_factorial(chi, a.num_blocks) for a in alpha_sequences(3, 2)
+        falling_factorial(chi, sum(alpha)) for alpha in alpha_sequences(3, 2)
     )
     assert uncorrected == 6 and chi_fd(2, 3, 3) == 2, (
         f"coefficient witness: without {uncorrected}, with {chi_fd(2, 3, 3)}"
@@ -289,6 +290,13 @@ def check_pi1_descriptors(fast: bool = False) -> str:
                 f"pi1_bd branch at n={n}, d={d}: {expr.display()}"
             )
             cases += 1
+    # the abelian criterion for quotients of the ordered fat diagonal agrees
+    # with the unordered branch table where both speak
+    for n in range(1, 7):
+        for d in range(1, n // 2 + 1):
+            assert pi1_bgamma_abelian(symmetric_group(n), n, d), (n, d)
+            assert pi1_bd(opaque, n, d).pi1_exponent == 0, (n, d)
+    assert not pi1_bgamma_abelian(cyclic_group(4), 4, 2)
     assert str(pi1_bd(circle, 4, 2).abelian_descriptor()) == "Z"
     assert pi1_bd(circle, 4, 3).display() == "H1(X)^2"
     return f"{len(transitive)} transitive groups, branch table {cases} cells"
@@ -301,17 +309,20 @@ def check_partition_infrastructure(fast: bool = False) -> str:
     for n in range(0, n_max + 1):
         parts = list(set_partitions(n))
         assert len(parts) == bell_number(n), f"Bell({n})"
-        by_type: dict[tuple[int, ...], int] = {}
-        for p in parts:
-            key = p.type_alpha().parts
-            by_type[key] = by_type.get(key, 0) + 1
+        by_type: Counter[tuple[int, ...]] = Counter()
+        for labels in parts:
+            alpha = [0] * n
+            for size in Counter(labels).values():
+                alpha[size - 1] += 1
+            by_type[tuple(alpha)] += 1
         for alpha in alpha_sequences(n, n) if n else []:
             want = count_set_partitions_of_type(alpha)
-            got = by_type.get(alpha.parts, 0)
-            assert want == got, f"type {alpha.parts}: count {want} != {got}"
+            got = by_type[alpha]
+            assert want == got, f"type {alpha}: count {want} != {got}"
             cases += 1
         for chi in range(-4, 5):
-            total = sum(falling_factorial(chi, p.num_blocks) for p in parts)
+            total = sum(falling_factorial(chi, max(labels, default=-1) + 1)
+                        for labels in parts)
             assert total == chi**n, f"Stirling identity at chi={chi}, n={n}"
     # d = 2 closed forms against the general ones
     for n in range(2, n_max + 1):

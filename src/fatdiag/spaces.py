@@ -147,17 +147,6 @@ class SpaceModel:
     def poincare(self) -> GradedPolynomial:
         return GradedPolynomial.from_list(self.betti)
 
-    def is_manifold(self) -> bool:
-        return self.parity in ("even", "odd")
-
-    def require_parity(self, wanted: str, what: str) -> None:
-        """Raise UnsupportedSpaceError unless the space has the wanted parity."""
-        if self.parity != wanted:
-            raise UnsupportedSpaceError(
-                f"{what} needs a closed {wanted}-dimensional manifold;"
-                f" space {self.label!r} has parity {self.parity!r}"
-            )
-
 
 def _sphere(k: int) -> SpaceModel:
     if k < 1:
@@ -376,32 +365,3 @@ def parse_space(text: str) -> SpaceModel:
     for factor in factors[1:]:
         model = product(model, preset(factor))
     return model
-
-
-def is_bd_manifold(m: int, kind: str, n: int, d: int) -> bool:
-    """Whether the unordered multiplicity-at-least-d diagonal in the n-fold
-    symmetric product of a closed m-manifold is itself a closed manifold.
-
-    Exactly one of: d is n or n-1; d exceeds n/2 and the space is a surface;
-    d = 2 and the space is a circle.
-
-    >>> is_bd_manifold(2, "surface", 4, 3)
-    True
-    >>> is_bd_manifold(3, "other", 4, 2)
-    False
-    """
-    if m < 1:
-        raise ValueError("dimension must be >= 1")
-    if n < 3:
-        raise ValueError("needs n >= 3")
-    if not 1 <= d <= n:
-        raise ValueError(f"needs 1 <= d <= n, got d={d}, n={n}")
-    if kind not in ("circle", "surface", "other"):
-        raise ValueError(f"kind must be circle, surface or other, got {kind!r}")
-    if d in (n, n - 1):
-        return True
-    if kind == "surface" and d > n // 2:
-        return True
-    if kind == "circle" and d == 2:
-        return True
-    return False

@@ -51,8 +51,7 @@ def _stabilizer_sizes(group: PermutationGroupModel) -> dict[tuple[int, ...], int
     n = group.degree
     by_cycles = Counter(map(_cycle_minima, group.elements()))
     out: dict[tuple[int, ...], int] = {}
-    for pattern in set_partitions(n):
-        labels = pattern.as_labels()
+    for labels in set_partitions(n):
         out[labels] = sum(
             count
             for root, count in by_cycles.items()

@@ -1,69 +1,73 @@
 """Acceptance battery: every cross-validation criterion at full range.
 
-Each test runs one criterion end to end, enforces its time budget, and
-prints a single pass line (visible with pytest -v through the test name,
-and in captured output on failure).  The criterion bodies live in
-fatdiag.selfcheck so the CLI `fatdiag verify` runs the identical checks.
+The full battery runs once, through the same `selfcheck.run_suite` that the
+CLI `fatdiag verify` uses.  Each criterion test then checks its own outcome
+against its time budget and prints a single pass line (visible with
+pytest -v through the test name, and in captured output on failure).
 """
 
 from __future__ import annotations
 
-import time
+import pytest
 
 from fatdiag import selfcheck
 
 
-def _criterion(number: int, name: str, fn, budget: float | None) -> None:
-    start = time.perf_counter()
-    detail = fn(fast=False)
-    elapsed = time.perf_counter() - start
-    line = f"criterion {number} ({name}): PASS in {elapsed:.2f}s ({detail})"
-    print(line)
+@pytest.fixture(scope="module")
+def outcomes() -> list[selfcheck.CheckOutcome]:
+    return selfcheck.run_suite("all")
+
+
+def _criterion(outcomes, number: int, name: str, budget: float | None) -> None:
+    outcome = next(o for o in outcomes if o.name == name)
+    status = "PASS" if outcome.passed else "FAIL"
+    print(f"criterion {number} ({name}): {status} in {outcome.elapsed:.2f}s ({outcome.detail})")
+    assert outcome.passed, f"criterion {number}: {outcome.detail}"
     if budget is not None:
-        assert elapsed < budget, f"criterion {number} took {elapsed:.2f}s, budget {budget}s"
+        assert outcome.elapsed < budget, (
+            f"criterion {number} took {outcome.elapsed:.2f}s, budget {budget}s")
 
 
-def test_criterion_01_macdonald_burnside():
-    _criterion(1, "macdonald-burnside", selfcheck.check_macdonald_burnside, 5.0)
+def test_criterion_01_macdonald_burnside(outcomes):
+    _criterion(outcomes, 1, "macdonald-burnside", 5.0)
 
 
-def test_criterion_02_bd_three_way():
-    _criterion(2, "bd-three-way", selfcheck.check_bd_three_way, 60.0)
+def test_criterion_02_bd_three_way(outcomes):
+    _criterion(outcomes, 2, "bd-three-way", 60.0)
 
 
-def test_criterion_03_fd_corrected():
-    _criterion(3, "fd-corrected", selfcheck.check_fd_corrected, 10.0)
+def test_criterion_03_fd_corrected(outcomes):
+    _criterion(outcomes, 3, "fd-corrected", 10.0)
 
 
-def test_criterion_04_invariant_poincare():
-    _criterion(4, "invariant-poincare", selfcheck.check_invariant_poincare, 5.0)
+def test_criterion_04_invariant_poincare(outcomes):
+    _criterion(outcomes, 4, "invariant-poincare", 5.0)
 
 
-def test_criterion_05_sphere_fixtures():
-    _criterion(5, "sphere-fixtures", selfcheck.check_sphere_fixtures, 5.0)
+def test_criterion_05_sphere_fixtures(outcomes):
+    _criterion(outcomes, 5, "sphere-fixtures", 5.0)
 
 
-def test_criterion_06_complement_product():
-    _criterion(6, "complement-product", selfcheck.check_complement_product, None)
+def test_criterion_06_complement_product(outcomes):
+    _criterion(outcomes, 6, "complement-product", None)
 
 
-def test_criterion_07_graph_configuration():
-    _criterion(7, "graph-configuration", selfcheck.check_graph_configuration, 120.0)
+def test_criterion_07_graph_configuration(outcomes):
+    _criterion(outcomes, 7, "graph-configuration", 120.0)
 
 
-def test_criterion_08_depth_length():
-    _criterion(8, "depth-length", selfcheck.check_depth_length, 120.0)
+def test_criterion_08_depth_length(outcomes):
+    _criterion(outcomes, 8, "depth-length", 120.0)
 
 
-def test_criterion_09_pi1_descriptors():
-    _criterion(9, "pi1-descriptors", selfcheck.check_pi1_descriptors, 5.0)
+def test_criterion_09_pi1_descriptors(outcomes):
+    _criterion(outcomes, 9, "pi1-descriptors", 5.0)
 
 
-def test_criterion_10_partition_infrastructure():
-    _criterion(10, "partition-infrastructure", selfcheck.check_partition_infrastructure, 10.0)
+def test_criterion_10_partition_infrastructure(outcomes):
+    _criterion(outcomes, 10, "partition-infrastructure", 10.0)
 
 
-def test_cli_verify_runs_all_criteria():
-    outcomes = selfcheck.run_suite("all")
+def test_cli_verify_runs_all_criteria(outcomes):
     assert [o.name for o in outcomes] == [name for name, _ in selfcheck.CHECKS]
     assert all(o.passed for o in outcomes), [o.name for o in outcomes if not o.passed]

@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from fatdiag.algebra import GradedPolynomial, binomial_gen, falling_factorial
-from fatdiag.errors import InternalConsistencyError
 
 
 def test_falling_factorial_values():
@@ -76,14 +75,6 @@ def test_poly_evaluate():
     assert p.evaluate(-1) == 0
     assert p.evaluate(2) == 9
     assert p.evaluate(Fraction(1, 2)) == Fraction(9, 4)
-
-
-def test_poly_integer_normalization():
-    p = GradedPolynomial({0: Fraction(4, 2), 1: Fraction(3, 1)})
-    q = p.as_integer_coefficients()
-    assert q.coefficients() == {0: 2, 1: 3}
-    with pytest.raises(InternalConsistencyError):
-        GradedPolynomial({0: Fraction(1, 2)}).as_integer_coefficients()
 
 
 def test_poly_equality_and_hash():

@@ -246,6 +246,9 @@ def test_closed_formula_guard_limits_work(capsys):
         (("chi", "bupper", "--space", "torus", "-n", "1500", "-d", "1"), "closed formula work"),
         (("chi", "bupper", "--space", "torus", "-n", "60", "-d", "2", "--verify"),
          "stratification_sum_bd"),
+        # group enumeration is guarded on |G| * degree before the identity
+        (("chi", "gamma", "--space", "torus", "--degree", "100000000", "--gens", ""),
+         "group enumeration"),
     ):
         rc, out, err = run(capsys, *argv)
         assert rc == 4, argv

@@ -5,11 +5,10 @@ import math
 import pytest
 
 from fatdiag.combinatorics import (
-    AlphaSequence,
-    SetPartition,
     alpha_sequences,
     bell_number,
     count_set_partitions_of_type,
+    factorial_product,
     set_partitions,
 )
 from fatdiag.errors import ResourceGuardError
@@ -18,17 +17,17 @@ BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
 
 
 def test_alpha_sequence_basics():
-    a = AlphaSequence((1, 2))
-    assert a.weight == 5
-    assert a.num_blocks == 3
-    assert a.factorial_product() == 2
-    assert list(a) == [1, 2]
+    # (1, 2): one singleton and two pairs
+    assert (1, 2) in alpha_sequences(5, 2)
+    assert factorial_product((1, 2)) == 2
+    assert factorial_product((0, 0, 4)) == 24
+    assert factorial_product(()) == 1
 
 
 def test_alpha_sequences_enumeration_order():
-    got = [a.parts for a in alpha_sequences(5, 2)]
+    got = alpha_sequences(5, 2)
     assert got == [(5, 0), (3, 1), (1, 2)]
-    got4 = [a.parts for a in alpha_sequences(4, 4)]
+    got4 = alpha_sequences(4, 4)
     assert (4, 0, 0, 0) in got4
     assert (0, 0, 0, 1) in got4
     assert len(got4) == len(set(got4)) == 5
@@ -45,24 +44,18 @@ def test_alpha_sequences_weight_invariant():
     for n in range(1, 9):
         for cap in range(1, n + 1):
             for a in alpha_sequences(n, cap):
-                assert a.weight == n
-                assert len(a.parts) == cap
+                assert sum(i * c for i, c in enumerate(a, start=1)) == n
+                assert len(a) == cap
 
 
-def test_set_partition_from_blocks():
-    p = SetPartition.from_blocks([[1, 0], [2]])
-    assert p.n == 3
-    assert p.num_blocks == 2
-    assert p.max_block_size() == 2
-    assert p.as_labels() == (0, 0, 1)
-    assert p.type_alpha().parts[:2] == (1, 1)
-
-
-def test_set_partition_rejects_bad_cover():
-    with pytest.raises(ValueError):
-        SetPartition.from_blocks([[0], [0, 1]])
-    with pytest.raises(ValueError):
-        SetPartition.from_blocks([[0, 2]])
+def test_set_partitions_label_order():
+    # labels[i] is the block of point i, blocks numbered by first point
+    assert list(set_partitions(0)) == [()]
+    assert list(set_partitions(1)) == [(0,)]
+    got = list(set_partitions(4))
+    assert got == sorted(got)
+    assert got[0] == (0, 0, 0, 0) and got[-1] == (0, 1, 2, 3)
+    assert (0, 0, 1, 0) in got and (0, 0, 2, 1) not in got
 
 
 def test_set_partitions_count_is_bell():
@@ -74,18 +67,21 @@ def test_set_partitions_count_is_bell():
 def test_set_partitions_distinct_and_valid():
     for n in range(1, 8):
         seen = set()
-        for p in set_partitions(n):
-            assert p.n == n
-            seen.add(p.as_labels())
+        for labels in set_partitions(n):
+            assert len(labels) == n
+            # restricted growth: each label at most one past all before it
+            assert all(lab <= max(labels[:i], default=-1) + 1
+                       for i, lab in enumerate(labels))
+            seen.add(labels)
         assert len(seen) == BELL[n]
 
 
 def test_count_set_partitions_of_type():
     # pairs on 4 points: 3 ways; singletons-only: 1 way
-    assert count_set_partitions_of_type(AlphaSequence((0, 2, 0, 0))) == 3
-    assert count_set_partitions_of_type(AlphaSequence((4, 0, 0, 0))) == 1
-    assert count_set_partitions_of_type(AlphaSequence((1, 0, 1, 0))) == 4
-    assert count_set_partitions_of_type(AlphaSequence((0, 0, 0, 1))) == 1
+    assert count_set_partitions_of_type((0, 2, 0, 0)) == 3
+    assert count_set_partitions_of_type((4, 0, 0, 0)) == 1
+    assert count_set_partitions_of_type((1, 0, 1, 0)) == 4
+    assert count_set_partitions_of_type((0, 0, 0, 1)) == 1
 
 
 def test_type_counts_sum_to_bell():
@@ -97,12 +93,12 @@ def test_type_counts_sum_to_bell():
 def test_type_histogram_matches_enumeration():
     for n in range(1, 8):
         hist: dict = {}
-        for p in set_partitions(n):
-            key = p.type_alpha().parts
+        for labels in set_partitions(n):
+            sizes = [labels.count(b) for b in range(max(labels) + 1)]
+            key = tuple(sizes.count(i) for i in range(1, n + 1))
             hist[key] = hist.get(key, 0) + 1
         for a in alpha_sequences(n, n):
-            padded = a.parts + (0,) * (n - len(a.parts))
-            assert hist.get(padded, 0) == count_set_partitions_of_type(a)
+            assert hist.get(a, 0) == count_set_partitions_of_type(a)
 
 
 def test_set_partition_guard():

@@ -4,7 +4,6 @@ import math
 
 import pytest
 
-from fatdiag.combinatorics import AlphaSequence
 from fatdiag.errors import ResourceGuardError
 from fatdiag.permgroup import (
     PermutationGroupModel,
@@ -80,11 +79,10 @@ def test_cycle_structure():
 
 
 def test_cycle_type_helper():
-    # cycle types are AlphaSequences: weight = degree, num_blocks = cycles
+    # cycle types are multiplicity vectors: entry l - 1 counts l-cycles
     hist = symmetric_group(4).cycle_type_histogram()
-    transposition = AlphaSequence((2, 1, 0, 0))
-    assert transposition.weight == 4
-    assert transposition.num_blocks == 3
+    transposition = (2, 1, 0, 0)
+    assert _cycle_type(parse_cycles("(2 3)", 4)) == transposition
     assert hist[transposition] == 6  # 4! over the centralizer order 2! * 2
     assert dict(conjugacy_classes_sn(4))[transposition] == 6
 
@@ -133,7 +131,7 @@ def test_cycle_count_histogram_matches_classes():
     assert sum(hist.values()) == 120
     by_classes: dict = {}
     for ct, size in conjugacy_classes_sn(5):
-        by_classes[ct.num_blocks] = by_classes.get(ct.num_blocks, 0) + size
+        by_classes[sum(ct)] = by_classes.get(sum(ct), 0) + size
     assert hist == by_classes
     # the centralizer formula of conjugacy_classes_sn against enumeration
     for n in range(1, 7):

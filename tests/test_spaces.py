@@ -4,12 +4,10 @@ import json
 
 import pytest
 
-from fatdiag.errors import UnsupportedSpaceError
 from fatdiag.spaces import (
     AbelianDescriptor,
     SpaceModel,
     invariant_factors,
-    is_bd_manifold,
     parse_space,
     preset,
     product,
@@ -166,25 +164,3 @@ def test_space_model_validation():
         SpaceModel(label="bad", betti=(1,), pi1_kind="opaque")
 
 
-def test_require_parity():
-    preset("torus").require_parity("even", "testing")
-    preset("circle").require_parity("odd", "testing")
-    with pytest.raises(UnsupportedSpaceError):
-        preset("circle").require_parity("even", "testing")
-    with pytest.raises(UnsupportedSpaceError):
-        preset("wedge_circles:2").require_parity("even", "testing")
-
-
-def test_is_bd_manifold_examples():
-    assert is_bd_manifold(2, "surface", 5, 3)
-    assert is_bd_manifold(2, "surface", 5, 4)
-    assert is_bd_manifold(2, "surface", 5, 5)
-    assert not is_bd_manifold(2, "surface", 6, 3)
-    assert is_bd_manifold(1, "circle", 7, 2)
-    assert not is_bd_manifold(3, "other", 6, 3)
-    assert is_bd_manifold(3, "other", 6, 5)
-    assert is_bd_manifold(3, "other", 6, 6)
-    with pytest.raises(ValueError):
-        is_bd_manifold(2, "surface", 2, 1)
-    with pytest.raises(ValueError):
-        is_bd_manifold(2, "blob", 5, 2)
