@@ -104,9 +104,6 @@ class GradedPolynomial:
         """Largest degree with a nonzero coefficient; -1 for the zero polynomial."""
         return max(self._coeffs) if self._coeffs else -1
 
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
     def __add__(self, other: "GradedPolynomial") -> "GradedPolynomial":
         out = dict(self._coeffs)
         for deg, c in other._coeffs.items():

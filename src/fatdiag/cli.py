@@ -128,7 +128,7 @@ def _expression_payload(expr: GroupExpression) -> dict:
         "pi1_exponent": str(expr.pi1_exponent),
         "h1_exponent": str(expr.h1_exponent),
         "pi1_kind": expr.pi1_kind,
-        "qualifier": expr.qualifier,
+        "qualifier": "exact",
     }
     if expr.is_concrete():
         group = expr.abelian_descriptor()

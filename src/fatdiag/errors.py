@@ -16,7 +16,7 @@ class FatdiagError(Exception):
 
 class UnsupportedSpaceError(FatdiagError):
     """The requested invariant is not defined for this space (wrong parity,
-    not a manifold, disconnected where connectedness is required)."""
+    not a manifold)."""
 
 
 class OracleMismatchError(FatdiagError):

@@ -7,6 +7,11 @@ A GroupExpression records the two exponents rather than a presentation;
 when the base has abelian fundamental group the Pi1 factors are normalized
 away into H1 factors, and the expression then resolves to a concrete
 finitely generated abelian group.
+
+For a permutation quotient the exponents count orbits of the group on the
+coordinates, read from its orbit sizes alone: one Pi1(X) per fixed point,
+one H1(X) per larger orbit.  Every SpaceModel is connected (b_0 = 1), so no
+descriptor has a connectedness case.
 """
 
 from __future__ import annotations
@@ -19,49 +24,9 @@ from .spaces import AbelianDescriptor, SpaceModel
 
 
 @dataclass(frozen=True)
-class OrbitStructure:
-    """Orbit sizes of a permutation group: fixed points counted separately,
-    the sizes >= 2 listed in increasing order."""
-
-    trivial_orbits: int
-    nontrivial_sizes: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.trivial_orbits < 0:
-            raise ValueError("negative count of fixed points")
-        if any(k < 2 for k in self.nontrivial_sizes):
-            raise ValueError("nontrivial orbits have size >= 2")
-        if tuple(sorted(self.nontrivial_sizes)) != self.nontrivial_sizes:
-            raise ValueError("orbit sizes must be sorted")
-
-    @property
-    def degree(self) -> int:
-        return self.trivial_orbits + sum(self.nontrivial_sizes)
-
-    @property
-    def num_nontrivial(self) -> int:
-        return len(self.nontrivial_sizes)
-
-
-def orbit_structure(group: PermutationGroupModel) -> OrbitStructure:
-    """Split the orbits of the group into fixed points and larger orbits.
-
-    >>> from .permgroup import PermutationGroupModel
-    >>> orbit_structure(PermutationGroupModel(4, ["(1 2)"]))
-    OrbitStructure(trivial_orbits=2, nontrivial_sizes=(2,))
-    """
-    sizes = sorted(len(o) for o in group.orbits())
-    trivial = sum(1 for s in sizes if s == 1)
-    return OrbitStructure(trivial, tuple(s for s in sizes if s >= 2))
-
-
-@dataclass(frozen=True)
 class GroupExpression:
     """Formal product Pi1(X)^a x H1(X)^b, with what is known about Pi1(X)
     carried along so the expression can resolve itself when possible.
-
-    qualifier "exact" means the expression IS the group; "abelian-only"
-    means only abelianness is being asserted.
     """
 
     pi1_exponent: int
@@ -69,23 +34,16 @@ class GroupExpression:
     pi1_kind: str
     h1: AbelianDescriptor
     pi1_label: str | None = None
-    qualifier: str = "exact"
 
     def __post_init__(self):
         if self.pi1_exponent < 0 or self.h1_exponent < 0:
             raise ValueError("negative exponent")
-        if self.qualifier not in ("exact", "abelian-only"):
-            raise ValueError(f"bad qualifier {self.qualifier!r}")
         if self.pi1_kind in ("trivial", "abelian") and self.pi1_exponent:
             raise ValueError("resolvable Pi1 factors must be normalized away")
 
     @classmethod
     def for_space(
-        cls,
-        space: SpaceModel,
-        pi1_exponent: int,
-        h1_exponent: int,
-        qualifier: str = "exact",
+        cls, space: SpaceModel, pi1_exponent: int, h1_exponent: int
     ) -> "GroupExpression":
         """Build the expression, folding Pi1 factors into H1 factors when
         the fundamental group of the space is (known to be) abelian."""
@@ -102,7 +60,6 @@ class GroupExpression:
             pi1_kind=space.pi1_kind,
             h1=space.h1,
             pi1_label=space.pi1_label,
-            qualifier=qualifier,
         )
 
     def is_concrete(self) -> bool:
@@ -130,13 +87,6 @@ class GroupExpression:
         return " x ".join(parts) if parts else "1"
 
 
-def _require_connected(space: SpaceModel) -> None:
-    if not space.connected:
-        raise UnsupportedSpaceError(
-            f"fundamental-group descriptors need a connected space, got {space.label!r}"
-        )
-
-
 def pi1_gamma_product(space: SpaceModel, group: PermutationGroupModel) -> GroupExpression:
     """Fundamental group of the quotient of X^n by a permutation group:
     one Pi1(X) factor per fixed point of the action, one H1(X) factor per
@@ -148,12 +98,10 @@ def pi1_gamma_product(space: SpaceModel, group: PermutationGroupModel) -> GroupE
     ...                   PermutationGroupModel(4, ["(1 2)"])).display()
     'Pi1(X)^2 x H1(X)'
     """
-    _require_connected(space)
-    orbits = orbit_structure(group)
+    sizes = group.orbit_sizes()
+    fixed = sizes.count(1)
     return GroupExpression.for_space(
-        space,
-        pi1_exponent=orbits.trivial_orbits,
-        h1_exponent=orbits.num_nontrivial,
+        space, pi1_exponent=fixed, h1_exponent=len(sizes) - fixed
     )
 
 
@@ -171,7 +119,6 @@ def pi1_bd(space: SpaceModel, n: int, d: int) -> GroupExpression:
     >>> str(pi1_bd(preset("circle"), 4, 2).abelian_descriptor())
     'Z'
     """
-    _require_connected(space)
     if not 1 <= d <= n:
         raise ValueError(f"needs 1 <= d <= n, got d={d}, n={n}")
     if 2 * d <= n:

@@ -8,8 +8,14 @@ checks each generator; everything built from those is a permutation by
 construction.  A cycle type is a multiplicity vector (see combinatorics):
 entry l - 1 is the number of cycles of length l.
 
-The cycle notation parser and formatter use 1-indexed points, matching the
-usual written form "(1 2 3)(4 5)".
+The cycle notation parser uses 1-indexed points, matching the usual written
+form "(1 2 3)(4 5)".
+
+There is one closure walk, _closure: the orbit of a tuple under the group
+generated by some permutations, found breadth-first by left multiplication.
+From the identity it enumerates a group (PermutationGroupModel.elements and
+the subgroup joins of strata.all_subgroups); from (0, ..., d-1) it is the
+orbit on ordered d-tuples of distinct points (is_d_transitive).
 
 Convention for the induced action on coordinate tuples, used throughout:
 (g . x)_i = x_{g^{-1}(i)}, so that g moves the coordinate sitting in slot j
@@ -50,31 +56,45 @@ def _from_cycles(cycles, degree: int) -> Perm:
     return tuple(images)
 
 
-def _cycles(g: Perm, include_fixed: bool = False) -> list[tuple[int, ...]]:
-    """Disjoint cycles, each starting at its minimum, ordered by minimum."""
-    seen = [False] * len(g)
-    out = []
-    for start in range(len(g)):
-        if seen[start]:
-            continue
-        cyc = [start]
-        seen[start] = True
-        p = g[start]
-        while p != start:
-            cyc.append(p)
-            seen[p] = True
-            p = g[p]
-        if len(cyc) > 1 or include_fixed:
-            out.append(tuple(cyc))
-    return out
-
-
 def _cycle_type(g: Perm) -> tuple[int, ...]:
     """Cycle-length counts: entry l - 1 is the number of cycles of length l."""
     counts = [0] * len(g)
-    for cyc in _cycles(g, include_fixed=True):
-        counts[len(cyc) - 1] += 1
+    seen = bytearray(len(g))
+    for start in range(len(g)):
+        if seen[start]:
+            continue
+        length = 0
+        p = start
+        while not seen[p]:
+            seen[p] = 1
+            p = g[p]
+            length += 1
+        counts[length - 1] += 1
     return tuple(counts)
+
+
+def _closure(start: tuple[int, ...], generators) -> frozenset[tuple[int, ...]]:
+    """Orbit of start under the group the generators generate, acting on
+    entries: g maps (t_0, t_1, ...) to (g[t_0], g[t_1], ...), which for a
+    permutation t is the product g*t.
+
+    Breadth-first under left multiplication by the generators; the group
+    enumeration work guard, on tuples found times tuple length, is checked
+    after each layer.
+    """
+    found = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for t in frontier:
+            for g in generators:
+                u = _compose(g, t)
+                if u not in found:
+                    found.add(u)
+                    nxt.append(u)
+        check_guard(len(found) * len(start), MAX_GROUP_WORK, "group enumeration")
+        frontier = nxt
+    return frozenset(found)
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
@@ -113,14 +133,6 @@ def parse_cycles(text: str, degree: int) -> Perm:
     return _from_cycles(cycles, degree)
 
 
-def format_cycles(g: Perm) -> str:
-    """1-indexed cycle notation; fixed points omitted; identity is "e"."""
-    cycles = _cycles(g)
-    if not cycles:
-        return "e"
-    return "".join("(" + " ".join(str(p + 1) for p in cyc) + ")" for cyc in cycles)
-
-
 def conjugacy_classes_sn(n: int) -> list[tuple[tuple[int, ...], int]]:
     """Conjugacy classes of the full symmetric group on n points.
 
@@ -143,9 +155,10 @@ def conjugacy_classes_sn(n: int) -> list[tuple[tuple[int, ...], int]]:
 class PermutationGroupModel:
     """Finite permutation group given by generators; elements enumerated lazily.
 
-    Generators are image tuples or cycle-notation strings.  Enumeration is a
-    plain closure walk, guarded on its work |G| * degree before any element
-    is built and again after each layer of the walk.
+    Generators are image tuples or cycle-notation strings.  Enumeration is
+    the closure walk from the identity, guarded on its work |G| * degree
+    before any element is built and again after each layer of the walk.
+    The elements and their cycle-type histogram are computed once.
     """
 
     def __init__(self, degree: int, generators) -> None:
@@ -161,24 +174,12 @@ class PermutationGroupModel:
             gens.append(tuple(g))
         self.generators: tuple[Perm, ...] = tuple(gens)
         self._elements: frozenset[Perm] | None = None
+        self._cycle_types: Counter[tuple[int, ...]] | None = None
 
     def elements(self) -> frozenset[Perm]:
         if self._elements is None:
             check_guard(self.degree, MAX_GROUP_WORK, "group enumeration")
-            found = {tuple(range(self.degree))}
-            frontier = list(found)
-            while frontier:
-                nxt = []
-                for h in frontier:
-                    for g in self.generators:
-                        p = _compose(g, h)
-                        if p not in found:
-                            found.add(p)
-                            nxt.append(p)
-                check_guard(len(found) * self.degree, MAX_GROUP_WORK,
-                            "group enumeration")
-                frontier = nxt
-            self._elements = frozenset(found)
+            self._elements = _closure(tuple(range(self.degree)), self.generators)
         return self._elements
 
     def order(self) -> int:
@@ -194,16 +195,22 @@ class PermutationGroupModel:
     def __iter__(self):
         return iter(self.sorted_elements())
 
+    def cycle_type_histogram(self) -> Counter[tuple[int, ...]]:
+        """Map cycle type -> number of elements of that type (a copy)."""
+        if self._cycle_types is None:
+            self._cycle_types = Counter(map(_cycle_type, self.elements()))
+        return Counter(self._cycle_types)
+
     def cycle_count_histogram(self) -> dict[int, int]:
         """Map cycle count -> number of elements with that many cycles."""
-        return dict(Counter(len(_cycles(g, include_fixed=True)) for g in self.elements()))
+        out: dict[int, int] = {}
+        for ctype, count in self.cycle_type_histogram().items():
+            cycles = sum(ctype)
+            out[cycles] = out.get(cycles, 0) + count
+        return out
 
-    def cycle_type_histogram(self) -> Counter[tuple[int, ...]]:
-        """Map cycle type -> number of elements of that type."""
-        return Counter(map(_cycle_type, self.elements()))
-
-    def orbits(self) -> list[frozenset[int]]:
-        """Orbits on points, ordered by minimum element."""
+    def orbit_sizes(self) -> list[int]:
+        """Sizes of the orbits on points, in increasing order."""
         parent = list(range(self.degree))
 
         def find(x: int) -> int:
@@ -215,13 +222,13 @@ class PermutationGroupModel:
         for g in self.generators:
             for i, j in enumerate(g):
                 parent[find(i)] = find(j)
-        groups: dict[int, set[int]] = {}
+        sizes = [0] * self.degree
         for p in range(self.degree):
-            groups.setdefault(find(p), set()).add(p)
-        return sorted((frozenset(s) for s in groups.values()), key=min)
+            sizes[find(p)] += 1
+        return sorted(size for size in sizes if size)
 
     def is_transitive(self) -> bool:
-        return self.degree > 0 and len(self.orbits()) == 1
+        return self.degree > 0 and len(self.orbit_sizes()) == 1
 
     def is_d_transitive(self, d: int) -> bool:
         """Whether the action on ordered d-tuples of distinct points is
@@ -236,19 +243,7 @@ class PermutationGroupModel:
         for j in range(d):
             target *= n - j
         check_guard(target, MAX_TUPLE_ORBIT, "tuple orbit enumeration")
-        start = tuple(range(d))
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for t in frontier:
-                for g in self.generators:
-                    u = _compose(g, t)
-                    if u not in seen:
-                        seen.add(u)
-                        nxt.append(u)
-            frontier = nxt
-        return len(seen) == target
+        return len(_closure(tuple(range(d)), self.generators)) == target
 
 
 def symmetric_group(n: int) -> PermutationGroupModel:

@@ -25,7 +25,6 @@ import json
 from dataclasses import dataclass
 
 from .algebra import GradedPolynomial
-from .errors import UnsupportedSpaceError
 
 PARITIES = ("even", "odd", "none")
 PI1_KINDS = ("trivial", "abelian", "opaque")
@@ -122,12 +121,11 @@ class SpaceModel:
     pi1_kind: str = "trivial"
     pi1_label: str | None = None
     parity: str = "none"
-    connected: bool = True
 
     def __post_init__(self):
         if not self.betti or any(b < 0 for b in self.betti):
             raise ValueError(f"bad Betti vector {self.betti}")
-        if self.connected and self.betti[0] != 1:
+        if self.betti[0] != 1:
             raise ValueError(f"connected space needs b_0 = 1, got {self.betti[0]}")
         b1 = self.betti[1] if len(self.betti) > 1 else 0
         if self.h1.rank != b1:
@@ -256,8 +254,6 @@ def _combine_parity(a: str, b: str) -> str:
 
 def product(a: SpaceModel, b: SpaceModel) -> SpaceModel:
     """Cartesian product: Betti convolution, H_1 direct sum, parities add."""
-    if not (a.connected and b.connected):
-        raise UnsupportedSpaceError("product model needs connected factors")
     betti = [0] * (len(a.betti) + len(b.betti) - 1)
     for i, x in enumerate(a.betti):
         for j, y in enumerate(b.betti):
@@ -275,39 +271,6 @@ def product(a: SpaceModel, b: SpaceModel) -> SpaceModel:
         pi1_kind=kind,
         pi1_label=plabel,
         parity=_combine_parity(a.parity, b.parity),
-    )
-
-
-def wedge(a: SpaceModel, b: SpaceModel) -> SpaceModel:
-    """One-point union: Betti numbers add above degree 0, parity is dropped."""
-    if not (a.connected and b.connected):
-        raise UnsupportedSpaceError("wedge model needs connected summands")
-    if a.betti == (1,):
-        return b
-    if b.betti == (1,):
-        return a
-    size = max(len(a.betti), len(b.betti))
-    betti = [0] * size
-    betti[0] = 1
-    for i in range(1, size):
-        betti[i] = (a.betti[i] if i < len(a.betti) else 0) + (
-            b.betti[i] if i < len(b.betti) else 0
-        )
-    if a.pi1_kind == "trivial" and b.pi1_kind == "trivial":
-        kind, plabel = "trivial", None
-    elif a.pi1_kind == "trivial":
-        kind, plabel = b.pi1_kind, b.pi1_label
-    elif b.pi1_kind == "trivial":
-        kind, plabel = a.pi1_kind, a.pi1_label
-    else:
-        kind, plabel = "opaque", f"free product of {a.label} and {b.label} groups"
-    return SpaceModel(
-        label=f"{a.label} v {b.label}",
-        betti=tuple(betti),
-        h1=a.h1.direct_sum(b.h1),
-        pi1_kind=kind,
-        pi1_label=plabel,
-        parity="none",
     )
 
 

@@ -14,6 +14,11 @@ reading is an assumption of the caller, not checked here.
 Since stabilizers along a chain are nested, two of them are conjugate in G
 exactly when they are equal, so strict growth of the conjugacy class is
 tested by comparing orders.
+
+Subgroup chains (group_length) run over every subgroup.  Each subgroup is
+found as a join <S, g> of a known subgroup S and one more element, built by
+the closure walk of permgroup from the generators of S plus g, so a join
+costs a walk over its own elements rather than products of all pairs.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from collections import Counter
 
 from .combinatorics import set_partitions
 from .errors import check_guard
-from .permgroup import Perm, PermutationGroupModel, _compose
+from .permgroup import Perm, PermutationGroupModel, _closure, _compose
 
 MAX_DEPTH_DEGREE = 9
 MAX_SUBGROUP_ORDER = 120
@@ -129,45 +134,31 @@ def length_sn(n: int) -> int:
     return (3 * n - 1) // 2 - bin(n).count("1")
 
 
-def _closure(subgroup: frozenset[Perm], extra: Perm) -> frozenset[Perm]:
-    """Subgroup generated by a known subgroup and one more element."""
-    elems = set(subgroup)
-    frontier = [extra]
-    while frontier:
-        x = frontier.pop()
-        if x in elems:
-            continue
-        elems.add(x)
-        for y in list(elems):
-            for p in (_compose(x, y), _compose(y, x)):
-                if p not in elems:
-                    frontier.append(p)
-    return frozenset(elems)
-
-
 def all_subgroups(group: PermutationGroupModel) -> set[frozenset[Perm]]:
     """Every subgroup, as a frozenset of elements.
 
-    Breadth-first over one-generator extensions: each known subgroup is
-    extended by one representative of each of its cosets.  Guarded at
-    group order 120.
+    A search over one-generator joins: each known subgroup, kept with a
+    generator tuple, is joined with one representative of each of its
+    cosets, and the join is the closure of the identity under those
+    generators plus the representative.  Guarded at group order 120.
     """
     check_guard(group.order(), MAX_SUBGROUP_ORDER, "subgroup enumeration")
     elements = group.sorted_elements()
-    trivial = frozenset([tuple(range(group.degree))])
+    identity = tuple(range(group.degree))
+    trivial = frozenset([identity])
     found: set[frozenset[Perm]] = {trivial}
-    queue = [trivial]
+    queue: list[tuple[frozenset[Perm], tuple[Perm, ...]]] = [(trivial, ())]
     while queue:
-        sub = queue.pop()
+        sub, gens = queue.pop()
         covered = set(sub)
         for g in elements:
             if g in covered:
                 continue
             covered.update(_compose(h, g) for h in sub)
-            bigger = _closure(sub, g)
+            bigger = _closure(identity, gens + (g,))
             if bigger not in found:
                 found.add(bigger)
-                queue.append(bigger)
+                queue.append((bigger, gens + (g,)))
     return found
 
 

@@ -2,7 +2,12 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import fatdiag
 from fatdiag.cli import main
 
 
@@ -145,6 +150,26 @@ def test_pi1_gamma(capsys):
         "--gens", "(1 2)",
     )
     assert payload["result"]["display"] == "Pi1(X)^2 x H1(X)"
+
+
+def test_pi1_gamma_memory_is_linear_in_degree():
+    # orbit counting of the trivial group on 10^6 points; the child's own
+    # peak resident set, read from wait4, must stay far below the ~570 MB
+    # that per-point orbit sets took
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(fatdiag.__file__).parents[1]), env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fatdiag.cli", "pi1", "gamma", "--space", "circle",
+         "--degree", "1000000", "--gens", ""],
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env)
+    with proc.stdout:
+        out = proc.stdout.read()
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0
+    assert json.loads(out)["result"]["display"] == "H1(X)^1000000"
+    assert usage.ru_maxrss < 200 * 1024  # kilobytes on Linux
 
 
 def test_strata_depth_and_length(capsys):

@@ -5,8 +5,6 @@ import pytest
 from fatdiag.errors import UnsupportedSpaceError
 from fatdiag.fundgroup import (
     GroupExpression,
-    OrbitStructure,
-    orbit_structure,
     pi1_bd,
     pi1_bgamma_abelian,
     pi1_gamma_product,
@@ -18,35 +16,27 @@ from fatdiag.permgroup import (
     symmetric_group,
     trivial_group,
 )
-from fatdiag.spaces import SpaceModel, preset
+from fatdiag.spaces import preset
 
 
 def test_orbit_structure_basic():
-    o = orbit_structure(PermutationGroupModel(4, ["(1 2)"]))
-    assert o.trivial_orbits == 2
-    assert o.nontrivial_sizes == (2,)
-    assert o.degree == 4
-    assert o.num_nontrivial == 1
-    full = orbit_structure(symmetric_group(5))
-    assert full.trivial_orbits == 0 and full.nontrivial_sizes == (5,)
-    t = orbit_structure(trivial_group(3))
-    assert t.trivial_orbits == 3 and t.num_nontrivial == 0
+    # one Pi1(X) per fixed point, one H1(X) per orbit of size >= 2
+    wedge = preset("wedge_circles:2")
+    g = PermutationGroupModel(4, ["(1 2)"])
+    assert g.orbit_sizes() == [1, 1, 2]
+    e = pi1_gamma_product(wedge, g)
+    assert (e.pi1_exponent, e.h1_exponent) == (2, 1)
+    full = pi1_gamma_product(wedge, symmetric_group(5))
+    assert (full.pi1_exponent, full.h1_exponent) == (0, 1)
+    t = pi1_gamma_product(wedge, trivial_group(3))
+    assert (t.pi1_exponent, t.h1_exponent) == (3, 0)
 
 
 def test_orbit_structure_two_blocks():
     g = PermutationGroupModel(4, ["(1 3)(2 4)"])
-    o = orbit_structure(g)
-    assert o.trivial_orbits == 0
-    assert o.nontrivial_sizes == (2, 2)
-
-
-def test_orbit_structure_validation():
-    with pytest.raises(ValueError):
-        OrbitStructure(-1, ())
-    with pytest.raises(ValueError):
-        OrbitStructure(0, (1,))
-    with pytest.raises(ValueError):
-        OrbitStructure(0, (3, 2))
+    assert g.orbit_sizes() == [2, 2]
+    e = pi1_gamma_product(preset("wedge_circles:2"), g)
+    assert (e.pi1_exponent, e.h1_exponent) == (0, 2)
 
 
 def test_expression_display_and_normalization():
@@ -124,11 +114,6 @@ def test_pi1_bd_validation():
         pi1_bd(preset("torus"), 3, 0)
     with pytest.raises(ValueError):
         pi1_bd(preset("torus"), 3, 4)
-    disconnected = SpaceModel(
-        label="two points", betti=(2,), connected=False
-    )
-    with pytest.raises(UnsupportedSpaceError):
-        pi1_bd(disconnected, 4, 2)
 
 
 def test_pi1_bgamma_abelian_table():

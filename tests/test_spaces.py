@@ -12,7 +12,6 @@ from fatdiag.spaces import (
     preset,
     product,
     space_from_json,
-    wedge,
 )
 
 
@@ -101,17 +100,6 @@ def test_product_parity_rules():
     assert product(even, odd).parity == "odd"
     assert product(even, none).parity == "none"
     assert product(none, odd).parity == "none"
-
-
-def test_wedge_space():
-    w = wedge(preset("circle"), preset("circle"))
-    assert w.betti == (1, 2)
-    assert w.euler() == -1
-    assert wedge(preset("point"), preset("torus")).betti == (1, 2, 1)
-    for a in ["circle", "sphere:2", "torus"]:
-        for b in ["circle", "sphere:2"]:
-            x, y = preset(a), preset(b)
-            assert wedge(x, y).euler() == x.euler() + y.euler() - 1
 
 
 def test_space_from_json_roundtrip():

@@ -93,13 +93,16 @@ def test_length_sn_values():
 
 
 def test_all_subgroups_counts():
-    # classical subgroup counts: C4 -> 3, V4 -> 5, S3 -> 6, A4 -> 10, S4 -> 30
+    # classical subgroup counts: C4 -> 3, V4 -> 5, S3 -> 6, A4 -> 10, S4 -> 30,
+    # A5 -> 59, S5 -> 156
     assert len(all_subgroups(cyclic_group(4))) == 3
     v4 = PermutationGroupModel(4, ["(1 2)(3 4)", "(1 3)(2 4)"])
     assert len(all_subgroups(v4)) == 5
     assert len(all_subgroups(symmetric_group(3))) == 6
     assert len(all_subgroups(alternating_group(4))) == 10
     assert len(all_subgroups(symmetric_group(4))) == 30
+    assert len(all_subgroups(alternating_group(5))) == 59
+    assert len(all_subgroups(symmetric_group(5))) == 156
 
 
 def test_all_subgroups_are_closed():
@@ -123,7 +126,6 @@ def test_group_length_matches_closed_form():
         assert group_length(symmetric_group(n)) == length_sn(n)
 
 
-@pytest.mark.slow
 def test_group_length_s5():
     assert group_length(symmetric_group(5)) == length_sn(5)
 
