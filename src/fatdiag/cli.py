@@ -6,9 +6,10 @@ Every computation prints a single JSON envelope on stdout:
      "result": ..., "oracle_results": {...}}
 
 Exact integers in results are serialized as decimal strings so no JSON
-consumer can round them; polynomial results are degree -> coefficient maps;
-group expressions are structured objects.  Diagnostics go to stderr only,
-and identical invocations produce byte-identical stdout.
+consumer can round them, under a guard on their size (exit 4); polynomial
+results are degree -> coefficient maps; group expressions are structured
+objects.  Diagnostics go to stderr only, and identical invocations
+produce byte-identical stdout.
 
 Exit codes: 0 success, 1 usage error, 2 unsupported space or parity,
 3 oracle or verification mismatch, 4 resource guard tripped.
@@ -37,6 +38,7 @@ from .errors import (
     OracleMismatchError,
     ResourceGuardError,
     UnsupportedSpaceError,
+    check_guard,
 )
 from .eulerchar import (
     chi_b2,
@@ -60,6 +62,9 @@ from .strata import depth as strata_depth
 from .strata import group_length
 
 SCHEMA = "fatdiag/1"
+# Largest exact result printed, in bits: about 300000 decimal digits, whose
+# conversion (quadratic in the length) takes about two seconds.
+MAX_RESULT_BITS = 10**6
 
 
 class UsageError(Exception):
@@ -78,6 +83,24 @@ def _emit(command: str, inputs: dict, result, oracle_results=None) -> None:
     if oracle_results is not None:
         envelope["oracle_results"] = oracle_results
     print(json.dumps(envelope, sort_keys=True))
+
+
+def _exact(value: int) -> str:
+    """Decimal string of an exact integer result.
+
+    Python refuses str() on integers over 4300 digits by default, because
+    the conversion is quadratic in the length; the limit is lifted for this
+    conversion only, and the result is guarded on its size instead.
+    """
+    check_guard(value.bit_length(), MAX_RESULT_BITS, "result size")
+    if not hasattr(sys, "set_int_max_str_digits"):  # no limit before 3.10.7
+        return str(value)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _parse_range(text: str, what: str) -> list[int]:
@@ -177,7 +200,7 @@ def _cmd_chi(args) -> int:
         _emit(
             "chi sp",
             {"space": _space_echo(space), "n": n},
-            str(chi_sp(chi, n)),
+            _exact(chi_sp(chi, n)),
         )
         return 0
 
@@ -205,21 +228,20 @@ def _cmd_chi(args) -> int:
         rows.append((n, d, value, oracles))
 
     if args.csv:
-        print("n,d,value")
-        for n, d, value, _ in rows:
-            print(f"{n},{d},{value}")
+        lines = [f"{n},{d},{_exact(value)}" for n, d, value, _ in rows]
+        print("\n".join(["n,d,value"] + lines))
         return 0
 
     inputs = {"space": _space_echo(space), "n": args.n, "d": args.d, "verify": bool(args.verify)}
     if grid:
-        result = [{"n": n, "d": d, "value": str(v)} for n, d, v, _ in rows]
+        result = [{"n": n, "d": d, "value": _exact(v)} for n, d, v, _ in rows]
         _emit(f"chi {kind}", inputs, result)
     else:
         n, d, value, oracles = rows[0]
         oracle_payload = (
-            {name: str(got) for name, got in sorted(oracles.items())} if oracles else None
+            {name: _exact(got) for name, got in sorted(oracles.items())} if oracles else None
         )
-        _emit(f"chi {kind}", inputs, str(value), oracle_payload)
+        _emit(f"chi {kind}", inputs, _exact(value), oracle_payload)
     return 0
 
 
@@ -231,7 +253,7 @@ def _cmd_chi_gamma(args) -> int:
         "chi gamma",
         {"space": _space_echo(space), "degree": args.degree, "gens": args.gens,
          "group_order": str(group.order())},
-        str(value),
+        _exact(value),
     )
     return 0
 
@@ -240,7 +262,7 @@ def _cmd_betti_gamma(args) -> int:
     space = _space(args)
     group = _group(args)
     poly = invariant_poincare(space.poincare(), group)
-    result = {str(deg): str(c) for deg, c in sorted(poly.coefficients().items())}
+    result = {str(deg): _exact(c) for deg, c in sorted(poly.coefficients().items())}
     _emit(
         "betti gamma",
         {"space": _space_echo(space), "degree": args.degree, "gens": args.gens,

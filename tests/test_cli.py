@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import fatdiag
@@ -249,11 +250,11 @@ def test_exit_code_unsupported_space(capsys):
 
 
 def test_exit_code_resource_guard(capsys, monkeypatch):
-    rc, out, err = run(capsys, "strata", "depth", "--degree", "10", "--gens", "")
+    rc, out, err = run(capsys, "strata", "depth", "--degree", "11", "--gens", "")
     assert rc == 4
     assert "resource guard" in err
     # the guard scales down with the environment knob
-    monkeypatch.setenv("FATDIAG_GUARD_SCALE", "0.1")
+    monkeypatch.setenv("FATDIAG_GUARD_SCALE", "0.00001")
     rc, _, err = run(capsys, "strata", "depth", "--degree", "4", "--gens", "(1 2 3 4)")
     assert rc == 4
 
@@ -279,6 +280,22 @@ def test_closed_formula_guard_limits_work(capsys):
         assert rc == 4, argv
         assert guard in err
         assert out == ""
+
+
+def test_exact_results_past_the_digit_limit(capsys):
+    # Python's default str() stops at 4300 digits; results are printed in
+    # full up to the result-size guard, which exits 4 with nothing printed
+    limit = sys.get_int_max_str_digits()
+    payload = run_json(capsys, "chi", "gamma", "--space", "sphere:2", "--degree", "20000",
+                       "--gens", "")
+    assert payload["result"] == str(Decimal(2**20000))
+    assert sys.get_int_max_str_digits() == limit
+    # (2^20 + 1)^50000 has 1000001 bits
+    rc, out, err = run(capsys, "chi", "gamma", "--space", '{"betti": [1, 0, 1048576]}',
+                       "--degree", "50000", "--gens", "")
+    assert rc == 4
+    assert "result size" in err
+    assert out == ""
 
 
 def test_bupper_oracle_catches_wrong_formula(capsys, monkeypatch):

@@ -16,6 +16,9 @@ from fatdiag.permgroup import (
     trivial_group,
 )
 from fatdiag.strata import (
+    MAX_DEPTH_WORK,
+    _cycle_partitions,
+    _lattice_counts,
     _stabilizer_sizes,
     all_subgroups,
     depth,
@@ -25,7 +28,7 @@ from fatdiag.strata import (
 
 
 def test_stabilizer_sizes_match_element_scan():
-    s3 = _stabilizer_sizes(symmetric_group(3))
+    s3 = _stabilizer_sizes(_cycle_partitions(symmetric_group(3)))
     assert s3[(0, 0, 1)] == 2
     assert s3[(0, 0, 0)] == 6
     assert s3[(0, 1, 2)] == 1
@@ -37,9 +40,11 @@ def test_stabilizer_sizes_match_element_scan():
         cyclic_group(6),
         regular_representation(symmetric_group(3)),
         PermutationGroupModel(5, ["(1 2)", "(3 4 5)", "(3 4)"]),  # S2 x S3
+        PermutationGroupModel(7, ["(1 2 3)", "(1 2)", "(4 5 6 7)", "(4 5)"]),  # S3 x S4
+        cyclic_group(8),
     ]
     for group in groups:
-        sizes = _stabilizer_sizes(group)
+        sizes = _stabilizer_sizes(_cycle_partitions(group))
         patterns = list(set_partitions(group.degree))
         assert len(sizes) == len(patterns)
         for labels in patterns:
@@ -50,7 +55,7 @@ def test_stabilizer_sizes_match_element_scan():
 
 
 def test_depth_symmetric_groups():
-    for n in range(1, 7):
+    for n in range(1, 9):
         assert depth(symmetric_group(n)) == n - 1
 
 
@@ -61,6 +66,9 @@ def test_depth_small_groups():
     assert depth(cyclic_group(4)) == 2
     assert depth(cyclic_group(6)) == 2
     assert depth(alternating_group(4)) == 2
+    # S_4 with four fixed points: stabilizer orders 1, 2, 4, 6, 24, so at
+    # most three jumps, although 24 has four prime factors
+    assert depth(PermutationGroupModel(8, ["(1 2 3 4)", "(1 2)"])) == 3
 
 
 def test_depth_regular_representation():
@@ -80,9 +88,29 @@ def test_depth_bounded_by_degree_minus_one():
         assert 0 <= depth(g) <= g.degree - 1
 
 
-def test_depth_guard():
+def test_depth_work_counts():
+    # Bell numbers and the merge counts of the depth guard, against enumeration
+    for n in range(9):
+        bell, merges = _lattice_counts(n)
+        patterns = list(set_partitions(n))
+        assert bell[n] == len(patterns)
+        assert merges == sum(math.comb(max(p, default=0) + 1, 2) for p in patterns)
+
+
+def test_depth_guard(monkeypatch):
+    # degree 10 is inside the work limit for the trivial group (Bell(10)
+    # zeta pairs plus at most 1146931 merges); degree 11 is past it for
+    # every group, and trips before the group is enumerated
+    assert depth(trivial_group(10)) == 0
     with pytest.raises(ResourceGuardError):
-        depth(trivial_group(10))
+        depth(trivial_group(11))
+    # S_4 is estimated at 91 units: every set partition of 4 points is a
+    # cycle partition, with 60 coarsenings in all, plus 31 merges
+    monkeypatch.setenv("FATDIAG_GUARD_SCALE", str(91.5 / MAX_DEPTH_WORK))
+    assert depth(symmetric_group(4)) == 3
+    monkeypatch.setenv("FATDIAG_GUARD_SCALE", str(90.5 / MAX_DEPTH_WORK))
+    with pytest.raises(ResourceGuardError):
+        depth(symmetric_group(4))
 
 
 def test_length_sn_values():
@@ -127,7 +155,10 @@ def test_group_length_matches_closed_form():
 
 
 def test_group_length_s5():
-    assert group_length(symmetric_group(5)) == length_sn(5)
+    # S_5 on its own five points, then with 55 fixed points added
+    for degree in (5, 60):
+        s5 = PermutationGroupModel(degree, ["(1 2 3 4 5)", "(1 2)"])
+        assert group_length(s5) == length_sn(5) == 5
 
 
 def test_group_length_prime_power_is_exponent_sum():
@@ -147,3 +178,8 @@ def test_depth_strictly_below_sn_length_for_larger_n():
 def test_subgroup_order_guard():
     with pytest.raises(ResourceGuardError):
         all_subgroups(symmetric_group(6))
+    # the guard is on the order times the moved points, 40 * 40 for C_40,
+    # which an order limit of 120 would have let through
+    with pytest.raises(ResourceGuardError):
+        group_length(cyclic_group(40))
+    assert group_length(cyclic_group(25)) == 2
