@@ -12,7 +12,12 @@ objects.  Diagnostics go to stderr only, and identical invocations
 produce byte-identical stdout.
 
 Exit codes: 0 success, 1 usage error, 2 unsupported space or parity,
-3 oracle or verification mismatch, 4 resource guard tripped.
+3 oracle or verification mismatch, 4 resource guard tripped, 5 internal
+error (a bug: the traceback goes to stderr and stdout stays empty).
+
+Start-up imports only argparse, json, sys and the error types; each
+command imports the modules it runs when it runs, so `chi sp` never loads
+the group, strata, graph or verification code.
 
 Examples:
 
@@ -40,26 +45,6 @@ from .errors import (
     UnsupportedSpaceError,
     check_guard,
 )
-from .eulerchar import (
-    chi_b2,
-    chi_bd,
-    chi_b_upper,
-    chi_f2,
-    chi_fd,
-    chi_gamma_product,
-    chi_sp,
-    oracle_bd_burnside,
-    oracle_fd_setpartitions,
-    stratification_sum_bd,
-)
-from .fundgroup import GroupExpression, pi1_bd, pi1_gamma_product
-from .graphconf import discretized_chi_f2, farber_chi_f2, fixture, graph_from_json
-from .invariants import invariant_poincare
-from .permgroup import PermutationGroupModel
-from .selfcheck import run_suite
-from .spaces import SpaceModel, parse_space
-from .strata import depth as strata_depth
-from .strata import group_length
 
 SCHEMA = "fatdiag/1"
 # Largest exact result printed, in bits: about 300000 decimal digits, whose
@@ -121,14 +106,18 @@ def _parse_range(text: str, what: str) -> list[int]:
         raise UsageError(f"bad {what} value {text!r}")
 
 
-def _space(args) -> SpaceModel:
+def _space(args):
+    from .spaces import parse_space
+
     try:
         return parse_space(args.space)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"bad --space: {exc}")
 
 
-def _group(args) -> PermutationGroupModel:
+def _group(args):
+    from .permgroup import PermutationGroupModel
+
     gens = [chunk for chunk in (args.gens or "").split(";") if chunk.strip()]
     try:
         return PermutationGroupModel(args.degree, gens)
@@ -136,7 +125,7 @@ def _group(args) -> PermutationGroupModel:
         raise UsageError(f"bad --degree or --gens: {exc}")
 
 
-def _space_echo(space: SpaceModel) -> dict:
+def _space_echo(space) -> dict:
     return {
         "label": space.label,
         "betti": list(space.betti),
@@ -145,7 +134,7 @@ def _space_echo(space: SpaceModel) -> dict:
     }
 
 
-def _expression_payload(expr: GroupExpression) -> dict:
+def _expression_payload(expr) -> dict:
     payload = {
         "display": expr.display(),
         "pi1_exponent": str(expr.pi1_exponent),
@@ -166,6 +155,15 @@ def _expression_payload(expr: GroupExpression) -> dict:
 
 
 def _chi_oracles(kind: str, chi: int, n: int, d: int) -> dict[str, int]:
+    from .eulerchar import (
+        chi_b2,
+        chi_f2,
+        chi_sp,
+        oracle_bd_burnside,
+        oracle_fd_setpartitions,
+        stratification_sum_bd,
+    )
+
     if kind == "bd":
         oracles = {
             "cycle_type_average": oracle_bd_burnside(chi, n, d),
@@ -187,6 +185,8 @@ def _chi_oracles(kind: str, chi: int, n: int, d: int) -> dict[str, int]:
 
 
 def _cmd_chi(args) -> int:
+    from .eulerchar import chi_b_upper, chi_bd, chi_fd, chi_sp
+
     space = _space(args)
     chi = space.euler()
     kind = args.variant
@@ -246,6 +246,8 @@ def _cmd_chi(args) -> int:
 
 
 def _cmd_chi_gamma(args) -> int:
+    from .eulerchar import chi_gamma_product
+
     space = _space(args)
     group = _group(args)
     value = chi_gamma_product(space.euler(), group)
@@ -259,6 +261,8 @@ def _cmd_chi_gamma(args) -> int:
 
 
 def _cmd_betti_gamma(args) -> int:
+    from .invariants import invariant_poincare
+
     space = _space(args)
     group = _group(args)
     poly = invariant_poincare(space.poincare(), group)
@@ -273,6 +277,8 @@ def _cmd_betti_gamma(args) -> int:
 
 
 def _cmd_pi1(args) -> int:
+    from .fundgroup import pi1_bd, pi1_gamma_product
+
     space = _space(args)
     if args.variant == "bd":
         ns = _parse_range(args.n, "-n")
@@ -301,11 +307,10 @@ def _cmd_pi1(args) -> int:
 
 
 def _cmd_strata(args) -> int:
+    from .strata import depth, group_length
+
     group = _group(args)
-    if args.variant == "depth":
-        value = strata_depth(group)
-    else:
-        value = group_length(group)
+    value = depth(group) if args.variant == "depth" else group_length(group)
     _emit(
         f"strata {args.variant}",
         {"degree": args.degree, "gens": args.gens, "group_order": str(group.order())},
@@ -315,6 +320,8 @@ def _cmd_strata(args) -> int:
 
 
 def _cmd_graph(args) -> int:
+    from .graphconf import discretized_chi_f2, farber_chi_f2, fixture, graph_from_json
+
     ref = args.graph
     try:
         if ref in ("gamma1", "gamma2"):
@@ -349,6 +356,8 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .selfcheck import run_suite
+
     outcomes = run_suite(args.suite)
     for item in outcomes:
         status = "ok" if item.passed else "FAIL"
@@ -470,10 +479,20 @@ def main(argv=None) -> int:
         print(f"resource guard: {exc}", file=sys.stderr)
         return 4
     except InternalConsistencyError:
-        raise  # a bug, not an input problem: crash loudly
+        return _internal_error()
     except FatdiagError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except Exception:
+        return _internal_error()
+
+
+def _internal_error() -> int:
+    """A bug, not an input problem: the traceback goes to stderr, exit 5."""
+    import traceback
+
+    traceback.print_exc()
+    return 5
 
 
 if __name__ == "__main__":

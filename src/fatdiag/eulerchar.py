@@ -33,11 +33,14 @@ read off without enumerating anything; the enumerations stay as oracles.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 from .algebra import binomial_gen, falling_factorial
 from .combinatorics import alpha_sequences, factorial_product, set_partitions_cached
 from .errors import InternalConsistencyError, UnsupportedSpaceError, check_guard
-from .permgroup import PermutationGroupModel, conjugacy_classes_sn
+
+if TYPE_CHECKING:  # the closed formulas run without the group layer
+    from .permgroup import PermutationGroupModel
 
 MAX_ORACLE_N = 10
 MAX_STRATA_N = 40
@@ -271,6 +274,8 @@ def oracle_bd_burnside(chi: int, n: int, d: int) -> int:
     >>> oracle_bd_burnside(2, 5, 3)
     6
     """
+    from .permgroup import conjugacy_classes_sn
+
     check_guard(n, MAX_ORACLE_N, "oracle_bd_burnside")
     if not 2 <= d <= n:
         raise ValueError(f"needs 2 <= d <= n, got d={d}, n={n}")

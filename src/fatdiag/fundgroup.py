@@ -16,26 +16,27 @@ descriptor has a connectedness case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import UnsupportedSpaceError
 from .permgroup import PermutationGroupModel
-from .spaces import AbelianDescriptor, SpaceModel
+from .spaces import AbelianDescriptor, Record, SpaceModel
 
 
-@dataclass(frozen=True)
-class GroupExpression:
+class GroupExpression(Record):
     """Formal product Pi1(X)^a x H1(X)^b, with what is known about Pi1(X)
     carried along so the expression can resolve itself when possible.
     """
 
-    pi1_exponent: int
-    h1_exponent: int
-    pi1_kind: str
-    h1: AbelianDescriptor
-    pi1_label: str | None = None
+    __slots__ = ("pi1_exponent", "h1_exponent", "pi1_kind", "h1", "pi1_label")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        pi1_exponent: int,
+        h1_exponent: int,
+        pi1_kind: str,
+        h1: AbelianDescriptor,
+        pi1_label: str | None = None,
+    ) -> None:
+        super().__init__(pi1_exponent, h1_exponent, pi1_kind, h1, pi1_label)
         if self.pi1_exponent < 0 or self.h1_exponent < 0:
             raise ValueError("negative exponent")
         if self.pi1_kind in ("trivial", "abelian") and self.pi1_exponent:

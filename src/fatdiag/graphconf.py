@@ -23,13 +23,12 @@ Only two-point configurations are handled.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InternalConsistencyError
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(NamedTuple):
     """Finite simple graph with string vertex labels, canonically sorted."""
 
     vertices: tuple[str, ...]

@@ -15,8 +15,7 @@ from __future__ import annotations
 import random
 import time
 from collections import Counter
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .algebra import falling_factorial
 from .combinatorics import (
@@ -332,8 +331,7 @@ def check_partition_infrastructure(fast: bool = False) -> str:
     return f"Bell + {cases} type counts, Stirling identity, d=2 forms, n <= {n_max}"
 
 
-@dataclass(frozen=True)
-class CheckOutcome:
+class CheckOutcome(NamedTuple):
     name: str
     passed: bool
     detail: str

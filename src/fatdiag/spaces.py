@@ -22,12 +22,15 @@ it; higher integral homology is out of scope.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .algebra import GradedPolynomial
+from .errors import check_guard
 
 PARITIES = ("even", "odd", "none")
 PI1_KINDS = ("trivial", "abelian", "opaque")
+# Betti entries a space may carry, and convolution steps its products may
+# take: sphere:99999 answers chi sp in about 0.2 s, most of it the echo.
+MAX_SPACE_SIZE = 10**5
 
 
 def _prime_factors(n: int) -> dict[int, int]:
@@ -68,15 +71,47 @@ def invariant_factors(torsion) -> tuple[int, ...]:
     return tuple(factors)
 
 
-@dataclass(frozen=True)
-class AbelianDescriptor:
+class Record:
+    """Immutable record whose fields are its __slots__, set in order by
+    __init__: equality, hash and repr come from the field values, and
+    assignment raises AttributeError."""
+
+    __slots__ = ()
+
+    def __init__(self, *values) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class AbelianDescriptor(Record):
     """Finitely generated abelian group Z^rank + Z/d_1 + ... + Z/d_k in
     invariant factor normal form."""
 
-    rank: int
-    torsion: tuple[int, ...] = ()
+    __slots__ = ("rank", "torsion")
 
-    def __post_init__(self):
+    def __init__(self, rank: int, torsion: tuple[int, ...] = ()) -> None:
+        super().__init__(rank, torsion)
         if self.rank < 0:
             raise ValueError("negative rank")
         if invariant_factors(self.torsion) != tuple(self.torsion):
@@ -111,18 +146,21 @@ class AbelianDescriptor:
 TRIVIAL_GROUP = AbelianDescriptor(0, ())
 
 
-@dataclass(frozen=True)
-class SpaceModel:
+class SpaceModel(Record):
     """Connected-space data consumed by the invariant formulas."""
 
-    label: str
-    betti: tuple[int, ...]
-    h1: AbelianDescriptor = TRIVIAL_GROUP
-    pi1_kind: str = "trivial"
-    pi1_label: str | None = None
-    parity: str = "none"
+    __slots__ = ("label", "betti", "h1", "pi1_kind", "pi1_label", "parity")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        label: str,
+        betti: tuple[int, ...],
+        h1: AbelianDescriptor = TRIVIAL_GROUP,
+        pi1_kind: str = "trivial",
+        pi1_label: str | None = None,
+        parity: str = "none",
+    ) -> None:
+        super().__init__(label, betti, h1, pi1_kind, pi1_label, parity)
         if not self.betti or any(b < 0 for b in self.betti):
             raise ValueError(f"bad Betti vector {self.betti}")
         if self.betti[0] != 1:
@@ -149,6 +187,7 @@ class SpaceModel:
 def _sphere(k: int) -> SpaceModel:
     if k < 1:
         raise ValueError("sphere dimension must be >= 1")
+    check_guard(k + 1, MAX_SPACE_SIZE, "space size")
     if k == 1:
         return SpaceModel(
             label="circle",
@@ -253,7 +292,9 @@ def _combine_parity(a: str, b: str) -> str:
 
 
 def product(a: SpaceModel, b: SpaceModel) -> SpaceModel:
-    """Cartesian product: Betti convolution, H_1 direct sum, parities add."""
+    """Cartesian product: Betti convolution, H_1 direct sum, parities add.
+    Guarded on the convolution steps, the product of the Betti lengths."""
+    check_guard(len(a.betti) * len(b.betti), MAX_SPACE_SIZE, "space size")
     betti = [0] * (len(a.betti) + len(b.betti) - 1)
     for i, x in enumerate(a.betti):
         for j, y in enumerate(b.betti):
@@ -325,6 +366,12 @@ def parse_space(text: str) -> SpaceModel:
     if not all(factors):
         raise ValueError(f"cannot parse space {text!r}")
     model = preset(factors[0])
+    steps = 0
     for factor in factors[1:]:
-        model = product(model, preset(factor))
+        right = preset(factor)
+        # each product is guarded alone; a chain of small ones, such as
+        # "circle x circle x ...", is guarded on its total
+        steps += len(model.betti) * len(right.betti)
+        check_guard(steps, MAX_SPACE_SIZE, "space size")
+        model = product(model, right)
     return model

@@ -153,17 +153,22 @@ def test_pi1_gamma(capsys):
     assert payload["result"]["display"] == "Pi1(X)^2 x H1(X)"
 
 
+def _child_env() -> dict:
+    """Environment for a child Python that imports this fatdiag."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(fatdiag.__file__).parents[1]), env.get("PYTHONPATH")]))
+    return env
+
+
 def test_pi1_gamma_memory_is_linear_in_degree():
     # orbit counting of the trivial group on 10^6 points; the child's own
     # peak resident set, read from wait4, must stay far below the ~570 MB
     # that per-point orbit sets took
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(Path(fatdiag.__file__).parents[1]), env.get("PYTHONPATH")]))
     proc = subprocess.Popen(
         [sys.executable, "-m", "fatdiag.cli", "pi1", "gamma", "--space", "circle",
          "--degree", "1000000", "--gens", ""],
-        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env)
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=_child_env())
     with proc.stdout:
         out = proc.stdout.read()
     _, status, usage = os.wait4(proc.pid, 0)
@@ -171,6 +176,36 @@ def test_pi1_gamma_memory_is_linear_in_degree():
     assert proc.returncode == 0
     assert json.loads(out)["result"]["display"] == "H1(X)^1000000"
     assert usage.ru_maxrss < 200 * 1024  # kilobytes on Linux
+
+
+# Runs main on each '|'-separated argv given, then prints the exit codes
+# and the names of every module loaded.
+_LOADED_MODULES = """
+import contextlib, io, json, sys
+from fatdiag.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv.split("|")) for argv in sys.argv[1:]]
+print(json.dumps([codes, sorted(sys.modules)]))
+"""
+
+
+def _loaded_modules(*argvs: str) -> set[str]:
+    proc = subprocess.run([sys.executable, "-c", _LOADED_MODULES, *argvs],
+                          capture_output=True, text=True, env=_child_env(), check=True)
+    codes, modules = json.loads(proc.stdout)
+    assert codes == [0] * len(argvs)
+    return set(modules)
+
+
+def test_commands_import_only_what_they_run():
+    loaded = _loaded_modules("chi|sp|--space|torus|-n|5",
+                             "chi|bd|--space|sphere:2|-n|4|-d|2")
+    for name in ("dataclasses", "inspect", "fatdiag.selfcheck", "fatdiag.graphconf",
+                 "fatdiag.strata", "fatdiag.fundgroup", "fatdiag.permgroup"):
+        assert name not in loaded, name
+    package = {f"fatdiag.{path.stem}" for path in Path(fatdiag.__file__).parent.glob("*.py")
+               if path.stem != "__init__"}
+    assert package - _loaded_modules("verify|--suite|fast") == set()
 
 
 def test_strata_depth_and_length(capsys):
@@ -275,6 +310,8 @@ def test_closed_formula_guard_limits_work(capsys):
         # group enumeration is guarded on |G| * degree before the identity
         (("chi", "gamma", "--space", "torus", "--degree", "100000000", "--gens", ""),
          "group enumeration"),
+        # a space is guarded on its Betti length before the vector is built
+        (("chi", "sp", "--space", "sphere:99999999", "-n", "2"), "space size"),
     ):
         rc, out, err = run(capsys, *argv)
         assert rc == 4, argv
@@ -299,7 +336,6 @@ def test_exact_results_past_the_digit_limit(capsys):
 
 
 def test_bupper_oracle_catches_wrong_formula(capsys, monkeypatch):
-    import fatdiag.cli
     import fatdiag.eulerchar
 
     right = fatdiag.eulerchar.chi_b_upper
@@ -307,14 +343,32 @@ def test_bupper_oracle_catches_wrong_formula(capsys, monkeypatch):
     def off_by_one(*args):
         return right(*args) + 1
 
-    # patching the library too shows the oracle does not route through it
-    monkeypatch.setattr(fatdiag.cli, "chi_b_upper", off_by_one)
+    # the command looks the formula up in the library when it runs, so the
+    # wrong formula reaches it, and the oracle does not route through it
     monkeypatch.setattr(fatdiag.eulerchar, "chi_b_upper", off_by_one)
     rc, out, err = run(
         capsys, "chi", "bupper", "--space", "sphere:2", "-n", "6", "-d", "2", "--verify"
     )
     assert rc == 3
     assert "complement" in err
+
+
+def test_bug_exits_5_with_traceback(capsys, monkeypatch):
+    import fatdiag.eulerchar
+    from fatdiag.errors import InternalConsistencyError
+
+    def broken(*args):
+        raise InternalConsistencyError("non-integral average")
+
+    def crashing(*args):
+        return 1 // 0
+
+    for formula in (broken, crashing):
+        monkeypatch.setattr(fatdiag.eulerchar, "chi_bd", formula)
+        rc, out, err = run(capsys, "chi", "bd", "--space", "sphere:2", "-n", "4", "-d", "2")
+        assert rc == 5
+        assert out == ""
+        assert err.startswith("Traceback") and formula.__name__ in err
 
 
 def test_malformed_input_is_usage_error(capsys):

@@ -4,7 +4,10 @@ import json
 
 import pytest
 
+from fatdiag.errors import ResourceGuardError
+from fatdiag.fundgroup import GroupExpression
 from fatdiag.spaces import (
+    TRIVIAL_GROUP,
     AbelianDescriptor,
     SpaceModel,
     invariant_factors,
@@ -152,3 +155,48 @@ def test_space_model_validation():
         SpaceModel(label="bad", betti=(1,), pi1_kind="opaque")
 
 
+
+
+def test_records_are_values():
+    # equal fields give equal records with equal hashes, keyword and
+    # positional construction agree, defaults apply, and fields are fixed
+    sphere = preset("sphere:2")
+    assert preset("surface:0") == sphere
+    assert hash(preset("surface:0")) == hash(sphere)
+    assert sphere == SpaceModel("sphere:2", (1, 0, 1), TRIVIAL_GROUP, "trivial", None, "even")
+    assert sphere != SpaceModel(label="sphere:2", betti=(1, 0, 1))  # parity "none"
+    z2 = AbelianDescriptor(rank=0, torsion=(2,))
+    assert z2 == AbelianDescriptor.of(0, [2]) and hash(z2) == hash(AbelianDescriptor(0, (2,)))
+    assert AbelianDescriptor(rank=1) == AbelianDescriptor(1, ())
+    expr = GroupExpression(pi1_exponent=2, h1_exponent=1, pi1_kind="opaque",
+                           h1=AbelianDescriptor(2), pi1_label="free group of rank 2")
+    same = GroupExpression(2, 1, "opaque", AbelianDescriptor(2), "free group of rank 2")
+    assert expr == same and hash(expr) == hash(same)
+    assert expr != GroupExpression(2, 1, "opaque", AbelianDescriptor(2))
+    assert len({sphere, preset("surface:0"), z2, expr, same}) == 3
+    assert repr(z2) == "AbelianDescriptor(rank=0, torsion=(2,))"
+    for record, field in ((sphere, "parity"), (z2, "rank"), (expr, "h1_exponent")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0)
+        with pytest.raises(AttributeError):
+            record.extra = 0
+    with pytest.raises(ValueError):
+        GroupExpression(pi1_exponent=1, h1_exponent=0, pi1_kind="abelian",
+                        h1=AbelianDescriptor(1))
+    with pytest.raises(TypeError):
+        SpaceModel(label="x")
+
+
+def test_space_size_guard():
+    # sphere:k carries k + 1 Betti numbers; a product convolves len(a) *
+    # len(b) pairs, and a chain of products is guarded on its total
+    assert len(preset("sphere:99999").betti) == 100000
+    with pytest.raises(ResourceGuardError, match="space size"):
+        preset("sphere:100000")
+    assert len(parse_space("sphere:315 x sphere:315").betti) == 631  # 316^2 = 99856
+    with pytest.raises(ResourceGuardError, match="space size"):
+        parse_space("sphere:316 x sphere:316")  # 317^2 = 100489
+    # 2 * (2 + ... + m) steps for m circles: 90298 at m = 300, 102718 at 320
+    assert len(parse_space(" x ".join(["circle"] * 300)).betti) == 301
+    with pytest.raises(ResourceGuardError, match="space size"):
+        parse_space(" x ".join(["circle"] * 320))

@@ -17,6 +17,7 @@ from fatdiag.permgroup import (
 )
 from fatdiag.strata import (
     MAX_DEPTH_WORK,
+    MAX_SUBGROUP_WORK,
     _cycle_partitions,
     _lattice_counts,
     _stabilizer_sizes,
@@ -175,11 +176,19 @@ def test_depth_strictly_below_sn_length_for_larger_n():
         assert depth(symmetric_group(n)) < length_sn(n)
 
 
-def test_subgroup_order_guard():
+def test_subgroup_order_guard(monkeypatch):
+    # the guard counts the search's work as it goes.  C_2 takes 13 units:
+    # two coset passes over 2 tuples of 2 entries, one join walk of 2
+    # compositions, and 1 pair for the chain pass
+    monkeypatch.setenv("FATDIAG_GUARD_SCALE", str(13.5 / MAX_SUBGROUP_WORK))
+    assert len(all_subgroups(cyclic_group(2))) == 2
+    monkeypatch.setenv("FATDIAG_GUARD_SCALE", str(12.5 / MAX_SUBGROUP_WORK))
     with pytest.raises(ResourceGuardError):
-        all_subgroups(symmetric_group(6))
-    # the guard is on the order times the moved points, 40 * 40 for C_40,
-    # which an order limit of 120 would have let through
+        all_subgroups(cyclic_group(2))
+    monkeypatch.delenv("FATDIAG_GUARD_SCALE")
+    # C_40 (1.5 * 10^5 units) answers; C2^6 on 12 points, 2825 subgroups of
+    # a group of order 64, trips the guard
+    assert group_length(cyclic_group(40)) == 4
+    c2_6 = PermutationGroupModel(12, [f"({i} {i + 1})" for i in range(1, 12, 2)])
     with pytest.raises(ResourceGuardError):
-        group_length(cyclic_group(40))
-    assert group_length(cyclic_group(25)) == 2
+        group_length(c2_6)
