@@ -23,6 +23,11 @@ falling(chi, k); a stratum of sp(X, n) with alpha_i points of multiplicity
 i is that modulo prod S_{alpha_i}, with chi falling(chi, k) / prod(alpha_i!).
 The strata sums are coefficients of power series, which the closed formulas
 read off without enumerating anything; the enumerations stay as oracles.
+Since a stratum's count depends on its set partition only through the
+number of blocks, the set-partition oracles enumerate once per weight
+vector (the all-ones vector of X^n, or the cycle lengths of a permutation)
+into a table of partitions by (heaviest block weight, number of blocks),
+and read every (d, chi) from it.
 
   chi_sp       [q^n] (1 - q)^(-chi)
   chi_b_upper  [q^n] (1 + q + ... + q^d)^chi
@@ -33,7 +38,9 @@ read off without enumerating anything; the enumerations stay as oracles.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
+from functools import lru_cache
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Mapping
 
 from .algebra import binomial_gen, falling_factorial
 from .combinatorics import alpha_sequences, factorial_product, set_partitions_cached
@@ -233,12 +240,19 @@ def stratification_sum_bd(chi: int, n: int, d: int) -> int:
                if any(alpha[d - 1:]))
 
 
-def _block_weights(labels: tuple[int, ...], weights) -> list[int]:
-    """Total weight of each block of the set partition with these labels."""
-    out = [0] * (max(labels) + 1)
-    for lab, w in zip(labels, weights):
-        out[lab] += w
-    return out
+@lru_cache(maxsize=256)  # the cycle types of S_n, n <= MAX_ORACLE_N, are 139
+def _fat_counts(weights: tuple[int, ...]) -> Mapping[tuple[int, int], int]:
+    """Set partitions of points carrying these weights, counted by (weight
+    of the heaviest block, number of blocks): the table both set-partition
+    oracles read for every (d, chi)."""
+    counts: dict[tuple[int, int], int] = {}
+    for labels in set_partitions_cached(len(weights)):
+        blocks = [0] * (max(labels) + 1)
+        for lab, w in zip(labels, weights):
+            blocks[lab] += w
+        key = (max(blocks), len(blocks))
+        counts[key] = counts.get(key, 0) + 1
+    return MappingProxyType(counts)
 
 
 def oracle_fd_setpartitions(chi: int, n: int, d: int) -> int:
@@ -246,19 +260,21 @@ def oracle_fd_setpartitions(chi: int, n: int, d: int) -> int:
     set partitions of the n coordinates having a block of size >= d of the
     configuration-space count falling_factorial(chi, #blocks).
 
+    By additivity each partition adds the Euler characteristic of its
+    stratum, which depends on the partition only through its number of
+    blocks, so the partitions are enumerated once per n, into the
+    (heaviest block, block count) table of _fat_counts, and every (d, chi)
+    is read from it.
+
     >>> oracle_fd_setpartitions(2, 3, 2)
     8
     """
     check_guard(n, MAX_ORACLE_N, "oracle_fd_setpartitions")
     if not 2 <= d <= n:
         raise ValueError(f"needs 2 <= d <= n, got d={d}, n={n}")
-    total = 0
-    ones = [1] * n
-    for labels in set_partitions_cached(n):
-        sizes = _block_weights(labels, ones)
-        if max(sizes) >= d:
-            total += falling_factorial(chi, len(sizes))
-    return total
+    return sum(count * falling_factorial(chi, k)
+               for (heaviest, k), count in _fat_counts((1,) * n).items()
+               if heaviest >= d)
 
 
 def oracle_bd_burnside(chi: int, n: int, d: int) -> int:
@@ -268,8 +284,11 @@ def oracle_bd_burnside(chi: int, n: int, d: int) -> int:
     An element with cycle type of c cycles fixes a copy of X^c whose
     coordinates carry the cycle lengths as weights; its fat part sums, over
     set partitions of the cycle set with some block of total weight >= d,
-    the counts falling_factorial(chi, #blocks).  The class-weighted average
-    is asserted integral.
+    the counts falling_factorial(chi, #blocks).  Since that count depends
+    on a stratum only through its number of blocks, the set partitions of
+    each weight vector are enumerated once, into the (heaviest block, block
+    count) table of _fat_counts, and every (d, chi) is read from it.  The
+    class-weighted average is asserted integral.
 
     >>> oracle_bd_burnside(2, 5, 3)
     6
@@ -281,11 +300,9 @@ def oracle_bd_burnside(chi: int, n: int, d: int) -> int:
         raise ValueError(f"needs 2 <= d <= n, got d={d}, n={n}")
     total = 0
     for ctype, class_size in conjugacy_classes_sn(n):
-        weights = [l for l, a in enumerate(ctype, start=1) for _ in range(a)]
-        fixed = 0
-        for labels in set_partitions_cached(len(weights)):
-            blocks = _block_weights(labels, weights)
-            if max(blocks) >= d:
-                fixed += falling_factorial(chi, len(blocks))
+        weights = tuple(l for l, a in enumerate(ctype, start=1) for _ in range(a))
+        fixed = sum(count * falling_factorial(chi, k)
+                    for (heaviest, k), count in _fat_counts(weights).items()
+                    if heaviest >= d)
         total += class_size * fixed
     return _exact_div(total, math.factorial(n), f"oracle_bd_burnside({chi}, {n}, {d})")

@@ -242,9 +242,20 @@ def fixture(name: str) -> Graph:
 
 
 def graph_from_json(data) -> Graph:
-    """Build a graph from {"vertices": [...], "edges": [["a","b"], ...]}."""
+    """Build a graph from {"vertices": [...], "edges": [["a","b"], ...]}.
+
+    A vertex or an edge (in either orientation) listed twice is an error:
+    two parallel edges form a circle, not one edge, and a simple graph
+    cannot hold them, so merging them would answer for another space.
+    """
     if isinstance(data, str):
         data = json.loads(data)
     if not isinstance(data, dict) or "vertices" not in data or "edges" not in data:
         raise ValueError('graph JSON needs "vertices" and "edges"')
-    return Graph.from_parts(data["vertices"], data["edges"])
+    vertices, edges = data["vertices"], data["edges"]
+    graph = Graph.from_parts(vertices, edges)
+    if graph.num_vertices < len(vertices):
+        raise ValueError("a vertex is listed twice")
+    if graph.num_edges < len(edges):
+        raise ValueError("an edge is listed twice (parallel edges are not supported)")
+    return graph

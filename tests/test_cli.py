@@ -87,6 +87,16 @@ def test_chi_csv(capsys):
     assert len(lines) == 5
 
 
+def test_chi_grid_with_verify(capsys):
+    for kind in ("bd", "fd"):
+        rc, out, err = run(capsys, "chi", kind, "--space", "surface:2",
+                           "-n", "4..9", "-d", "2..9", "--verify", "--csv")
+        assert rc == 0, err
+        lines = out.strip().splitlines()
+        assert lines[0] == "n,d,value"
+        assert len(lines) == 1 + sum(n - 1 for n in range(4, 10))
+
+
 def test_chi_space_product_expression(capsys):
     payload = run_json(
         capsys, "chi", "sp", "--space", "sphere:2 x sphere:2", "-n", "2"
@@ -382,6 +392,12 @@ def test_malformed_input_is_usage_error(capsys):
         ("pi1", "gamma", "--space", "torus", "--degree", "-3", "--gens", ""),
         ("strata", "depth", "--degree", "-2", "--gens", ""),
         ("strata", "length", "--degree", "-1", "--gens", ""),
+        ("graph", "chi2", "--graph",
+         '{"vertices": ["a", "b"], "edges": [["a", "b"], ["a", "b"]]}', "--oracle"),
+        ("graph", "chi2", "--graph",
+         '{"vertices": ["a", "b"], "edges": [["a", "b"], ["b", "a"]]}'),
+        ("graph", "chi2", "--graph",
+         '{"vertices": ["a", "b", "a"], "edges": [["a", "b"]]}'),
     ]
     for argv in cases:
         rc, out, err = run(capsys, *argv)

@@ -188,6 +188,63 @@ def test_chi_bd_matches_oracles():
                 assert closed == stratification_sum_bd(chi, n, d)
 
 
+def _fat_scan(chi, weights, d):
+    # the oracles' definition: falling(chi, #blocks) summed over the set
+    # partitions of the weighted points whose heaviest block weighs >= d
+    from fatdiag.algebra import falling_factorial
+    from fatdiag.combinatorics import set_partitions
+
+    total = 0
+    for labels in set_partitions(len(weights)):
+        blocks = [0] * (max(labels) + 1)
+        for lab, w in zip(labels, weights):
+            blocks[lab] += w
+        if max(blocks) >= d:
+            total += falling_factorial(chi, len(blocks))
+    return total
+
+
+def _burnside_scan(chi, n, d):
+    import math
+
+    from fatdiag.permgroup import conjugacy_classes_sn
+
+    total = 0
+    for ctype, size in conjugacy_classes_sn(n):
+        weights = [l for l, a in enumerate(ctype, start=1) for _ in range(a)]
+        total += size * _fat_scan(chi, weights, d)
+    average, rest = divmod(total, math.factorial(n))
+    assert rest == 0
+    return average
+
+
+def test_oracles_match_their_definition():
+    from fatdiag.eulerchar import _fat_counts
+
+    cases = [(chi, n, d) for n in range(2, 8) for d in range(2, n + 1)
+             for chi in range(-4, 5)]
+    for chi, n, d in cases + [(-2, 9, 3), (2, 9, 3)]:
+        assert oracle_fd_setpartitions(chi, n, d) == _fat_scan(chi, [1] * n, d)
+        assert oracle_bd_burnside(chi, n, d) == _burnside_scan(chi, n, d)
+    assert _fat_counts((1, 1, 1)) == {(3, 1): 1, (2, 2): 3, (1, 3): 1}
+
+
+def test_oracles_enumerate_once_per_weight_vector():
+    # a count, not a time: one table per cycle type of S_2 ... S_8, and the
+    # ordered oracle's all-ones vectors are among them, so its 252 calls
+    # only read tables
+    from fatdiag.eulerchar import _fat_counts
+    from fatdiag.selfcheck import check_bd_three_way, check_fd_corrected
+
+    _fat_counts.cache_clear()
+    check_bd_three_way(False)
+    hits = _fat_counts.cache_info().hits
+    assert check_fd_corrected(False).startswith("252 oracle cases")
+    info = _fat_counts.cache_info()
+    assert info.misses == 65
+    assert info.hits - hits == 252
+
+
 def test_chi_bd_product_identity():
     # for d > n/2 a deep point determines the rest: chi * chi_sp(chi, n - d)
     for chi in range(-4, 5):
