@@ -92,7 +92,8 @@ def set_partitions(n: int) -> Iterator[tuple[int, ...]]:
 
 @lru_cache(maxsize=16)
 def set_partitions_cached(n: int) -> tuple[tuple[int, ...], ...]:
-    """Memoized tuple of set_partitions(n), for the enumeration oracles."""
+    """Memoized tuple of set_partitions(n), for the coarsenings that
+    strata's stabilizer sums reuse for every cycle partition with n blocks."""
     return tuple(set_partitions(n))
 
 

@@ -43,7 +43,7 @@ from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping
 
 from .algebra import binomial_gen, falling_factorial
-from .combinatorics import alpha_sequences, factorial_product, set_partitions_cached
+from .combinatorics import alpha_sequences, factorial_product, set_partitions
 from .errors import InternalConsistencyError, UnsupportedSpaceError, check_guard
 
 if TYPE_CHECKING:  # the closed formulas run without the group layer
@@ -240,13 +240,15 @@ def stratification_sum_bd(chi: int, n: int, d: int) -> int:
                if any(alpha[d - 1:]))
 
 
-@lru_cache(maxsize=256)  # the cycle types of S_n, n <= MAX_ORACLE_N, are 139
+# The tables, not the partitions, are kept: the cycle types of S_n,
+# n <= MAX_ORACLE_N, are 139, and each walks its set partitions as a stream.
+@lru_cache(maxsize=256)
 def _fat_counts(weights: tuple[int, ...]) -> Mapping[tuple[int, int], int]:
     """Set partitions of points carrying these weights, counted by (weight
     of the heaviest block, number of blocks): the table both set-partition
     oracles read for every (d, chi)."""
     counts: dict[tuple[int, int], int] = {}
-    for labels in set_partitions_cached(len(weights)):
+    for labels in set_partitions(len(weights)):
         blocks = [0] * (max(labels) + 1)
         for lab, w in zip(labels, weights):
             blocks[lab] += w

@@ -242,7 +242,9 @@ def fixture(name: str) -> Graph:
 
 
 def graph_from_json(data) -> Graph:
-    """Build a graph from {"vertices": [...], "edges": [["a","b"], ...]}.
+    """Build a graph from {"vertices": [...], "edges": [["a","b"], ...]}:
+    the vertices a list of labels (strings or integers), the edges a list of
+    two-vertex lists.
 
     A vertex or an edge (in either orientation) listed twice is an error:
     two parallel edges form a circle, not one edge, and a simple graph
@@ -253,6 +255,11 @@ def graph_from_json(data) -> Graph:
     if not isinstance(data, dict) or "vertices" not in data or "edges" not in data:
         raise ValueError('graph JSON needs "vertices" and "edges"')
     vertices, edges = data["vertices"], data["edges"]
+    if not isinstance(vertices, list) or not all(isinstance(v, (str, int)) for v in vertices):
+        raise ValueError('"vertices" must be a list of labels')
+    if not isinstance(edges, list) or not all(isinstance(e, list) and len(e) == 2
+                                              for e in edges):
+        raise ValueError('"edges" must be a list of two-vertex lists')
     graph = Graph.from_parts(vertices, edges)
     if graph.num_vertices < len(vertices):
         raise ValueError("a vertex is listed twice")

@@ -11,11 +11,19 @@ entry l - 1 is the number of cycles of length l.
 The cycle notation parser uses 1-indexed points, matching the usual written
 form "(1 2 3)(4 5)".
 
-There is one closure walk, _closure: the orbit of a tuple under the group
+A group is held as a stabilizer chain, built by the Schreier-Sims
+algorithm (Sims 1970; Seress, Permutation Group Algorithms, 2003, ch. 4):
+base points b_0, b_1, ... and, at each level, one element for each point of
+the orbit of b_i under the stabilizer of b_0, ..., b_{i-1}.  The order is
+the product of the orbit sizes, found without enumerating, and every element
+is the product of one transversal element per level, so the elements are
+streamed once each without a visited set (PermutationGroupModel.stream).
+
+The closure walk, _closure, is the orbit of a tuple under the group
 generated by some permutations, found breadth-first by left multiplication.
-From the identity it enumerates a group (PermutationGroupModel.elements and
-the subgroup joins of strata.all_subgroups); from (0, ..., d-1) it is the
-orbit on ordered d-tuples of distinct points (is_d_transitive).
+From the identity it enumerates the subgroup joins of strata.all_subgroups;
+from (0, ..., d-1) it is the orbit on ordered d-tuples of distinct points
+(is_d_transitive).
 
 Convention for the induced action on coordinate tuples, used throughout:
 (g . x)_i = x_{g^{-1}(i)}, so that g moves the coordinate sitting in slot j
@@ -28,12 +36,15 @@ import math
 import re
 from collections import Counter
 from functools import lru_cache
+from typing import Iterator
 
 from .combinatorics import alpha_sequences, factorial_product
 from .errors import check_guard
 
-# Group enumeration work: elements found times the degree, which bounds
-# both the memory of the element set and the time of the closure walk.
+# Group work, in tuple entries: the entries the stabilizer chain composes,
+# counted as it is built, and |G| * degree before the first element is
+# streamed, which bounds both the time of a walk over the group and the
+# memory of an element set.
 MAX_GROUP_WORK = 4 * 10**6
 MAX_TUPLE_ORBIT = 10**6
 MAX_TRANSITIVITY_DEGREE = 4
@@ -97,6 +108,110 @@ def _closure(start: tuple[int, ...], generators) -> frozenset[tuple[int, ...]]:
     return frozenset(found)
 
 
+def _stabilizer_chain(degree: int, generators) -> list[list[Perm]]:
+    """Transversals of a stabilizer chain of the group the generators
+    generate, by the Schreier-Sims algorithm: for each base point b_i, one
+    element u with u[b_i] = p for every point p of the orbit of b_i under
+    the stabilizer of the earlier base points.
+
+    Level i keeps the strong generators that fix b_0, ..., b_{i-1}, and its
+    transversal is closed under them.  For every strong generator s and
+    transversal element u of a level, the Schreier generator
+    t^-1 s u, with t the transversal element at s u(b_i), must lie in the
+    levels below: it is sifted through them, and a residue other than the
+    identity becomes a strong generator of each level it passed and of the
+    one where it stopped (a new level, at its first moved point, if it
+    passed them all).  Each pair is tested once, so the chain is complete
+    when no pair is pending.  The group work guard counts the tuple entries
+    composed as the chain is built.
+    """
+    identity = tuple(range(degree))
+    points: list[int] = []
+    strong: list[list[Perm]] = []
+    reps: list[dict[int, Perm]] = []
+    inverses: list[dict[int, Perm]] = []
+    pending: list[tuple[int, Perm, Perm]] = []
+    work = 0
+
+    def sift(g: Perm, level: int) -> tuple[Perm, int]:
+        nonlocal work
+        for j in range(level, len(points)):
+            p = g[points[j]]
+            if p not in reps[j]:
+                return g, j
+            if p != points[j]:
+                inv = inverses[j].get(p)
+                if inv is None:
+                    inv = inverses[j][p] = tuple(sorted(identity, key=reps[j][p].__getitem__))
+                    work += degree
+                g = _compose(inv, g)
+                work += degree
+        return g, len(points)
+
+    def add(g: Perm, first: int, last: int) -> None:
+        if last == len(points):
+            b = next(p for p in identity if g[p] != p)
+            points.append(b)
+            strong.append([])
+            reps.append({b: identity})
+            inverses.append({})
+        for level in range(first, last + 1):
+            strong[level].append(g)
+            pending.extend((level, g, u) for u in reps[level].values())
+
+    for g in generators:
+        residue, level = sift(g, 0)
+        if residue != identity:
+            add(residue, 0, level)
+        check_guard(work, MAX_GROUP_WORK, "group enumeration")
+        while pending:
+            level, s, u = pending.pop()
+            v = _compose(s, u)
+            work += degree
+            p = v[points[level]]
+            t = reps[level].get(p)
+            if t is None:
+                reps[level][p] = v
+                pending.extend((level, s2, v) for s2 in strong[level])
+            elif t != v:
+                residue, stop = sift(v, level)
+                if residue != identity:
+                    add(residue, level + 1, stop)
+            check_guard(work, MAX_GROUP_WORK, "group enumeration")
+    return [list(transversal.values()) for transversal in reps]
+
+
+def _products(levels: list[list[Perm]], identity: Perm) -> list[Perm]:
+    """Every product u_0 u_1 ... of one transversal element per level."""
+    if not levels:
+        return [identity]
+    out = levels[-1]
+    for transversal in reversed(levels[:-1]):
+        out = [_compose(u, x) for u in transversal for x in out]
+    return out
+
+
+def _chain_elements(levels: list[list[Perm]], identity: Perm) -> Iterator[Perm]:
+    """Every element of the group of a stabilizer chain, once each.
+
+    The products of the lowest levels and those of the levels above are
+    built as two lists, split where the lists are shortest together (about
+    sqrt(|G|) each when the orbits are alike); each element is then one
+    composition of an upper product with a lower one, and none is kept.  A
+    chain of one level is its own list of elements.
+    """
+    order = math.prod(map(len, levels))
+    lower_sizes = [math.prod(map(len, levels[k:])) for k in range(len(levels) + 1)]
+    split = min(range(len(levels) + 1), key=lambda k: lower_sizes[k] + order // lower_sizes[k])
+    lower = _products(levels[split:], identity)
+    if not split:
+        yield from lower
+        return
+    for upper in _products(levels[:split], identity):
+        for x in lower:
+            yield _compose(upper, x)
+
+
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
@@ -153,12 +268,15 @@ def conjugacy_classes_sn(n: int) -> list[tuple[tuple[int, ...], int]]:
 
 
 class PermutationGroupModel:
-    """Finite permutation group given by generators; elements enumerated lazily.
+    """Finite permutation group given by generators, held as a stabilizer
+    chain built on first use.
 
-    Generators are image tuples or cycle-notation strings.  Enumeration is
-    the closure walk from the identity, guarded on its work |G| * degree
-    before any element is built and again after each layer of the walk.
-    The elements and their cycle-type histogram are computed once.
+    Generators are image tuples or cycle-notation strings.  The chain is
+    guarded on the degree before it is built and on the entries it composes
+    while it is built; a walk over the elements (stream, the histograms and
+    elements) is guarded on its work |G| * degree before the first element.
+    The chain, the element set and the cycle-type histogram are computed
+    once.
     """
 
     def __init__(self, degree: int, generators) -> None:
@@ -173,17 +291,30 @@ class PermutationGroupModel:
                 raise ValueError(f"generator {g} is not a permutation of 0..{degree - 1}")
             gens.append(tuple(g))
         self.generators: tuple[Perm, ...] = tuple(gens)
+        self._chain: list[list[Perm]] | None = None
         self._elements: frozenset[Perm] | None = None
         self._cycle_types: Counter[tuple[int, ...]] | None = None
 
-    def elements(self) -> frozenset[Perm]:
-        if self._elements is None:
+    def _levels(self) -> list[list[Perm]]:
+        if self._chain is None:
             check_guard(self.degree, MAX_GROUP_WORK, "group enumeration")
-            self._elements = _closure(tuple(range(self.degree)), self.generators)
-        return self._elements
+            self._chain = _stabilizer_chain(self.degree, self.generators)
+        return self._chain
 
     def order(self) -> int:
-        return len(self.elements())
+        """|G|, the product of the orbit sizes along the chain."""
+        return math.prod(map(len, self._levels()))
+
+    def stream(self) -> Iterator[Perm]:
+        """Every element once, in chain order, each built by one composition
+        and none kept."""
+        check_guard(self.order() * self.degree, MAX_GROUP_WORK, "group enumeration")
+        return _chain_elements(self._levels(), tuple(range(self.degree)))
+
+    def elements(self) -> frozenset[Perm]:
+        if self._elements is None:
+            self._elements = frozenset(self.stream())
+        return self._elements
 
     def sorted_elements(self) -> list[Perm]:
         """Elements in lexicographic order of their image tuples."""
@@ -198,7 +329,7 @@ class PermutationGroupModel:
     def cycle_type_histogram(self) -> Counter[tuple[int, ...]]:
         """Map cycle type -> number of elements of that type (a copy)."""
         if self._cycle_types is None:
-            self._cycle_types = Counter(map(_cycle_type, self.elements()))
+            self._cycle_types = Counter(map(_cycle_type, self.stream()))
         return Counter(self._cycle_types)
 
     def cycle_count_histogram(self) -> dict[int, int]:
@@ -279,7 +410,6 @@ def regular_representation(group: PermutationGroupModel) -> PermutationGroupMode
 
 @lru_cache(maxsize=8)
 def symmetric_group_cached(n: int) -> PermutationGroupModel:
-    """Memoized full symmetric group with its elements already enumerated."""
-    group = symmetric_group(n)
-    group.elements()
-    return group
+    """Memoized full symmetric group, so that its chain and cycle-type
+    histogram are computed once per process."""
+    return symmetric_group(n)

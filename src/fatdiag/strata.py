@@ -68,7 +68,7 @@ def _cycle_partition(g: Perm) -> tuple[int, ...]:
 
 def _cycle_partitions(group: PermutationGroupModel) -> Counter[tuple[int, ...]]:
     """Map each cycle partition to the number of elements that have it."""
-    return Counter(map(_cycle_partition, group.elements()))
+    return Counter(map(_cycle_partition, group.stream()))
 
 
 def _stabilizer_sizes(by_cycles: Counter[tuple[int, ...]]) -> Counter[tuple[int, ...]]:

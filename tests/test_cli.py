@@ -171,21 +171,35 @@ def _child_env() -> dict:
     return env
 
 
-def test_pi1_gamma_memory_is_linear_in_degree():
-    # orbit counting of the trivial group on 10^6 points; the child's own
-    # peak resident set, read from wait4, must stay far below the ~570 MB
-    # that per-point orbit sets took
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "fatdiag.cli", "pi1", "gamma", "--space", "circle",
-         "--degree", "1000000", "--gens", ""],
-        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=_child_env())
+def _child_peak(*argv: str) -> tuple[dict, int]:
+    """Run the CLI in a child; its JSON output and its own peak resident
+    set in kilobytes (Linux), read from wait4."""
+    proc = subprocess.Popen([sys.executable, "-m", "fatdiag.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=_child_env())
     with proc.stdout:
         out = proc.stdout.read()
     _, status, usage = os.wait4(proc.pid, 0)
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    assert proc.returncode == 0
-    assert json.loads(out)["result"]["display"] == "H1(X)^1000000"
-    assert usage.ru_maxrss < 200 * 1024  # kilobytes on Linux
+    assert os.waitstatus_to_exitcode(status) == 0
+    return json.loads(out), usage.ru_maxrss
+
+
+def test_pi1_gamma_memory_is_linear_in_degree():
+    # orbit counting of the trivial group on 10^6 points must stay far
+    # below the ~570 MB that per-point orbit sets took
+    payload, peak = _child_peak("pi1", "gamma", "--space", "circle",
+                                "--degree", "1000000", "--gens", "")
+    assert payload["result"]["display"] == "H1(X)^1000000"
+    assert peak < 200 * 1024
+
+
+def test_chi_gamma_streams_the_group():
+    # S_9's 362880 elements are streamed from the stabilizer chain, not
+    # stored: an element set peaked at about 91 MB
+    payload, peak = _child_peak("chi", "gamma", "--space", "torus",
+                                "--degree", "9", "--gens", "(1 2 3 4 5 6 7 8 9); (1 2)")
+    assert payload["result"] == "0"
+    assert payload["inputs"]["group_order"] == "362880"
+    assert peak < 40 * 1024
 
 
 # Runs main on each '|'-separated argv given, then prints the exit codes
@@ -329,6 +343,18 @@ def test_closed_formula_guard_limits_work(capsys):
         assert out == ""
 
 
+def test_pi1_gamma_answers_past_the_walk_guard(capsys):
+    # the stabilizer chain gives |G| at once: pi1 gamma answers on S_10,
+    # while chi gamma still walks the group and is refused before the walk
+    s10 = ("--degree", "10", "--gens", "(1 2 3 4 5 6 7 8 9 10); (1 2)")
+    payload = run_json(capsys, "pi1", "gamma", "--space", "torus", *s10)
+    assert payload["inputs"]["group_order"] == "3628800"
+    assert payload["result"]["display"] == "H1(X)"
+    rc, out, err = run(capsys, "chi", "gamma", "--space", "torus", *s10)
+    assert rc == 4 and out == ""
+    assert "group enumeration: size 36288000" in err
+
+
 def test_exact_results_past_the_digit_limit(capsys):
     # Python's default str() stops at 4300 digits; results are printed in
     # full up to the result-size guard, which exits 4 with nothing printed
@@ -398,6 +424,8 @@ def test_malformed_input_is_usage_error(capsys):
          '{"vertices": ["a", "b"], "edges": [["a", "b"], ["b", "a"]]}'),
         ("graph", "chi2", "--graph",
          '{"vertices": ["a", "b", "a"], "edges": [["a", "b"]]}'),
+        ("graph", "chi2", "--graph", '{"vertices": 3, "edges": []}'),
+        ("graph", "chi2", "--graph", '{"vertices": ["a", "b"], "edges": [3]}'),
     ]
     for argv in cases:
         rc, out, err = run(capsys, *argv)

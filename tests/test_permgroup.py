@@ -1,12 +1,18 @@
 from __future__ import annotations
 
+import importlib
 import math
+import random
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
+from fatdiag import permgroup
 from fatdiag.errors import ResourceGuardError
 from fatdiag.permgroup import (
     PermutationGroupModel,
+    _closure,
     _compose,
     _cycle_type,
     alternating_group,
@@ -17,6 +23,7 @@ from fatdiag.permgroup import (
     symmetric_group,
     trivial_group,
 )
+from fatdiag.strata import _cycle_partition, _cycle_partitions
 
 
 def test_parse_cycles():
@@ -171,3 +178,99 @@ def test_group_order_guard(monkeypatch):
         symmetric_group(9).order()
     monkeypatch.setenv("FATDIAG_GUARD_SCALE", "1")
     assert symmetric_group(6).order() == 720
+
+
+def _roster(monkeypatch):
+    """The benchmark's group-strata roster: 20 families of degree 3-8."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    return [PermutationGroupModel(f.degree, f.gens) for f in workloads.GROUP_ROSTER]
+
+
+def _random_groups(count: int, seed: int):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(0, 8)
+        gens = []
+        for _ in range(rng.randint(0, 3)):
+            images = list(range(n))
+            if n > 1 and rng.random() < 0.5:
+                i, j = rng.sample(range(n), 2)
+                images[i], images[j] = images[j], images[i]
+            else:
+                rng.shuffle(images)
+            gens.append(tuple(images))
+        yield PermutationGroupModel(n, gens)
+
+
+def test_stabilizer_chain_matches_closure(monkeypatch):
+    # groups from the other tests, the benchmark roster and random groups:
+    # the chain's order, elements, histograms and cycle partitions against
+    # the closure walk from the identity
+    groups = [
+        symmetric_group(n) for n in range(7)] + [
+        alternating_group(n) for n in range(3, 7)] + [
+        cyclic_group(6), cyclic_group(8), trivial_group(4), trivial_group(0),
+        PermutationGroupModel(4, ["(1 2 3 4)", "(1 3)"]),
+        PermutationGroupModel(5, ["(1 2)", "(3 4 5)", "(3 4)"]),
+        PermutationGroupModel(7, ["(1 2 3)", "(1 2)", "(4 5 6 7)", "(4 5)"]),
+        PermutationGroupModel(7, ["(1 5)(6 7)", "(5 3)"]),
+        regular_representation(symmetric_group(3)),
+        regular_representation(cyclic_group(2)),
+    ]
+    roster = _roster(monkeypatch)
+    assert len(roster) == 20
+    groups += roster
+    groups += _random_groups(40, seed=10)
+    for group in groups:
+        walk = _closure(tuple(range(group.degree)), group.generators)
+        streamed = list(group.stream())
+        assert group.order() == len(walk) == len(streamed), group.generators
+        assert set(streamed) == walk == group.elements()
+        assert group.cycle_type_histogram() == Counter(map(_cycle_type, walk))
+        assert _cycle_partitions(group) == Counter(map(_cycle_partition, walk))
+
+
+def test_order_needs_no_enumeration():
+    # the chain of S_n has n - 1 levels and a few hundred compositions
+    for n in (10, 12, 20):
+        assert symmetric_group(n).order() == math.factorial(n)
+    assert alternating_group(12).order() == math.factorial(12) // 2
+
+
+def test_s10_is_refused_before_any_element_is_built(monkeypatch):
+    # every element is one composition; the chain of S_10 takes a few
+    # hundred, the group has 3628800 elements
+    calls = Counter()
+    compose = permgroup._compose
+
+    def counted(g, h):
+        calls["compose"] += 1
+        return compose(g, h)
+
+    monkeypatch.setattr(permgroup, "_compose", counted)
+    group = symmetric_group(10)
+    assert group.order() == math.factorial(10)
+    for walk in (group.cycle_type_histogram, group.elements, group.stream):
+        with pytest.raises(ResourceGuardError, match="group enumeration"):
+            walk()
+    assert 0 < calls["compose"] < 1000
+
+
+def _regular_product(a: int, b: int) -> PermutationGroupModel:
+    """Z_a x Z_b acting on itself, on a * b points, by its two generators."""
+    points = [(i, j) for i in range(a) for j in range(b)]
+    index = {p: k for k, p in enumerate(points)}
+    return PermutationGroupModel(a * b, [
+        tuple(index[(i + 1) % a, j] for i, j in points),
+        tuple(index[i, (j + 1) % b] for i, j in points)])
+
+
+def test_chain_work_guard():
+    # the chain composes each of the 1500 points' transversal elements with
+    # both generators: 4.5 * 10^6 entries, past the guard, although the
+    # walk over the group, |G| * degree = 2.25 * 10^6, would be admitted
+    group = _regular_product(30, 50)
+    with pytest.raises(ResourceGuardError, match="group enumeration"):
+        group.order()
+    assert _regular_product(10, 50).order() == 500
