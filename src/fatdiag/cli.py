@@ -15,9 +15,18 @@ Exit codes: 0 success, 1 usage error, 2 unsupported space or parity,
 3 oracle or verification mismatch, 4 resource guard tripped, 5 internal
 error (a bug: the traceback goes to stderr and stdout stays empty).
 
-Start-up imports only argparse, json, sys and the error types; each
-command imports the modules it runs when it runs, so `chi sp` never loads
-the group, strata, graph or verification code.
+Options: `--opt value` or `--opt=value` (`-n5` too); the last of a
+repeated option wins, and the word after a value option is always its
+value, so `--degree -1` reaches the group model.  Abbreviations, unknown
+options, stray words, a missing value, a bad integer or a bad choice are
+usage errors.  `-h` or `--help` prints usage lines made from the COMMANDS
+table.  A grid of `chi bd|fd|bupper` is guarded on its cell count and on
+the summed estimated work of its cells before any cell is built.
+
+Start-up imports only json, sys, types and the error types, and argv is
+read in one pass against the COMMANDS table; each command imports the
+modules it runs when it runs, so `chi sp` never loads the group, strata,
+graph or verification code.
 
 Examples:
 
@@ -28,14 +37,15 @@ Examples:
     fatdiag pi1 bd --space circle -n 4 -d 2
     fatdiag strata depth --degree 4 --gens "(1 2 3 4); (1 2)"
     fatdiag graph chi2 --graph gamma1 --oracle
-    fatdiag verify --suite fast
+    fatdiag verify --suite=fast
+    fatdiag chi --help
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
+from types import SimpleNamespace
 
 from .errors import (
     FatdiagError,
@@ -50,17 +60,12 @@ SCHEMA = "fatdiag/1"
 # Largest exact result printed, in bits: about 300000 decimal digits, whose
 # conversion (quadratic in the length) takes about two seconds.
 MAX_RESULT_BITS = 10**6
+# Most (n, d) cells in one chi grid, checked before any cell is built.
+MAX_GRID_CELLS = 10**5
 
 
 class UsageError(Exception):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse that reports usage problems as exceptions (exit code 1)."""
-
-    def error(self, message):
-        raise UsageError(message)
 
 
 def _emit(command: str, inputs: dict, result, oracle_results=None) -> None:
@@ -88,8 +93,8 @@ def _exact(value: int) -> str:
         sys.set_int_max_str_digits(limit)
 
 
-def _parse_range(text: str, what: str) -> list[int]:
-    """Parse "4" or "2..8" (inclusive)."""
+def _parse_range(text: str, what: str) -> tuple[int, int]:
+    """Bounds of "4" or "2..8" (inclusive)."""
     text = text.strip()
     if ".." in text:
         lo, _, hi = text.partition("..")
@@ -99,11 +104,27 @@ def _parse_range(text: str, what: str) -> list[int]:
             raise UsageError(f"bad {what} range {text!r}")
         if hi_i < lo_i:
             raise UsageError(f"empty {what} range {text!r}")
-        return list(range(lo_i, hi_i + 1))
+        return lo_i, hi_i
     try:
-        return [int(text)]
+        value = int(text)
     except ValueError:
         raise UsageError(f"bad {what} value {text!r}")
+    return value, value
+
+
+def _grid(ns: tuple[int, int], ds: tuple[int, int], d_min: int) -> list[tuple[int, int]]:
+    """The cells (n, d) of the ranges with d_min <= d <= n, row by row.
+    They are counted, and the count guarded, before any is built."""
+    d_lo, d_hi = max(ds[0], d_min), min(ds[1], ns[1])
+    n_lo, n_hi = max(ns[0], d_lo), ns[1]
+    if d_lo > d_hi or n_lo > n_hi:
+        return []
+    # rows n < d_hi hold n - d_lo + 1 cells, the others d_hi - d_lo + 1
+    first, last = n_lo - d_lo + 1, min(n_hi, d_hi - 1) - d_lo + 1
+    count = (first + last) * (last - first + 1) // 2 if last >= first else 0
+    count += max(0, n_hi - max(n_lo, d_hi) + 1) * (d_hi - d_lo + 1)
+    check_guard(count, MAX_GRID_CELLS, "grid cells")
+    return [(n, d) for n in range(n_lo, n_hi + 1) for d in range(d_lo, min(n, d_hi) + 1)]
 
 
 def _space(args):
@@ -185,16 +206,24 @@ def _chi_oracles(kind: str, chi: int, n: int, d: int) -> dict[str, int]:
 
 
 def _cmd_chi(args) -> int:
-    from .eulerchar import chi_b_upper, chi_bd, chi_fd, chi_sp
+    from .eulerchar import (
+        MAX_FORMULA_WORK,
+        chi_b_upper,
+        chi_b_upper_work,
+        chi_bd,
+        chi_bd_work,
+        chi_fd,
+        chi_fd_work,
+        chi_sp,
+    )
 
     space = _space(args)
     chi = space.euler()
     kind = args.variant
     if kind == "sp":
-        ns = _parse_range(args.n, "-n")
-        if len(ns) != 1:
+        n, n_hi = _parse_range(args.n, "-n")
+        if n != n_hi:
             raise UsageError("chi sp takes a single -n")
-        n = ns[0]
         if n < 0:
             raise UsageError("-n must be >= 0")
         _emit(
@@ -204,14 +233,16 @@ def _cmd_chi(args) -> int:
         )
         return 0
 
-    formula = {"bd": chi_bd, "fd": chi_fd, "bupper": chi_b_upper}[kind]
+    formula, work = {"bd": (chi_bd, chi_bd_work), "fd": (chi_fd, chi_fd_work),
+                     "bupper": (chi_b_upper, chi_b_upper_work)}[kind]
     d_min = 1 if kind == "bupper" else 2
-    ns = _parse_range(args.n, "-n")
-    ds = _parse_range(args.d, "-d")
-    cells = [(n, d) for n in ns for d in ds if d_min <= d <= n]
+    cells = _grid(_parse_range(args.n, "-n"), _parse_range(args.d, "-d"), d_min)
     if not cells:
         raise UsageError(f"no valid (n, d) pairs with {d_min} <= d <= n in the ranges")
     grid = len(cells) > 1
+    if grid:  # a single cell is guarded by its formula, after its parity gate
+        check_guard(sum(work(n, d) for n, d in cells), MAX_FORMULA_WORK,
+                    "closed formula work")
 
     rows = []
     for n, d in cells:
@@ -281,17 +312,16 @@ def _cmd_pi1(args) -> int:
 
     space = _space(args)
     if args.variant == "bd":
-        ns = _parse_range(args.n, "-n")
-        ds = _parse_range(args.d, "-d")
-        if len(ns) != 1 or len(ds) != 1:
+        (n, n_hi), (d, d_hi) = _parse_range(args.n, "-n"), _parse_range(args.d, "-d")
+        if n != n_hi or d != d_hi:
             raise UsageError("pi1 bd takes single -n and -d")
         try:
-            expr = pi1_bd(space, ns[0], ds[0])
+            expr = pi1_bd(space, n, d)
         except ValueError as exc:
             raise UsageError(str(exc))
         _emit(
             "pi1 bd",
-            {"space": _space_echo(space), "n": ns[0], "d": ds[0]},
+            {"space": _space_echo(space), "n": n, "d": d},
             _expression_payload(expr),
         )
     else:
@@ -376,96 +406,145 @@ def _cmd_verify(args) -> int:
     return 3 if failed else 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="fatdiag",
-        description="Exact invariants of permutation products and fat diagonals",
-    )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+# Options by name: (kind, default).  The kind is str or int for a value,
+# bool for a switch, or a tuple of the values allowed; None as the default
+# makes the option required.
+_SPACE = {"--space": (str, None)}
+_GROUP = {"--degree": (int, None), "--gens": (str, "")}
+_N_D = {"-n": (str, None), "-d": (str, None)}
+_CHI_GRID = {**_SPACE, **_N_D, "--verify": (bool, False), "--csv": (bool, False)}
 
-    def add_space(p):
-        p.add_argument("--space", required=True,
-                       help="preset, 'A x B' product, inline JSON, or *.json path")
+# (command, variant) -> (handler, options, summary); verify has no variant.
+COMMANDS = {
+    ("chi", "sp"): (_cmd_chi, {**_SPACE, "-n": (str, None)}, "symmetric product"),
+    ("chi", "bd"): (_cmd_chi, _CHI_GRID, "unordered fat diagonal (multiplicity >= d)"),
+    ("chi", "fd"): (_cmd_chi, _CHI_GRID, "ordered fat diagonal (multiplicity >= d)"),
+    ("chi", "bupper"): (_cmd_chi, _CHI_GRID,
+                        "multiplicity-bounded symmetric product (multiplicity <= d)"),
+    ("chi", "gamma"): (_cmd_chi_gamma, {**_SPACE, **_GROUP},
+                       "quotient of a cartesian power by a group"),
+    ("betti", "gamma"): (_cmd_betti_gamma, {**_SPACE, **_GROUP},
+                         "rational Betti numbers of the quotient by a group"),
+    ("pi1", "bd"): (_cmd_pi1, {**_SPACE, **_N_D},
+                    "fundamental group of the unordered fat diagonal"),
+    ("pi1", "gamma"): (_cmd_pi1, {**_SPACE, **_GROUP},
+                       "fundamental group of the quotient by a group"),
+    ("strata", "depth"): (_cmd_strata, _GROUP, "depth of the equality-pattern stratification"),
+    ("strata", "length"): (_cmd_strata, _GROUP, "longest subgroup chain of the group"),
+    ("graph", "chi2"): (_cmd_graph, {"--graph": (str, None), "--oracle": (bool, False)},
+                        "two-point configuration space of a graph"),
+    ("verify", None): (_cmd_verify, {"--suite": (("all", "fast"), "all")},
+                       "run the verification battery"),
+}
+# command -> its variants, in table order
+_VARIANTS = {c: [v for c2, v in COMMANDS if c2 == c] for c, _ in COMMANDS}
+_HELP = ("-h", "--help")
 
-    def add_group(p):
-        p.add_argument("--degree", type=int, required=True, help="number of points")
-        p.add_argument("--gens", default="",
-                       help="generators in cycle notation, ';'-separated; empty = trivial")
+_OPTION_HELP = """\
+--space   preset, 'A x B' product, inline JSON, or *.json path
+-n, -d    number of points and multiplicity bound; chi bd|fd|bupper take
+          ranges A..B and print a grid (--csv: an n,d,value table)
+--degree  number of points the group acts on
+--gens    generators in cycle notation, ';'-separated; empty = trivial
+--graph   fixture name (gamma1, gamma2), inline JSON, or *.json path
+--verify, --oracle
+          also run the independent oracles; a mismatch exits 3
+An option takes its value as the next word or after '='; the last of a
+repeated option wins.  Exit codes: 0 ok, 1 usage, 2 unsupported space,
+3 mismatch, 4 resource guard, 5 internal error."""
 
-    chi = sub.add_parser("chi", help="Euler characteristics")
-    chi_sub = chi.add_subparsers(dest="variant", required=True, parser_class=_Parser)
-    p = chi_sub.add_parser("sp", help="symmetric product")
-    add_space(p)
-    p.add_argument("-n", required=True, help="number of points")
-    p.set_defaults(handler=_cmd_chi)
-    for variant, blurb in (
-        ("bd", "unordered fat diagonal (multiplicity >= d)"),
-        ("fd", "ordered fat diagonal (multiplicity >= d)"),
-        ("bupper", "multiplicity-bounded symmetric product (multiplicity <= d)"),
-    ):
-        p = chi_sub.add_parser(variant, help=blurb)
-        add_space(p)
-        p.add_argument("-n", required=True, help="number of points, or range A..B")
-        p.add_argument("-d", required=True, help="multiplicity bound, or range A..B")
-        p.add_argument("--verify", action="store_true",
-                       help="also run the independent oracles; mismatch exits 3")
-        p.add_argument("--csv", action="store_true", help="emit an n,d,value table")
-        p.set_defaults(handler=_cmd_chi)
-    p = chi_sub.add_parser("gamma", help="quotient of a cartesian power by a group")
-    add_space(p)
-    add_group(p)
-    p.set_defaults(handler=_cmd_chi_gamma)
 
-    betti = sub.add_parser("betti", help="rational Betti numbers")
-    betti_sub = betti.add_subparsers(dest="variant", required=True, parser_class=_Parser)
-    p = betti_sub.add_parser("gamma", help="quotient of a cartesian power by a group")
-    add_space(p)
-    add_group(p)
-    p.set_defaults(handler=_cmd_betti_gamma)
+def _usage(command: str | None) -> str:
+    """Usage lines of every command, or of one, generated from COMMANDS."""
+    lines = ["usage: fatdiag COMMAND [VARIANT] [OPTIONS]", ""]
+    for (name, variant), (_, options, summary) in COMMANDS.items():
+        if command not in (None, name):
+            continue
+        words = ["fatdiag", name] + ([variant] if variant else [])
+        for option, (kind, default) in options.items():
+            if kind is bool:
+                words.append(f"[{option}]")
+                continue
+            if isinstance(kind, tuple):
+                meta = "{" + ",".join(kind) + "}"
+            else:
+                meta = option.lstrip("-").upper()
+            words.append(f"{option} {meta}" if default is None else f"[{option} {meta}]")
+        lines += ["  " + " ".join(words), f"      {summary}"]
+    return "\n".join(lines + ["", _OPTION_HELP])
 
-    pi1 = sub.add_parser("pi1", help="fundamental-group descriptors")
-    pi1_sub = pi1.add_subparsers(dest="variant", required=True, parser_class=_Parser)
-    p = pi1_sub.add_parser("bd", help="unordered fat diagonal")
-    add_space(p)
-    p.add_argument("-n", required=True)
-    p.add_argument("-d", required=True)
-    p.set_defaults(handler=_cmd_pi1)
-    p = pi1_sub.add_parser("gamma", help="quotient of a cartesian power")
-    add_space(p)
-    add_group(p)
-    p.set_defaults(handler=_cmd_pi1)
 
-    strata = sub.add_parser("strata", help="stratification invariants")
-    strata_sub = strata.add_subparsers(dest="variant", required=True, parser_class=_Parser)
-    for variant, blurb in (
-        ("depth", "depth of the equality-pattern stratification"),
-        ("length", "longest subgroup chain of the group"),
-    ):
-        p = strata_sub.add_parser(variant, help=blurb)
-        add_group(p)
-        p.set_defaults(handler=_cmd_strata)
+def _cmd_help(args) -> int:
+    print(_usage(args.command))
+    return 0
 
-    graph = sub.add_parser("graph", help="graph configuration spaces")
-    graph_sub = graph.add_subparsers(dest="variant", required=True, parser_class=_Parser)
-    p = graph_sub.add_parser("chi2", help="two-point configuration space")
-    p.add_argument("--graph", required=True,
-                   help="fixture name (gamma1, gamma2), inline JSON, or *.json path")
-    p.add_argument("--oracle", action="store_true",
-                   help="also run the discretized cell count; mismatch exits 3")
-    p.set_defaults(handler=_cmd_graph)
 
-    p = sub.add_parser("verify", help="run the verification battery")
-    p.add_argument("--suite", choices=("all", "fast"), default="all")
-    p.set_defaults(handler=_cmd_verify)
+def _check_word(word: str | None, choices, what: str) -> None:
+    if word not in choices:
+        got = f"unknown {what} {word!r}" if word is not None else f"missing {what}"
+        raise UsageError(f"{got}; choose from {', '.join(choices)}")
 
-    return parser
+
+def _parse(argv: list[str]):
+    """The handler for argv and its arguments, read in one pass.
+
+    The word after a value option is always its value, so `--degree -1`
+    reaches the group model.  -h or --help where a command word or an
+    option may stand gives the usage handler.
+    """
+    tokens = iter(argv)
+    command = next(tokens, None)
+    if command in _HELP:
+        return _cmd_help, SimpleNamespace(command=None)
+    _check_word(command, _VARIANTS, "command")
+    variant = None
+    if _VARIANTS[command] != [None]:
+        variant = next(tokens, None)
+        if variant in _HELP:
+            return _cmd_help, SimpleNamespace(command=command)
+        _check_word(variant, _VARIANTS[command], f"{command} variant")
+    handler, options, _ = COMMANDS[command, variant]
+
+    given = {}
+    for tok in tokens:
+        if tok in _HELP:
+            return _cmd_help, SimpleNamespace(command=command)
+        name, eq, value = tok.partition("=")
+        if name not in options and tok[:2] in options:  # -n5
+            name, eq, value = tok[:2], "=", tok[2:]
+        if name not in options:
+            what = "option" if tok.startswith("-") else "argument"
+            raise UsageError(f"unknown {what} {tok!r}")
+        if options[name][0] is bool:
+            if eq:
+                raise UsageError(f"{name} takes no value")
+            value = True
+        elif not eq:
+            value = next(tokens, None)
+            if value is None:
+                raise UsageError(f"{name} needs a value")
+        given[name] = value
+
+    args = SimpleNamespace(command=command, variant=variant)
+    for name, (kind, default) in options.items():
+        value = given.get(name, default)
+        if value is None:
+            raise UsageError(f"missing {name}")
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise UsageError(f"{name} takes an integer, got {value!r}")
+        elif isinstance(kind, tuple) and value not in kind:
+            raise UsageError(f"{name} takes one of {', '.join(kind)}, got {value!r}")
+        setattr(args, name.lstrip("-"), value)
+    return handler, args
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.handler(args)
+        handler, args = _parse(sys.argv[1:] if argv is None else list(argv))
+        return handler(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

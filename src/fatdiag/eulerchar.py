@@ -138,6 +138,23 @@ def chi_stratum(chi: int, alpha: tuple[int, ...]) -> int:
     return _exact_div(value, factorial_product(alpha), f"chi_stratum({chi}, {alpha})")
 
 
+def chi_fd_work(n: int, d: int) -> int:
+    """Estimated work of chi_fd(chi, n, d): the n - d + 1 steps of its
+    recurrence make d - 1 products each, of length about n."""
+    return (n - d + 1) * (d - 1) * n
+
+
+def chi_bd_work(n: int, d: int) -> int:
+    """Estimated work of chi_bd(chi, n, d): that of its chi_b_upper term."""
+    return chi_b_upper_work(n, d - 1)
+
+
+def chi_b_upper_work(n: int, d: int) -> int:
+    """Estimated work of chi_b_upper(chi, n, d): n // (d + 1) + 1 terms,
+    each a binomial of about n products of length about n."""
+    return n * (n // (d + 1) + 1) * n
+
+
 def chi_fd(chi: int, n: int, d: int, parity: str = "even") -> int:
     """Euler characteristic of the ordered fat diagonal: n-tuples in which
     some value occurs at least d times.  Even-dimensional closed manifolds.
@@ -155,7 +172,7 @@ def chi_fd(chi: int, n: int, d: int, parity: str = "even") -> int:
     _require_even(parity, "ordered fat diagonal")
     if not 2 <= d <= n:
         raise ValueError(f"needs 2 <= d <= n, got d={d}, n={n}")
-    check_guard((n - d + 1) * (d - 1) * n, MAX_FORMULA_WORK, "closed formula work")
+    check_guard(chi_fd_work(n, d), MAX_FORMULA_WORK, "closed formula work")
     a = [chi**k for k in range(d)]
     for k in range(d, n + 1):
         acc, binom = 0, 1
@@ -223,10 +240,9 @@ def chi_b_upper(chi: int, n: int, d: int, parity: str = "even") -> int:
     _require_even(parity, "multiplicity-bounded symmetric product")
     if not 1 <= d <= n:
         raise ValueError(f"needs 1 <= d <= n, got d={d}, n={n}")
-    terms = n // (d + 1) + 1
-    check_guard(n * terms * n, MAX_FORMULA_WORK, "closed formula work")
+    check_guard(chi_b_upper_work(n, d), MAX_FORMULA_WORK, "closed formula work")
     return sum((-1) ** j * binomial_gen(chi, j) * chi_sp(chi, n - j * (d + 1))
-               for j in range(terms))
+               for j in range(n // (d + 1) + 1))
 
 
 def stratification_sum_bd(chi: int, n: int, d: int) -> int:

@@ -8,6 +8,8 @@ import sys
 from decimal import Decimal
 from pathlib import Path
 
+import pytest
+
 import fatdiag
 from fatdiag.cli import main
 
@@ -224,12 +226,15 @@ def _loaded_modules(*argvs: str) -> set[str]:
 def test_commands_import_only_what_they_run():
     loaded = _loaded_modules("chi|sp|--space|torus|-n|5",
                              "chi|bd|--space|sphere:2|-n|4|-d|2")
-    for name in ("dataclasses", "inspect", "fatdiag.selfcheck", "fatdiag.graphconf",
-                 "fatdiag.strata", "fatdiag.fundgroup", "fatdiag.permgroup"):
+    for name in ("argparse", "gettext", "locale", "dataclasses", "inspect",
+                 "fatdiag.selfcheck", "fatdiag.graphconf", "fatdiag.strata",
+                 "fatdiag.fundgroup", "fatdiag.permgroup"):
         assert name not in loaded, name
     package = {f"fatdiag.{path.stem}" for path in Path(fatdiag.__file__).parent.glob("*.py")
                if path.stem != "__init__"}
-    assert package - _loaded_modules("verify|--suite|fast") == set()
+    loaded = _loaded_modules("verify|--suite|fast", "--help")
+    assert package - loaded == set()
+    assert {"argparse", "gettext", "locale"} & loaded == set()
 
 
 def test_strata_depth_and_length(capsys):
@@ -447,3 +452,95 @@ def test_guard_scale_env_validation(capsys, monkeypatch):
 def test_missing_subcommand_is_usage_error(capsys):
     rc, out, err = run(capsys, "chi")
     assert rc == 1
+
+
+_FD_SURFACE = (
+    b'{"command": "chi fd", "inputs": {"d": "2", "n": "4", "space": {"betti": [1, 4, 1],'
+    b' "euler": "-2", "label": "surface:2", "parity": "even"}, "verify": false},'
+    b' "result": "-104", "schema": "fatdiag/1"}\n'
+)
+
+
+def test_option_forms_give_the_same_bytes(capsysbinary):
+    for argv in (
+        ("chi", "fd", "--space", "surface:2", "-n", "4", "-d", "2"),
+        ("chi", "fd", "--space=surface:2", "-n=4", "-d", "2"),
+        ("chi", "fd", "-d", "2", "-n", "9", "--space", "torus", "-n", "4",
+         "--space=surface:2"),
+        ("chi", "fd", "--space", "surface:2", "-n4", "-d2"),
+    ):
+        assert main(list(argv)) == 0, argv
+        assert capsysbinary.readouterr().out == _FD_SURFACE, argv
+
+
+def test_grid_csv_bytes(capsysbinary):
+    rc = main(["chi", "bd", "--space", "sphere:2", "-n", "4..5", "-d=2..3", "--csv"])
+    assert rc == 0
+    assert capsysbinary.readouterr().out == b"n,d,value\n4,2,5\n4,3,4\n5,2,6\n5,3,6\n"
+
+
+def test_parser_usage_errors(capsys):
+    for argv in (
+        ("chi", "bd", "--space", "torus", "-n", "4", "-d", "2", "--verif"),  # no prefixes
+        ("chi", "sp", "--spa", "torus", "-n", "4"),
+        ("chi", "sp", "--space", "torus", "-n", "4", "extra"),
+        ("chi", "sp", "--space", "torus", "-n"),
+        ("strata", "depth", "--degree", "x"),
+        ("strata", "depth", "--gens", "(1 2)"),
+        ("chi", "bd", "--space", "torus", "-n", "4", "-d", "2", "--verify=1"),
+        ("verify", "--suite", "most"),
+        ("verify", "all"),
+        ("chi", "xx"),
+        ("nosuch",),
+        ("-n", "4"),
+        (),
+    ):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 1, argv
+        assert out == ""
+        assert err.startswith("error:"), argv
+
+
+def test_help_prints_usage(capsys):
+    rc, out, err = run(capsys, "--help")
+    assert rc == 0 and err == ""
+    assert out.startswith("usage: fatdiag")
+    assert "fatdiag strata depth --degree DEGREE [--gens GENS]" in out
+    assert "fatdiag verify [--suite {all,fast}]" in out
+    rc, out, _ = run(capsys, "chi", "--help")
+    assert rc == 0
+    assert "fatdiag chi bd --space SPACE -n N -d D [--verify] [--csv]" in out
+    assert "fatdiag graph" not in out
+    rc, help_after_options, _ = run(capsys, "chi", "bd", "--space", "torus", "-h")
+    assert rc == 0 and help_after_options == out
+
+
+def test_grid_is_guarded_before_it_is_built(capsys, monkeypatch):
+    # the cell count is worked out from the bounds, then the summed
+    # estimated work of the cells, before any cell is made
+    for argv, guard in (
+        (("chi", "bd", "--space", "torus", "-n", "2..20000000", "-d", "2", "--csv"),
+         "grid cells: size 19999999"),
+        (("chi", "fd", "--space", "torus", "-n", "2..1500", "-d", "2..1500", "--csv"),
+         "grid cells: size 1124250"),
+        (("chi", "bd", "--space", "torus", "-n", "2..300", "-d", "2..300"),
+         "closed formula work"),
+    ):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 4, argv
+        assert out == ""
+        assert guard in err
+    # the count is exact: a limit of one cell fewer trips the guard
+    import fatdiag.cli
+    from fatdiag.errors import ResourceGuardError
+
+    for ns, ds, d_min in (((2, 9), (1, 12), 2), ((5, 7), (1, 3), 1), ((2, 3), (5, 9), 2),
+                          ((1, 40), (7, 20), 2), ((3, 3), (3, 3), 2), ((-5, 30), (-9, 4), 1)):
+        expected = [(n, d) for n in range(ns[0], ns[1] + 1)
+                    for d in range(ds[0], ds[1] + 1) if d_min <= d <= n]
+        monkeypatch.setattr(fatdiag.cli, "MAX_GRID_CELLS", len(expected))
+        assert fatdiag.cli._grid(ns, ds, d_min) == expected
+        if expected:
+            monkeypatch.setattr(fatdiag.cli, "MAX_GRID_CELLS", len(expected) - 1)
+            with pytest.raises(ResourceGuardError, match="grid cells"):
+                fatdiag.cli._grid(ns, ds, d_min)
