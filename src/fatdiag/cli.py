@@ -23,10 +23,12 @@ usage errors.  `-h` or `--help` prints usage lines made from the COMMANDS
 table.  A grid of `chi bd|fd|bupper` is guarded on its cell count and on
 the summed estimated work of its cells before any cell is built.
 
-Start-up imports only json, sys, types and the error types, and argv is
-read in one pass against the COMMANDS table; each command imports the
-modules it runs when it runs, so `chi sp` never loads the group, strata,
-graph or verification code.
+Start-up imports only sys, types and the error types, and argv is read
+in one pass against the COMMANDS table; each command imports the modules
+it runs when it runs, so `chi sp` never loads the group, strata, graph or
+verification code.  The envelope is written by a small encoder whose
+bytes are those of json.dumps(envelope, sort_keys=True), and json itself
+is loaded only to parse a JSON --space or --graph.
 
 Examples:
 
@@ -43,7 +45,6 @@ Examples:
 
 from __future__ import annotations
 
-import json
 import sys
 from types import SimpleNamespace
 
@@ -68,11 +69,70 @@ class UsageError(Exception):
     pass
 
 
+_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t",
+            "\b": "\\b", "\f": "\\f"}
+
+
+def _string(text: str) -> str:
+    """text as a JSON string, every character outside printable ASCII
+    escaped (astral ones as surrogate pairs), as json.dumps writes it."""
+    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+        return f'"{text}"'
+    out = []
+    for ch in text:
+        code = ord(ch)
+        if ch in _ESCAPES:
+            out.append(_ESCAPES[ch])
+        elif 0x20 <= code < 0x7F:
+            out.append(ch)
+        elif code < 0x10000:
+            out.append(f"\\u{code:04x}")
+        else:
+            code -= 0x10000
+            out.append(f"\\u{0xD800 | code >> 10:04x}\\u{0xDC00 | code & 0x3FF:04x}")
+    return '"' + "".join(out) + '"'
+
+
+def _scalar(value) -> str | None:
+    """A JSON scalar as json.dumps writes it (NaN and the infinities as
+    the bare words it allows), or None for any other value."""
+    if value is None or isinstance(value, bool):
+        return {None: "null", True: "true", False: "false"}[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value in (float("inf"), float("-inf")):
+            return "Infinity" if value > 0 else "-Infinity"
+        return float.__repr__(value)
+    return None
+
+
+def _encode(value) -> str:
+    """The bytes of json.dumps(value, sort_keys=True), without loading the
+    json module: a JSON --space label can hold any JSON value, so every
+    kind of value is covered.  Keys are sorted before they are turned into
+    strings, as json.dumps sorts them."""
+    if isinstance(value, str):
+        return _string(value)
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(map(_encode, value)) + "]"
+    if isinstance(value, dict):
+        return "{" + ", ".join(
+            _string(key if isinstance(key, str) else _scalar(key)) + ": " + _encode(item)
+            for key, item in sorted(value.items())) + "}"
+    text = _scalar(value)
+    if text is None:
+        raise TypeError(f"{type(value).__name__} is not JSON serializable")
+    return text
+
+
 def _emit(command: str, inputs: dict, result, oracle_results=None) -> None:
     envelope = {"schema": SCHEMA, "command": command, "inputs": inputs, "result": result}
     if oracle_results is not None:
         envelope["oracle_results"] = oracle_results
-    print(json.dumps(envelope, sort_keys=True))
+    print(_encode(envelope))
 
 
 def _exact(value: int) -> str:
@@ -132,7 +192,7 @@ def _space(args):
 
     try:
         return parse_space(args.space)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         raise UsageError(f"bad --space: {exc}")
 
 
@@ -359,9 +419,11 @@ def _cmd_graph(args) -> int:
         elif ref.strip().startswith("{"):
             graph = graph_from_json(ref)
         else:
+            import json
+
             with open(ref, "r", encoding="utf-8") as fh:
                 graph = graph_from_json(json.load(fh))
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         raise UsageError(f"bad --graph: {exc}")
     try:
         value = farber_chi_f2(graph)

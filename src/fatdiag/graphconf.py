@@ -22,7 +22,6 @@ Only two-point configurations are handled.
 
 from __future__ import annotations
 
-import json
 from typing import NamedTuple
 
 from .errors import InternalConsistencyError
@@ -251,6 +250,8 @@ def graph_from_json(data) -> Graph:
     cannot hold them, so merging them would answer for another space.
     """
     if isinstance(data, str):
+        import json
+
         data = json.loads(data)
     if not isinstance(data, dict) or "vertices" not in data or "edges" not in data:
         raise ValueError('graph JSON needs "vertices" and "edges"')

@@ -246,7 +246,24 @@ def check_depth_length(fast: bool = False) -> str:
         )
     for n in (5, 6):
         assert depth(symmetric_group(n)) == n - 1 < length_sn(n)
-    return f"depth table n <= {n_max}, battery of {len(battery)} groups"
+    # a Young subgroup S_l1 x S_l2 x ... stabilizes exactly the patterns
+    # that refine its orbits, a product of partition lattices, so its depth
+    # is the degree minus the number of orbits (fixed points included)
+    young = [(5, (2, 3)), (7, (3, 4)), (8, (3, 3)), (8, (2, 3, 3)),
+             (12, (3, 3, 3, 3)), (12, (2, 2, 2, 2, 2, 2))]
+    if not fast:
+        young.append((12, (4, 4, 4)))  # 13824 elements, about 0.1 s
+    for degree, sizes in young:
+        gens, start = [], 1
+        for size in sizes:
+            block = " ".join(map(str, range(start, start + size)))
+            gens += [f"({block})", f"({start} {start + 1})"]
+            start += size
+        orbits = len(sizes) + degree - sum(sizes)
+        got = depth(PermutationGroupModel(degree, gens))
+        assert got == degree - orbits, f"depth(S_{sizes} on {degree} points) = {got}"
+    return (f"depth table n <= {n_max}, battery of {len(battery)} groups, "
+            f"{len(young)} Young subgroups")
 
 
 def check_pi1_descriptors(fast: bool = False) -> str:

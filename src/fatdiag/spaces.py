@@ -21,8 +21,6 @@ it; higher integral homology is out of scope.
 
 from __future__ import annotations
 
-import json
-
 from .algebra import GradedPolynomial
 from .errors import check_guard
 
@@ -321,6 +319,8 @@ def space_from_json(data) -> SpaceModel:
      "pi1": "trivial|abelian|opaque:<label>", "parity": "even|odd|none"}.
     """
     if isinstance(data, str):
+        import json
+
         data = json.loads(data)
     if not isinstance(data, dict):
         raise ValueError("space JSON must be an object")
@@ -360,6 +360,8 @@ def parse_space(text: str) -> SpaceModel:
         return space_from_json(text)
     if text.startswith("@") or text.endswith(".json"):
         path = text[1:] if text.startswith("@") else text
+        import json
+
         with open(path, "r", encoding="utf-8") as fh:
             return space_from_json(json.load(fh))
     factors = [part.strip() for part in text.split(" x ")]

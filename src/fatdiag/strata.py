@@ -1,6 +1,5 @@
 """Equality-pattern stratification of a cartesian power under a permutation
-group: pattern stabilizer orders, stratification depth, and subgroup chain
-length.
+group: stratification depth, and subgroup chain length.
 
 A set partition P of the n coordinates is an equality pattern; its
 stabilizer in G consists of the elements mapping every block to itself.
@@ -11,18 +10,18 @@ pattern is realized by actual points and this combinatorial depth is the
 depth of the orbit-type stratification of the quotient; that geometric
 reading is an assumption of the caller, not checked here.
 
-g stabilizes P exactly when its cycle partition refines P, so the
-stabilizer orders are the zeta transform, over the partition lattice, of
-the number of elements of each cycle partition (Rota, On the foundations
-of combinatorial theory I, 1964; Stanley, Enumerative Combinatorics 1,
-section 3.10).  It is summed upward: each cycle partition with k blocks
-adds its count to its Bell(k) coarsenings, so the work is the sum of
-Bell(k) over the distinct cycle partitions, not Bell(n) patterns each
-tested against every cycle partition.  Since stabilizers along a chain are nested, two of them are
-conjugate in G exactly when they are equal, so strict growth of the
-conjugacy class is tested by comparing orders.  depth is guarded on its
-estimated work, the zeta pairs plus the most block merges its search can
-make, which are both known before either starts.
+g stabilizes P exactly when its cycle partition refines P, so G_P
+consists of the elements whose cycle partitions refine P, and its orbit
+partition, the join of their cycle partitions, has the same stabilizer.
+The stabilizers that occur are therefore those of the lattice L of joins
+of cycle partitions, one member of L for each (a Galois connection:
+Birkhoff, Lattice Theory, ch. V), and the depth is the height of L.  It
+is found by a memoized longest-path search from the discrete pattern,
+each step joining one more cycle partition; L is usually far smaller than
+the Bell(n) set partitions, and when it is not (S_n, where every pattern
+is a join of cycle partitions) the search stops as soon as a path reaches
+the most steps the block counts allow.  depth is guarded on the
+refinement tests and joins it makes, counted as the search goes.
 
 Subgroup chains (group_length) run over every subgroup.  Each subgroup is
 found as a join <S, g> of a known subgroup S and one more element, built by
@@ -34,15 +33,13 @@ restricts the group to the points it moves.
 
 from __future__ import annotations
 
-from collections import Counter
-from itertools import combinations
-
-from .combinatorics import set_partitions_cached
-from .errors import check_guard
+from .errors import check_guard, guard_scale
 from .permgroup import Perm, PermutationGroupModel, _closure, _compose
 
-# Lattice steps of depth (zeta pairs plus merges), a few microseconds each:
-# S_9 takes 1.8 * 10^6 of them, every group of degree 11 more than 8 * 10^6.
+# Refinement tests and joins of the depth search, counted as it makes them,
+# one unit per moved point each: S_9 takes 900 units, A_9 1.9 * 10^5 and
+# PGammaL(2, 8) on 9 points 1.24 * 10^6 (about 0.5 s); M_11 would take
+# 9 * 10^6, and trips the guard after about 1 s.
 MAX_DEPTH_WORK = 2 * 10**6
 # Subgroup search work, counted as it goes: tuple entries composed, plus
 # the subgroup pairs the chain pass compares.  S_5 takes 3.7 * 10^6 units
@@ -66,69 +63,92 @@ def _cycle_partition(g: Perm) -> tuple[int, ...]:
     return tuple(labels)
 
 
-def _cycle_partitions(group: PermutationGroupModel) -> Counter[tuple[int, ...]]:
-    """Map each cycle partition to the number of elements that have it."""
-    return Counter(map(_cycle_partition, group.stream()))
+def _steps(group: PermutationGroupModel) -> list[tuple[Perm, tuple[tuple[int, ...], ...]]]:
+    """The distinct cycle partitions of the elements other than the
+    identity, with the most blocks first.
 
-
-def _stabilizer_sizes(by_cycles: Counter[tuple[int, ...]]) -> Counter[tuple[int, ...]]:
-    """Map each pattern (as a label vector) to the order of its stabilizer,
-    from the element counts by cycle partition.
-
-    g fixes a pattern exactly when its cycle partition refines it, so this
-    is the zeta transform of the counts over the partition lattice (Rota
-    1964; Stanley, Enumerative Combinatorics 1, section 3.10), summed
-    upward: a cycle partition c with k blocks adds its count to every
-    coarsening of c.  The coarsenings are the images of the k-point set
-    partitions q under the labels of c, and (q[c[0]], q[c[1]], ...) is
-    already a canonical label vector, because c and q both number their
-    blocks in order of first appearance.  The work is the sum of Bell(k)
-    over the distinct cycle partitions; the identity alone reaches all
-    Bell(n) patterns.
+    Each is kept as a successor map s, which sends every point to the next
+    point of its block, and its blocks of two or more points: a pattern P
+    is refined by it exactly when P[s[p]] = P[p] for every p, and the join
+    with P merges the labels of P that each of those blocks touches.
     """
-    sizes: Counter[tuple[int, ...]] = Counter()
-    for cycles, count in by_cycles.items():
-        for q in set_partitions_cached(max(cycles) + 1):
-            sizes[tuple(map(q.__getitem__, cycles))] += count
-    return sizes
+    partitions = set(map(_cycle_partition, group.stream()))
+    partitions.discard(tuple(range(group.degree)))
+    steps = []
+    for cycles in sorted(partitions, key=lambda c: (-max(c), c)):
+        blocks: list[list[int]] = [[] for _ in range(max(cycles) + 1)]
+        for p, label in enumerate(cycles):
+            blocks[label].append(p)
+        successor = list(range(group.degree))
+        for block in blocks:
+            for p, q in zip(block, block[1:] + block[:1]):
+                successor[p] = q
+        steps.append((tuple(successor), tuple(tuple(b) for b in blocks if len(b) > 1)))
+    return steps
 
 
-def _lattice_counts(n: int) -> tuple[list[int], int]:
-    """Bell(0), ..., Bell(n), and the merges sum_b S(n, b) C(b, 2) that the
-    search of depth makes at most over the patterns of n points, from the
-    rows of the Stirling triangle.
+def _join(labels: tuple[int, ...], b: int,
+          blocks: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], int]:
+    """The join of the pattern labels (b blocks) with the partition whose
+    blocks of two or more points are given, and its number of blocks.
 
-    The work estimate of depth at degree n is at least Bell(m) zeta pairs
-    (the coarsenings of the identity) plus the merges of degree m, for any
-    m <= n, so each row is checked against the depth guard as it is built
-    and a large degree trips after a dozen rows.
+    Each merged class of labels is rooted at its smallest label.  Labels
+    number the blocks in order of first appearance, so the classes appear
+    in the order of their roots, and a root's rank among the roots is the
+    class's new label.
     """
-    bell, row, merges = [1], [1], 0
-    for _ in range(n):
-        row = [b * s + t for b, (s, t) in enumerate(zip(row + [0], [0] + row))]
-        bell.append(sum(row))
-        merges = sum(s * b * (b - 1) // 2 for b, s in enumerate(row))
-        check_guard(bell[-1] + merges, MAX_DEPTH_WORK, "stratification depth")
-    return bell, merges
+    root = list(range(b))
+    for block in blocks:
+        r = root[labels[block[0]]]
+        while root[r] != r:
+            r = root[r]
+        for p in block[1:]:
+            s = root[labels[p]]
+            while root[s] != s:
+                s = root[s]
+            if s < r:
+                root[r] = s
+                r = s
+            elif s > r:
+                root[s] = r
+    # root becomes the rank table in place: a label that is not a root
+    # points to a smaller label, whose entry already holds its class's rank
+    rank = root
+    k = 0
+    for label in range(b):
+        r = root[label]
+        if r == label:
+            rank[label] = k
+            k += 1
+        else:
+            rank[label] = rank[r]
+    return tuple(map(rank.__getitem__, labels)), k
 
 
 def depth(group: PermutationGroupModel) -> int:
     """Longest chain of strict pattern coarsenings with strictly growing
-    stabilizers.
+    stabilizers: the height of the lattice L of joins of cycle partitions.
 
-    Memoized search over the partition lattice: climb(P) is the most
-    strict stabilizer jumps on any coarsening path from P up to the
-    one-block pattern, and the answer is climb at the discrete pattern,
-    where the stabilizer is the kernel of the action.  Merging blocks
-    i < j of a pattern with b blocks relabels j as i and every label above
-    j one lower, which keeps the labels canonical; each of the C(b, 2)
-    merges is one precomputed table.  A path from b blocks has at most
-    b - 1 steps, and each strict jump moves to a stabilizer whose order is
-    a proper multiple, so the jumps above a pattern are also at most the
-    longest chain of proper multiples, among the stabilizer orders that
-    occur, from its own order up to |G|.  The search stops at a pattern
-    once the smaller bound is reached, and skips a merge that cannot beat
-    the best found; it visits every pattern and merge at most once.
+    The orbit partition of a pattern stabilizer G_P is the join of the
+    cycle partitions of its elements and has the same stabilizer, and a
+    join of cycle partitions is the orbit partition of its own stabilizer.
+    So replacing each pattern of a chain by the orbit partition of its
+    stabilizer keeps every stabilizer, distinct members of L have distinct
+    stabilizers, and the depth is the height of L (a Galois connection:
+    Birkhoff, Lattice Theory, ch. V).  L runs from the discrete pattern
+    to the orbit partition of G, and it has one member per pattern
+    stabilizer, not one per set partition.
+
+    Memoized longest path from the discrete pattern: a step goes from P to
+    P v c for a cycle partition c not refining P.  Every cover of L is a
+    step and every step strictly enlarges the stabilizer, so the longest
+    path is the height.  Steps from the cycle partitions with the most
+    blocks come first, and a pattern stops once its path reaches
+    blocks(P) - blocks(orbit partition), the most any path from it can
+    make; a step whose join cannot beat the best found is not followed.
+    Fixed points are singletons of every member of L, so the search runs
+    on the moved points.  The guard counts the refinement tests and joins,
+    degree units each, as the search makes them.
 
     >>> from .permgroup import symmetric_group, trivial_group
     >>> depth(symmetric_group(4))
@@ -136,44 +156,40 @@ def depth(group: PermutationGroupModel) -> int:
     >>> depth(trivial_group(5))
     0
     """
+    group = _on_moved_points(group)
     n = group.degree
-    if n == 0:
-        return 0
-    bell, merges = _lattice_counts(n)
-    by_cycles = _cycle_partitions(group)
-    zeta_pairs = sum(bell[max(cycles) + 1] for cycles in by_cycles)
-    check_guard(zeta_pairs + merges, MAX_DEPTH_WORK, "stratification depth")
-    stab_size = _stabilizer_sizes(by_cycles)
-    chain: dict[int, int] = {}
-    for size in sorted(set(stab_size.values()), reverse=True):
-        chain[size] = max((chain[t] + 1 for t in chain if t % size == 0), default=0)
-    tables = [[tuple(i if lab == j else lab - (lab > j) for lab in range(b))
-               for i, j in combinations(range(b), 2)] for b in range(n + 1)]
-
-    def bound(size: int, b: int) -> int:
-        return min(b - 1, chain[size])
-
+    steps = _steps(group)
+    top = len(group.orbit_sizes())
+    limit = MAX_DEPTH_WORK * guard_scale()
+    work = 0
     best: dict[tuple[int, ...], int] = {}
 
     def climb(labels: tuple[int, ...], b: int) -> int:
+        nonlocal work
         score = best.get(labels)
         if score is not None:
             return score
-        here = stab_size[labels]
-        cap = bound(here, b)
+        cap = b - top
         score = 0
-        for table in tables[b]:
+        label_of = labels.__getitem__
+        for successor, blocks in steps:
             if score == cap:
                 break
-            merged = tuple(map(table.__getitem__, labels))
-            size = stab_size[merged]
-            jump = size > here
-            if bound(size, b - 1) + jump > score:
-                score = max(score, climb(merged, b - 1) + jump)
+            work += n
+            if work > limit:
+                check_guard(work, MAX_DEPTH_WORK, "stratification depth")
+            if tuple(map(label_of, successor)) == labels:
+                continue
+            work += n
+            joined, k = _join(labels, b, blocks)
+            if k - top >= score:
+                score = max(score, climb(joined, k) + 1)
         best[labels] = score
         return score
 
-    return climb(tuple(range(n)), n)
+    result = climb(tuple(range(n)), n)
+    check_guard(work, MAX_DEPTH_WORK, "stratification depth")
+    return result
 
 
 def length_sn(n: int) -> int:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import ast
+import importlib
 import json
 import math
 import os
@@ -205,20 +207,21 @@ def test_chi_gamma_streams_the_group():
 
 
 # Runs main on each '|'-separated argv given, then prints the exit codes
-# and the names of every module loaded.
+# and the names of every module loaded, as a Python literal (printing JSON
+# would load json itself).
 _LOADED_MODULES = """
-import contextlib, io, json, sys
+import contextlib, io, sys
 from fatdiag.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [main(argv.split("|")) for argv in sys.argv[1:]]
-print(json.dumps([codes, sorted(sys.modules)]))
+print(repr([codes, sorted(sys.modules)]))
 """
 
 
 def _loaded_modules(*argvs: str) -> set[str]:
     proc = subprocess.run([sys.executable, "-c", _LOADED_MODULES, *argvs],
                           capture_output=True, text=True, env=_child_env(), check=True)
-    codes, modules = json.loads(proc.stdout)
+    codes, modules = ast.literal_eval(proc.stdout)
     assert codes == [0] * len(argvs)
     return set(modules)
 
@@ -226,10 +229,13 @@ def _loaded_modules(*argvs: str) -> set[str]:
 def test_commands_import_only_what_they_run():
     loaded = _loaded_modules("chi|sp|--space|torus|-n|5",
                              "chi|bd|--space|sphere:2|-n|4|-d|2")
-    for name in ("argparse", "gettext", "locale", "dataclasses", "inspect",
+    for name in ("argparse", "gettext", "locale", "dataclasses", "inspect", "json",
                  "fatdiag.selfcheck", "fatdiag.graphconf", "fatdiag.strata",
                  "fatdiag.fundgroup", "fatdiag.permgroup"):
         assert name not in loaded, name
+    # json is loaded to parse a JSON --space, and only then
+    assert "json" not in _loaded_modules("strata|depth|--degree|4|--gens|(1 2 3 4)")
+    assert "json" in _loaded_modules('chi|sp|--space|{"betti": [1]}|-n|2')
     package = {f"fatdiag.{path.stem}" for path in Path(fatdiag.__file__).parent.glob("*.py")
                if path.stem != "__init__"}
     loaded = _loaded_modules("verify|--suite|fast", "--help")
@@ -314,9 +320,11 @@ def test_exit_code_unsupported_space(capsys):
 
 
 def test_exit_code_resource_guard(capsys, monkeypatch):
-    rc, out, err = run(capsys, "strata", "depth", "--degree", "11", "--gens", "")
-    assert rc == 4
-    assert "resource guard" in err
+    # M_11: the depth search would make 9 * 10^6 units of tests and joins
+    rc, out, err = run(capsys, "strata", "depth", "--degree", "11",
+                       "--gens", "(1 2 3 4 5 6 7 8 9 10 11); (3 7 11 8)(4 10 5 6)")
+    assert rc == 4 and out == ""
+    assert "resource guard: stratification depth" in err
     # the guard scales down with the environment knob
     monkeypatch.setenv("FATDIAG_GUARD_SCALE", "0.00001")
     rc, _, err = run(capsys, "strata", "depth", "--degree", "4", "--gens", "(1 2 3 4)")
@@ -544,3 +552,54 @@ def test_grid_is_guarded_before_it_is_built(capsys, monkeypatch):
             monkeypatch.setattr(fatdiag.cli, "MAX_GRID_CELLS", len(expected) - 1)
             with pytest.raises(ResourceGuardError, match="grid cells"):
                 fatdiag.cli._grid(ns, ds, d_min)
+
+
+def _envelopes(monkeypatch, argvs) -> list:
+    """The envelope of each argv that prints one, from main in-process."""
+    encode, seen = fatdiag.cli._encode, []
+
+    def record(value):
+        if isinstance(value, dict) and "schema" in value:  # not a nested value
+            seen.append(value)
+        return encode(value)
+
+    monkeypatch.setattr(fatdiag.cli, "_encode", record)
+    for argv in argvs:
+        main(list(argv))
+    monkeypatch.undo()
+    return seen
+
+
+def test_envelope_encoder_matches_json_dumps(capsys, monkeypatch):
+    # every envelope of the three benchmark workloads, seeds 1 and 2
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    argvs = sorted({cmd.args for name in workloads.WORKLOADS for seed in (1, 2)
+                    for cmd in workloads.generate(name, seed)})
+    envelopes = _envelopes(monkeypatch, argvs)
+    capsys.readouterr()
+    assert len(envelopes) == len([argv for argv in argvs if "--csv" not in argv])
+    for envelope in envelopes:
+        assert fatdiag.cli._encode(envelope) == json.dumps(envelope, sort_keys=True)
+
+
+def test_envelope_encoder_on_adversarial_labels(capsys):
+    # a JSON --space label may be any JSON value: escapes, astral characters
+    # (surrogate pairs), lone surrogates, DEL, floats, NaN, the infinities,
+    # nested containers and keys that sort differently from their order
+    labels = ['"q\\"uote\\\\ \\b\\f\\n\\r\\t \\u0000\\u001f\\u007f"',
+              '"\\u00e9 \\u20ac \\ud83d\\ude00 \\ud800 \\udfff \\uffff"',
+              '"é€😀"', "1.5", "-0.0", "1e400", "-1e400", "NaN", "Infinity", "-Infinity",
+              "1e-320", "123456789012345678901234567890", "true", "false", "null",
+              "[]", "{}", '[1, [2.5, {"b": null, "a": [true]}], "x"]',
+              '{"b": 1, "a": 2, "B": 3, "": 4, "\\u00e9": 5, "10": 6, "9": 7}']
+    for label in labels:
+        rc, out, err = run(capsys, "chi", "sp", "--space",
+                           f'{{"betti": [1], "label": {label}}}', "-n", "2")
+        assert rc == 0, (label, err)
+        envelope = json.loads(out)
+        assert out == json.dumps(envelope, sort_keys=True) + "\n", label
+    for value in [float("nan"), float("inf"), -float("inf"), 1e16, 2.0**-1074, 0.1,
+                  {2: "a", 1: "b"}, {1.5: 0, 0.5: 1}, {True: 1, False: 0}, {None: 1},
+                  (1, "t"), "\U0010ffff", "\x7f\x80\u2028", -(10**30)]:
+        assert fatdiag.cli._encode(value) == json.dumps(value, sort_keys=True), value

@@ -6,7 +6,9 @@ unknown and abbreviated options, stray words and missing values.  Whatever
 the argv, the contract holds: the exit code is 0, 1, 2 or 4, no traceback
 reaches stderr, and stdout is empty, one envelope line, or a CSV table
 when --csv was given.  The draws stay cheap (groups of degree <= 6 and at
-most S_4, --verify only with n <= 8, no `verify --suite all`).
+most S_4, --verify only with n <= 8, no `verify --suite all`), apart from
+`strata depth` at degree up to 40 on a trivial, cyclic or involution
+generator, whose join lattice is small at any degree.
 """
 
 from __future__ import annotations
@@ -60,6 +62,30 @@ def _words(rng: random.Random, option: str, value: str | None) -> list[str]:
     return [name, value]
 
 
+def _large_depth_argv(rng: random.Random) -> tuple[list[str], int]:
+    """A `strata depth` argv on a trivial, cyclic or involution generator
+    of degree <= 40, and its depth: 0, the number of prime factors of the
+    cycle length (the height of its divisor lattice), or 1."""
+    degree = rng.randint(0, 40)
+    points = list(range(1, degree + 1))
+    rng.shuffle(points)
+    kind = rng.choice(["trivial", "cyclic", "involution"])
+    if kind == "trivial" or degree < 2:
+        return ["strata", "depth", "--degree", str(degree), "--gens", ""], 0
+    if kind == "cyclic":
+        gens = "(" + " ".join(map(str, points)) + ")"
+        want, m, p = 0, degree, 2
+        while m > 1:
+            while m % p == 0:
+                m, want = m // p, want + 1
+            p += 1
+    else:
+        pairs = rng.randint(1, degree // 2)
+        gens = "".join(f"({points[2 * i]} {points[2 * i + 1]})" for i in range(pairs))
+        want = 1
+    return ["strata", "depth", "--degree", str(degree), "--gens", gens], want
+
+
 def random_argv(rng: random.Random) -> list[str]:
     (command, variant), (_, options, _) = rng.choice(list(COMMANDS.items()))
     argv = [command] + ([variant] if variant else [])
@@ -111,3 +137,13 @@ def test_contract_holds_on_random_argv(capsys):
         _check(argv, rc, captured.out, captured.err)
         codes.add(rc)
     assert codes == {0, 1, 2, 4}
+
+
+def test_contract_holds_on_large_depth_draws(capsys):
+    rng = random.Random(20112)
+    for _ in range(40):
+        argv, want = _large_depth_argv(rng)
+        rc = main(argv)
+        captured = capsys.readouterr()
+        _check(argv, rc, captured.out, captured.err)
+        assert rc == 0 and json.loads(captured.out)["result"] == str(want), argv

@@ -23,7 +23,7 @@ from fatdiag.permgroup import (
     symmetric_group,
     trivial_group,
 )
-from fatdiag.strata import _cycle_partition, _cycle_partitions
+from fatdiag.strata import _cycle_partition, _steps
 
 
 def test_parse_cycles():
@@ -228,7 +228,11 @@ def test_stabilizer_chain_matches_closure(monkeypatch):
         assert group.order() == len(walk) == len(streamed), group.generators
         assert set(streamed) == walk == group.elements()
         assert group.cycle_type_histogram() == Counter(map(_cycle_type, walk))
-        assert _cycle_partitions(group) == Counter(map(_cycle_partition, walk))
+        # the depth search steps by the distinct cycle partitions other than
+        # the discrete one; each step's successor map has those cycles
+        partitions = set(map(_cycle_partition, walk)) - {tuple(range(group.degree))}
+        steps = [_cycle_partition(successor) for successor, _ in _steps(group)]
+        assert len(steps) == len(partitions) and set(steps) == partitions
 
 
 def test_order_needs_no_enumeration():
