@@ -275,6 +275,7 @@ def _cmd_chi(args) -> int:
         chi_fd,
         chi_fd_work,
         chi_sp,
+        chi_sp_bits,
     )
 
     space = _space(args)
@@ -286,6 +287,7 @@ def _cmd_chi(args) -> int:
             raise UsageError("chi sp takes a single -n")
         if n < 0:
             raise UsageError("-n must be >= 0")
+        check_guard(chi_sp_bits(chi, n), MAX_RESULT_BITS, "result size")
         _emit(
             "chi sp",
             {"space": _space_echo(space), "n": n},
@@ -337,11 +339,18 @@ def _cmd_chi(args) -> int:
 
 
 def _cmd_chi_gamma(args) -> int:
-    from .eulerchar import chi_gamma_product
+    from .eulerchar import chi_gamma_bits, chi_gamma_product
 
     space = _space(args)
     group = _group(args)
-    value = chi_gamma_product(space.euler(), group)
+    chi = space.euler()
+    if chi > 0:
+        # every term is positive, so the average is at least the identity's
+        # term over the order, chi^degree / |G|: refused before any term is
+        # computed when even that is too long
+        bits = chi_gamma_bits(chi, group.degree) - (group.order() - 1).bit_length()
+        check_guard(bits, MAX_RESULT_BITS, "result size")
+    value = chi_gamma_product(chi, group)
     _emit(
         "chi gamma",
         {"space": _space_echo(space), "degree": args.degree, "gens": args.gens,

@@ -155,6 +155,41 @@ def chi_b_upper_work(n: int, d: int) -> int:
     return n * (n // (d + 1) + 1) * n
 
 
+def _bits_at_least(count: int, log2_each: float) -> int:
+    """A lower bound on the bit length of an integer of at least
+    2^(count * log2_each), for log2_each >= 1: the product in floating point,
+    less a relative margin for the rounding.  For a count near the range of
+    a float the integer is at least 2^count, which has count + 1 bits."""
+    if count <= 0:
+        return 0
+    if count.bit_length() > 512:
+        return count + 1
+    return math.floor(count * log2_each * (1 - 1e-9)) + 1
+
+
+def chi_gamma_bits(chi: int, degree: int) -> int:
+    """A lower bound on the bit length of chi^degree, the largest term of
+    chi_gamma_product's sum (the identity has the most cycles), found
+    without computing it: exact for a power of two, and otherwise up to
+    the rounding of degree * log2|chi|, which is never an integer."""
+    base = abs(chi)
+    if base < 2:
+        return 0
+    if base & (base - 1) == 0:
+        return degree * (base.bit_length() - 1) + 1
+    return _bits_at_least(degree, math.log2(base))
+
+
+def chi_sp_bits(chi: int, n: int) -> int:
+    """A lower bound on the bit length of chi_sp(chi, n), found without
+    computing it.  |chi_sp| is C(m, n), with m = chi + n - 1 for chi >= 1
+    and m = -chi for chi <= 0, and C(m, k) >= (m / k)^k for the smaller
+    side k = min(n, m - n), where m / k >= 2."""
+    m = chi + n - 1 if chi >= 1 else -chi
+    k = min(n, m - n)
+    return _bits_at_least(k, math.log2(m) - math.log2(k)) if k > 0 else 0
+
+
 def chi_fd(chi: int, n: int, d: int, parity: str = "even") -> int:
     """Euler characteristic of the ordered fat diagonal: n-tuples in which
     some value occurs at least d times.  Even-dimensional closed manifolds.

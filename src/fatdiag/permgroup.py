@@ -19,6 +19,26 @@ the product of the orbit sizes, found without enumerating, and every element
 is the product of one transversal element per level, so the elements are
 streamed once each without a visited set (PermutationGroupModel.stream).
 
+The cycle-type histogram does not walk every element.  Split the chain
+into upper levels, whose products u are coset representatives of the
+pointwise stabilizer H of the upper base points, and lower levels, whose
+products are the elements of H.  The coset uH is named by its base image
+(u(b_0), ..., u(b_{k-1})); conjugating by h in H sends uH to (h u)H, whose
+base image is h applied entrywise, and keeps every cycle type.  So the
+histogram is the sum over the H-orbits of base images, found breadth-first
+under H's strong generators, of the orbit size times the histogram of one
+coset (Seress, ch. 4-5, for the chain and its strong generators).
+
+A group that is a direct product over its orbits is handled factor by
+factor (direct_factors).  Orbits that no generator ties together carry
+commuting factors at once; within a set of tied orbits, an orbit O splits
+off when, for every generator g, the element acting as g on O and fixing
+every other point lies in G, which sifting through the chain decides, and
+the orbits that do not split form one last factor.  Each factor is a
+group on its own renumbered points; the histogram of G is the
+convolution of the factors' histograms, with the fixed points as
+1-cycles, and strata adds depth and chain length over the factors.
+
 The closure walk, _closure, is the orbit of a tuple under the group
 generated by some permutations, found breadth-first by left multiplication.
 From the identity it enumerates the subgroup joins of strata.all_subgroups;
@@ -33,18 +53,24 @@ to slot g(j) and (g h) . x = g . (h . x).
 from __future__ import annotations
 
 import math
+import operator
 import re
 from collections import Counter
 from functools import lru_cache
 from typing import Iterator
 
 from .combinatorics import alpha_sequences, factorial_product
-from .errors import check_guard
+from .errors import check_guard, guard_scale
 
 # Group work, in tuple entries: the entries the stabilizer chain composes,
 # counted as it is built, and |G| * degree before the first element is
 # streamed, which bounds both the time of a walk over the group and the
-# memory of an element set.
+# memory of an element set.  A histogram is guarded on the entries of its
+# coset lists before they are built, on the elements of the cosets it walks
+# (times the degree) before the walk, and on the cycle-type pairs its
+# factor convolution adds (times the degree).  The same limit ends the
+# search for direct factors, counted in the entries of the elements it
+# builds and sifts: past it, the orbits not yet tested stay unsplit.
 MAX_GROUP_WORK = 4 * 10**6
 MAX_TUPLE_ORBIT = 10**6
 MAX_TRANSITIVITY_DEGREE = 4
@@ -70,14 +96,13 @@ def _from_cycles(cycles, degree: int) -> Perm:
 def _cycle_type(g: Perm) -> tuple[int, ...]:
     """Cycle-length counts: entry l - 1 is the number of cycles of length l."""
     counts = [0] * len(g)
-    seen = bytearray(len(g))
-    for start in range(len(g)):
+    seen = [False] * len(g)
+    for start, p in enumerate(g):
         if seen[start]:
             continue
-        length = 0
-        p = start
-        while not seen[p]:
-            seen[p] = 1
+        length = 1
+        while p != start:
+            seen[p] = True
             p = g[p]
             length += 1
         counts[length - 1] += 1
@@ -108,11 +133,30 @@ def _closure(start: tuple[int, ...], generators) -> frozenset[tuple[int, ...]]:
     return frozenset(found)
 
 
-def _stabilizer_chain(degree: int, generators) -> list[list[Perm]]:
-    """Transversals of a stabilizer chain of the group the generators
-    generate, by the Schreier-Sims algorithm: for each base point b_i, one
-    element u with u[b_i] = p for every point p of the orbit of b_i under
-    the stabilizer of the earlier base points.
+class _Chain:
+    """A stabilizer chain: base points b_0, b_1, ...; at each level i the
+    strong generators fixing b_0, ..., b_{i-1}, which generate the pointwise
+    stabilizer of those points; the transversal of level i, as a list and
+    keyed by the image of b_i; and the inverses of its elements found so
+    far, keyed the same way.  A plain class: a NamedTuple costs about
+    0.3 ms to create at import, which every group command pays."""
+
+    __slots__ = ("points", "strong", "levels", "transversals", "inverses")
+
+    def __init__(self, points: list[int], strong: list[list[Perm]],
+                 transversals: list[dict[int, Perm]], inverses: list[dict[int, Perm]]) -> None:
+        self.points = points
+        self.strong = strong
+        self.levels = [list(transversal.values()) for transversal in transversals]
+        self.transversals = transversals
+        self.inverses = inverses
+
+
+def _stabilizer_chain(degree: int, generators) -> _Chain:
+    """A stabilizer chain of the group the generators generate, by the
+    Schreier-Sims algorithm: for each base point b_i, one element u with
+    u[b_i] = p for every point p of the orbit of b_i under the stabilizer of
+    the earlier base points, and the strong generators of each level.
 
     Level i keeps the strong generators that fix b_0, ..., b_{i-1}, and its
     transversal is closed under them.  For every strong generator s and
@@ -178,7 +222,7 @@ def _stabilizer_chain(degree: int, generators) -> list[list[Perm]]:
                 if residue != identity:
                     add(residue, level + 1, stop)
             check_guard(work, MAX_GROUP_WORK, "group enumeration")
-    return [list(transversal.values()) for transversal in reps]
+    return _Chain(points, strong, reps, inverses)
 
 
 def _products(levels: list[list[Perm]], identity: Perm) -> list[Perm]:
@@ -191,18 +235,24 @@ def _products(levels: list[list[Perm]], identity: Perm) -> list[Perm]:
     return out
 
 
+def _split(levels: list[list[Perm]]) -> int:
+    """The level k at which the products of levels below k and those of
+    levels k and above make the shortest two lists together (about
+    sqrt(|G|) each when the orbits are alike)."""
+    order = math.prod(map(len, levels))
+    lower_sizes = [math.prod(map(len, levels[k:])) for k in range(len(levels) + 1)]
+    return min(range(len(levels) + 1), key=lambda k: lower_sizes[k] + order // lower_sizes[k])
+
+
 def _chain_elements(levels: list[list[Perm]], identity: Perm) -> Iterator[Perm]:
     """Every element of the group of a stabilizer chain, once each.
 
-    The products of the lowest levels and those of the levels above are
-    built as two lists, split where the lists are shortest together (about
-    sqrt(|G|) each when the orbits are alike); each element is then one
+    The products of the lower levels and those of the upper levels are
+    built as two lists, split by _split; each element is then one
     composition of an upper product with a lower one, and none is kept.  A
     chain of one level is its own list of elements.
     """
-    order = math.prod(map(len, levels))
-    lower_sizes = [math.prod(map(len, levels[k:])) for k in range(len(levels) + 1)]
-    split = min(range(len(levels) + 1), key=lambda k: lower_sizes[k] + order // lower_sizes[k])
+    split = _split(levels)
     lower = _products(levels[split:], identity)
     if not split:
         yield from lower
@@ -210,6 +260,88 @@ def _chain_elements(levels: list[list[Perm]], identity: Perm) -> Iterator[Perm]:
     for upper in _products(levels[:split], identity):
         for x in lower:
             yield _compose(upper, x)
+
+
+def _chain_histogram(chain: _Chain, degree: int) -> Counter[tuple[int, ...]]:
+    """Cycle-type histogram of the group of a stabilizer chain, walking one
+    coset of H per H-conjugacy orbit of cosets.
+
+    With the split k of _chain_elements, H is the pointwise stabilizer of
+    b_0, ..., b_{k-1}: its elements are the lower products, and its strong
+    generators those of level k.  Each upper product u is keyed by its base
+    image, which names the coset uH; h in H conjugates uH to the coset
+    keyed by h applied to that key, with the same cycle types.  The keys'
+    H-orbits are found breadth-first, and each adds its size times the
+    histogram of the coset of one of its keys.  Guarded on the entries of
+    the two lists before they are built, and on the elements walked, times
+    the degree, before the walk.
+    """
+    levels = chain.levels
+    split = _split(levels)
+    lower_size = math.prod(map(len, levels[split:]))
+    upper_size = math.prod(map(len, levels[:split]))
+    check_guard((upper_size + lower_size) * degree, MAX_GROUP_WORK, "group enumeration")
+    identity = tuple(range(degree))
+    lower = _products(levels[split:], identity)
+    if not split:
+        return Counter(map(_cycle_type, lower))
+    base = chain.points[:split]
+    coset = {tuple(map(u.__getitem__, base)): u for u in _products(levels[:split], identity)}
+    conjugators = chain.strong[split] if split < len(levels) else []
+    orbits: list[tuple[Perm, int]] = []
+    seen: set[tuple[int, ...]] = set()
+    for key, u in coset.items():
+        if key in seen:
+            continue
+        seen.add(key)
+        frontier = [key]
+        size = 0
+        while frontier:
+            size += len(frontier)
+            nxt = []
+            for t in frontier:
+                for h in conjugators:
+                    image = tuple(map(h.__getitem__, t))
+                    if image not in seen:
+                        seen.add(image)
+                        nxt.append(image)
+            frontier = nxt
+        orbits.append((u, size))
+    check_guard(len(orbits) * lower_size * degree, MAX_GROUP_WORK, "group enumeration")
+    hist: Counter[tuple[int, ...]] = Counter()
+    for u, size in orbits:
+        for ctype, count in Counter(_cycle_type(_compose(u, x)) for x in lower).items():
+            hist[ctype] += size * count
+    return hist
+
+
+def _restrict(generators, points: list[int]) -> PermutationGroupModel:
+    """The group the generators generate, acting on a union of its orbits,
+    renumbered in order."""
+    index = dict(zip(points, range(len(points))))
+    return PermutationGroupModel(
+        len(points), [tuple(map(index.__getitem__, map(g.__getitem__, points)))
+                      for g in generators])
+
+
+def _sift(chain: _Chain, g: Perm) -> tuple[Perm, int]:
+    """g divided, level by level, by the transversal element that agrees
+    with it on the base point: the identity exactly when g lies in the
+    group of the chain, or some other residue.  Also the tuple entries
+    composed and inverted."""
+    work = 0
+    for b, transversal, inverses in zip(chain.points, chain.transversals, chain.inverses):
+        p = g[b]
+        if p not in transversal:
+            break
+        if p != b:
+            inv = inverses.get(p)
+            if inv is None:
+                inv = inverses[p] = tuple(sorted(range(len(g)), key=transversal[p].__getitem__))
+                work += len(g)
+            g = _compose(inv, g)
+            work += len(g)
+    return g, work
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
@@ -273,10 +405,11 @@ class PermutationGroupModel:
 
     Generators are image tuples or cycle-notation strings.  The chain is
     guarded on the degree before it is built and on the entries it composes
-    while it is built; a walk over the elements (stream, the histograms and
-    elements) is guarded on its work |G| * degree before the first element.
-    The chain, the element set and the cycle-type histogram are computed
-    once.
+    while it is built; a walk over the elements (stream and elements) is
+    guarded on its work |G| * degree before the first element, and the
+    histograms on their coset lists and coset walks, factor by factor.  The
+    chain, the direct factors, the element set and the cycle-type histogram
+    are computed once.
     """
 
     def __init__(self, degree: int, generators) -> None:
@@ -291,11 +424,12 @@ class PermutationGroupModel:
                 raise ValueError(f"generator {g} is not a permutation of 0..{degree - 1}")
             gens.append(tuple(g))
         self.generators: tuple[Perm, ...] = tuple(gens)
-        self._chain: list[list[Perm]] | None = None
+        self._chain: _Chain | None = None
+        self._factors: list[PermutationGroupModel] | None = None
         self._elements: frozenset[Perm] | None = None
         self._cycle_types: Counter[tuple[int, ...]] | None = None
 
-    def _levels(self) -> list[list[Perm]]:
+    def _stabilizers(self) -> _Chain:
         if self._chain is None:
             check_guard(self.degree, MAX_GROUP_WORK, "group enumeration")
             self._chain = _stabilizer_chain(self.degree, self.generators)
@@ -303,13 +437,13 @@ class PermutationGroupModel:
 
     def order(self) -> int:
         """|G|, the product of the orbit sizes along the chain."""
-        return math.prod(map(len, self._levels()))
+        return math.prod(map(len, self._stabilizers().levels))
 
     def stream(self) -> Iterator[Perm]:
         """Every element once, in chain order, each built by one composition
         and none kept."""
         check_guard(self.order() * self.degree, MAX_GROUP_WORK, "group enumeration")
-        return _chain_elements(self._levels(), tuple(range(self.degree)))
+        return _chain_elements(self._stabilizers().levels, tuple(range(self.degree)))
 
     def elements(self) -> frozenset[Perm]:
         if self._elements is None:
@@ -326,10 +460,107 @@ class PermutationGroupModel:
     def __iter__(self):
         return iter(self.sorted_elements())
 
+    def direct_factors(self) -> list[PermutationGroupModel]:
+        """Groups on renumbered points whose direct product, on disjoint
+        point sets, is this group on the points it moves (none for the
+        trivial group).
+
+        The moved orbits are first grouped where one generator moves points
+        of several: the generators of different groups commute, so each
+        group of orbits carries a factor, found by restricting the
+        generators.  Within a group of tied orbits, an orbit O splits off
+        exactly when, for each generator g, the element g_O that acts as g
+        on O and fixes every other point lies in G (found by sifting it
+        through the chain): then the g_O generate G restricted to O, the
+        g g_O^-1 the rest, and G is their direct product, and conversely.
+        The orbits that split are factors, in order of their first point,
+        and the rest of the group of orbits is one more.  So <(1 2)(3 4)>
+        does not split, and <(1 2)(3 4), (1 2)> does.  The tests count the
+        entries they build and compose, over all groups of orbits; once the
+        count passes MAX_GROUP_WORK, scaled, the orbits not yet tested stay
+        with the rest.
+        """
+        if self._factors is None:
+            chain = self._stabilizers()  # the degree and chain guards come first
+            orbits = self._moved_orbits()
+            orbit_of = {p: i for i, orbit in enumerate(orbits) for p in orbit}
+            tie = list(range(len(orbits)))
+
+            def find(i: int) -> int:
+                while tie[i] != i:
+                    tie[i] = tie[tie[i]]
+                    i = tie[i]
+                return i
+
+            moving: list[tuple[Perm, int]] = []
+            for g in self.generators:
+                moved = {find(orbit_of[p]) for p, q in enumerate(g) if p != q}
+                if moved:
+                    root = min(moved)
+                    for i in moved:
+                        tie[i] = root
+                    moving.append((g, root))
+            tied: dict[int, list[list[int]]] = {}
+            for i, orbit in enumerate(orbits):
+                tied.setdefault(find(i), []).append(orbit)
+            gens: dict[int, list[Perm]] = {}
+            for g, i in moving:
+                gens.setdefault(find(i), []).append(g)
+            identity = tuple(range(self.degree))
+            work, limit = 0, MAX_GROUP_WORK * guard_scale()
+
+            def splits_off(orbit: list[int], generators: list[Perm]) -> bool:
+                nonlocal work
+                for g in generators:
+                    part = list(identity)
+                    for p in orbit:
+                        part[p] = g[p]
+                    residue, sifted = _sift(chain, tuple(part))
+                    work += self.degree + sifted
+                    if residue != identity:
+                        return False
+                return True
+
+            factors: list[PermutationGroupModel] = []
+            for root, group_orbits in tied.items():
+                rest: list[int] = []
+                for orbit in group_orbits:
+                    if len(group_orbits) > 1 and work <= limit and splits_off(orbit, gens[root]):
+                        factors.append(_restrict(gens[root], orbit))
+                    else:
+                        rest += orbit
+                if rest:
+                    factors.append(self if len(rest) == self.degree
+                                   else _restrict(gens[root], sorted(rest)))
+            self._factors = factors
+        return list(self._factors)
+
     def cycle_type_histogram(self) -> Counter[tuple[int, ...]]:
-        """Map cycle type -> number of elements of that type (a copy)."""
+        """Map cycle type -> number of elements of that type (a copy).
+
+        The convolution of the direct factors' histograms (each from its
+        chain, by _chain_histogram), starting from the fixed points as
+        1-cycles.  The convolution is guarded on the cycle-type pairs it
+        adds, times the degree.
+        """
         if self._cycle_types is None:
-            self._cycle_types = Counter(map(_cycle_type, self.stream()))
+            factors = self.direct_factors()
+            fixed = [0] * self.degree
+            if fixed:
+                fixed[0] = self.degree - sum(factor.degree for factor in factors)
+            hist = Counter({tuple(fixed): 1})
+            work = 0
+            for factor in factors:
+                part = _chain_histogram(factor._stabilizers(), factor.degree)
+                work += len(hist) * len(part) * self.degree
+                check_guard(work, MAX_GROUP_WORK, "group enumeration")
+                merged: Counter[tuple[int, ...]] = Counter()
+                for ctype, count in hist.items():
+                    for piece, times in part.items():
+                        summed = tuple(map(operator.add, ctype, piece)) + ctype[len(piece):]
+                        merged[summed] += count * times
+                hist = merged
+            self._cycle_types = hist
         return Counter(self._cycle_types)
 
     def cycle_count_histogram(self) -> dict[int, int]:
@@ -340,23 +571,31 @@ class PermutationGroupModel:
             out[cycles] = out.get(cycles, 0) + count
         return out
 
-    def orbit_sizes(self) -> list[int]:
-        """Sizes of the orbits on points, in increasing order."""
-        parent = list(range(self.degree))
+    def _moved_orbits(self) -> list[list[int]]:
+        """The orbits of two or more points, each in increasing order, in
+        order of their first point."""
+        parent: dict[int, int] = {}
 
         def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
+            root = parent.setdefault(x, x)
+            while root != parent[root]:
+                parent[root] = parent[parent[root]]
+                root = parent[root]
+            return root
 
         for g in self.generators:
             for i, j in enumerate(g):
-                parent[find(i)] = find(j)
-        sizes = [0] * self.degree
-        for p in range(self.degree):
-            sizes[find(p)] += 1
-        return sorted(size for size in sizes if size)
+                if i != j:
+                    parent[find(i)] = find(j)
+        orbits: dict[int, list[int]] = {}
+        for p in sorted(parent):
+            orbits.setdefault(find(p), []).append(p)
+        return list(orbits.values())
+
+    def orbit_sizes(self) -> list[int]:
+        """Sizes of the orbits on points, in increasing order."""
+        sizes = [len(orbit) for orbit in self._moved_orbits()]
+        return [1] * (self.degree - sum(sizes)) + sorted(sizes)
 
     def is_transitive(self) -> bool:
         return self.degree > 0 and len(self.orbit_sizes()) == 1

@@ -27,8 +27,15 @@ Subgroup chains (group_length) run over every subgroup.  Each subgroup is
 found as a join <S, g> of a known subgroup S and one more element, built by
 the closure walk of permgroup from the generators of S plus g, so a join
 costs a walk over its own elements rather than products of all pairs.
-Fixed points do not change the subgroup lattice, so group_length first
-restricts the group to the points it moves.
+
+Both invariants are sums over the direct factors of permgroup (each on its
+own renumbered points, so fixed points cost nothing).  Cycle partitions
+never cross orbits, so the lattice of joins of cycle partitions of a
+direct product is the product of the factors' lattices, whose height is
+the sum of their heights; and the chain length l is additive over any
+normal subgroup N, l(G) = l(N) + l(G/N) (a chain meets N and G/N in
+chains, and a step that neither grows is no step), so over direct
+products.  Each guard counts the work of all factors together.
 """
 
 from __future__ import annotations
@@ -47,44 +54,55 @@ MAX_DEPTH_WORK = 2 * 10**6
 # guard after about 1 s.
 MAX_SUBGROUP_WORK = 4 * 10**6
 
+# The subgroup-search count that group_length carries from one factor's
+# search into the next, so that one guard covers them all: one entry while
+# group_length runs, which empties it again when it returns or raises, and
+# empty otherwise, where each search counts from 0.  It is carried beside
+# the calls because all_subgroups keeps its one-argument signature.
+_carried_work: list[int] = []
+
 
 def _cycle_partition(g: Perm) -> tuple[int, ...]:
     """The partition of the points into the cycles of g, as a label tuple
     (blocks numbered in order of their first point)."""
     labels = [-1] * len(g)
     blocks = 0
-    for start in range(len(g)):
+    for start, p in enumerate(g):
         if labels[start] < 0:
-            p = start
-            while labels[p] < 0:
+            labels[start] = blocks
+            while p != start:
                 labels[p] = blocks
                 p = g[p]
             blocks += 1
     return tuple(labels)
 
 
-def _steps(group: PermutationGroupModel) -> list[tuple[Perm, tuple[tuple[int, ...], ...]]]:
+def _steps(group: PermutationGroupModel) -> list[list]:
     """The distinct cycle partitions of the elements other than the
     identity, with the most blocks first.
 
-    Each is kept as a successor map s, which sends every point to the next
-    point of its block, and its blocks of two or more points: a pattern P
-    is refined by it exactly when P[s[p]] = P[p] for every p, and the join
-    with P merges the labels of P that each of those blocks touches.
+    Each is kept as [g, None] for one element g that has it: g sends every
+    point to the next point of its cycle, so a pattern P is refined by the
+    cycle partition exactly when P[g[p]] = P[p] for every p.  The join with
+    P merges the labels of P that each cycle of two or more points touches;
+    _blocks lists those cycles, and the search stores them in the second
+    slot on the step's first join.
     """
-    partitions = set(map(_cycle_partition, group.stream()))
-    partitions.discard(tuple(range(group.degree)))
-    steps = []
-    for cycles in sorted(partitions, key=lambda c: (-max(c), c)):
-        blocks: list[list[int]] = [[] for _ in range(max(cycles) + 1)]
-        for p, label in enumerate(cycles):
-            blocks[label].append(p)
-        successor = list(range(group.degree))
-        for block in blocks:
-            for p, q in zip(block, block[1:] + block[:1]):
-                successor[p] = q
-        steps.append((tuple(successor), tuple(tuple(b) for b in blocks if len(b) > 1)))
-    return steps
+    identity = tuple(range(group.degree))
+    elements = {}
+    for g in group.stream():
+        elements[_cycle_partition(g)] = g
+    elements.pop(identity, None)
+    return [[elements[c], None] for c in sorted(elements, key=lambda c: (-max(c), c))]
+
+
+def _blocks(g: Perm) -> tuple[tuple[int, ...], ...]:
+    """The cycles of g of two or more points, each as its sorted points."""
+    labels = _cycle_partition(g)
+    blocks: list[list[int]] = [[] for _ in range(max(labels) + 1)]
+    for p, label in enumerate(labels):
+        blocks[label].append(p)
+    return tuple(tuple(block) for block in blocks if len(block) > 1)
 
 
 def _join(labels: tuple[int, ...], b: int,
@@ -127,7 +145,8 @@ def _join(labels: tuple[int, ...], b: int,
 
 def depth(group: PermutationGroupModel) -> int:
     """Longest chain of strict pattern coarsenings with strictly growing
-    stabilizers: the height of the lattice L of joins of cycle partitions.
+    stabilizers: the height of the lattice L of joins of cycle partitions,
+    summed over the direct factors.
 
     The orbit partition of a pattern stabilizer G_P is the join of the
     cycle partitions of its elements and has the same stabilizer, and a
@@ -137,18 +156,19 @@ def depth(group: PermutationGroupModel) -> int:
     stabilizers, and the depth is the height of L (a Galois connection:
     Birkhoff, Lattice Theory, ch. V).  L runs from the discrete pattern
     to the orbit partition of G, and it has one member per pattern
-    stabilizer, not one per set partition.
+    stabilizer, not one per set partition.  Over a direct product L is the
+    product of the factors' lattices, so the heights add.
 
-    Memoized longest path from the discrete pattern: a step goes from P to
-    P v c for a cycle partition c not refining P.  Every cover of L is a
-    step and every step strictly enlarges the stabilizer, so the longest
-    path is the height.  Steps from the cycle partitions with the most
-    blocks come first, and a pattern stops once its path reaches
-    blocks(P) - blocks(orbit partition), the most any path from it can
-    make; a step whose join cannot beat the best found is not followed.
-    Fixed points are singletons of every member of L, so the search runs
-    on the moved points.  The guard counts the refinement tests and joins,
-    degree units each, as the search makes them.
+    On each factor, a memoized longest path from the discrete pattern: a
+    step goes from P to P v c for a cycle partition c not refining P.
+    Every cover of L is a step and every step strictly enlarges the
+    stabilizer, so the longest path is the height.  Steps from the cycle
+    partitions with the most blocks come first, and a pattern stops once
+    its path reaches blocks(P) - blocks(orbit partition), the most any path
+    from it can make; a step whose join cannot beat the best found is not
+    followed.  The guard counts the refinement tests and joins, one unit
+    per point of the factor each, over all factors, as the search makes
+    them.
 
     >>> from .permgroup import symmetric_group, trivial_group
     >>> depth(symmetric_group(4))
@@ -156,12 +176,21 @@ def depth(group: PermutationGroupModel) -> int:
     >>> depth(trivial_group(5))
     0
     """
-    group = _on_moved_points(group)
+    limit = MAX_DEPTH_WORK * guard_scale()
+    total = work = 0
+    for factor in group.direct_factors():
+        height, work = _factor_depth(factor, work, limit)
+        total += height
+    check_guard(work, MAX_DEPTH_WORK, "stratification depth")
+    return total
+
+
+def _factor_depth(group: PermutationGroupModel, work: int, limit: float) -> tuple[int, int]:
+    """The height of the join lattice of one factor, and the work count
+    after its search."""
     n = group.degree
     steps = _steps(group)
     top = len(group.orbit_sizes())
-    limit = MAX_DEPTH_WORK * guard_scale()
-    work = 0
     best: dict[tuple[int, ...], int] = {}
 
     def climb(labels: tuple[int, ...], b: int) -> int:
@@ -172,24 +201,24 @@ def depth(group: PermutationGroupModel) -> int:
         cap = b - top
         score = 0
         label_of = labels.__getitem__
-        for successor, blocks in steps:
+        for step in steps:
             if score == cap:
                 break
             work += n
             if work > limit:
                 check_guard(work, MAX_DEPTH_WORK, "stratification depth")
-            if tuple(map(label_of, successor)) == labels:
+            if tuple(map(label_of, step[0])) == labels:
                 continue
             work += n
-            joined, k = _join(labels, b, blocks)
+            if step[1] is None:
+                step[1] = _blocks(step[0])
+            joined, k = _join(labels, b, step[1])
             if k - top >= score:
                 score = max(score, climb(joined, k) + 1)
         best[labels] = score
         return score
 
-    result = climb(tuple(range(n)), n)
-    check_guard(work, MAX_DEPTH_WORK, "stratification depth")
-    return result
+    return climb(tuple(range(n)), n), work
 
 
 def length_sn(n: int) -> int:
@@ -218,13 +247,14 @@ def all_subgroups(group: PermutationGroupModel) -> set[frozenset[Perm]]:
     tuples for each subgroup, a join walk composes each element it finds
     with each of its generators, every tuple carries degree entries, and
     each new subgroup adds the pairs that group_length compares it in.
+    Within group_length the count starts from the earlier factors' searches.
     """
     elements = group.sorted_elements()
     identity = tuple(range(group.degree))
     trivial = frozenset([identity])
     found: set[frozenset[Perm]] = {trivial}
     queue: list[tuple[frozenset[Perm], tuple[Perm, ...]]] = [(trivial, ())]
-    work = 0
+    work = _carried_work[0] if _carried_work else 0
     while queue:
         sub, gens = queue.pop()
         work += len(elements) * group.degree
@@ -241,21 +271,16 @@ def all_subgroups(group: PermutationGroupModel) -> set[frozenset[Perm]]:
                 found.add(bigger)
                 queue.append((bigger, gens + (g,)))
             check_guard(work, MAX_SUBGROUP_WORK, "subgroup enumeration")
+    if _carried_work:
+        _carried_work[0] = work
     return found
-
-
-def _on_moved_points(group: PermutationGroupModel) -> PermutationGroupModel:
-    """The same group acting only on the points it moves, renumbered in
-    order: an isomorphic group on shorter tuples."""
-    moved = [p for p in range(group.degree) if any(g[p] != p for g in group.generators)]
-    index = {p: i for i, p in enumerate(moved)}
-    return PermutationGroupModel(
-        len(moved), [tuple(index[g[p]] for p in moved) for g in group.generators])
 
 
 def group_length(group: PermutationGroupModel) -> int:
     """Length of the longest strict chain of subgroups from the trivial
-    group to the whole group, found on the moved points only.
+    group to the whole group: the sum over the direct factors of the
+    longest chain among each factor's subgroups.  The subgroup searches
+    share one guard count.
 
     >>> from .permgroup import symmetric_group, cyclic_group
     >>> group_length(symmetric_group(3))
@@ -263,15 +288,24 @@ def group_length(group: PermutationGroupModel) -> int:
     >>> group_length(cyclic_group(4))
     2
     """
-    group = _on_moved_points(group)
-    subgroups = sorted(all_subgroups(group), key=len)
+    _carried_work.append(0)
+    try:
+        return sum(_longest_chain(all_subgroups(factor)) for factor in group.direct_factors())
+    finally:
+        _carried_work.clear()
+
+
+def _longest_chain(subgroups: set[frozenset[Perm]]) -> int:
+    """The longest strict chain from the smallest to the largest of a
+    group's subgroups."""
+    ordered = sorted(subgroups, key=len)
     longest: dict[frozenset[Perm], int] = {}
-    for sub in subgroups:
+    for sub in ordered:
         best = 0
-        for smaller in subgroups:
+        for smaller in ordered:
             if len(smaller) >= len(sub):
                 break
             if len(sub) % len(smaller) == 0 and smaller < sub:
                 best = max(best, longest[smaller] + 1)
         longest[sub] = best
-    return longest[frozenset(group.elements())]
+    return longest[ordered[-1]]

@@ -357,15 +357,20 @@ def test_closed_formula_guard_limits_work(capsys):
 
 
 def test_pi1_gamma_answers_past_the_walk_guard(capsys):
-    # the stabilizer chain gives |G| at once: pi1 gamma answers on S_10,
-    # while chi gamma still walks the group and is refused before the walk
+    # the stabilizer chain gives |G| at once: pi1 gamma answers on S_10.
+    # chi gamma walks one coset per conjugacy orbit of cosets, so it
+    # answers on S_10 too, chi_sp(2, 10) = 11, and is refused on S_11
+    # before that walk
     s10 = ("--degree", "10", "--gens", "(1 2 3 4 5 6 7 8 9 10); (1 2)")
     payload = run_json(capsys, "pi1", "gamma", "--space", "torus", *s10)
     assert payload["inputs"]["group_order"] == "3628800"
     assert payload["result"]["display"] == "H1(X)"
-    rc, out, err = run(capsys, "chi", "gamma", "--space", "torus", *s10)
+    payload = run_json(capsys, "chi", "gamma", "--space", "sphere:2", *s10)
+    assert payload["result"] == "11"
+    rc, out, err = run(capsys, "chi", "gamma", "--space", "torus", "--degree", "11",
+                       "--gens", "(1 2 3 4 5 6 7 8 9 10 11); (1 2)")
     assert rc == 4 and out == ""
-    assert "group enumeration: size 36288000" in err
+    assert "group enumeration: size 11586960" in err
 
 
 def test_exact_results_past_the_digit_limit(capsys):
@@ -382,6 +387,47 @@ def test_exact_results_past_the_digit_limit(capsys):
     assert rc == 4
     assert "result size" in err
     assert out == ""
+
+
+def test_result_size_is_guarded_before_computing(capsys, monkeypatch):
+    # chi gamma on the trivial group is chi^degree, and chi sp a binomial:
+    # both are refused from a bound on their bit length, before the value
+    # is computed (17 s and 1.9 s when it was computed first)
+    import fatdiag.eulerchar
+
+    def refuse(*args):
+        raise AssertionError("the value was computed")
+
+    monkeypatch.setattr(fatdiag.eulerchar, "chi_gamma_product", refuse)
+    monkeypatch.setattr(fatdiag.eulerchar, "chi_sp", refuse)
+    for argv, size in (
+        (("chi", "gamma", "--space", '{"betti": [1, 0, 99000]}', "--degree", "2000000",
+          "--gens", ""), 33190311),
+        (("chi", "sp", "--space", '{"betti": [1, 0, 100000]}', "-n", "1000000000"),
+         1328786),
+    ):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 4 and out == "", argv
+        assert f"result size: size {size} " in err
+
+
+def test_result_size_precheck_refuses_only_what_exact_refuses(capsys, monkeypatch):
+    # with the limit at 1000 bits: <(1 2)> at degree 1000 averages
+    # 3 * 2^998, 1000 bits, though its identity term 2^1000 has 1001, so it
+    # answers, and at degree 1001 the result itself is refused.  A negative
+    # chi is not refused beforehand: S_3 averages 0 at chi = -2
+    import fatdiag.cli
+
+    monkeypatch.setattr(fatdiag.cli, "MAX_RESULT_BITS", 1000)
+    payload = run_json(capsys, "chi", "gamma", "--space", "sphere:2", "--degree", "1000",
+                       "--gens", "(1 2)")
+    assert payload["result"] == str(3 * 2**998)
+    rc, out, err = run(capsys, "chi", "gamma", "--space", "sphere:2", "--degree", "1001",
+                       "--gens", "(1 2)")
+    assert rc == 4 and out == "" and "result size: size 1001 " in err
+    payload = run_json(capsys, "chi", "gamma", "--space", "surface:2", "--degree", "1001",
+                       "--gens", "(1 2 3); (1 2)")
+    assert payload["result"] == "0"
 
 
 def test_bupper_oracle_catches_wrong_formula(capsys, monkeypatch):

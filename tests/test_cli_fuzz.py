@@ -8,15 +8,21 @@ reaches stderr, and stdout is empty, one envelope line, or a CSV table
 when --csv was given.  The draws stay cheap (groups of degree <= 6 and at
 most S_4, --verify only with n <= 8, no `verify --suite all`), apart from
 `strata depth` at degree up to 40 on a trivial, cyclic or involution
-generator, whose join lattice is small at any degree.
+generator, whose join lattice is small at any degree, and Young subgroups
+and direct products of symmetric and cyclic groups at degree up to 40,
+which the group commands answer factor by factor.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import random
+from fractions import Fraction
 
 from fatdiag.cli import COMMANDS, main
+from fatdiag.eulerchar import chi_sp
+from fatdiag.strata import length_sn
 
 # option -> (well-formed values, malformed values)
 VALUES = {
@@ -86,6 +92,61 @@ def _large_depth_argv(rng: random.Random) -> tuple[list[str], int]:
     return ["strata", "depth", "--degree", str(degree), "--gens", gens], want
 
 
+def _prime_factor_count(m: int) -> int:
+    count, p = 0, 2
+    while m > 1:
+        while m % p == 0:
+            m, count = m // p, count + 1
+        p += 1
+    return count
+
+
+def _product_argv(rng: random.Random) -> tuple[list[str], str]:
+    """A `chi gamma`, `strata depth` or `strata length` argv on a direct
+    product of symmetric groups (a Young subgroup) or of symmetric and
+    cyclic groups on shuffled disjoint blocks, degree <= 40, and its
+    answer from the factors' closed forms: chi_sp(chi, k) for S_k and the
+    necklace count (1/k) sum_{d | k} phi(d) chi^(k/d) for C_k, times chi
+    per fixed point; depth k - 1 for S_k and the number of prime factors
+    of k for C_k, which is also the chain length of C_k, and length_sn(k)
+    for S_k."""
+    command = rng.choice(["chi gamma", "strata depth", "strata length"])
+    young = rng.random() < 0.5
+    largest = 4 if command == "strata length" else 6
+    blocks = []
+    while not blocks or rng.random() < 0.6 and len(blocks) < 6:
+        kind = "S" if young or rng.random() < 0.5 else "C"
+        blocks.append((kind, rng.randint(2, largest if kind == "S" else 12)))
+    while sum(k for _, k in blocks) > 40:
+        blocks.pop()
+    degree = min(40, sum(k for _, k in blocks) + rng.randint(0, 6))
+    points = list(range(1, degree + 1))
+    rng.shuffle(points)
+    gens, chi = [], rng.choice([-2, 0, 1, 2, 3])
+    answers = {"chi gamma": Fraction(chi) ** (degree - sum(k for _, k in blocks)),
+               "strata depth": 0, "strata length": 0}
+    for kind, k in blocks:
+        block, points = points[:k], points[k:]
+        gens.append("(" + " ".join(map(str, block)) + ")")
+        if kind == "S":
+            gens.append(f"({block[0]} {block[1]})")
+            answers["chi gamma"] *= chi_sp(chi, k)
+            answers["strata depth"] += k - 1
+            answers["strata length"] += length_sn(k)
+        else:
+            answers["chi gamma"] *= Fraction(sum(
+                sum(1 for j in range(1, d + 1) if math.gcd(j, d) == 1) * chi ** (k // d)
+                for d in range(1, k + 1) if k % d == 0), k)
+            answers["strata depth"] += _prime_factor_count(k)
+            answers["strata length"] += _prime_factor_count(k)
+    rng.shuffle(gens)
+    space = {-2: "surface:2", 0: "torus", 1: "point", 2: "sphere:2", 3: '{"betti": [1, 0, 2]}'}
+    argv = command.split() + ["--degree", str(degree), "--gens", "; ".join(gens)]
+    if command == "chi gamma":
+        argv += ["--space", space[chi]]
+    return argv, str(answers[command])
+
+
 def random_argv(rng: random.Random) -> list[str]:
     (command, variant), (_, options, _) = rng.choice(list(COMMANDS.items()))
     argv = [command] + ([variant] if variant else [])
@@ -147,3 +208,13 @@ def test_contract_holds_on_large_depth_draws(capsys):
         captured = capsys.readouterr()
         _check(argv, rc, captured.out, captured.err)
         assert rc == 0 and json.loads(captured.out)["result"] == str(want), argv
+
+
+def test_contract_holds_on_product_draws(capsys):
+    rng = random.Random(20113)
+    for _ in range(60):
+        argv, want = _product_argv(rng)
+        rc = main(argv)
+        captured = capsys.readouterr()
+        _check(argv, rc, captured.out, captured.err)
+        assert rc == 0 and json.loads(captured.out)["result"] == want, argv

@@ -10,8 +10,10 @@ from fatdiag.eulerchar import (
     chi_f2,
     chi_f_config,
     chi_fd,
+    chi_gamma_bits,
     chi_gamma_product,
     chi_sp,
+    chi_sp_bits,
     chi_stratum,
     oracle_bd_burnside,
     oracle_fd_setpartitions,
@@ -350,3 +352,23 @@ def test_closed_forms_match_stratum_enumeration():
                 assert chi_bd(chi, n, d) == stratification_sum_bd(chi, n, d)
                 ordered = sum(w * falling_factorial(chi, k) for w, k in weights)
                 assert chi_fd(chi, n, d) == chi**n - ordered
+
+
+def test_result_bit_bounds():
+    # chi_gamma_bits is the bit length of chi^degree, the identity's term,
+    # which bounds every term; chi_sp_bits never exceeds the bit length of
+    # chi_sp, and is within a factor of about two of it when n is large.
+    # Past float range: C(m, k) >= 2^k where k = min(n, m - n)
+    gamma = [(chi, degree) for chi in range(-40, 41) for degree in range(1, 200, 7)]
+    assert [chi_gamma_bits(*case) for case in gamma] == [
+        (chi**degree).bit_length() if abs(chi) > 1 else 0 for chi, degree in gamma]
+    sp = [(chi, n) for chi in range(-40, 41) for n in range(80)]
+    sp += [(2, 10**400), (10**400, 5), (-10**400, 5)]
+    assert all(chi_sp_bits(*case) <= chi_sp(*case).bit_length() for case in sp)
+    assert 0.45 < chi_sp_bits(100001, 10**6) / chi_sp(100001, 10**6).bit_length() <= 1
+    assert [chi_sp_bits(2, 10**400), chi_sp_bits(10**400, 10**400)] == [1329, 10**400]
+    assert [chi_gamma_bits(10**400, 3), chi_gamma_bits(3, 10**400)] == [
+        (10**1200).bit_length(), 10**400 + 1]
+    group = symmetric_group(5)
+    assert all(abs(chi_gamma_product(chi, group)).bit_length() <= chi_gamma_bits(chi, 5)
+               for chi in (-7, -2, 3, 10))

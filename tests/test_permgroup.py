@@ -21,9 +21,10 @@ from fatdiag.permgroup import (
     parse_cycles,
     regular_representation,
     symmetric_group,
+    symmetric_group_cached,
     trivial_group,
 )
-from fatdiag.strata import _cycle_partition, _steps
+from fatdiag.strata import _cycle_partition, _steps, depth, group_length
 
 
 def test_parse_cycles():
@@ -255,10 +256,22 @@ def test_s10_is_refused_before_any_element_is_built(monkeypatch):
     monkeypatch.setattr(permgroup, "_compose", counted)
     group = symmetric_group(10)
     assert group.order() == math.factorial(10)
-    for walk in (group.cycle_type_histogram, group.elements, group.stream):
+    for walk in (group.elements, group.stream):
         with pytest.raises(ResourceGuardError, match="group enumeration"):
             walk()
     assert 0 < calls["compose"] < 1000
+    # the histogram answers: it builds the 720 upper and 5040 lower
+    # products, then walks one coset of S_7 for each of the 34 S_7-orbits
+    # of base images, 171360 elements.  S_11 is refused after its chain
+    # and its 7920 + 5040 products, about 15000 compositions, before the
+    # walk of 209 cosets of S_7
+    calls.clear()
+    assert group.cycle_type_histogram() == dict(conjugacy_classes_sn(10))
+    assert calls["compose"] < 180000
+    calls.clear()
+    with pytest.raises(ResourceGuardError, match="group enumeration"):
+        symmetric_group(11).cycle_type_histogram()
+    assert calls["compose"] < 16000
 
 
 def _regular_product(a: int, b: int) -> PermutationGroupModel:
@@ -278,3 +291,110 @@ def test_chain_work_guard():
     with pytest.raises(ResourceGuardError, match="group enumeration"):
         group.order()
     assert _regular_product(10, 50).order() == 500
+
+
+def _embed(parts, extra: int, rng: random.Random) -> PermutationGroupModel:
+    """The direct product of the given groups on disjoint blocks of points,
+    plus `extra` fixed points, with the points shuffled."""
+    degree = sum(part.degree for part in parts) + extra
+    points = list(range(degree))
+    rng.shuffle(points)
+    gens, offset = [], 0
+    for part in parts:
+        for g in part.generators:
+            images = list(range(degree))
+            for i, j in enumerate(g):
+                images[points[offset + i]] = points[offset + j]
+            gens.append(tuple(images))
+        offset += part.degree
+    rng.shuffle(gens)
+    return PermutationGroupModel(degree, gens)
+
+
+def _product_groups(count: int, seed: int, max_degree: int = 9):
+    """Seeded direct products of one to three small groups (symmetric,
+    alternating, cyclic, <(1 2)(3 4)> and random ones), with fixed points;
+    each with its parts."""
+    rng = random.Random(seed)
+    makers = [symmetric_group, alternating_group, cyclic_group,
+              lambda k: PermutationGroupModel(4, ["(1 2)(3 4)"]),
+              lambda k: next(_random_groups(1, rng.randrange(10**6)))]
+    made = 0
+    while made < count:
+        parts = [rng.choice(makers)(rng.randint(2, 4)) for _ in range(rng.randint(1, 3))]
+        extra = rng.randint(0, 2)
+        if sum(part.degree for part in parts) + extra <= max_degree:
+            made += 1
+            yield _embed(parts, extra, rng), parts
+
+
+def test_direct_factors():
+    # orbits no generator ties together are factors at once; tied orbits
+    # split only when the orders multiply: <(1 2)(3 4)> does not split,
+    # and <(1 2)(3 4), (1 2)> does.  In the mixed case the 3-cycle is a
+    # factor and the two tied transpositions stay together; fixed points
+    # belong to no factor
+    tied = PermutationGroupModel(4, ["(1 2)(3 4)"])
+    assert [(f.degree, f.order()) for f in tied.direct_factors()] == [(4, 2)]
+    untied = PermutationGroupModel(4, ["(1 2)(3 4)", "(1 2)"])
+    assert [(f.degree, f.order()) for f in untied.direct_factors()] == [(2, 2), (2, 2)]
+    mixed = PermutationGroupModel(9, ["(1 2)(3 4)", "(5 6 7)"])
+    assert [(f.degree, f.order()) for f in mixed.direct_factors()] == [(4, 2), (3, 3)]
+    pairs = PermutationGroupModel(8, ["(1 2)(3 4)", "(5 6)(7 8)"])
+    assert [(f.degree, f.order()) for f in pairs.direct_factors()] == [(4, 2), (4, 2)]
+    assert trivial_group(5).direct_factors() == []
+    young = PermutationGroupModel(9, ["(1 2 3)", "(1 2)", "(4 5 6 7)", "(4 5)"])
+    assert [(f.degree, f.order()) for f in young.direct_factors()] == [(3, 6), (4, 24)]
+    for group, parts in _product_groups(60, seed=13):
+        factors = group.direct_factors()
+        assert math.prod(f.order() for f in factors) == group.order()
+        assert group.order() == math.prod(part.order() for part in parts)
+        # no factor of a factor splits further than the factor list shows
+        assert sum(len(f.direct_factors()) for f in factors) == len(factors)
+
+
+def test_factor_search_is_bounded(monkeypatch):
+    # one involution with 9000 2-cycles ties its orbits, and none splits
+    # off.  Each orbit's test builds one element of 18000 entries and sifts
+    # it; the first sift also inverts and composes one transversal element.
+    # So the shared count passes MAX_GROUP_WORK after 221 tests, not 9000,
+    # and the whole group stays one factor, restricted to nothing
+    calls = Counter()
+    compose, restrict, sift = permgroup._compose, permgroup._restrict, permgroup._sift
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(permgroup, "_compose", counted("compose", compose))
+    monkeypatch.setattr(permgroup, "_restrict", counted("restrict", restrict))
+    monkeypatch.setattr(permgroup, "_sift", counted("sift", sift))
+    involution = PermutationGroupModel(
+        18000, ["".join(f"({i} {i + 1})" for i in range(1, 18000, 2))])
+    assert involution.direct_factors() == [involution]
+    assert calls == {"sift": 221, "compose": 3}
+    assert depth(involution) == 1 and group_length(involution) == 1
+
+
+def test_histograms_of_products_match_the_stream():
+    cases = [PermutationGroupModel(4, ["(1 2)(3 4)"]),
+             PermutationGroupModel(9, ["(1 2)(3 4)", "(5 6 7)"]),
+             PermutationGroupModel(8, ["(1 2)(3 4)", "(5 6 7 8)", "(1 3)(2 4)(5 7)"])]
+    cases += [group for group, _ in _product_groups(150, seed=14)]
+    for group in cases:
+        streamed = Counter(map(_cycle_type, group.stream()))
+        assert group.cycle_type_histogram() == streamed, group.generators
+
+
+def test_histograms_match_classes_up_to_s10():
+    # S_n against the centralizer formula; A_n holds every even class of
+    # S_n whole, so its histogram is the even part of the same table
+    for n in range(1, 11):
+        classes = dict(conjugacy_classes_sn(n))
+        assert symmetric_group_cached(n).cycle_type_histogram() == classes, n
+        even = {t: size for t, size in classes.items()
+                if sum((l - 1) * a for l, a in enumerate(t, start=1)) % 2 == 0}
+        if n < 10:
+            assert alternating_group(n).cycle_type_histogram() == even, n

@@ -5,7 +5,7 @@ from collections import Counter
 from itertools import combinations
 
 import pytest
-from test_permgroup import _random_groups, _roster
+from test_permgroup import _product_groups, _random_groups, _roster
 
 from fatdiag import combinatorics, permgroup, strata
 from fatdiag.combinatorics import set_partitions, set_partitions_cached
@@ -23,6 +23,8 @@ from fatdiag.strata import (
     MAX_DEPTH_WORK,
     MAX_SUBGROUP_WORK,
     _cycle_partition,
+    _factor_depth,
+    _longest_chain,
     all_subgroups,
     depth,
     group_length,
@@ -215,10 +217,17 @@ def test_depth_guard(monkeypatch):
     assert depth(trivial_group(11)) == 0
     assert depth(cyclic_group(30)) == 3
     assert depth(PermutationGroupModel(40, ["(1 2)"])) == 1
-    # A_4^3 on 12 points would take 2.6 * 10^6 units
+    # A_4^3 on 12 points splits into three A_4 factors of 68 units each,
+    # and the guard counts them together: 204 units, not the 2.6 * 10^6
+    # of the search on all 12 points
     a4_cubed = PermutationGroupModel(
         12, [f"({i} {i + 1} {i + 2})" for b in (1, 5, 9) for i in (b, b + 1)])
     assert a4_cubed.order() == 12**3
+    assert [f.degree for f in a4_cubed.direct_factors()] == [4, 4, 4]
+    assert depth(a4_cubed) == 6
+    _depth_guard_at(monkeypatch, 204.5)
+    assert depth(a4_cubed) == 6
+    _depth_guard_at(monkeypatch, 203.5)
     with pytest.raises(ResourceGuardError, match="stratification depth"):
         depth(a4_cubed)
     # S_4 takes 40 units: 10 tests and joins of 4 points each
@@ -227,6 +236,15 @@ def test_depth_guard(monkeypatch):
     _depth_guard_at(monkeypatch, 39.5)
     with pytest.raises(ResourceGuardError):
         depth(symmetric_group(4))
+    # S_4 acting on two copies of its points at once does not split, and
+    # its search runs on all 8 points: 2888 units
+    diagonal = PermutationGroupModel(8, ["(1 2 3 4)(5 6 7 8)", "(1 2)(5 6)"])
+    assert [f.degree for f in diagonal.direct_factors()] == [8]
+    _depth_guard_at(monkeypatch, 2888.5)
+    assert depth(diagonal) == 3
+    _depth_guard_at(monkeypatch, 2887.5)
+    with pytest.raises(ResourceGuardError, match="stratification depth"):
+        depth(diagonal)
 
 
 def test_length_sn_values():
@@ -301,9 +319,59 @@ def test_subgroup_order_guard(monkeypatch):
     with pytest.raises(ResourceGuardError):
         all_subgroups(cyclic_group(2))
     monkeypatch.delenv("FATDIAG_GUARD_SCALE")
-    # C_40 (1.5 * 10^5 units) answers; C2^6 on 12 points, 2825 subgroups of
-    # a group of order 64, trips the guard
+    # C_40 (1.5 * 10^5 units) answers.  C2^6 on 12 points has 2825
+    # subgroups, and the search over them all trips the guard; its length
+    # is the sum over its six C_2 factors
     assert group_length(cyclic_group(40)) == 4
     c2_6 = PermutationGroupModel(12, [f"({i} {i + 1})" for i in range(1, 12, 2)])
     with pytest.raises(ResourceGuardError):
-        group_length(c2_6)
+        all_subgroups(c2_6)
+    assert group_length(c2_6) == 6
+
+
+def test_group_length_searches_each_factor(monkeypatch):
+    # group_length runs all_subgroups once per direct factor, by the
+    # module's own name, and the searches share one guard count: S_3 x S_3
+    # on 6 points trips a limit that S_3 alone (411 units) passes, at 429
+    # units, early in the second factor's search
+    seen = []
+    search = strata.all_subgroups
+
+    def counted(group):
+        seen.append(group.degree)
+        return search(group)
+
+    monkeypatch.setattr(strata, "all_subgroups", counted)
+    s3_s3 = PermutationGroupModel(6, ["(1 2 3)", "(1 2)", "(4 5 6)", "(4 5)"])
+    assert group_length(s3_s3) == 4 and seen == [3, 3]
+    monkeypatch.setattr(permgroup, "MAX_GROUP_WORK", 10**12)
+    monkeypatch.setenv("FATDIAG_GUARD_SCALE", str(411.5 / MAX_SUBGROUP_WORK))
+    assert group_length(symmetric_group(3)) == 2
+    with pytest.raises(ResourceGuardError, match="subgroup enumeration: size 429 "):
+        group_length(s3_s3)
+    assert strata._carried_work == []
+    monkeypatch.setenv("FATDIAG_GUARD_SCALE", str(410.5 / MAX_SUBGROUP_WORK))
+    with pytest.raises(ResourceGuardError, match="subgroup enumeration: size 411"):
+        all_subgroups(symmetric_group(3))
+
+
+def test_products_equal_their_factors():
+    # depth and chain length summed over the direct factors equal the
+    # zeta search and the subgroup search on the whole product
+    cases = [
+        PermutationGroupModel(4, ["(1 2)(3 4)"]),
+        PermutationGroupModel(7, ["(1 2)(3 4)", "(5 6 7)"]),
+        PermutationGroupModel(7, ["(1 2 3)", "(1 2)", "(4 5 6 7)", "(4 5)"]),
+        PermutationGroupModel(8, ["(1 2 3)", "(2 3 4)", "(5 6)", "(7 8)"]),
+        PermutationGroupModel(6, ["(1 2)", "(3 4)", "(5 6)"]),
+    ]
+    cases += [group for group, _ in _product_groups(40, seed=15, max_degree=8)]
+    for group in cases:
+        factors = group.direct_factors()
+        whole = _factor_depth(group, 0, math.inf)[0]
+        assert depth(group) == whole == _reference_depth(group), group.generators
+        assert depth(group) == sum(depth(f) for f in factors)
+        if group.order() <= 48:
+            length = _longest_chain(all_subgroups(group))
+            assert group_length(group) == length, group.generators
+            assert length == sum(group_length(f) for f in factors)
