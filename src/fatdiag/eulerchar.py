@@ -27,7 +27,11 @@ Since a stratum's count depends on its set partition only through the
 number of blocks, the set-partition oracles enumerate once per weight
 vector (the all-ones vector of X^n, or the cycle lengths of a permutation)
 into a table of partitions by (heaviest block weight, number of blocks),
-and read every (d, chi) from it.
+and read every (d, chi) from it.  The enumeration walks the Bell(c - 1)
+set partitions of all but the last of the c weighted points, and counts
+the last point's placements (into each block, or alone) in one step.  The
+oracles sum the fat partitions per block count k before they take one
+falling(chi, k) per k.
 
   chi_sp       [q^n] (1 - q)^(-chi)
   chi_b_upper  [q^n] (1 + q + ... + q^d)^chi
@@ -292,19 +296,44 @@ def stratification_sum_bd(chi: int, n: int, d: int) -> int:
 
 
 # The tables, not the partitions, are kept: the cycle types of S_n,
-# n <= MAX_ORACLE_N, are 139, and each walks its set partitions as a stream.
+# n <= MAX_ORACLE_N, are 139, and each walks the set partitions of all but
+# its last point as a stream.
 @lru_cache(maxsize=256)
 def _fat_counts(weights: tuple[int, ...]) -> Mapping[tuple[int, int], int]:
     """Set partitions of points carrying these weights, counted by (weight
     of the heaviest block, number of blocks): the table both set-partition
-    oracles read for every (d, chi)."""
+    oracles read for every (d, chi).
+
+    Each set partition of the c points is one of the first c - 1 points
+    with the last point joined to one of its blocks or put in a block of
+    its own, so the walk is over the Bell(c - 1) partitions of the first
+    c - 1 points, and each counts all its placements of the last point.
+    The empty vector has one partition, with no blocks.
+    """
+    if not weights:
+        return MappingProxyType({(0, 0): 1})
+    *head, last = weights
     counts: dict[tuple[int, int], int] = {}
-    for labels in set_partitions(len(weights)):
-        blocks = [0] * (max(labels) + 1)
-        for lab, w in zip(labels, weights):
+    for labels in set_partitions(len(head)):
+        blocks = [0] * (max(labels, default=-1) + 1)
+        for lab, w in zip(labels, head):
             blocks[lab] += w
-        key = (max(blocks), len(blocks))
+        k = len(blocks)
+        top = max(blocks, default=0)
+        key = (max(top, last), k + 1)
         counts[key] = counts.get(key, 0) + 1
+        # joined to a block b, the last point leaves the heaviest weight at
+        # top unless b + last exceeds it; those joins are counted at once
+        under = k
+        floor = top - last
+        for b in blocks:
+            if b > floor:
+                under -= 1
+                key = (b + last, k)
+                counts[key] = counts.get(key, 0) + 1
+        if under:
+            key = (top, k)
+            counts[key] = counts.get(key, 0) + under
     return MappingProxyType(counts)
 
 
@@ -316,8 +345,10 @@ def oracle_fd_setpartitions(chi: int, n: int, d: int) -> int:
     By additivity each partition adds the Euler characteristic of its
     stratum, which depends on the partition only through its number of
     blocks, so the partitions are enumerated once per n, into the
-    (heaviest block, block count) table of _fat_counts, and every (d, chi)
-    is read from it.
+    (heaviest block, block count) table of _fat_counts (a walk of the
+    Bell(n - 1) partitions of the first n - 1 coordinates), and every
+    (d, chi) is read from it: the fat partitions are summed per block
+    count k, then each k takes one falling_factorial(chi, k).
 
     >>> oracle_fd_setpartitions(2, 3, 2)
     8
@@ -325,9 +356,11 @@ def oracle_fd_setpartitions(chi: int, n: int, d: int) -> int:
     check_guard(n, MAX_ORACLE_N, "oracle_fd_setpartitions")
     if not 2 <= d <= n:
         raise ValueError(f"needs 2 <= d <= n, got d={d}, n={n}")
-    return sum(count * falling_factorial(chi, k)
-               for (heaviest, k), count in _fat_counts((1,) * n).items()
-               if heaviest >= d)
+    by_blocks: dict[int, int] = {}
+    for (heaviest, k), count in _fat_counts((1,) * n).items():
+        if heaviest >= d:
+            by_blocks[k] = by_blocks.get(k, 0) + count
+    return sum(count * falling_factorial(chi, k) for k, count in by_blocks.items())
 
 
 def oracle_bd_burnside(chi: int, n: int, d: int) -> int:
@@ -340,7 +373,10 @@ def oracle_bd_burnside(chi: int, n: int, d: int) -> int:
     the counts falling_factorial(chi, #blocks).  Since that count depends
     on a stratum only through its number of blocks, the set partitions of
     each weight vector are enumerated once, into the (heaviest block, block
-    count) table of _fat_counts, and every (d, chi) is read from it.  The
+    count) table of _fat_counts (a walk of the Bell(c - 1) partitions of
+    the first c - 1 cycles), and every (d, chi) is read from it.  The fat
+    partitions, weighted by class size, are summed per block count k over
+    all classes, and each k then takes one falling_factorial(chi, k).  The
     class-weighted average is asserted integral.
 
     >>> oracle_bd_burnside(2, 5, 3)
@@ -351,11 +387,11 @@ def oracle_bd_burnside(chi: int, n: int, d: int) -> int:
     check_guard(n, MAX_ORACLE_N, "oracle_bd_burnside")
     if not 2 <= d <= n:
         raise ValueError(f"needs 2 <= d <= n, got d={d}, n={n}")
-    total = 0
+    by_blocks: dict[int, int] = {}
     for ctype, class_size in conjugacy_classes_sn(n):
         weights = tuple(l for l, a in enumerate(ctype, start=1) for _ in range(a))
-        fixed = sum(count * falling_factorial(chi, k)
-                    for (heaviest, k), count in _fat_counts(weights).items()
-                    if heaviest >= d)
-        total += class_size * fixed
+        for (heaviest, k), count in _fat_counts(weights).items():
+            if heaviest >= d:
+                by_blocks[k] = by_blocks.get(k, 0) + class_size * count
+    total = sum(count * falling_factorial(chi, k) for k, count in by_blocks.items())
     return _exact_div(total, math.factorial(n), f"oracle_bd_burnside({chi}, {n}, {d})")

@@ -116,8 +116,10 @@ def _closure(start: tuple[int, ...], generators) -> frozenset[tuple[int, ...]]:
 
     Breadth-first under left multiplication by the generators; the group
     enumeration work guard, on tuples found times tuple length, is checked
-    after each layer.
+    after each layer against the limit scaled once, and once more at the
+    end.
     """
+    limit = MAX_GROUP_WORK * guard_scale()
     found = {start}
     frontier = [start]
     while frontier:
@@ -128,8 +130,10 @@ def _closure(start: tuple[int, ...], generators) -> frozenset[tuple[int, ...]]:
                 if u not in found:
                     found.add(u)
                     nxt.append(u)
-        check_guard(len(found) * len(start), MAX_GROUP_WORK, "group enumeration")
+        if len(found) * len(start) > limit:
+            check_guard(len(found) * len(start), MAX_GROUP_WORK, "group enumeration")
         frontier = nxt
+    check_guard(len(found) * len(start), MAX_GROUP_WORK, "group enumeration")
     return frozenset(found)
 
 
@@ -167,8 +171,9 @@ def _stabilizer_chain(degree: int, generators) -> _Chain:
     one where it stopped (a new level, at its first moved point, if it
     passed them all).  Each pair is tested once, so the chain is complete
     when no pair is pending.  The group work guard counts the tuple entries
-    composed as the chain is built.
+    composed as the chain is built, against the limit scaled once.
     """
+    limit = MAX_GROUP_WORK * guard_scale()
     identity = tuple(range(degree))
     points: list[int] = []
     strong: list[list[Perm]] = []
@@ -207,7 +212,8 @@ def _stabilizer_chain(degree: int, generators) -> _Chain:
         residue, level = sift(g, 0)
         if residue != identity:
             add(residue, 0, level)
-        check_guard(work, MAX_GROUP_WORK, "group enumeration")
+        if work > limit:
+            check_guard(work, MAX_GROUP_WORK, "group enumeration")
         while pending:
             level, s, u = pending.pop()
             v = _compose(s, u)
@@ -221,7 +227,9 @@ def _stabilizer_chain(degree: int, generators) -> _Chain:
                 residue, stop = sift(v, level)
                 if residue != identity:
                     add(residue, level + 1, stop)
-            check_guard(work, MAX_GROUP_WORK, "group enumeration")
+            if work > limit:
+                check_guard(work, MAX_GROUP_WORK, "group enumeration")
+    check_guard(work, MAX_GROUP_WORK, "group enumeration")
     return _Chain(points, strong, reps, inverses)
 
 

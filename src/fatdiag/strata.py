@@ -248,6 +248,7 @@ def all_subgroups(group: PermutationGroupModel) -> set[frozenset[Perm]]:
     with each of its generators, every tuple carries degree entries, and
     each new subgroup adds the pairs that group_length compares it in.
     Within group_length the count starts from the earlier factors' searches.
+    The count is compared with the limit scaled once, before the search.
     """
     elements = group.sorted_elements()
     identity = tuple(range(group.degree))
@@ -255,10 +256,12 @@ def all_subgroups(group: PermutationGroupModel) -> set[frozenset[Perm]]:
     found: set[frozenset[Perm]] = {trivial}
     queue: list[tuple[frozenset[Perm], tuple[Perm, ...]]] = [(trivial, ())]
     work = _carried_work[0] if _carried_work else 0
+    limit = MAX_SUBGROUP_WORK * guard_scale()
     while queue:
         sub, gens = queue.pop()
         work += len(elements) * group.degree
-        check_guard(work, MAX_SUBGROUP_WORK, "subgroup enumeration")
+        if work > limit:
+            check_guard(work, MAX_SUBGROUP_WORK, "subgroup enumeration")
         covered = set(sub)
         for g in elements:
             if g in covered:
@@ -270,7 +273,9 @@ def all_subgroups(group: PermutationGroupModel) -> set[frozenset[Perm]]:
                 work += len(found)
                 found.add(bigger)
                 queue.append((bigger, gens + (g,)))
-            check_guard(work, MAX_SUBGROUP_WORK, "subgroup enumeration")
+            if work > limit:
+                check_guard(work, MAX_SUBGROUP_WORK, "subgroup enumeration")
+    check_guard(work, MAX_SUBGROUP_WORK, "subgroup enumeration")
     if _carried_work:
         _carried_work[0] = work
     return found

@@ -175,16 +175,40 @@ def _child_env() -> dict:
     return env
 
 
+# Runs the CLI on the argv given and prints its exit code, its peak
+# resident set in kilobytes (Linux, from wait4) and then its stdout.  Linux
+# starts a child's peak at that of the process it was spawned from, so the
+# CLI is spawned from this small interpreter, not from the test process.
+_PEAK_SPAWNER = """
+import os, subprocess, sys
+proc = subprocess.Popen([sys.executable, "-m", "fatdiag.cli", *sys.argv[1:]],
+                        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+with proc.stdout:
+    out = proc.stdout.read()
+_, status, usage = os.wait4(proc.pid, 0)
+sys.stdout.write(f"{os.waitstatus_to_exitcode(status)} {usage.ru_maxrss}\\n")
+sys.stdout.write(out.decode())
+"""
+
+
 def _child_peak(*argv: str) -> tuple[dict, int]:
-    """Run the CLI in a child; its JSON output and its own peak resident
-    set in kilobytes (Linux), read from wait4."""
-    proc = subprocess.Popen([sys.executable, "-m", "fatdiag.cli", *argv],
-                            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=_child_env())
-    with proc.stdout:
-        out = proc.stdout.read()
-    _, status, usage = os.wait4(proc.pid, 0)
-    assert os.waitstatus_to_exitcode(status) == 0
-    return json.loads(out), usage.ru_maxrss
+    """Run the CLI in a grandchild; its JSON output and its own peak
+    resident set in kilobytes."""
+    proc = subprocess.run([sys.executable, "-c", _PEAK_SPAWNER, *argv],
+                          capture_output=True, text=True, env=_child_env(), check=True)
+    head, out = proc.stdout.split("\n", 1)
+    code, peak = map(int, head.split())
+    assert code == 0
+    return json.loads(out), peak
+
+
+def test_child_peak_is_the_cli_own():
+    # a test process that has touched 64 MB must not raise the reading
+    ballast = b"\x01" * (64 << 20)
+    payload, peak = _child_peak("chi", "sp", "--space", "torus", "-n", "5")
+    assert payload["result"] == "0"
+    assert peak < 40 * 1024
+    del ballast
 
 
 def test_pi1_gamma_memory_is_linear_in_degree():

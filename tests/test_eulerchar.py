@@ -190,20 +190,30 @@ def test_chi_bd_matches_oracles():
                 assert closed == stratification_sum_bd(chi, n, d)
 
 
+def _fat_table_scan(weights):
+    # every one of the Bell(c) set partitions of the weighted points, by
+    # (heaviest block weight, number of blocks)
+    from collections import Counter
+
+    from fatdiag.combinatorics import set_partitions
+
+    table = Counter()
+    for labels in set_partitions(len(weights)):
+        blocks = [0] * (max(labels, default=-1) + 1)
+        for lab, w in zip(labels, weights):
+            blocks[lab] += w
+        table[max(blocks, default=0), len(blocks)] += 1
+    return table
+
+
 def _fat_scan(chi, weights, d):
     # the oracles' definition: falling(chi, #blocks) summed over the set
     # partitions of the weighted points whose heaviest block weighs >= d
     from fatdiag.algebra import falling_factorial
-    from fatdiag.combinatorics import set_partitions
 
-    total = 0
-    for labels in set_partitions(len(weights)):
-        blocks = [0] * (max(labels) + 1)
-        for lab, w in zip(labels, weights):
-            blocks[lab] += w
-        if max(blocks) >= d:
-            total += falling_factorial(chi, len(blocks))
-    return total
+    return sum(count * falling_factorial(chi, k)
+               for (heaviest, k), count in _fat_table_scan(weights).items()
+               if heaviest >= d)
 
 
 def _burnside_scan(chi, n, d):
@@ -229,6 +239,40 @@ def test_oracles_match_their_definition():
         assert oracle_fd_setpartitions(chi, n, d) == _fat_scan(chi, [1] * n, d)
         assert oracle_bd_burnside(chi, n, d) == _burnside_scan(chi, n, d)
     assert _fat_counts((1, 1, 1)) == {(3, 1): 1, (2, 2): 3, (1, 3): 1}
+
+
+def test_fat_counts_equal_the_full_scan():
+    from fatdiag.eulerchar import _fat_counts
+    from fatdiag.permgroup import conjugacy_classes_sn
+
+    for n in range(1, 10):
+        for ctype, _ in conjugacy_classes_sn(n):
+            weights = tuple(l for l, a in enumerate(ctype, start=1) for _ in range(a))
+            assert _fat_counts(weights) == _fat_table_scan(weights), weights
+    assert _fat_counts(()) == _fat_table_scan(()) == {(0, 0): 1}
+    assert _fat_counts((4,)) == {(4, 1): 1}
+
+
+def test_fat_counts_walk_all_but_the_last_point(monkeypatch):
+    # Bell(8) partitions of the first 8 points, not the Bell(9) of all 9
+    from fatdiag import eulerchar
+    from fatdiag.combinatorics import bell_number, set_partitions
+
+    walked = []
+
+    def counted(n):
+        for labels in set_partitions(n):
+            walked.append(labels)
+            yield labels
+
+    monkeypatch.setattr(eulerchar, "set_partitions", counted)
+    eulerchar._fat_counts.cache_clear()
+    try:
+        table = eulerchar._fat_counts((1,) * 9)
+    finally:
+        eulerchar._fat_counts.cache_clear()
+    assert len(walked) == bell_number(8) == 4140
+    assert sum(table.values()) == bell_number(9) == 21147
 
 
 def test_oracles_enumerate_once_per_weight_vector():
