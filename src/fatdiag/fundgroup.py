@@ -134,12 +134,15 @@ def pi1_bd(space: SpaceModel, n: int, d: int) -> GroupExpression:
 def pi1_bgamma_abelian(group: PermutationGroupModel, n: int, d: int) -> bool:
     """Whether the quotient of the ordered fat diagonal by the group is
     guaranteed to have abelian fundamental group: the group must act
-    d-transitively and d must be at most n/2.
+    d-transitively and d must be at most n/2.  Transitivity is read off
+    the group's stabilizer chain, so any d is answered at once.
 
     False means "no claim", not "non-abelian".
 
-    >>> from .permgroup import cyclic_group
+    >>> from .permgroup import alternating_group, cyclic_group
     >>> pi1_bgamma_abelian(cyclic_group(3), 3, 1)
+    True
+    >>> pi1_bgamma_abelian(alternating_group(12), 12, 6)
     True
     """
     if not 1 <= d <= n:

@@ -18,6 +18,12 @@ the orbit of b_i under the stabilizer of b_0, ..., b_{i-1}.  The order is
 the product of the orbit sizes, found without enumerating, and every element
 is the product of one transversal element per level, so the elements are
 streamed once each without a visited set (PermutationGroupModel.stream).
+Every group question is answered from the chain.  Sifting g (_sift)
+divides it, level by level, by the transversal element that agrees with
+it on the base point; the residue is the identity exactly when g lies in
+the group, so membership needs no element set.  The orbit of the base
+tuple (b_0, ..., b_{d-1}) has the product of the first d orbit sizes as
+its size, so d-transitivity needs no walk over tuples.
 
 The cycle-type histogram does not walk every element.  Split the chain
 into upper levels, whose products u are coset representatives of the
@@ -41,9 +47,8 @@ convolution of the factors' histograms, with the fixed points as
 
 The closure walk, _closure, is the orbit of a tuple under the group
 generated by some permutations, found breadth-first by left multiplication.
-From the identity it enumerates the subgroup joins of strata.all_subgroups;
-from (0, ..., d-1) it is the orbit on ordered d-tuples of distinct points
-(is_d_transitive).
+From the identity it enumerates the subgroup joins of the subgroup-search
+oracle, strata.all_subgroups, the one place where elements are kept.
 
 Convention for the induced action on coordinate tuples, used throughout:
 (g . x)_i = x_{g^{-1}(i)}, so that g moves the coordinate sitting in slot j
@@ -72,8 +77,6 @@ from .errors import check_guard, guard_scale
 # search for direct factors, counted in the entries of the elements it
 # builds and sifts: past it, the orbits not yet tested stay unsplit.
 MAX_GROUP_WORK = 4 * 10**6
-MAX_TUPLE_ORBIT = 10**6
-MAX_TRANSITIVITY_DEGREE = 4
 MAX_CONJUGACY_N = 20
 
 Perm = tuple[int, ...]
@@ -114,12 +117,11 @@ def _closure(start: tuple[int, ...], generators) -> frozenset[tuple[int, ...]]:
     entries: g maps (t_0, t_1, ...) to (g[t_0], g[t_1], ...), which for a
     permutation t is the product g*t.
 
-    Breadth-first under left multiplication by the generators; the group
-    enumeration work guard, on tuples found times tuple length, is checked
-    after each layer against the limit scaled once, and once more at the
-    end.
+    Breadth-first under left multiplication by the generators.  Not
+    guarded: strata.all_subgroups, its one caller, closes subgroups of a
+    group whose element walk is guarded on |G| * degree before it starts,
+    and no subgroup is larger.
     """
-    limit = MAX_GROUP_WORK * guard_scale()
     found = {start}
     frontier = [start]
     while frontier:
@@ -130,30 +132,53 @@ def _closure(start: tuple[int, ...], generators) -> frozenset[tuple[int, ...]]:
                 if u not in found:
                     found.add(u)
                     nxt.append(u)
-        if len(found) * len(start) > limit:
-            check_guard(len(found) * len(start), MAX_GROUP_WORK, "group enumeration")
         frontier = nxt
-    check_guard(len(found) * len(start), MAX_GROUP_WORK, "group enumeration")
     return frozenset(found)
 
 
 class _Chain:
     """A stabilizer chain: base points b_0, b_1, ...; at each level i the
     strong generators fixing b_0, ..., b_{i-1}, which generate the pointwise
-    stabilizer of those points; the transversal of level i, as a list and
-    keyed by the image of b_i; and the inverses of its elements found so
-    far, keyed the same way.  A plain class: a NamedTuple costs about
-    0.3 ms to create at import, which every group command pays."""
+    stabilizer of those points; the transversal of level i, keyed by the
+    image of b_i and, once the chain is complete, as a list; and the
+    inverses of its elements found so far, keyed the same way.  A plain
+    class: a NamedTuple costs about 0.3 ms to create at import, which every
+    group command pays."""
 
     __slots__ = ("points", "strong", "levels", "transversals", "inverses")
 
-    def __init__(self, points: list[int], strong: list[list[Perm]],
-                 transversals: list[dict[int, Perm]], inverses: list[dict[int, Perm]]) -> None:
-        self.points = points
-        self.strong = strong
-        self.levels = [list(transversal.values()) for transversal in transversals]
-        self.transversals = transversals
-        self.inverses = inverses
+    def __init__(self) -> None:
+        self.points: list[int] = []
+        self.strong: list[list[Perm]] = []
+        self.levels: list[list[Perm]] = []
+        self.transversals: list[dict[int, Perm]] = []
+        self.inverses: list[dict[int, Perm]] = []
+
+
+def _sift(chain: _Chain, g: Perm, level: int = 0) -> tuple[Perm, int, int]:
+    """g divided, level by level from the given one, by the transversal
+    element that agrees with it on the base point, until a base image has
+    no transversal element or the levels run out: the residue, the level
+    where it stopped, and the tuple entries composed and inverted.  From
+    level 0, the residue is the identity exactly when g lies in the group
+    of the chain."""
+    work = 0
+    points = chain.points
+    for j in range(level, len(points)):
+        b = points[j]
+        p = g[b]
+        transversal = chain.transversals[j]
+        if p not in transversal:
+            return g, j, work
+        if p != b:
+            inverses = chain.inverses[j]
+            inv = inverses.get(p)
+            if inv is None:
+                inv = inverses[p] = tuple(sorted(range(len(g)), key=transversal[p].__getitem__))
+                work += len(g)
+            g = _compose(inv, g)
+            work += len(g)
+    return g, len(points), work
 
 
 def _stabilizer_chain(degree: int, generators) -> _Chain:
@@ -175,27 +200,10 @@ def _stabilizer_chain(degree: int, generators) -> _Chain:
     """
     limit = MAX_GROUP_WORK * guard_scale()
     identity = tuple(range(degree))
-    points: list[int] = []
-    strong: list[list[Perm]] = []
-    reps: list[dict[int, Perm]] = []
-    inverses: list[dict[int, Perm]] = []
+    chain = _Chain()
+    points, strong, reps = chain.points, chain.strong, chain.transversals
     pending: list[tuple[int, Perm, Perm]] = []
     work = 0
-
-    def sift(g: Perm, level: int) -> tuple[Perm, int]:
-        nonlocal work
-        for j in range(level, len(points)):
-            p = g[points[j]]
-            if p not in reps[j]:
-                return g, j
-            if p != points[j]:
-                inv = inverses[j].get(p)
-                if inv is None:
-                    inv = inverses[j][p] = tuple(sorted(identity, key=reps[j][p].__getitem__))
-                    work += degree
-                g = _compose(inv, g)
-                work += degree
-        return g, len(points)
 
     def add(g: Perm, first: int, last: int) -> None:
         if last == len(points):
@@ -203,13 +211,14 @@ def _stabilizer_chain(degree: int, generators) -> _Chain:
             points.append(b)
             strong.append([])
             reps.append({b: identity})
-            inverses.append({})
+            chain.inverses.append({})
         for level in range(first, last + 1):
             strong[level].append(g)
             pending.extend((level, g, u) for u in reps[level].values())
 
     for g in generators:
-        residue, level = sift(g, 0)
+        residue, level, sifted = _sift(chain, g)
+        work += sifted
         if residue != identity:
             add(residue, 0, level)
         if work > limit:
@@ -224,13 +233,15 @@ def _stabilizer_chain(degree: int, generators) -> _Chain:
                 reps[level][p] = v
                 pending.extend((level, s2, v) for s2 in strong[level])
             elif t != v:
-                residue, stop = sift(v, level)
+                residue, stop, sifted = _sift(chain, v, level)
+                work += sifted
                 if residue != identity:
                     add(residue, level + 1, stop)
             if work > limit:
                 check_guard(work, MAX_GROUP_WORK, "group enumeration")
     check_guard(work, MAX_GROUP_WORK, "group enumeration")
-    return _Chain(points, strong, reps, inverses)
+    chain.levels = [list(transversal.values()) for transversal in reps]
+    return chain
 
 
 def _products(levels: list[list[Perm]], identity: Perm) -> list[Perm]:
@@ -330,26 +341,6 @@ def _restrict(generators, points: list[int]) -> PermutationGroupModel:
     return PermutationGroupModel(
         len(points), [tuple(map(index.__getitem__, map(g.__getitem__, points)))
                       for g in generators])
-
-
-def _sift(chain: _Chain, g: Perm) -> tuple[Perm, int]:
-    """g divided, level by level, by the transversal element that agrees
-    with it on the base point: the identity exactly when g lies in the
-    group of the chain, or some other residue.  Also the tuple entries
-    composed and inverted."""
-    work = 0
-    for b, transversal, inverses in zip(chain.points, chain.transversals, chain.inverses):
-        p = g[b]
-        if p not in transversal:
-            break
-        if p != b:
-            inv = inverses.get(p)
-            if inv is None:
-                inv = inverses[p] = tuple(sorted(range(len(g)), key=transversal[p].__getitem__))
-                work += len(g)
-            g = _compose(inv, g)
-            work += len(g)
-    return g, work
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
@@ -454,19 +445,18 @@ class PermutationGroupModel:
         return _chain_elements(self._stabilizers().levels, tuple(range(self.degree)))
 
     def elements(self) -> frozenset[Perm]:
+        """The element set, kept for the subgroup search of
+        strata.all_subgroups."""
         if self._elements is None:
             self._elements = frozenset(self.stream())
         return self._elements
 
-    def sorted_elements(self) -> list[Perm]:
-        """Elements in lexicographic order of their image tuples."""
-        return sorted(self.elements())
-
     def __contains__(self, g: Perm) -> bool:
-        return g in self.elements()
-
-    def __iter__(self):
-        return iter(self.sorted_elements())
+        """Whether g is an element, by sifting it through the chain; False
+        for anything that is not a permutation of the group's points."""
+        n = self.degree
+        return (len(g) == n and set(g) == set(range(n))
+                and _sift(self._stabilizers(), tuple(g))[0] == tuple(range(n)))
 
     def direct_factors(self) -> list[PermutationGroupModel]:
         """Groups on renumbered points whose direct product, on disjoint
@@ -523,7 +513,7 @@ class PermutationGroupModel:
                     part = list(identity)
                     for p in orbit:
                         part[p] = g[p]
-                    residue, sifted = _sift(chain, tuple(part))
+                    residue, _, sifted = _sift(chain, tuple(part))
                     work += self.degree + sifted
                     if residue != identity:
                         return False
@@ -610,18 +600,18 @@ class PermutationGroupModel:
 
     def is_d_transitive(self, d: int) -> bool:
         """Whether the action on ordered d-tuples of distinct points is
-        transitive.  Guarded at d <= 4."""
-        check_guard(d, MAX_TRANSITIVITY_DEGREE, "transitivity degree")
+        transitive.
+
+        The orbit of the first d base points (b_0, ..., b_{d-1}) has
+        |G| / |G_(b_0, ..., b_{d-1})| elements, the product of the first d
+        orbit sizes along the chain, with a level missing at the end
+        counting 1 (extend the base by any other points).  So G is
+        d-transitive exactly when that product is n! / (n - d)!.
+        """
         if d < 1:
             raise ValueError(f"d must be >= 1, got {d}")
         n = self.degree
-        if n < d:
-            return False
-        target = 1
-        for j in range(d):
-            target *= n - j
-        check_guard(target, MAX_TUPLE_ORBIT, "tuple orbit enumeration")
-        return len(_closure(tuple(range(d)), self.generators)) == target
+        return n >= d and math.prod(map(len, self._stabilizers().levels[:d])) == math.perm(n, d)
 
 
 def symmetric_group(n: int) -> PermutationGroupModel:
@@ -648,8 +638,9 @@ def trivial_group(n: int) -> PermutationGroupModel:
 
 def regular_representation(group: PermutationGroupModel) -> PermutationGroupModel:
     """The group acting on itself by left multiplication, as a permutation
-    group of degree equal to the group order."""
-    elems = group.sorted_elements()
+    group of degree equal to the group order, on its elements numbered in
+    lexicographic order of their image tuples."""
+    elems = sorted(group.stream())
     index = {g: i for i, g in enumerate(elems)}
     gens = [tuple(index[_compose(g, h)] for h in elems) for g in group.generators]
     return PermutationGroupModel(len(elems), gens)

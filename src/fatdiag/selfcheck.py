@@ -307,11 +307,16 @@ def check_pi1_descriptors(fast: bool = False) -> str:
             )
             cases += 1
     # the abelian criterion for quotients of the ordered fat diagonal agrees
-    # with the unordered branch table where both speak
-    for n in range(1, 7):
+    # with the unordered branch table where both speak, for S_n and for A_n,
+    # which is (n - 2)- but not (n - 1)-transitive
+    for n in range(1, 13):
+        full, even = symmetric_group(n), alternating_group(n)
         for d in range(1, n // 2 + 1):
-            assert pi1_bgamma_abelian(symmetric_group(n), n, d), (n, d)
+            assert pi1_bgamma_abelian(full, n, d), (n, d)
+            assert n < 3 or pi1_bgamma_abelian(even, n, d), (n, d)
             assert pi1_bd(opaque, n, d).pi1_exponent == 0, (n, d)
+        if n >= 4:
+            assert even.is_d_transitive(n - 2) and not even.is_d_transitive(n - 1), n
     assert not pi1_bgamma_abelian(cyclic_group(4), 4, 2)
     assert str(pi1_bd(circle, 4, 2).abelian_descriptor()) == "Z"
     assert pi1_bd(circle, 4, 3).display() == "H1(X)^2"

@@ -250,7 +250,7 @@ def all_subgroups(group: PermutationGroupModel) -> set[frozenset[Perm]]:
     Within group_length the count starts from the earlier factors' searches.
     The count is compared with the limit scaled once, before the search.
     """
-    elements = group.sorted_elements()
+    elements = sorted(group.elements())
     identity = tuple(range(group.degree))
     trivial = frozenset([identity])
     found: set[frozenset[Perm]] = {trivial}

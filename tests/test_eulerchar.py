@@ -66,7 +66,7 @@ def _orbit_count_on_colorings(group, colors: int) -> int:
 
     seen: set[tuple[int, ...]] = set()
     total = 0
-    inverses = [tuple(sorted(range(group.degree), key=g.__getitem__)) for g in group]
+    inverses = [tuple(sorted(range(group.degree), key=g.__getitem__)) for g in group.stream()]
     for start in itertools.product(range(colors), repeat=group.degree):
         if start in seen:
             continue

@@ -123,8 +123,8 @@ def test_cyclic_and_trivial():
 def test_group_membership_and_iteration():
     g = symmetric_group(3)
     assert parse_cycles("(1 3)", 3) in g
-    assert len(list(g)) == 6
-    assert parse_cycles("(1 2 3)", 3) in set(g) and (0, 1, 2) in set(g)
+    assert parse_cycles("(1 2 3)", 3) in g and (0, 1, 2) in g
+    assert parse_cycles("(1 2)", 3) not in alternating_group(3)
 
 
 def test_cycle_count_histogram_matches_classes():
@@ -204,10 +204,9 @@ def _random_groups(count: int, seed: int):
         yield PermutationGroupModel(n, gens)
 
 
-def test_stabilizer_chain_matches_closure(monkeypatch):
-    # groups from the other tests, the benchmark roster and random groups:
-    # the chain's order, elements, histograms and cycle partitions against
-    # the closure walk from the identity
+def _battery(monkeypatch) -> list[PermutationGroupModel]:
+    """Groups from the other tests, the benchmark roster and 40 random
+    groups."""
     groups = [
         symmetric_group(n) for n in range(7)] + [
         alternating_group(n) for n in range(3, 7)] + [
@@ -223,7 +222,13 @@ def test_stabilizer_chain_matches_closure(monkeypatch):
     assert len(roster) == 20
     groups += roster
     groups += _random_groups(40, seed=10)
-    for group in groups:
+    return groups
+
+
+def test_stabilizer_chain_matches_closure(monkeypatch):
+    # the chain's order, elements, histograms and cycle partitions against
+    # the closure walk from the identity
+    for group in _battery(monkeypatch):
         walk = _closure(tuple(range(group.degree)), group.generators)
         streamed = list(group.stream())
         assert group.order() == len(walk) == len(streamed), group.generators
@@ -234,6 +239,50 @@ def test_stabilizer_chain_matches_closure(monkeypatch):
         partitions = set(map(_cycle_partition, walk)) - {tuple(range(group.degree))}
         steps = [_cycle_partition(successor) for successor, _ in _steps(group)]
         assert len(steps) == len(partitions) and set(steps) == partitions
+
+
+def test_d_transitivity_matches_the_tuple_walk(monkeypatch):
+    # the product of the first d orbit sizes along the chain against the
+    # orbit of (0, ..., d-1) on ordered d-tuples of distinct points
+    answers = Counter()
+    for group in _battery(monkeypatch):
+        n = group.degree
+        for d in range(1, 5):
+            walk = n >= d and len(_closure(tuple(range(d)), group.generators)) == math.perm(n, d)
+            assert group.is_d_transitive(d) == walk, (group.generators, d)
+            answers[walk] += 1
+    assert answers == {True: 113, False: 211}
+
+
+def test_d_transitivity_past_the_tuple_walk():
+    # 30! / 20! tuples of S_30, and A_12 is 10- but not 11-transitive
+    assert symmetric_group(30).is_d_transitive(10)
+    a12 = alternating_group(12)
+    assert a12.is_d_transitive(10) and not a12.is_d_transitive(11)
+    assert symmetric_group(12).is_d_transitive(12)
+    assert not symmetric_group(5).is_d_transitive(6)
+    assert not trivial_group(0).is_d_transitive(1)
+    for d in (0, -1):
+        with pytest.raises(ValueError):
+            symmetric_group(4).is_d_transitive(d)
+
+
+def test_membership_by_sifting(monkeypatch):
+    # every streamed element sifts to the identity, and random permutations
+    # are members exactly when they lie in the element set
+    rng = random.Random(15)
+    for group in _battery(monkeypatch):
+        elements = group.elements()
+        assert all(g in group for g in group.stream())
+        for _ in range(20):
+            g = list(range(group.degree))
+            rng.shuffle(g)
+            assert (tuple(g) in group) == (tuple(g) in elements)
+    # anything that is not a permutation of the points is no member
+    s3 = symmetric_group(3)
+    for other in [(0, 1), (0, 1, 2, 3), (), (0, 0, 1), (1, 5, 0), ("a", "b", "c")]:
+        assert other not in s3
+    assert () in trivial_group(0)
 
 
 def test_order_needs_no_enumeration():
@@ -368,13 +417,15 @@ def test_factor_search_is_bounded(monkeypatch):
             return fn(*args)
         return wrapper
 
+    # the chain builder sifts too, so the chain is built before counting
+    involution = PermutationGroupModel(
+        18000, ["".join(f"({i} {i + 1})" for i in range(1, 18000, 2))])
+    assert involution.order() == 2
     monkeypatch.setattr(permgroup, "_compose", counted("compose", compose))
     monkeypatch.setattr(permgroup, "_restrict", counted("restrict", restrict))
     monkeypatch.setattr(permgroup, "_sift", counted("sift", sift))
-    involution = PermutationGroupModel(
-        18000, ["".join(f"({i} {i + 1})" for i in range(1, 18000, 2))])
     assert involution.direct_factors() == [involution]
-    assert calls == {"sift": 221, "compose": 3}
+    assert calls == {"sift": 221, "compose": 1}
     assert depth(involution) == 1 and group_length(involution) == 1
 
 
