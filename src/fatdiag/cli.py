@@ -20,8 +20,9 @@ repeated option wins, and the word after a value option is always its
 value, so `--degree -1` reaches the group model.  Abbreviations, unknown
 options, stray words, a missing value, a bad integer or a bad choice are
 usage errors.  `-h` or `--help` prints usage lines made from the COMMANDS
-table.  A grid of `chi bd|fd|bupper` is guarded on its cell count and on
-the summed estimated work of its cells before any cell is built.
+table.  A grid of `chi bd|fd|bupper` builds one power-series column per d
+and reads its cells from them; it is guarded on its cell count and on the
+summed estimated work of its columns before any column is built.
 
 Start-up imports only sys, types and the error types, and argv is read
 in one pass against the COMMANDS table; each command imports the modules
@@ -266,17 +267,7 @@ def _chi_oracles(kind: str, chi: int, n: int, d: int) -> dict[str, int]:
 
 
 def _cmd_chi(args) -> int:
-    from .eulerchar import (
-        MAX_FORMULA_WORK,
-        chi_b_upper,
-        chi_b_upper_work,
-        chi_bd,
-        chi_bd_work,
-        chi_fd,
-        chi_fd_work,
-        chi_sp,
-        chi_sp_bits,
-    )
+    from .eulerchar import chi_b_upper, chi_bd, chi_columns, chi_fd, chi_sp, chi_sp_bits
 
     space = _space(args)
     chi = space.euler()
@@ -295,20 +286,20 @@ def _cmd_chi(args) -> int:
         )
         return 0
 
-    formula, work = {"bd": (chi_bd, chi_bd_work), "fd": (chi_fd, chi_fd_work),
-                     "bupper": (chi_b_upper, chi_b_upper_work)}[kind]
     d_min = 1 if kind == "bupper" else 2
     cells = _grid(_parse_range(args.n, "-n"), _parse_range(args.d, "-d"), d_min)
     if not cells:
         raise UsageError(f"no valid (n, d) pairs with {d_min} <= d <= n in the ranges")
     grid = len(cells) > 1
-    if grid:  # a single cell is guarded by its formula, after its parity gate
-        check_guard(sum(work(n, d) for n, d in cells), MAX_FORMULA_WORK,
-                    "closed formula work")
+    if grid:  # one column per d, up to the last row
+        columns = chi_columns(kind, chi, {d for _, d in cells}, cells[-1][0], space.parity)
+        values = [columns[d][n] for n, d in cells]
+    else:
+        formula = {"bd": chi_bd, "fd": chi_fd, "bupper": chi_b_upper}[kind]
+        values = [formula(chi, *cells[0], space.parity)]
 
     rows = []
-    for n, d in cells:
-        value = formula(chi, n, d, space.parity)
+    for (n, d), value in zip(cells, values):
         oracles = None
         if args.verify:
             oracles = _chi_oracles(kind, chi, n, d)

@@ -37,6 +37,12 @@ falling(chi, k) per k.
   chi_b_upper  [q^n] (1 + q + ... + q^d)^chi
   chi_bd       chi_sp - chi_b_upper(d - 1)
   chi_fd       chi^n - n! [x^n] (sum_{j<d} x^j / j!)^chi
+
+The last three are coefficient n of the chi-th power of one truncated
+series, ordinary or exponential, and one recurrence (_series) gives every
+coefficient up to n in one pass.  chi_columns reads a column per d from
+it for a whole grid, under one parity gate, range check and work guard
+(series_work); the three formulas read one cell of it.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Collection, Mapping
 
 from .algebra import binomial_gen, falling_factorial
 from .combinatorics import alpha_sequences, factorial_product, set_partitions
@@ -55,8 +61,10 @@ if TYPE_CHECKING:  # the closed formulas run without the group layer
 
 MAX_ORACLE_N = 10
 MAX_STRATA_N = 40
-# Closed-formula work: big-integer products made, times n for their length.
-MAX_FORMULA_WORK = 10**9
+# Closed-formula work (series_work): recurrence steps times the bits of
+# their coefficients.  About 10^9 units take a second: chi fd -n 1000 -d 501
+# on surface:3 is 7.5 * 10^8 and takes 0.3 s past start-up.
+MAX_FORMULA_WORK = 3 * 10**9
 
 
 def _require_even(parity: str, what: str) -> None:
@@ -106,30 +114,6 @@ def chi_gamma_product(chi: int, group: PermutationGroupModel) -> int:
     return _exact_div(total, group.order(), "chi_gamma_product")
 
 
-def chi_f_config(chi: int, k: int, parity: str) -> int:
-    """Euler characteristic of the ordered configuration space of k distinct
-    points in a closed manifold: prod_{j=0}^{k-1} (chi - j) in even dimension,
-    prod (chi + j) in odd dimension.
-
-    >>> chi_f_config(2, 2, "even")
-    2
-    """
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    if parity == "even":
-        sign = -1
-    elif parity == "odd":
-        sign = 1
-    else:
-        raise UnsupportedSpaceError(
-            f"configuration-space formula needs a manifold parity, got {parity!r}"
-        )
-    out = 1
-    for j in range(k):
-        out *= chi + sign * j
-    return out
-
-
 def chi_stratum(chi: int, alpha: tuple[int, ...]) -> int:
     """Euler characteristic of one multiplicity stratum of the symmetric
     product: unordered collections of sum(alpha_i) distinct points, alpha_i
@@ -140,23 +124,6 @@ def chi_stratum(chi: int, alpha: tuple[int, ...]) -> int:
     """
     value = falling_factorial(chi, sum(alpha))
     return _exact_div(value, factorial_product(alpha), f"chi_stratum({chi}, {alpha})")
-
-
-def chi_fd_work(n: int, d: int) -> int:
-    """Estimated work of chi_fd(chi, n, d): the n - d + 1 steps of its
-    recurrence make d - 1 products each, of length about n."""
-    return (n - d + 1) * (d - 1) * n
-
-
-def chi_bd_work(n: int, d: int) -> int:
-    """Estimated work of chi_bd(chi, n, d): that of its chi_b_upper term."""
-    return chi_b_upper_work(n, d - 1)
-
-
-def chi_b_upper_work(n: int, d: int) -> int:
-    """Estimated work of chi_b_upper(chi, n, d): n // (d + 1) + 1 terms,
-    each a binomial of about n products of length about n."""
-    return n * (n // (d + 1) + 1) * n
 
 
 def _bits_at_least(count: int, log2_each: float) -> int:
@@ -194,49 +161,111 @@ def chi_sp_bits(chi: int, n: int) -> int:
     return _bits_at_least(k, math.log2(m) - math.log2(k)) if k > 0 else 0
 
 
+def series_work(chi: int, top: int, n: int, exponential: bool) -> int:
+    """Estimated work of _series(chi, top, n, exponential): its steps (one
+    per coefficient, or in the exponential form top for each coefficient
+    past top) times the length of the coefficients, about n log2(|chi| + 2)
+    bits."""
+    steps = max(n - top, 0) * top if exponential else n
+    return steps * n * (abs(chi) + 2).bit_length()
+
+
+def _series(chi: int, top: int, n: int, exponential: bool) -> list[int]:
+    """a_0 ... a_n for the chi-th power of the truncated series f = sum_{j <=
+    top} q^j, or of f = sum_{j <= top} x^j / j! with a_k = k! [x^k] f^chi
+    (exponential).  J.C.P. Miller's recurrence for powers of a series (Knuth,
+    TAOCP vol. 2, 4.7) gives them in integers, for any chi:
+    k a_k = sum_{0<j<=min(k,top)} ((chi+1) j - k) w a_{k-j}, with w = 1, or
+    w = C(k, j) in the exponential form.
+
+    The ordinary weights are constant, so the window sums of a_{k-j} and of
+    j a_{k-j} slide by one term a step.  The exponential form agrees with
+    e^(chi x) up to x^top, so a_k = chi^k for k <= top.  With top >= n the
+    series are those of chi_sp, (1 - q)^(-chi), and of chi^n, e^(chi x).
+    """
+    what = f"_series({chi}, {top}, {n}, {exponential})"
+    a = [1]
+    if exponential:
+        for _ in range(min(top, n)):
+            a.append(a[-1] * chi)
+    plain = weighted = 0  # sums of a_{k-j} and of j a_{k-j} over 0 < j <= min(k, top)
+    for k in range(len(a), n + 1):
+        if exponential:
+            acc, binom = 0, 1
+            for j in range(1, top + 1):
+                binom = binom * (k - j + 1) // j
+                acc += ((chi + 1) * j - k) * (binom * a[k - j])
+        else:
+            gone = a[k - 1 - top] if k > top else 0
+            plain += a[k - 1] - gone
+            weighted += plain - top * gone
+            acc = (chi + 1) * weighted - k * plain
+        a.append(_exact_div(acc, k, what))
+    return a
+
+
+def chi_columns(kind: str, chi: int, ds: Collection[int], n: int,
+                parity: str = "even") -> dict[int, list[int]]:
+    """Columns of chi_bd, chi_fd or chi_b_upper (kind "bd", "fd" or
+    "bupper"): for each d of ds, the values at every m = 0 ... n.  This is
+    the one parity gate, range check and work guard of the three formulas,
+    and the work of all the columns is guarded before any is built.
+
+    A chi_b_upper column is _series(chi, d, n).  A chi_bd or chi_fd column
+    is the untruncated series (chi_sp, or chi^m) less the one with top
+    d - 1, ordinary or exponential; the untruncated one is made once.
+
+    >>> chi_columns("bd", 2, [2, 3], 4)
+    {2: [0, 0, 2, 4, 5], 3: [0, 0, 0, 2, 4]}
+    """
+    # smallest d, top - d, exponential form, what the parity gate names
+    d_min, shift, exponential, what = {
+        "bd": (2, -1, False, "unordered fat diagonal"),
+        "fd": (2, -1, True, "ordered fat diagonal"),
+        "bupper": (1, 0, False, "multiplicity-bounded symmetric product"),
+    }[kind]
+    _require_even(parity, what)
+    for d in ds:
+        if not d_min <= d <= n:
+            raise ValueError(f"needs {d_min} <= d <= n, got d={d}, n={n}")
+    check_guard(sum(series_work(chi, d + shift, n, exponential) for d in ds),
+                MAX_FORMULA_WORK, "closed formula work")
+    columns = {d: _series(chi, d + shift, n, exponential) for d in ds}
+    if kind != "bupper":
+        whole = _series(chi, n, n, exponential)
+        for d, column in columns.items():
+            columns[d] = [w - a for w, a in zip(whole, column)]
+    return columns
+
+
 def chi_fd(chi: int, n: int, d: int, parity: str = "even") -> int:
     """Euler characteristic of the ordered fat diagonal: n-tuples in which
     some value occurs at least d times.  Even-dimensional closed manifolds.
 
     chi^n minus a_n, the sum of the strata whose blocks are all smaller
-    than d: n! [x^n] (sum_{j<d} x^j / j!)^chi.  So a_k = chi^k for k < d,
-    and J.C.P. Miller's recurrence for powers of a series gives the rest in
-    integers, for any chi: k a_k = sum_{0<j<d} ((chi+1) j - k) C(k, j) a_{k-j}.
+    than d: n! [x^n] (sum_{j<d} x^j / j!)^chi, read from chi_columns.
 
     >>> chi_fd(2, 3, 2)
     8
     >>> chi_fd(2, 4, 3)
     10
     """
-    _require_even(parity, "ordered fat diagonal")
-    if not 2 <= d <= n:
-        raise ValueError(f"needs 2 <= d <= n, got d={d}, n={n}")
-    check_guard(chi_fd_work(n, d), MAX_FORMULA_WORK, "closed formula work")
-    a = [chi**k for k in range(d)]
-    for k in range(d, n + 1):
-        acc, binom = 0, 1
-        for j in range(1, d):
-            binom = binom * (k - j + 1) // j
-            acc += ((chi + 1) * j - k) * (binom * a[k - j])
-        a.append(_exact_div(acc, k, f"chi_fd({chi}, {n}, {d})"))
-    return chi**n - a[n]
+    return chi_columns("fd", chi, (d,), n, parity)[d][n]
 
 
 def chi_bd(chi: int, n: int, d: int, parity: str = "even") -> int:
     """Euler characteristic of the unordered fat diagonal: points of the
     n-th symmetric product where some value has multiplicity >= d.  Even-
     dimensional closed manifolds.  Its strata are those of sp(X, n) that
-    chi_b_upper(d - 1) leaves out, so by additivity it is the difference.
+    chi_b_upper(d - 1) leaves out, so by additivity it is the difference,
+    read from chi_columns.
 
     >>> chi_bd(2, 4, 2)
     5
     >>> chi_bd(2, 5, 2)
     6
     """
-    _require_even(parity, "unordered fat diagonal")
-    if not 2 <= d <= n:
-        raise ValueError(f"needs 2 <= d <= n, got d={d}, n={n}")
-    return chi_sp(chi, n) - chi_b_upper(chi, n, d - 1, parity)
+    return chi_columns("bd", chi, (d,), n, parity)[d][n]
 
 
 def chi_f2(chi: int, n: int) -> int:
@@ -268,20 +297,14 @@ def chi_b_upper(chi: int, n: int, d: int, parity: str = "even") -> int:
     complexes this is not a function of chi.
 
     The strata with all multiplicities <= d sum to [q^n] (1 + q + ... +
-    q^d)^chi = [q^n] (1 - q^(d+1))^chi (1 - q)^(-chi), that is
-    sum_{j <= n/(d+1)} (-1)^j binomial_gen(chi, j) chi_sp(chi, n - j(d+1)).
+    q^d)^chi, read from chi_columns.
 
     >>> chi_b_upper(2, 2, 1)
     1
     >>> chi_b_upper(2, 3, 2)
     2
     """
-    _require_even(parity, "multiplicity-bounded symmetric product")
-    if not 1 <= d <= n:
-        raise ValueError(f"needs 1 <= d <= n, got d={d}, n={n}")
-    check_guard(chi_b_upper_work(n, d), MAX_FORMULA_WORK, "closed formula work")
-    return sum((-1) ** j * binomial_gen(chi, j) * chi_sp(chi, n - j * (d + 1))
-               for j in range(n // (d + 1) + 1))
+    return chi_columns("bupper", chi, (d,), n, parity)[d][n]
 
 
 def stratification_sum_bd(chi: int, n: int, d: int) -> int:

@@ -91,6 +91,32 @@ def test_chi_csv(capsys):
     assert len(lines) == 5
 
 
+def test_grid_rows_equal_single_cells(capsys):
+    # a grid builds one column per d; each row is what the cell's own
+    # command prints
+    for kind in ("bd", "fd", "bupper"):
+        for space in ("surface:3", "sphere:2"):
+            rc, out, err = run(capsys, "chi", kind, "--space", space,
+                               "-n", "1..12", "-d", "1..9", "--csv")
+            assert rc == 0, err
+            rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+            assert len(rows) == sum(min(n, 9) - (kind != "bupper") for n in range(1, 13))
+            for n, d, value in rows:
+                single = run_json(capsys, "chi", kind, "--space", space, "-n", n, "-d", d)
+                assert single["result"] == value, (kind, space, n, d)
+
+
+def test_torus_grid_vanishes(capsys):
+    # chi = 0 kills every stratum of the unordered fat diagonal; the whole
+    # 2..200 grid answers at once
+    rc, out, err = run(capsys, "chi", "bd", "--space", "torus",
+                       "-n", "2..200", "-d", "2..200", "--csv")
+    assert rc == 0, err
+    rows = out.strip().splitlines()[1:]
+    assert len(rows) == 199 * 200 // 2
+    assert {row.rpartition(",")[2] for row in rows} == {"0"}
+
+
 def test_chi_grid_with_verify(capsys):
     for kind in ("bd", "fd"):
         rc, out, err = run(capsys, "chi", kind, "--space", "surface:2",
@@ -360,12 +386,16 @@ def test_closed_formula_guard_limits_work(capsys):
     # multiplicity m >= d is unique: C(n, m) chi (chi - 1)^(n - m) per m.
     payload = run_json(capsys, "chi", "fd", "--space", "sphere:2", "-n", "1000", "-d", "501")
     assert payload["result"] == str(sum(2 * math.comb(1000, m) for m in range(501, 1001)))
+    # chi = 0: (1 + q)^0 = 1 has no q^1500 term
+    payload = run_json(capsys, "chi", "bupper", "--space", "torus", "-n", "1500", "-d", "1")
+    assert payload["result"] == "0"
     # beyond the estimated-work limit the guard trips before any work, and
     # the stratum-enumeration oracle of --verify is guarded too
     for argv, guard in (
         (("chi", "fd", "--space", "sphere:2", "-n", "100000", "-d", "50000"),
          "closed formula work"),
-        (("chi", "bupper", "--space", "torus", "-n", "1500", "-d", "1"), "closed formula work"),
+        (("chi", "bupper", "--space", "torus", "-n", "100000", "-d", "1"),
+         "closed formula work"),
         (("chi", "bupper", "--space", "torus", "-n", "60", "-d", "2", "--verify"),
          "stratification_sum_bd"),
         # group enumeration is guarded on |G| * degree before the identity
@@ -595,13 +625,13 @@ def test_help_prints_usage(capsys):
 
 def test_grid_is_guarded_before_it_is_built(capsys, monkeypatch):
     # the cell count is worked out from the bounds, then the summed
-    # estimated work of the cells, before any cell is made
+    # estimated work of the columns, before any column is made
     for argv, guard in (
         (("chi", "bd", "--space", "torus", "-n", "2..20000000", "-d", "2", "--csv"),
          "grid cells: size 19999999"),
         (("chi", "fd", "--space", "torus", "-n", "2..1500", "-d", "2..1500", "--csv"),
          "grid cells: size 1124250"),
-        (("chi", "bd", "--space", "torus", "-n", "2..300", "-d", "2..300"),
+        (("chi", "fd", "--space", "surface:3", "-n", "2..440", "-d", "2..440"),
          "closed formula work"),
     ):
         rc, out, err = run(capsys, *argv)

@@ -2,13 +2,14 @@ from __future__ import annotations
 
 import pytest
 
+from fatdiag.algebra import binomial_gen, falling_factorial
 from fatdiag.errors import UnsupportedSpaceError
 from fatdiag.eulerchar import (
     chi_b2,
     chi_b_upper,
     chi_bd,
+    chi_columns,
     chi_f2,
-    chi_f_config,
     chi_fd,
     chi_gamma_bits,
     chi_gamma_product,
@@ -101,15 +102,6 @@ def test_chi_gamma_product_regular_representation():
     assert chi_gamma_product(2, g) == (2**4 + 2**2 + 2 * 2) // 4
 
 
-def test_chi_f_config():
-    for chi in range(-4, 5):
-        assert chi_f_config(chi, 1, "even") == chi
-        assert chi_f_config(chi, 2, "even") == chi * (chi - 1)
-        assert chi_f_config(chi, 3, "even") == chi * (chi - 1) * (chi - 2)
-    # odd-dimensional manifolds have vanishing chi and vanishing configuration chi
-    assert chi_f_config(0, 3, "odd") == 0
-
-
 def test_chi_stratum_values_and_integrality():
     from fatdiag.algebra import binomial_gen
     from fatdiag.combinatorics import alpha_sequences
@@ -146,7 +138,7 @@ def test_chi_fd_small_d_closed_forms():
     for chi in range(-5, 6):
         assert chi_fd(chi, 3, 2) == 3 * chi**2 - 2 * chi
         for n in range(2, 8):
-            assert chi_fd(chi, n, 2) == chi**n - chi_f_config(chi, n, "even")
+            assert chi_fd(chi, n, 2) == chi**n - falling_factorial(chi, n)
     # d = n-1: thin diagonal plus one point split off
     for chi in range(-5, 6):
         for n in range(3, 8):
@@ -335,11 +327,6 @@ def test_parity_gating():
             chi_bd(2, 3, 2, parity=parity)
         with pytest.raises(UnsupportedSpaceError):
             chi_b_upper(2, 3, 2, parity=parity)
-    with pytest.raises(UnsupportedSpaceError):
-        chi_f_config(2, 2, "none")
-    # the plain configuration space formula does extend to odd parity
-    assert chi_f_config(0, 3, "odd") == 0
-    assert chi_f_config(-2, 2, "odd") == 2
 
 
 def test_bad_arguments():
@@ -416,3 +403,70 @@ def test_result_bit_bounds():
     group = symmetric_group(5)
     assert all(abs(chi_gamma_product(chi, group)).bit_length() <= chi_gamma_bits(chi, 5)
                for chi in (-7, -2, 3, 10))
+
+
+# The algorithms the power-series engine replaced, kept as references: the
+# binomial sum of chi_b_upper, [q^n] (1 - q^(d+1))^chi (1 - q)^(-chi), and
+# the single-cell recurrence of chi_fd, here run once per d up to the last n.
+def _b_upper_binomial_sum(chi, n, d):
+    return sum((-1) ** j * binomial_gen(chi, j) * chi_sp(chi, n - j * (d + 1))
+               for j in range(n // (d + 1) + 1))
+
+
+def _fd_single_cell_recurrence(chi, n, d):
+    a = [chi**k for k in range(d)]
+    for k in range(d, n + 1):
+        acc, binom = 0, 1
+        for j in range(1, d):
+            binom = binom * (k - j + 1) // j
+            acc += ((chi + 1) * j - k) * (binom * a[k - j])
+        a.append(acc // k)
+    return [chi**m - a[m] for m in range(n + 1)]
+
+
+@pytest.mark.parametrize("chi", (-8, -4, -1, 0, 1, 2, 7, 13))
+def test_engine_matches_the_replaced_algorithms(chi):
+    top = 60
+    bupper = chi_columns("bupper", chi, range(1, top + 1), top)
+    bd = chi_columns("bd", chi, range(2, top + 1), top)
+    fd = chi_columns("fd", chi, range(2, top + 1), top)
+    for d in range(1, top + 1):
+        fd_reference = _fd_single_cell_recurrence(chi, top, d) if d > 1 else None
+        for n in range(d, top + 1):
+            assert bupper[d][n] == _b_upper_binomial_sum(chi, n, d), (n, d)
+            if d > 1:
+                assert bd[d][n] == chi_sp(chi, n) - _b_upper_binomial_sum(chi, n, d - 1)
+                assert fd[d][n] == fd_reference[n], (n, d)
+    # the scalar formulas read the same columns
+    for n in range(1, 21):
+        for d in range(1, n + 1):
+            assert chi_b_upper(chi, n, d) == bupper[d][n]
+            if d > 1:
+                assert (chi_bd(chi, n, d), chi_fd(chi, n, d)) == (bd[d][n], fd[d][n])
+
+
+def test_columns_check_once_for_every_d(monkeypatch):
+    # one gate, one range check and one guard on the summed work of the
+    # columns, before any is built
+    import fatdiag.eulerchar
+    from fatdiag.errors import ResourceGuardError
+    from fatdiag.eulerchar import MAX_FORMULA_WORK, series_work
+
+    with pytest.raises(UnsupportedSpaceError):
+        chi_columns("fd", 2, (2, 3), 5, "odd")
+    for kind, ds in (("bd", (1, 2)), ("fd", (2, 6)), ("bupper", (0,))):
+        with pytest.raises(ValueError):
+            chi_columns(kind, 2, ds, 5)
+    # steps times n * bitlength(|chi| + 2): on surface:3 (chi = -4) the fd
+    # grid of side 200 fits the limit and that of side 440 does not
+    assert series_work(0, 5, 300, False) == 300 * 300 * 2
+    assert series_work(-4, 5, 300, True) == 295 * 5 * 300 * 3
+    side = {n: sum(series_work(-4, d - 1, n, True) for d in range(2, n + 1)) for n in (200, 440)}
+    assert side[200] <= MAX_FORMULA_WORK < side[440]
+
+    def refuse(*args):
+        raise AssertionError("a column was built")
+
+    monkeypatch.setattr(fatdiag.eulerchar, "_series", refuse)
+    with pytest.raises(ResourceGuardError, match="closed formula work"):
+        chi_columns("fd", -4, range(2, 441), 440)
