@@ -24,14 +24,16 @@ i is that modulo prod S_{alpha_i}, with chi falling(chi, k) / prod(alpha_i!).
 The strata sums are coefficients of power series, which the closed formulas
 read off without enumerating anything; the enumerations stay as oracles.
 Since a stratum's count depends on its set partition only through the
-number of blocks, the set-partition oracles enumerate once per weight
-vector (the all-ones vector of X^n, or the cycle lengths of a permutation)
-into a table of partitions by (heaviest block weight, number of blocks),
-and read every (d, chi) from it.  The enumeration walks the Bell(c - 1)
-set partitions of all but the last of the c weighted points, and counts
-the last point's placements (into each block, or alone) in one step.  The
-oracles sum the fat partitions per block count k before they take one
-falling(chi, k) per k.
+number of blocks, the set-partition oracles count once per weight vector
+(the all-ones vector of X^n, or the cycle lengths of a permutation) into
+a table of partitions by (heaviest block weight, number of blocks), and
+read every (d, chi) from it.  Only the points of weight >= 2 (the long
+cycles) are walked as set partitions; the points of weight 1 are placed
+by binomial counts, into the walked blocks or into blocks of their own,
+whose partitions one memoized recurrence counts.  The Burnside oracle
+sums the class-weighted tables into one table per n.  The oracles sum
+the fat partitions per block count k before they take one falling(chi,
+k) per k, and each is guarded on the work it would do before it starts.
 
   chi_sp       [q^n] (1 - q)^(-chi)
   chi_b_upper  [q^n] (1 + q + ... + q^d)^chi
@@ -53,18 +55,31 @@ from types import MappingProxyType
 from typing import TYPE_CHECKING, Collection, Mapping
 
 from .algebra import binomial_gen, falling_factorial
-from .combinatorics import alpha_sequences, factorial_product, set_partitions
-from .errors import InternalConsistencyError, UnsupportedSpaceError, check_guard
+from .combinatorics import alpha_sequences, bell_number, factorial_product, set_partitions
+from .errors import (
+    InternalConsistencyError,
+    UnsupportedSpaceError,
+    check_guard,
+    guard_scale,
+)
 
 if TYPE_CHECKING:  # the closed formulas run without the group layer
     from .permgroup import PermutationGroupModel
 
-MAX_ORACLE_N = 10
+# Oracle work, counted before the oracle runs: set partitions of long
+# cycles walked (bd_oracle_work; 22069 at n = 17, about 0.2 s) and terms of
+# the unit-point recurrence (fd_oracle_work; 292825 at n = 50, about 0.2 s).
+MAX_BD_ORACLE_WORK = 3 * 10**4
+MAX_FD_ORACLE_WORK = 3 * 10**5
 MAX_STRATA_N = 40
 # Closed-formula work (series_work): recurrence steps times the bits of
 # their coefficients.  About 10^9 units take a second: chi fd -n 1000 -d 501
 # on surface:3 is 7.5 * 10^8 and takes 0.3 s past start-up.
 MAX_FORMULA_WORK = 3 * 10**9
+# The least a step of the ordinary form is charged: its loop (about 0.25 us,
+# the time of a few hundred bits of arithmetic) and the int it keeps, so
+# that a column of short coefficients stays under 732,000 entries.
+STEP_BITS = 4096
 
 
 def _require_even(parity: str, what: str) -> None:
@@ -161,13 +176,36 @@ def chi_sp_bits(chi: int, n: int) -> int:
     return _bits_at_least(k, math.log2(m) - math.log2(k)) if k > 0 else 0
 
 
+def _log2_binomial_at_most(m: int, k: int) -> float:
+    """An upper bound on log2 C(m, k): C(m, k) <= (e m / j)^j for the
+    smaller side j = min(k, m - k)."""
+    j = min(k, m - k)
+    return j * math.log2(math.e * m / j) if j > 0 else 0.0
+
+
 def series_work(chi: int, top: int, n: int, exponential: bool) -> int:
     """Estimated work of _series(chi, top, n, exponential): its steps (one
     per coefficient, or in the exponential form top for each coefficient
-    past top) times the length of the coefficients, about n log2(|chi| + 2)
-    bits."""
-    steps = max(n - top, 0) * top if exponential else n
-    return steps * n * (abs(chi) + 2).bit_length()
+    past top) times the length of the coefficients, at most n log2(|chi| +
+    2) bits.
+
+    The ordinary form's coefficients are shorter.  Those of (1 + q + ... +
+    q^top)^chi are at most C(chi + n - 1, n) and (top + 1)^chi for chi > 0;
+    for chi < 0 the series is (1 - q)^|chi| (1 - q^(top + 1))^(-|chi|), so
+    they are at most 2^|chi| C(|chi| - 1 + m, m) with m = n // (top + 1).
+    There a step is charged the bit length of that bound, but at least
+    STEP_BITS and never more than the length above.
+    """
+    length = n * (abs(chi) + 2).bit_length()
+    if exponential:
+        return max(n - top, 0) * top * length
+    if length > STEP_BITS and max(n, abs(chi)).bit_length() <= 512:
+        if chi >= 0:
+            log2_max = min(chi * math.log2(top + 1), _log2_binomial_at_most(chi + n - 1, n))
+        else:
+            log2_max = -chi + _log2_binomial_at_most(-chi - 1 + n // (top + 1), -chi - 1)
+        length = min(length, max(math.ceil(log2_max * (1 + 1e-9)) + 1, STEP_BITS))
+    return n * length
 
 
 def _series(chi: int, top: int, n: int, exponential: bool) -> list[int]:
@@ -209,7 +247,8 @@ def chi_columns(kind: str, chi: int, ds: Collection[int], n: int,
     """Columns of chi_bd, chi_fd or chi_b_upper (kind "bd", "fd" or
     "bupper"): for each d of ds, the values at every m = 0 ... n.  This is
     the one parity gate, range check and work guard of the three formulas,
-    and the work of all the columns is guarded before any is built.
+    and the work of all the columns, and of the untruncated series they
+    are taken from, is guarded before any is built.
 
     A chi_b_upper column is _series(chi, d, n).  A chi_bd or chi_fd column
     is the untruncated series (chi_sp, or chi^m) less the one with top
@@ -228,8 +267,16 @@ def chi_columns(kind: str, chi: int, ds: Collection[int], n: int,
     for d in ds:
         if not d_min <= d <= n:
             raise ValueError(f"needs {d_min} <= d <= n, got d={d}, n={n}")
-    check_guard(sum(series_work(chi, d + shift, n, exponential) for d in ds),
-                MAX_FORMULA_WORK, "closed formula work")
+    work = sum(series_work(chi, d + shift, n, exponential) for d in ds)
+    if kind == "bd":
+        # The untruncated series too (chi_sp, whose coefficients reach
+        # log2 C(chi + n - 1, n) bits), with the total kept within the
+        # ceiling of n log2(|chi| + 2) bits a coefficient, which bounds the
+        # coefficients of both series.  The exponential one, chi^m, is n
+        # short products, less than any fd column is charged.
+        work = min(work + series_work(chi, n, n, False),
+                   len(ds) * n * n * (abs(chi) + 2).bit_length())
+    check_guard(work, MAX_FORMULA_WORK, "closed formula work")
     columns = {d: _series(chi, d + shift, n, exponential) for d in ds}
     if kind != "bupper":
         whole = _series(chi, n, n, exponential)
@@ -318,46 +365,112 @@ def stratification_sum_bd(chi: int, n: int, d: int) -> int:
                if any(alpha[d - 1:]))
 
 
-# The tables, not the partitions, are kept: the cycle types of S_n,
-# n <= MAX_ORACLE_N, are 139, and each walks the set partitions of all but
-# its last point as a stream.
+@lru_cache(maxsize=None)
+def _unit_counts(r: int) -> Mapping[tuple[int, int], int]:
+    """Set partitions of r points of weight 1, counted by (size of the
+    largest block, number of blocks).  The first point's block has s
+    points, its s - 1 companions chosen in C(r - 1, s - 1) ways, and the
+    other r - s points are partitioned alike: T(r) = sum_s C(r - 1, s - 1)
+    T(r - s).  T(0) is the one partition with no blocks.  The T(r - s) are
+    read from T(0) up, so each is made from tables already kept, without
+    deep recursion.
+    """
+    if r == 0:
+        return MappingProxyType({(0, 0): 1})
+    counts: dict[tuple[int, int], int] = {}
+    for s in range(r, 0, -1):
+        ways = math.comb(r - 1, s - 1)
+        for (largest, blocks), count in _unit_counts(r - s).items():
+            key = (max(s, largest), blocks + 1)
+            counts[key] = counts.get(key, 0) + ways * count
+    return MappingProxyType(counts)
+
+
+# The tables, not the partitions, are kept, and each walks the set
+# partitions of its long cycles only, as a stream.
 @lru_cache(maxsize=256)
 def _fat_counts(weights: tuple[int, ...]) -> Mapping[tuple[int, int], int]:
     """Set partitions of points carrying these weights, counted by (weight
     of the heaviest block, number of blocks): the table both set-partition
     oracles read for every (d, chi).
 
-    Each set partition of the c points is one of the first c - 1 points
-    with the last point joined to one of its blocks or put in a block of
-    its own, so the walk is over the Bell(c - 1) partitions of the first
-    c - 1 points, and each counts all its placements of the last point.
+    Only the points of weight >= 2 are walked: the Bell(c) set partitions
+    of those c points, grouped by their sorted block weights.  The f points
+    of weight 1 are then placed by counting.  Each set partition of all the
+    points is one of the long points with some unit points joined to each
+    of its blocks and the rest partitioned among themselves.  So, block by
+    block, j of the free unit points join it in C(free, j) ways, with
+    states keyed by (unit points used, heaviest block so far), and the
+    unit points left over are partitioned as _unit_counts counts them.
     The empty vector has one partition, with no blocks.
     """
-    if not weights:
-        return MappingProxyType({(0, 0): 1})
-    *head, last = weights
-    counts: dict[tuple[int, int], int] = {}
-    for labels in set_partitions(len(head)):
+    long = [w for w in weights if w > 1]
+    units = len(weights) - len(long)
+    heads: dict[tuple[int, ...], int] = {}
+    for labels in set_partitions(len(long)):
         blocks = [0] * (max(labels, default=-1) + 1)
-        for lab, w in zip(labels, head):
+        for lab, w in zip(labels, long):
             blocks[lab] += w
-        k = len(blocks)
-        top = max(blocks, default=0)
-        key = (max(top, last), k + 1)
-        counts[key] = counts.get(key, 0) + 1
-        # joined to a block b, the last point leaves the heaviest weight at
-        # top unless b + last exceeds it; those joins are counted at once
-        under = k
-        floor = top - last
+        key = tuple(sorted(blocks))
+        heads[key] = heads.get(key, 0) + 1
+    counts: dict[tuple[int, int], int] = {}
+    for blocks, partitions in heads.items():
+        states = {(0, 0): partitions}  # (unit points used, heaviest block)
         for b in blocks:
-            if b > floor:
-                under -= 1
-                key = (b + last, k)
-                counts[key] = counts.get(key, 0) + 1
-        if under:
-            key = (top, k)
-            counts[key] = counts.get(key, 0) + under
+            placed: dict[tuple[int, int], int] = {}
+            for (used, heaviest), count in states.items():
+                free = units - used
+                for j in range(free + 1):
+                    key = (used + j, b + j if b + j > heaviest else heaviest)
+                    placed[key] = placed.get(key, 0) + count * math.comb(free, j)
+            states = placed
+        for (used, heaviest), count in states.items():
+            for (largest, k), ways in _unit_counts(units - used).items():
+                key = (largest if largest > heaviest else heaviest, len(blocks) + k)
+                counts[key] = counts.get(key, 0) + count * ways
     return MappingProxyType(counts)
+
+
+def fd_oracle_work(n: int) -> int:
+    """Work of oracle_fd_setpartitions at n: the terms of the _unit_counts
+    recurrence up to n.  T(m) has at most C(m + 2, 2) entries (largest
+    block a, b blocks, a + b <= m + 1), T(r) reads T(0) ... T(r - 1), and
+    the sum over r <= n of sum_{m < r} C(m + 2, 2) is C(n + 3, 4)."""
+    return math.comb(n + 3, 4)
+
+
+def bd_oracle_work(n: int, cap: float) -> int:
+    """Work of oracle_bd_burnside at n: the set partitions it walks, Bell(m)
+    for each cycle type of S_n with m cycles of length >= 2.  The types with
+    m long cycles are the partitions of n - f (f fixed points) into m parts
+    >= 2, that is of n - f - m into m parts, counted by p(M, m) = p(M - 1,
+    m - 1) + p(M - m, m).  Every m <= n / 2 has such a type, so once the
+    Bell(m) alone pass cap, their sum is returned and n is not looked at
+    further.
+    """
+    half = n // 2
+    bells: list[int] = []
+    for m in range(half + 1):
+        bells.append(bell_number(m))
+        if sum(bells) > cap:
+            return sum(bells)
+    parts = [[0] * (n + 1) for _ in range(half + 1)]  # parts[m][M] = p(M, m)
+    parts[0][0] = 1
+    for m in range(1, half + 1):
+        for total in range(m, n + 1):
+            parts[m][total] = parts[m - 1][total - 1] + parts[m][total - m]
+    return sum(bell * sum(parts[m][m:n - m + 1]) for m, bell in enumerate(bells))
+
+
+def _fat_sum(table: Mapping[tuple[int, int], int], chi: int, d: int) -> int:
+    """The stratum sum of a (heaviest block, block count) table: the
+    partitions with a block of weight >= d, summed per block count k, each
+    k then taking one falling_factorial(chi, k)."""
+    by_blocks: dict[int, int] = {}
+    for (heaviest, k), count in table.items():
+        if heaviest >= d:
+            by_blocks[k] = by_blocks.get(k, 0) + count
+    return sum(count * falling_factorial(chi, k) for k, count in by_blocks.items())
 
 
 def oracle_fd_setpartitions(chi: int, n: int, d: int) -> int:
@@ -367,23 +480,32 @@ def oracle_fd_setpartitions(chi: int, n: int, d: int) -> int:
 
     By additivity each partition adds the Euler characteristic of its
     stratum, which depends on the partition only through its number of
-    blocks, so the partitions are enumerated once per n, into the
-    (heaviest block, block count) table of _fat_counts (a walk of the
-    Bell(n - 1) partitions of the first n - 1 coordinates), and every
-    (d, chi) is read from it: the fat partitions are summed per block
-    count k, then each k takes one falling_factorial(chi, k).
+    blocks, so the partitions are counted once per n, into the (largest
+    block, block count) table of _fat_counts at the all-ones vector, which
+    is the _unit_counts recurrence (guarded on its terms, fd_oracle_work),
+    and every (d, chi) is read from it by _fat_sum.
 
     >>> oracle_fd_setpartitions(2, 3, 2)
     8
     """
-    check_guard(n, MAX_ORACLE_N, "oracle_fd_setpartitions")
     if not 2 <= d <= n:
         raise ValueError(f"needs 2 <= d <= n, got d={d}, n={n}")
-    by_blocks: dict[int, int] = {}
-    for (heaviest, k), count in _fat_counts((1,) * n).items():
-        if heaviest >= d:
-            by_blocks[k] = by_blocks.get(k, 0) + count
-    return sum(count * falling_factorial(chi, k) for k, count in by_blocks.items())
+    check_guard(fd_oracle_work(n), MAX_FD_ORACLE_WORK, "oracle_fd_setpartitions")
+    return _fat_sum(_fat_counts((1,) * n), chi, d)
+
+
+@lru_cache(maxsize=32)
+def _burnside_table(n: int) -> Mapping[tuple[int, int], int]:
+    """The class-weighted sum over the cycle types of S_n of their
+    _fat_counts tables, by (heaviest block, block count)."""
+    from .permgroup import conjugacy_classes_sn
+
+    table: dict[tuple[int, int], int] = {}
+    for ctype, class_size in conjugacy_classes_sn(n):
+        weights = tuple(l for l, a in enumerate(ctype, start=1) for _ in range(a))
+        for key, count in _fat_counts(weights).items():
+            table[key] = table.get(key, 0) + class_size * count
+    return MappingProxyType(table)
 
 
 def oracle_bd_burnside(chi: int, n: int, d: int) -> int:
@@ -394,27 +516,20 @@ def oracle_bd_burnside(chi: int, n: int, d: int) -> int:
     coordinates carry the cycle lengths as weights; its fat part sums, over
     set partitions of the cycle set with some block of total weight >= d,
     the counts falling_factorial(chi, #blocks).  Since that count depends
-    on a stratum only through its number of blocks, the set partitions of
-    each weight vector are enumerated once, into the (heaviest block, block
-    count) table of _fat_counts (a walk of the Bell(c - 1) partitions of
-    the first c - 1 cycles), and every (d, chi) is read from it.  The fat
-    partitions, weighted by class size, are summed per block count k over
-    all classes, and each k then takes one falling_factorial(chi, k).  The
-    class-weighted average is asserted integral.
+    on a stratum only through its number of blocks, each cycle type's set
+    partitions are counted once, into the (heaviest block, block count)
+    table of _fat_counts, which walks the partitions of the cycles of
+    length >= 2 and places the fixed points by counting.  The tables,
+    weighted by class size, are summed into one table per n, which every
+    (d, chi) reads by _fat_sum.  The guard counts the partitions walked
+    (bd_oracle_work); the class-weighted average is asserted integral.
 
     >>> oracle_bd_burnside(2, 5, 3)
     6
     """
-    from .permgroup import conjugacy_classes_sn
-
-    check_guard(n, MAX_ORACLE_N, "oracle_bd_burnside")
     if not 2 <= d <= n:
         raise ValueError(f"needs 2 <= d <= n, got d={d}, n={n}")
-    by_blocks: dict[int, int] = {}
-    for ctype, class_size in conjugacy_classes_sn(n):
-        weights = tuple(l for l, a in enumerate(ctype, start=1) for _ in range(a))
-        for (heaviest, k), count in _fat_counts(weights).items():
-            if heaviest >= d:
-                by_blocks[k] = by_blocks.get(k, 0) + class_size * count
-    total = sum(count * falling_factorial(chi, k) for k, count in by_blocks.items())
+    work = bd_oracle_work(n, MAX_BD_ORACLE_WORK * guard_scale())
+    check_guard(work, MAX_BD_ORACLE_WORK, "oracle_bd_burnside")
+    total = _fat_sum(_burnside_table(n), chi, d)
     return _exact_div(total, math.factorial(n), f"oracle_bd_burnside({chi}, {n}, {d})")

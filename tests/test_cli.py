@@ -389,12 +389,24 @@ def test_closed_formula_guard_limits_work(capsys):
     # chi = 0: (1 + q)^0 = 1 has no q^1500 term
     payload = run_json(capsys, "chi", "bupper", "--space", "torus", "-n", "1500", "-d", "1")
     assert payload["result"] == "0"
+    # the ordinary form is charged by the length of its coefficients:
+    # (1 + ... + q^30000)^-6 is (1 - q)^6 up to q^30000, whose q^30000 term
+    # is 0, and (1 + q)^0 has no q^100000 term
+    for argv in (("chi", "bupper", "--space", "surface:4", "-n", "30000", "-d", "30000"),
+                 ("chi", "bupper", "--space", "torus", "-n", "100000", "-d", "1")):
+        assert run_json(capsys, *argv)["result"] == "0"
     # beyond the estimated-work limit the guard trips before any work, and
     # the stratum-enumeration oracle of --verify is guarded too
     for argv, guard in (
         (("chi", "fd", "--space", "sphere:2", "-n", "100000", "-d", "50000"),
          "closed formula work"),
-        (("chi", "bupper", "--space", "torus", "-n", "100000", "-d", "1"),
+        (("chi", "bupper", "--space", "torus", "-n", "1000000", "-d", "1"),
+         "closed formula work"),
+        # a bd column is charged with the untruncated chi_sp series it is
+        # taken from: with chi = 4096 its coefficients reach 36,000 bits
+        (("chi", "bd", "--space", '{"betti": [1, 0, 4095], "parity": "even"}',
+          "-n", "700000", "-d", "2"), "closed formula work"),
+        (("chi", "bd", "--space", "sphere:2", "-n", "730000", "-d", "3"),
          "closed formula work"),
         (("chi", "bupper", "--space", "torus", "-n", "60", "-d", "2", "--verify"),
          "stratification_sum_bd"),
@@ -403,6 +415,29 @@ def test_closed_formula_guard_limits_work(capsys):
          "group enumeration"),
         # a space is guarded on its Betti length before the vector is built
         (("chi", "sp", "--space", "sphere:99999999", "-n", "2"), "space size"),
+    ):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 4, argv
+        assert guard in err
+        assert out == ""
+
+
+def test_verify_oracles_are_guarded_on_work(capsys):
+    # the set-partition oracles answer past n = 10, each cell checked by
+    # every oracle, and are refused on their estimated work before they run
+    payload = run_json(capsys, "chi", "bd", "--space", "sphere:2", "-n", "11", "-d", "3",
+                       "--verify")
+    assert payload["result"] == "12"
+    assert payload["oracle_results"] == {"cycle_type_average": "12",
+                                         "stratification_sum": "12"}
+    payload = run_json(capsys, "chi", "fd", "--space", "surface:2", "-n", "30", "-d", "2",
+                       "--verify")
+    assert payload["oracle_results"]["set_partition_sum"] == payload["result"]
+    for argv, guard in (
+        (("chi", "bd", "--space", "sphere:2", "-n", "18", "-d", "3", "--verify"),
+         "oracle_bd_burnside: size 59507"),
+        (("chi", "fd", "--space", "sphere:2", "-n", "51", "-d", "2", "--verify"),
+         "oracle_fd_setpartitions: size 316251"),
     ):
         rc, out, err = run(capsys, *argv)
         assert rc == 4, argv

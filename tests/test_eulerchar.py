@@ -237,16 +237,18 @@ def test_fat_counts_equal_the_full_scan():
     from fatdiag.eulerchar import _fat_counts
     from fatdiag.permgroup import conjugacy_classes_sn
 
-    for n in range(1, 10):
+    for n in range(1, 11):
         for ctype, _ in conjugacy_classes_sn(n):
             weights = tuple(l for l, a in enumerate(ctype, start=1) for _ in range(a))
-            assert _fat_counts(weights) == _fat_table_scan(weights), weights
+            if len(weights) <= 8:
+                assert _fat_counts(weights) == _fat_table_scan(weights), weights
     assert _fat_counts(()) == _fat_table_scan(()) == {(0, 0): 1}
     assert _fat_counts((4,)) == {(4, 1): 1}
 
 
-def test_fat_counts_walk_all_but_the_last_point(monkeypatch):
-    # Bell(8) partitions of the first 8 points, not the Bell(9) of all 9
+def test_fat_counts_walk_only_the_long_cycles(monkeypatch):
+    # Bell(c) partitions of the c points of weight >= 2; the points of
+    # weight 1 are placed by counting
     from fatdiag import eulerchar
     from fatdiag.combinatorics import bell_number, set_partitions
 
@@ -258,24 +260,103 @@ def test_fat_counts_walk_all_but_the_last_point(monkeypatch):
             yield labels
 
     monkeypatch.setattr(eulerchar, "set_partitions", counted)
-    eulerchar._fat_counts.cache_clear()
-    try:
-        table = eulerchar._fat_counts((1,) * 9)
-    finally:
+    for weights, partitions in (((1,) * 9, 1), ((2, 2, 2, 1, 1, 1), 5),
+                                ((3, 2, 2, 2, 1), 15)):
+        walked.clear()
         eulerchar._fat_counts.cache_clear()
-    assert len(walked) == bell_number(8) == 4140
-    assert sum(table.values()) == bell_number(9) == 21147
+        try:
+            table = eulerchar._fat_counts(weights)
+        finally:
+            eulerchar._fat_counts.cache_clear()
+        assert len(walked) == partitions, weights
+        assert sum(table.values()) == bell_number(len(weights))
+        assert table == _fat_table_scan(weights)
+
+
+def test_unit_counts_are_the_stirling_numbers():
+    # partitions of r unit points by (largest block, blocks): they sum to
+    # Bell(r), and to the Stirling numbers S(r, k) per block count
+    from fatdiag.combinatorics import bell_number
+    from fatdiag.eulerchar import _unit_counts
+
+    stirling = [[1]]  # S(r, k) = k S(r - 1, k) + S(r - 1, k - 1)
+    for r in range(1, 21):
+        prev = stirling[-1] + [0]
+        stirling.append([0] + [k * prev[k] + prev[k - 1] for k in range(1, r + 1)])
+    for r in range(21):
+        table = _unit_counts(r)
+        assert sum(table.values()) == bell_number(r)
+        by_blocks = [0] * (r + 1)
+        for (largest, k), count in table.items():
+            assert (largest == 0) == (r == 0) and largest + k - 1 <= r
+            by_blocks[k] += count
+        assert by_blocks == stirling[r], r
+    # the largest block: one block of r, or r singletons
+    assert _unit_counts(5)[5, 1] == _unit_counts(5)[1, 5] == 1
+    assert _unit_counts(4)[2, 2] == 3
+
+
+def test_oracle_work_counts_what_the_oracles_do():
+    # bd: Bell(long cycles) per cycle type of S_n; fd: C(n + 3, 4) bounds
+    # the terms the _unit_counts recurrence reads up to n
+    import math
+
+    from fatdiag.combinatorics import bell_number
+    from fatdiag.eulerchar import _unit_counts, bd_oracle_work, fd_oracle_work
+    from fatdiag.permgroup import conjugacy_classes_sn
+
+    for n in range(2, 15):
+        walked = sum(bell_number(sum(ctype[1:])) for ctype, _ in conjugacy_classes_sn(n))
+        assert bd_oracle_work(n, math.inf) == walked, n
+    assert [bd_oracle_work(n, math.inf) for n in (10, 16, 17, 18)] == [209, 12836, 22069, 59507]
+    # past the cap the sum of Bell(m), m <= n / 2, is returned at once
+    assert bd_oracle_work(10**9, 3 * 10**4) == sum(map(bell_number, range(11)))
+    for n in range(2, 25):
+        read = sum(len(_unit_counts(m)) for r in range(1, n + 1) for m in range(r))
+        assert read <= fd_oracle_work(n) == math.comb(n + 3, 4)
+
+
+def test_oracle_guards_limit_work(monkeypatch):
+    # the largest admitted n is 17 for the Burnside oracle and 50 for the
+    # ordered one; past them the guard trips before any table is built
+    import math
+
+    from fatdiag import eulerchar
+    from fatdiag.errors import ResourceGuardError
+    from fatdiag.eulerchar import (
+        MAX_BD_ORACLE_WORK,
+        MAX_FD_ORACLE_WORK,
+        bd_oracle_work,
+        fd_oracle_work,
+    )
+
+    assert max(n for n in range(2, 30) if bd_oracle_work(n, math.inf) <= MAX_BD_ORACLE_WORK) == 17
+    assert max(n for n in range(2, 200) if fd_oracle_work(n) <= MAX_FD_ORACLE_WORK) == 50
+    assert oracle_bd_burnside(2, 11, 3) == chi_bd(2, 11, 3)
+    assert oracle_fd_setpartitions(-2, 20, 7) == chi_fd(-2, 20, 7)
+
+    def refuse(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(eulerchar, "_burnside_table", refuse)
+    monkeypatch.setattr(eulerchar, "_fat_counts", refuse)
+    for oracle, n in ((oracle_bd_burnside, 18), (oracle_fd_setpartitions, 51),
+                      (oracle_bd_burnside, 10**9), (oracle_fd_setpartitions, 10**9)):
+        with pytest.raises(ResourceGuardError, match=oracle.__name__):
+            oracle(2, n, 3)
 
 
 def test_oracles_enumerate_once_per_weight_vector():
     # a count, not a time: one table per cycle type of S_2 ... S_8, and the
     # ordered oracle's all-ones vectors are among them, so its 252 calls
     # only read tables
-    from fatdiag.eulerchar import _fat_counts
+    from fatdiag.eulerchar import _burnside_table, _fat_counts
     from fatdiag.selfcheck import check_bd_three_way, check_fd_corrected
 
     _fat_counts.cache_clear()
+    _burnside_table.cache_clear()
     check_bd_three_way(False)
+    assert _burnside_table.cache_info().misses == 7  # one table per n
     hits = _fat_counts.cache_info().hits
     assert check_fd_corrected(False).startswith("252 oracle cases")
     info = _fat_counts.cache_info()
@@ -470,3 +551,29 @@ def test_columns_check_once_for_every_d(monkeypatch):
     monkeypatch.setattr(fatdiag.eulerchar, "_series", refuse)
     with pytest.raises(ResourceGuardError, match="closed formula work"):
         chi_columns("fd", -4, range(2, 441), 440)
+
+
+def test_ordinary_series_work_follows_the_coefficients():
+    # the ordinary form is charged the bit length of a bound on its
+    # coefficients, at least STEP_BITS a step, and never more than the
+    # n * bitlength(|chi| + 2) of the exponential form
+    import random
+
+    from fatdiag.eulerchar import STEP_BITS, _series, series_work
+
+    rng = random.Random(17)
+    cases = [(rng.choice([0, 1, 2, 3, -1, -2, -4, -6, 13, -13, 400, -400, 3000, -3000]),
+              rng.randint(1, 300)) for _ in range(300)]
+    cases = [(chi, rng.randint(1, n), n) for chi, n in cases]
+    # coefficients past STEP_BITS, below the old length
+    cases += [(-10000, 1, 2000), (-10000, 3, 2000), (10000, 2000, 2000), (10000, 7, 2000)]
+    for chi, top, n in cases:
+        longest = max(abs(a).bit_length() for a in _series(chi, top, n, False))
+        per_step = series_work(chi, top, n, False) // n
+        assert longest <= per_step <= n * (abs(chi) + 2).bit_length(), (chi, top, n)
+    assert series_work(3000, 300, 300, False) == 300 * 300 * 12  # the cap
+    assert STEP_BITS < series_work(3000, 1000, 3000, False) // 3000 < 3000 * 12
+    # (1 + q + ... + q^30000)^-6 is (1 - q)^6 up to q^30000: every step is
+    # charged STEP_BITS, where the exponential length is 30000 * 4 bits
+    assert series_work(-6, 30000, 30000, False) == 30000 * STEP_BITS
+    assert series_work(0, 1, 10**6, False) == 10**6 * STEP_BITS
