@@ -58,6 +58,14 @@ class GradedPolynomial:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
+        if type(coeffs) is dict:
+            # the common case, without the abstract Mapping check: the
+            # degrees are distinct, so only the zero coefficients go
+            for deg in coeffs:
+                if deg < 0:
+                    raise ValueError(f"negative degree {deg} in graded polynomial")
+            self._coeffs = {deg: c for deg, c in coeffs.items() if c}
+            return
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
         clean: dict[int, int] = {}
         for deg, c in items:
@@ -136,8 +144,9 @@ class GradedPolynomial:
         while e:
             if e & 1:
                 out = out * base
-            base = base * base
             e >>= 1
+            if e:  # the square is needed only for a higher bit
+                base = base * base
         return out
 
     def substitute_power(self, power: int) -> "GradedPolynomial":

@@ -66,6 +66,10 @@ def set_partitions(n: int) -> Iterator[tuple[int, ...]]:
     lexicographic order.
 
     The count is the Bell number, which grows fast; guarded at n <= 12.
+    The walk steps through the labels of the first n - 1 points, and each
+    of those heads is yielded with every label the last point can take, 0
+    up to one past the head's largest: Bell(n - 1) steps for the Bell(n)
+    partitions.
 
     >>> list(set_partitions(3))
     [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1), (0, 1, 2)]
@@ -73,21 +77,27 @@ def set_partitions(n: int) -> Iterator[tuple[int, ...]]:
     check_guard(n, MAX_SET_PARTITION_N, "set_partitions")
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    labels = [0] * n
-    top = [0] * n  # top[i] = max(labels[:i + 1])
+    if n == 0:
+        yield ()
+        return
+    m = n - 1  # the points of the head
+    labels = [0] * m
+    top = [0] * m  # top[i] = max(labels[:i + 1])
     while True:
-        yield tuple(labels)
-        # the last point whose label can still grow: up to one past the
-        # largest label before it
-        i = n - 1
+        head = tuple(labels)
+        for last in range(top[-1] + 2 if m else 1):
+            yield head + (last,)
+        # the last head point whose label can still grow: up to one past
+        # the largest label before it
+        i = m - 1
         while i > 0 and labels[i] > top[i - 1]:
             i -= 1
         if i <= 0:
             return
         labels[i] += 1
         top[i] = max(top[i - 1], labels[i])
-        labels[i + 1:] = [0] * (n - 1 - i)
-        top[i + 1:] = [top[i]] * (n - 1 - i)
+        labels[i + 1:] = [0] * (m - 1 - i)
+        top[i + 1:] = [top[i]] * (m - 1 - i)
 
 
 @lru_cache(maxsize=16)

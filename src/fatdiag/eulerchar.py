@@ -55,7 +55,7 @@ from types import MappingProxyType
 from typing import TYPE_CHECKING, Collection, Mapping
 
 from .algebra import binomial_gen, falling_factorial
-from .combinatorics import alpha_sequences, bell_number, factorial_product, set_partitions
+from .combinatorics import alpha_sequences, factorial_product, set_partitions
 from .errors import (
     InternalConsistencyError,
     UnsupportedSpaceError,
@@ -90,10 +90,13 @@ def _require_even(parity: str, what: str) -> None:
         )
 
 
-def _exact_div(num: int, den: int, what: str) -> int:
+def _exact_div(num: int, den: int, what: str, *args) -> int:
+    """num / den, which must be exact; what, formatted with args only if
+    it is not, names the computation in the error."""
     value, rest = divmod(num, den)
     if rest:
-        raise InternalConsistencyError(f"{what}: non-integral value {num}/{den}")
+        raise InternalConsistencyError(
+            f"{what.format(*args)}: non-integral value {num}/{den}")
     return value
 
 
@@ -138,7 +141,7 @@ def chi_stratum(chi: int, alpha: tuple[int, ...]) -> int:
     division is exact.  Valid over closed even-dimensional manifolds.
     """
     value = falling_factorial(chi, sum(alpha))
-    return _exact_div(value, factorial_product(alpha), f"chi_stratum({chi}, {alpha})")
+    return _exact_div(value, factorial_product(alpha), "chi_stratum({}, {})", chi, alpha)
 
 
 def _bits_at_least(count: int, log2_each: float) -> int:
@@ -361,8 +364,14 @@ def stratification_sum_bd(chi: int, n: int, d: int) -> int:
     check_guard(n, MAX_STRATA_N, "stratification_sum_bd")
     if not 2 <= d <= n:
         raise ValueError(f"needs 2 <= d <= n, got d={d}, n={n}")
-    return sum(chi_stratum(chi, alpha) for alpha in alpha_sequences(n, n)
-               if any(alpha[d - 1:]))
+    return sum(chi_stratum(chi, alpha) for alpha in _strata(n) if any(alpha[d - 1:]))
+
+
+@lru_cache(maxsize=8)
+def _strata(n: int) -> tuple[tuple[int, ...], ...]:
+    """The multiplicity vectors of weight n, the strata of sp(X, n), kept
+    for the other (chi, d) of the same n."""
+    return tuple(alpha_sequences(n, n))
 
 
 @lru_cache(maxsize=None)
@@ -450,16 +459,26 @@ def bd_oracle_work(n: int, cap: float) -> int:
     """
     half = n // 2
     bells: list[int] = []
+    row = [1]  # a row of the Bell triangle, which starts with Bell(m)
     for m in range(half + 1):
-        bells.append(bell_number(m))
+        if m:
+            nxt = [row[-1]]
+            for v in row:
+                nxt.append(nxt[-1] + v)
+            row = nxt
+        bells.append(row[0])
         if sum(bells) > cap:
             return sum(bells)
-    parts = [[0] * (n + 1) for _ in range(half + 1)]  # parts[m][M] = p(M, m)
-    parts[0][0] = 1
-    for m in range(1, half + 1):
-        for total in range(m, n + 1):
-            parts[m][total] = parts[m - 1][total - 1] + parts[m][total - m]
-    return sum(bell * sum(parts[m][m:n - m + 1]) for m, bell in enumerate(bells))
+    # p(M, m) for M <= n, one row per m, each made from the last
+    parts = [1] + [0] * n  # p(M, 0)
+    work = 0
+    for m, bell in enumerate(bells):
+        if m:
+            prev, parts = parts, [0] * (n + 1)
+            for total in range(m, n + 1):
+                parts[total] = prev[total - 1] + parts[total - m]
+        work += bell * sum(parts[m:n - m + 1])
+    return work
 
 
 def _fat_sum(table: Mapping[tuple[int, int], int], chi: int, d: int) -> int:
@@ -532,4 +551,4 @@ def oracle_bd_burnside(chi: int, n: int, d: int) -> int:
     work = bd_oracle_work(n, MAX_BD_ORACLE_WORK * guard_scale())
     check_guard(work, MAX_BD_ORACLE_WORK, "oracle_bd_burnside")
     total = _fat_sum(_burnside_table(n), chi, d)
-    return _exact_div(total, math.factorial(n), f"oracle_bd_burnside({chi}, {n}, {d})")
+    return _exact_div(total, math.factorial(n), "oracle_bd_burnside({}, {}, {})", chi, n, d)

@@ -10,12 +10,16 @@ Two computations that must agree:
                      disjoint closures
 
 The discretized model is homotopy equivalent to the actual configuration
-space once the graph is subdivided enough; the conservative sufficient
-condition used here is that every cycle has at least 5 edges and every path
-between vertices of degree other than 2 has at least 3 edges.  The oracle
-subdivides automatically until the condition holds (uniform 3-fold
-subdivision always suffices), which is harmless because the answer is a
+space once the graph is subdivided enough (Abrams, PhD thesis, 2000); the
+conservative sufficient condition used here is that every cycle has at
+least 5 edges and every path between vertices of degree other than 2 has
+at least 3 edges.  Subdivision is harmless, because the answer is a
 homotopy invariant and subdivision does not change the homeomorphism type.
+Uniform k-fold subdivision multiplies the girth and every such path length
+by exactly k (the new vertices all have degree 2, the old ones keep
+theirs), so the oracle reads both from the graph as given, takes the
+smallest k with k * girth >= 5 and k * shortest path >= 3 (k <= 3 always,
+as a simple graph has girth >= 3), and subdivides once.
 
 Only two-point configurations are handled.
 """
@@ -23,8 +27,6 @@ Only two-point configurations are handled.
 from __future__ import annotations
 
 from typing import NamedTuple
-
-from .errors import InternalConsistencyError
 
 
 class Graph(NamedTuple):
@@ -133,8 +135,10 @@ def subdivide(graph: Graph, k: int) -> Graph:
     for u, v in graph.edges:
         path = [u] + [f"{u}{sep}{v}{sep}{i}" for i in range(1, k)] + [v]
         vertices.extend(path[1:-1])
-        edges.extend(zip(path, path[1:]))
-    return Graph.from_parts(vertices, edges)
+        edges.extend((a, b) if a < b else (b, a) for a, b in zip(path, path[1:]))
+    # the labels are distinct by construction, so the graph is already
+    # simple and only needs sorting, as from_parts would sort it
+    return Graph(tuple(sorted(vertices)), tuple(sorted(edges)))
 
 
 def _girth(graph: Graph) -> int | None:
@@ -183,40 +187,59 @@ def _essential_path_lengths(graph: Graph) -> list[int]:
 
 
 def _discretization_ok(graph: Graph) -> bool:
+    """The discretization condition, tested on the graph itself: girth at
+    least 5 and every essential path at least 3 edges long."""
     girth = _girth(graph)
     if girth is not None and girth < 5:
         return False
     return all(length >= 3 for length in _essential_path_lengths(graph))
 
 
+def _subdivision_factor(graph: Graph) -> int:
+    """The smallest k for which subdivide(graph, k) meets the
+    discretization condition: k * girth >= 5 and k * (shortest path between
+    vertices of degree other than 2) >= 3, each bound read from the graph
+    as given, since k-fold subdivision multiplies both by k."""
+    k = 1
+    girth = _girth(graph)
+    if girth is not None:
+        k = max(k, -(-5 // girth))
+    lengths = _essential_path_lengths(graph)
+    if lengths:
+        k = max(k, -(-3 // min(lengths)))
+    return k
+
+
 def _cell_pair_count(graph: Graph) -> int:
-    """Alternating count of ordered pairs of cells with disjoint closures."""
-    # cells: (dim, closure vertex set)
-    cells = [(0, frozenset([v])) for v in graph.vertices]
-    cells.extend((1, frozenset(e)) for e in graph.edges)
+    """Alternating count of ordered pairs of cells with disjoint closures.
+
+    A cell is a vertex or an edge, its closure the set of its vertices as
+    an integer bit mask, so two closures are disjoint when their masks
+    share no bit.  Disjointness is symmetric and no cell is disjoint from
+    itself, so each unordered pair is tested once and counts for both
+    orders: +2 for two vertices or two edges, -2 for a vertex and an edge."""
+    bit = {v: 1 << i for i, v in enumerate(graph.vertices)}
+    points = list(bit.values())
+    edges = [bit[u] | bit[v] for u, v in graph.edges]
     total = 0
-    for dim1, cl1 in cells:
-        for dim2, cl2 in cells:
-            if not cl1 & cl2:
-                total += (-1) ** (dim1 + dim2)
+    for i, mask in enumerate(points):
+        total += 2 * len([m for m in points[i + 1:] if not m & mask])
+        total -= 2 * len([m for m in edges if not m & mask])
+    for i, mask in enumerate(edges):
+        total += 2 * len([m for m in edges[i + 1:] if not m & mask])
     return total
 
 
 def discretized_chi_f2(graph: Graph) -> int:
-    """Independent oracle for farber_chi_f2: subdivide until the
-    discretized two-point model is faithful, then count its cells with
-    signs.
+    """Independent oracle for farber_chi_f2: subdivide once, by the
+    smallest factor that makes the discretized two-point model faithful
+    (the girth and the path lengths it is read from scale with the
+    factor), then count the model's cells with signs.
 
     >>> discretized_chi_f2(fixture("gamma2"))
     -6
     """
-    for k in (1, 2, 3):
-        candidate = subdivide(graph, k)
-        if _discretization_ok(candidate):
-            return _cell_pair_count(candidate)
-    raise InternalConsistencyError(
-        "3-fold subdivision did not reach the discretization condition"
-    )
+    return _cell_pair_count(subdivide(graph, _subdivision_factor(graph)))
 
 
 def fixture(name: str) -> Graph:

@@ -56,11 +56,14 @@ def invariant_poincare(
     """
     order = group.order()
     acc = GradedPolynomial.zero()
+    traces: dict[int, GradedPolynomial] = {}  # by cycle length, each made once
     for ctype, count in group.cycle_type_histogram().items():
         term = GradedPolynomial.one()
         for length, mult in enumerate(ctype, start=1):
             if mult:
-                term = term * graded_trace_cycle(poincare, length) ** mult
+                if length not in traces:
+                    traces[length] = graded_trace_cycle(poincare, length)
+                term = term * traces[length] ** mult
         acc = acc + term.scale(count)
     ranks = {}
     for deg, c in acc.coefficients().items():

@@ -8,6 +8,14 @@ them too, with --suite fast trimming the ranges for a quick smoke run.
 
 Checks are pure and deterministic, including the randomized graph check,
 which uses a fixed seed.
+
+Each piece of work is done once.  The closed formulas chi_bd, chi_fd and
+chi_b_upper are read a whole (kind, chi) at a time, as the columns of
+eulerchar.chi_columns over every d and every n up to the range, as a
+command-line grid reads them; S_n is the one memoized model of
+permgroup.symmetric_group_cached, so its chain and histogram are shared
+between checks; and check_depth_length takes each group's depth and chain
+length once.  The oracles the formulas are compared with stay per cell.
 """
 
 from __future__ import annotations
@@ -15,6 +23,7 @@ from __future__ import annotations
 import random
 import time
 from collections import Counter
+from functools import cache
 from typing import Callable, NamedTuple
 
 from .algebra import falling_factorial
@@ -26,8 +35,7 @@ from .combinatorics import (
 )
 from .eulerchar import (
     chi_b2,
-    chi_bd,
-    chi_b_upper,
+    chi_columns,
     chi_f2,
     chi_fd,
     chi_gamma_product,
@@ -44,7 +52,6 @@ from .permgroup import (
     alternating_group,
     cyclic_group,
     regular_representation,
-    symmetric_group,
     symmetric_group_cached,
     trivial_group,
 )
@@ -74,10 +81,11 @@ def check_bd_three_way(fast: bool = False) -> str:
     cycle-type average all agree."""
     n_max = 6 if fast else 8
     cases = 0
-    for n in range(2, n_max + 1):
-        for d in range(2, n + 1):
-            for chi in range(-4, 5):
-                a = chi_bd(chi, n, d)
+    for chi in range(-4, 5):
+        formula = chi_columns("bd", chi, range(2, n_max + 1), n_max)
+        for n in range(2, n_max + 1):
+            for d in range(2, n + 1):
+                a = formula[d][n]
                 b = stratification_sum_bd(chi, n, d)
                 c = oracle_bd_burnside(chi, n, d)
                 assert a == b == c, (
@@ -94,21 +102,23 @@ def check_fd_corrected(fast: bool = False) -> str:
     at n = d = 3."""
     n_max = 6 if fast else 8
     cases = 0
-    for n in range(2, n_max + 1):
-        for d in range(2, n + 1):
-            for chi in range(-4, 5):
-                left = chi_fd(chi, n, d)
-                right = oracle_fd_setpartitions(chi, n, d)
-                assert left == right, (
-                    f"chi_fd({chi},{n},{d})={left} != oracle {right}"
-                )
-                cases += 1
     for chi in range(-5, 6):
-        assert chi_fd(chi, 3, 2) == 3 * chi**2 - 2 * chi
+        # formula[d][n] is chi_fd(chi, n, d)
+        formula = chi_columns("fd", chi, range(2, n_max + 1), n_max)
+        if -4 <= chi <= 4:
+            for n in range(2, n_max + 1):
+                for d in range(2, n + 1):
+                    left = formula[d][n]
+                    right = oracle_fd_setpartitions(chi, n, d)
+                    assert left == right, (
+                        f"chi_fd({chi},{n},{d})={left} != oracle {right}"
+                    )
+                    cases += 1
+        assert formula[2][3] == 3 * chi**2 - 2 * chi
         for n in range(2, n_max + 1):
-            assert chi_fd(chi, n, n) == chi, f"thin diagonal at n={n}"
+            assert formula[n][n] == chi, f"thin diagonal at n={n}"
         for n in range(3, n_max + 1):
-            assert chi_fd(chi, n, n - 1) == n * chi**2 - (n - 1) * chi, (
+            assert formula[n - 1][n] == n * chi**2 - (n - 1) * chi, (
                 f"two-block case at n={n}, chi={chi}"
             )
     # the coefficient-free variant: wrong for d >= 3
@@ -149,13 +159,15 @@ def check_invariant_poincare(fast: bool = False) -> str:
 
 def check_sphere_fixtures(fast: bool = False) -> str:
     """Published sphere fat-diagonal values and the chi = 0 vanishing."""
-    assert chi_bd(2, 4, 2) == 5
-    assert chi_bd(2, 5, 2) == 6
-    assert chi_bd(0, 5, 2) == 0
+    sphere = chi_columns("bd", 2, (2,), 5)[2]
+    vanishing = chi_columns("bd", 0, range(2, 9), 8)
+    assert sphere[4] == 5
+    assert sphere[5] == 6
+    assert vanishing[2][5] == 0
     cases = 3
     for n in range(2, 9):
         for d in range(2, n + 1):
-            assert chi_bd(0, n, d) == 0, f"chi_bd(0,{n},{d}) != 0"
+            assert vanishing[d][n] == 0, f"chi_bd(0,{n},{d}) != 0"
             cases += 1
     return f"{cases} fixture values"
 
@@ -164,16 +176,18 @@ def check_complement_product(fast: bool = False) -> str:
     """Complement identity and the product splitting for large d."""
     n_max = 6 if fast else 8
     cases = 0
-    for n in range(2, n_max + 1):
-        for chi in range(-4, 5):
+    for chi in range(-4, 5):
+        upper = chi_columns("bupper", chi, range(1, n_max), n_max)
+        fat = chi_columns("bd", chi, range(2, n_max + 1), n_max)
+        for n in range(2, n_max + 1):
             for d in range(1, n):
-                assert chi_b_upper(chi, n, d) + chi_bd(chi, n, d + 1) == chi_sp(chi, n), (
+                assert upper[d][n] + fat[d + 1][n] == chi_sp(chi, n), (
                     f"complement identity fails at chi={chi}, n={n}, d={d}"
                 )
                 cases += 1
             for d in range(2, n + 1):
                 if n >= 3 and d > n // 2:
-                    assert chi_bd(chi, n, d) == chi * chi_sp(chi, n - d), (
+                    assert fat[d][n] == chi * chi_sp(chi, n - d), (
                         f"product identity fails at chi={chi}, n={n}, d={d}"
                     )
                     cases += 1
@@ -219,33 +233,37 @@ def check_graph_configuration(fast: bool = False) -> str:
 def check_depth_length(fast: bool = False) -> str:
     """Stratification depth values and the subgroup chain-length bound."""
     n_max = 5 if fast else 6
+    # each group's depth and chain length once: the S_n of the table come
+    # back in the battery and in the comparison with length_sn
+    depth_of, length_of = cache(depth), cache(group_length)
+    sym = symmetric_group_cached
     for n in range(1, n_max + 1):
-        assert depth(symmetric_group(n)) == n - 1, f"depth(S_{n})"
-    regular = regular_representation(symmetric_group(3))
-    assert depth(regular) == 2 == group_length(symmetric_group(3))
+        assert depth_of(sym(n)) == n - 1, f"depth(S_{n})"
+    regular = regular_representation(sym(3))
+    assert depth_of(regular) == 2 == length_of(sym(3))
     expected = [0, 1, 2, 4, 5, 6, 7, 10, 11, 12]
     for n in range(1, 11):
         assert length_sn(n) == expected[n - 1], f"length_sn({n})"
     for n in range(1, 5):
-        assert group_length(symmetric_group(n)) == length_sn(n), n
+        assert length_of(sym(n)) == length_sn(n), n
     battery = [
         trivial_group(3),
         cyclic_group(4),
         cyclic_group(6),
-        symmetric_group(3),
-        symmetric_group(4),
+        sym(3),
+        sym(4),
         alternating_group(4),
         PermutationGroupModel(4, ["(1 2 3 4)", "(1 3)"]),  # dihedral
         regular,
         PermutationGroupModel(6, ["(1 2 3)(4 5 6)", "(1 4)(2 5)(3 6)"]),
     ]
     for group in battery:
-        d_val, l_val = depth(group), group_length(group)
+        d_val, l_val = depth_of(group), length_of(group)
         assert d_val <= l_val, (
             f"depth {d_val} > length {l_val} at degree {group.degree}"
         )
     for n in (5, 6):
-        assert depth(symmetric_group(n)) == n - 1 < length_sn(n)
+        assert depth_of(sym(n)) == n - 1 < length_sn(n)
     # a Young subgroup S_l1 x S_l2 x ... stabilizes exactly the patterns
     # that refine its orbits, a product of partition lattices, so its depth
     # is the degree minus the number of orbits (fixed points included)
@@ -270,12 +288,13 @@ def check_pi1_descriptors(fast: bool = False) -> str:
     """Fundamental-group descriptor shapes."""
     opaque = preset("wedge_circles:2")
     circle = preset("circle")
+    sym = symmetric_group_cached
     transitive = [
-        cyclic_group(2), cyclic_group(3), symmetric_group(3),
+        cyclic_group(2), cyclic_group(3), sym(3),
         cyclic_group(4), PermutationGroupModel(4, ["(1 2 3 4)", "(1 3)"]),
-        alternating_group(4), cyclic_group(5), symmetric_group(5),
-        cyclic_group(6), regular_representation(symmetric_group(3)),
-        symmetric_group(6),
+        alternating_group(4), cyclic_group(5), sym(5),
+        cyclic_group(6), regular_representation(sym(3)),
+        sym(6),
     ]
     for group in transitive:
         assert group.is_transitive()
@@ -310,7 +329,7 @@ def check_pi1_descriptors(fast: bool = False) -> str:
     # with the unordered branch table where both speak, for S_n and for A_n,
     # which is (n - 2)- but not (n - 1)-transitive
     for n in range(1, 13):
-        full, even = symmetric_group(n), alternating_group(n)
+        full, even = sym(n), alternating_group(n)
         for d in range(1, n // 2 + 1):
             assert pi1_bgamma_abelian(full, n, d), (n, d)
             assert n < 3 or pi1_bgamma_abelian(even, n, d), (n, d)
@@ -328,18 +347,19 @@ def check_partition_infrastructure(fast: bool = False) -> str:
     n_max = 7 if fast else 8
     cases = 0
     for n in range(0, n_max + 1):
-        # one pass over the partitions, tallied by block count and by type
+        # one pass over the partitions, tallied by their sorted labels, a
+        # run of each label 0 ... blocks - 1 as long as its block, which
+        # give the block count and the type
+        by_runs = Counter(map(tuple, map(sorted, set_partitions(n))))
         by_blocks: Counter[int] = Counter()
         by_type: Counter[tuple[int, ...]] = Counter()
-        for labels in set_partitions(n):
-            sizes = [0] * (max(labels, default=-1) + 1)
-            for label in labels:
-                sizes[label] += 1
+        for runs, count in by_runs.items():
+            blocks = runs[-1] + 1 if runs else 0
             alpha = [0] * n
-            for size in sizes:
-                alpha[size - 1] += 1
-            by_blocks[len(sizes)] += 1
-            by_type[tuple(alpha)] += 1
+            for label in range(blocks):
+                alpha[runs.count(label) - 1] += 1
+            by_blocks[blocks] += count
+            by_type[tuple(alpha)] += count
         assert sum(by_blocks.values()) == bell_number(n), f"Bell({n})"
         for alpha in alpha_sequences(n, n) if n else []:
             want = count_set_partitions_of_type(alpha)
@@ -350,10 +370,12 @@ def check_partition_infrastructure(fast: bool = False) -> str:
             total = sum(count * falling_factorial(chi, k) for k, count in by_blocks.items())
             assert total == chi**n, f"Stirling identity at chi={chi}, n={n}"
     # d = 2 closed forms against the general ones
-    for n in range(2, n_max + 1):
-        for chi in range(-5, 6):
-            assert chi_f2(chi, n) == chi_fd(chi, n, 2)
-            assert chi_b2(chi, n) == chi_bd(chi, n, 2)
+    for chi in range(-5, 6):
+        ordered = chi_columns("fd", chi, (2,), n_max)[2]
+        unordered = chi_columns("bd", chi, (2,), n_max)[2]
+        for n in range(2, n_max + 1):
+            assert chi_f2(chi, n) == ordered[n]
+            assert chi_b2(chi, n) == unordered[n]
     return f"Bell + {cases} type counts, Stirling identity, d=2 forms, n <= {n_max}"
 
 

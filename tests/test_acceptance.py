@@ -11,6 +11,55 @@ from __future__ import annotations
 import pytest
 
 from fatdiag import selfcheck
+from fatdiag.cli import main
+
+# Every criterion's budget: each takes well under 0.1 s, so 5 s catches a
+# regression by orders of magnitude without failing on a slow host.
+BUDGET = 5.0
+
+# What each suite checks, case counts included, so that work shared
+# between the criteria cannot drop a case unnoticed.
+DETAILS = {
+    "all": [
+        "99 cases, n <= 8",
+        "252 cases three-way, n <= 8",
+        "252 oracle cases; coefficient-free variant rejected (6 != 2)",
+        "fixtures plus 40 series identities",
+        "31 fixture values",
+        "414 identity cases, n <= 8",
+        "fixtures plus 50 random graphs",
+        "depth table n <= 6, battery of 9 groups, 7 Young subgroups",
+        "11 transitive groups, branch table 36 cells",
+        "Bell + 66 type counts, Stirling identity, d=2 forms, n <= 8",
+    ],
+    "fast": [
+        "77 cases, n <= 6",
+        "135 cases three-way, n <= 6",
+        "135 oracle cases; coefficient-free variant rejected (6 != 2)",
+        "fixtures plus 32 series identities",
+        "31 fixture values",
+        "225 identity cases, n <= 6",
+        "fixtures plus 20 random graphs",
+        "depth table n <= 5, battery of 9 groups, 6 Young subgroups",
+        "11 transitive groups, branch table 36 cells",
+        "Bell + 44 type counts, Stirling identity, d=2 forms, n <= 7",
+    ],
+}
+
+VERIFY_ALL_STDOUT = (
+    '{"command": "verify", "inputs": {"suite": "all"}, "result": {"checks": ['
+    '{"name": "macdonald-burnside", "status": "ok"}, '
+    '{"name": "bd-three-way", "status": "ok"}, '
+    '{"name": "fd-corrected", "status": "ok"}, '
+    '{"name": "invariant-poincare", "status": "ok"}, '
+    '{"name": "sphere-fixtures", "status": "ok"}, '
+    '{"name": "complement-product", "status": "ok"}, '
+    '{"name": "graph-configuration", "status": "ok"}, '
+    '{"name": "depth-length", "status": "ok"}, '
+    '{"name": "pi1-descriptors", "status": "ok"}, '
+    '{"name": "partition-infrastructure", "status": "ok"}], '
+    '"failed": "0", "passed": "10", "suite": "all"}, "schema": "fatdiag/1"}\n'
+)
 
 
 @pytest.fixture(scope="module")
@@ -18,56 +67,67 @@ def outcomes() -> list[selfcheck.CheckOutcome]:
     return selfcheck.run_suite("all")
 
 
-def _criterion(outcomes, number: int, name: str, budget: float | None) -> None:
+def _criterion(outcomes, number: int, name: str) -> None:
     outcome = next(o for o in outcomes if o.name == name)
     status = "PASS" if outcome.passed else "FAIL"
     print(f"criterion {number} ({name}): {status} in {outcome.elapsed:.2f}s ({outcome.detail})")
     assert outcome.passed, f"criterion {number}: {outcome.detail}"
-    if budget is not None:
-        assert outcome.elapsed < budget, (
-            f"criterion {number} took {outcome.elapsed:.2f}s, budget {budget}s")
+    assert outcome.elapsed < BUDGET, (
+        f"criterion {number} took {outcome.elapsed:.2f}s, budget {BUDGET}s")
 
 
 def test_criterion_01_macdonald_burnside(outcomes):
-    _criterion(outcomes, 1, "macdonald-burnside", 5.0)
+    _criterion(outcomes, 1, "macdonald-burnside")
 
 
 def test_criterion_02_bd_three_way(outcomes):
-    _criterion(outcomes, 2, "bd-three-way", 60.0)
+    _criterion(outcomes, 2, "bd-three-way")
 
 
 def test_criterion_03_fd_corrected(outcomes):
-    _criterion(outcomes, 3, "fd-corrected", 10.0)
+    _criterion(outcomes, 3, "fd-corrected")
 
 
 def test_criterion_04_invariant_poincare(outcomes):
-    _criterion(outcomes, 4, "invariant-poincare", 5.0)
+    _criterion(outcomes, 4, "invariant-poincare")
 
 
 def test_criterion_05_sphere_fixtures(outcomes):
-    _criterion(outcomes, 5, "sphere-fixtures", 5.0)
+    _criterion(outcomes, 5, "sphere-fixtures")
 
 
 def test_criterion_06_complement_product(outcomes):
-    _criterion(outcomes, 6, "complement-product", None)
+    _criterion(outcomes, 6, "complement-product")
 
 
 def test_criterion_07_graph_configuration(outcomes):
-    _criterion(outcomes, 7, "graph-configuration", 120.0)
+    _criterion(outcomes, 7, "graph-configuration")
 
 
 def test_criterion_08_depth_length(outcomes):
-    _criterion(outcomes, 8, "depth-length", 120.0)
+    _criterion(outcomes, 8, "depth-length")
 
 
 def test_criterion_09_pi1_descriptors(outcomes):
-    _criterion(outcomes, 9, "pi1-descriptors", 5.0)
+    _criterion(outcomes, 9, "pi1-descriptors")
 
 
 def test_criterion_10_partition_infrastructure(outcomes):
-    _criterion(outcomes, 10, "partition-infrastructure", 10.0)
+    _criterion(outcomes, 10, "partition-infrastructure")
 
 
 def test_cli_verify_runs_all_criteria(outcomes):
     assert [o.name for o in outcomes] == [name for name, _ in selfcheck.CHECKS]
     assert all(o.passed for o in outcomes), [o.name for o in outcomes if not o.passed]
+
+
+def test_suites_check_the_same_cases(outcomes):
+    assert [o.detail for o in outcomes] == DETAILS["all"]
+    fast = selfcheck.run_suite("fast")
+    assert all(o.passed for o in fast), [o.name for o in fast if not o.passed]
+    assert [o.detail for o in fast] == DETAILS["fast"]
+
+
+def test_cli_verify_stdout_is_pinned(capsys):
+    assert main(["verify", "--suite", "all"]) == 0
+    assert capsys.readouterr().out == VERIFY_ALL_STDOUT

@@ -4,8 +4,12 @@ import random
 
 import pytest
 
+from fatdiag import graphconf
 from fatdiag.graphconf import (
     Graph,
+    _cell_pair_count,
+    _discretization_ok,
+    _subdivision_factor,
     chi_graph,
     discretized_chi_f2,
     farber_chi_f2,
@@ -13,6 +17,7 @@ from fatdiag.graphconf import (
     graph_from_json,
     subdivide,
 )
+from fatdiag.selfcheck import random_connected_graphs
 
 
 def cycle_graph(k: int) -> Graph:
@@ -146,3 +151,54 @@ def test_fixtures_differ():
     # same chi, different local structure, different configuration spaces
     assert chi_graph(fixture("gamma1")) == chi_graph(fixture("gamma2"))
     assert farber_chi_f2(fixture("gamma1")) != farber_chi_f2(fixture("gamma2"))
+
+
+def star_graph(leaves: int) -> Graph:
+    return Graph.from_parts(["c"] + [f"x{i}" for i in range(leaves)],
+                            [("c", f"x{i}") for i in range(leaves)])
+
+
+def oracle_battery() -> list[Graph]:
+    return (random_connected_graphs(50) + [fixture("gamma1"), fixture("gamma2")]
+            + [path_graph(k) for k in range(1, 7)] + [cycle_graph(k) for k in range(3, 7)]
+            + [star_graph(k) for k in range(1, 6)] + [complete_graph(4), complete_graph(5)])
+
+
+def test_subdivision_factor_is_read_from_the_graph():
+    # k-fold subdivision scales the girth and the essential path lengths by
+    # k, so the factor read from the graph as given is the first k whose
+    # subdivision meets the condition
+    for g in oracle_battery():
+        first = next(k for k in (1, 2, 3) if _discretization_ok(subdivide(g, k)))
+        assert _subdivision_factor(g) == first, g
+
+
+def frozenset_pair_count(graph: Graph) -> int:
+    """The cell count as sets: ordered pairs of cells (vertex or edge,
+    with its vertex set as closure) whose closures are disjoint, signed
+    (-1)^(dim1 + dim2)."""
+    cells = [(0, frozenset([v])) for v in graph.vertices]
+    cells.extend((1, frozenset(e)) for e in graph.edges)
+    return sum((-1) ** (dim1 + dim2) for dim1, cl1 in cells for dim2, cl2 in cells
+               if not cl1 & cl2)
+
+
+def test_mask_count_matches_the_set_count():
+    for g in oracle_battery():
+        for k in (1, 2, 3):
+            s = subdivide(g, k)
+            assert _cell_pair_count(s) == frozenset_pair_count(s), (g, k)
+
+
+def test_oracle_subdivides_once(monkeypatch):
+    calls = []
+
+    def counted(graph, k):
+        calls.append(k)
+        return subdivide(graph, k)
+
+    monkeypatch.setattr(graphconf, "subdivide", counted)
+    for g in oracle_battery():
+        calls.clear()
+        assert discretized_chi_f2(g) == farber_chi_f2(g)
+        assert calls == [_subdivision_factor(g)], g

@@ -449,3 +449,15 @@ def test_histograms_match_classes_up_to_s10():
                 if sum((l - 1) * a for l, a in enumerate(t, start=1)) % 2 == 0}
         if n < 10:
             assert alternating_group(n).cycle_type_histogram() == even, n
+
+
+def test_conjugacy_classes_from_s0_to_s12():
+    # S_0 is the trivial group: one class, of the empty cycle type; the class
+    # sizes sum to n! up to n = 12, and they are the histogram of S_n up to
+    # n = 10 (the histograms of S_11 and S_12 exceed the group work guard)
+    assert conjugacy_classes_sn(0) == [((), 1)]
+    for n in range(13):
+        classes = conjugacy_classes_sn(n)
+        assert sum(size for _, size in classes) == math.factorial(n), n
+        if n <= 10:
+            assert symmetric_group_cached(n).cycle_type_histogram() == dict(classes), n
