@@ -21,8 +21,9 @@ value, so `--degree -1` reaches the group model.  Abbreviations, unknown
 options, stray words, a missing value, a bad integer or a bad choice are
 usage errors.  `-h` or `--help` prints usage lines made from the COMMANDS
 table.  A grid of `chi bd|fd|bupper` builds one power-series column per d
-and reads its cells from them; it is guarded on its cell count and on the
-summed estimated work of its columns before any column is built.
+and reads its cells from them; it is guarded on its cell count, the work
+of its columns and, for chi >= 1, a lower bound on a result's size before
+any column is built.  `--verify` reads eulerchar.chi_oracles.
 
 Start-up imports only sys, types and the error types, and argv is read
 in one pass against the COMMANDS table; each command imports the modules
@@ -40,7 +41,7 @@ Examples:
     fatdiag pi1 bd --space circle -n 4 -d 2
     fatdiag strata depth --degree 4 --gens "(1 2 3 4); (1 2)"
     fatdiag graph chi2 --graph gamma1 --oracle
-    fatdiag verify --suite=fast
+    fatdiag verify
     fatdiag chi --help
 """
 
@@ -236,38 +237,9 @@ def _expression_payload(expr) -> dict:
     return payload
 
 
-def _chi_oracles(kind: str, chi: int, n: int, d: int) -> dict[str, int]:
-    from .eulerchar import (
-        chi_b2,
-        chi_f2,
-        chi_sp,
-        oracle_bd_burnside,
-        oracle_fd_setpartitions,
-        stratification_sum_bd,
-    )
-
-    if kind == "bd":
-        oracles = {
-            "cycle_type_average": oracle_bd_burnside(chi, n, d),
-            "stratification_sum": stratification_sum_bd(chi, n, d),
-        }
-        if d == 2:
-            oracles["closed_d2_form"] = chi_b2(chi, n)
-        return oracles
-    if kind == "fd":
-        oracles = {"set_partition_sum": oracle_fd_setpartitions(chi, n, d)}
-        if d == 2:
-            oracles["closed_d2_form"] = chi_f2(chi, n)
-        return oracles
-    # bupper: complement against the strata of the fat diagonal one level
-    # up, summed directly so that the check does not reuse chi_b_upper
-    if d < n:
-        return {"complement": chi_sp(chi, n) - stratification_sum_bd(chi, n, d + 1)}
-    return {"complement": chi_sp(chi, n)}
-
-
 def _cmd_chi(args) -> int:
-    from .eulerchar import chi_b_upper, chi_bd, chi_columns, chi_fd, chi_sp, chi_sp_bits
+    from .eulerchar import (chi_b_upper, chi_bd, chi_cell_bits, chi_columns, chi_fd,
+                            chi_oracles, chi_sp, chi_sp_bits)
 
     space = _space(args)
     chi = space.euler()
@@ -290,6 +262,11 @@ def _cmd_chi(args) -> int:
     cells = _grid(_parse_range(args.n, "-n"), _parse_range(args.d, "-d"), d_min)
     if not cells:
         raise UsageError(f"no valid (n, d) pairs with {d_min} <= d <= n in the ranges")
+    if space.parity == "even":  # (the formulas refuse other parities, exit 2)
+        # every cell is printed, so one too long refuses the command: the
+        # last row at its smallest d is bounded before any column is built
+        bits = chi_cell_bits(kind, chi, cells[-1][0], cells[0][1])
+        check_guard(bits, MAX_RESULT_BITS, "result size")
     grid = len(cells) > 1
     if grid:  # one column per d, up to the last row
         columns = chi_columns(kind, chi, {d for _, d in cells}, cells[-1][0], space.parity)
@@ -298,34 +275,27 @@ def _cmd_chi(args) -> int:
         formula = {"bd": chi_bd, "fd": chi_fd, "bupper": chi_b_upper}[kind]
         values = [formula(chi, *cells[0], space.parity)]
 
-    rows = []
-    for (n, d), value in zip(cells, values):
-        oracles = None
-        if args.verify:
-            oracles = _chi_oracles(kind, chi, n, d)
-            bad = {name: got for name, got in oracles.items() if got != value}
+    oracles = None  # a single cell prints its oracles
+    if args.verify:
+        for (n, d), value in zip(cells, values):
+            oracles = chi_oracles(kind, chi, n, d)
+            bad = ", ".join(f"{name}={got}" for name, got in sorted(oracles.items())
+                            if got != value)
             if bad:
-                detail = ", ".join(f"{name}={got}" for name, got in sorted(bad.items()))
-                raise OracleMismatchError(
-                    f"chi {kind}({chi}, {n}, {d}) = {value} but {detail}"
-                )
-        rows.append((n, d, value, oracles))
+                raise OracleMismatchError(f"chi {kind}({chi}, {n}, {d}) = {value} but {bad}")
 
     if args.csv:
-        lines = [f"{n},{d},{_exact(value)}" for n, d, value, _ in rows]
+        lines = [f"{n},{d},{_exact(value)}" for (n, d), value in zip(cells, values)]
         print("\n".join(["n,d,value"] + lines))
         return 0
 
     inputs = {"space": _space_echo(space), "n": args.n, "d": args.d, "verify": bool(args.verify)}
     if grid:
-        result = [{"n": n, "d": d, "value": _exact(v)} for n, d, v, _ in rows]
+        result = [{"n": n, "d": d, "value": _exact(v)} for (n, d), v in zip(cells, values)]
         _emit(f"chi {kind}", inputs, result)
-    else:
-        n, d, value, oracles = rows[0]
-        oracle_payload = (
-            {name: _exact(got) for name, got in sorted(oracles.items())} if oracles else None
-        )
-        _emit(f"chi {kind}", inputs, _exact(value), oracle_payload)
+    else:  # the encoder sorts the oracle names
+        payload = {name: _exact(got) for name, got in oracles.items()} if oracles else None
+        _emit(f"chi {kind}", inputs, _exact(values[0]), payload)
     return 0
 
 
@@ -450,10 +420,10 @@ def _cmd_graph(args) -> int:
 def _cmd_verify(args) -> int:
     from .selfcheck import run_suite
 
-    outcomes = run_suite(args.suite)
+    outcomes = run_suite()
     for item in outcomes:
         status = "ok" if item.passed else "FAIL"
-        print(f"{status:4s} {item.name}: {item.detail} ({item.elapsed:.2f}s)",
+        print(f"{status:4s} {item.name}: {item.detail} ({item.elapsed * 1000:.1f} ms)",
               file=sys.stderr)
     failed = [o for o in outcomes if not o.passed]
     result = {
@@ -495,7 +465,7 @@ COMMANDS = {
     ("strata", "length"): (_cmd_strata, _GROUP, "longest subgroup chain of the group"),
     ("graph", "chi2"): (_cmd_graph, {"--graph": (str, None), "--oracle": (bool, False)},
                         "two-point configuration space of a graph"),
-    ("verify", None): (_cmd_verify, {"--suite": (("all", "fast"), "all")},
+    ("verify", None): (_cmd_verify, {"--suite": (("all",), "all")},
                        "run the verification battery"),
 }
 # command -> its variants, in table order
@@ -511,6 +481,7 @@ _OPTION_HELP = """\
 --graph   fixture name (gamma1, gamma2), inline JSON, or *.json path
 --verify, --oracle
           also run the independent oracles; a mismatch exits 3
+--suite   all, the one verification battery (the default)
 An option takes its value as the next word or after '='; the last of a
 repeated option wins.  Exit codes: 0 ok, 1 usage, 2 unsupported space,
 3 mismatch, 4 resource guard, 5 internal error."""

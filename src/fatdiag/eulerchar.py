@@ -55,7 +55,7 @@ from types import MappingProxyType
 from typing import TYPE_CHECKING, Collection, Mapping
 
 from .algebra import binomial_gen, falling_factorial
-from .combinatorics import alpha_sequences, factorial_product, set_partitions
+from .combinatorics import alpha_sequences, bell_number, factorial_product, set_partitions
 from .errors import (
     InternalConsistencyError,
     UnsupportedSpaceError,
@@ -169,14 +169,31 @@ def chi_gamma_bits(chi: int, degree: int) -> int:
     return _bits_at_least(degree, math.log2(base))
 
 
+def _binomial_bits(m: int, k: int) -> int:
+    """A lower bound on the bit length of C(m, k), 0 <= k: C(m, j) >= (m /
+    j)^j for the smaller side j = min(k, m - k), where m / j >= 2, and 0
+    when C(m, k) is 0 or 1."""
+    j = min(k, m - k)
+    return _bits_at_least(j, math.log2(m) - math.log2(j)) if j > 0 else 0
+
+
 def chi_sp_bits(chi: int, n: int) -> int:
     """A lower bound on the bit length of chi_sp(chi, n), found without
-    computing it.  |chi_sp| is C(m, n), with m = chi + n - 1 for chi >= 1
-    and m = -chi for chi <= 0, and C(m, k) >= (m / k)^k for the smaller
-    side k = min(n, m - n), where m / k >= 2."""
-    m = chi + n - 1 if chi >= 1 else -chi
-    k = min(n, m - n)
-    return _bits_at_least(k, math.log2(m) - math.log2(k)) if k > 0 else 0
+    computing it: |chi_sp| is C(m, n), with m = chi + n - 1 for chi >= 1
+    and m = -chi for chi <= 0."""
+    return _binomial_bits(chi + n - 1 if chi >= 1 else -chi, n)
+
+
+def chi_cell_bits(kind: str, chi: int, n: int, d: int) -> int:
+    """A lower bound on the bit length of the cell (n, d) of chi_columns,
+    found without building it.  For chi >= 1 each stratum adds a term >= 0,
+    so the cell is at least one stratum's: bd chi C(chi - 1, n - d) (one
+    d-fold point, n - d simple), fd falling(chi, n - d + 1), bupper C(chi,
+    n); a binomial bounds each.  0 for chi <= 0, where none is known."""
+    if chi < 1:
+        return 0
+    m, k = {"bd": (chi - 1, n - d), "fd": (chi, n - d + 1), "bupper": (chi, n)}[kind]
+    return _binomial_bits(m, k)
 
 
 def _log2_binomial_at_most(m: int, k: int) -> float:
@@ -457,16 +474,9 @@ def bd_oracle_work(n: int, cap: float) -> int:
     Bell(m) alone pass cap, their sum is returned and n is not looked at
     further.
     """
-    half = n // 2
     bells: list[int] = []
-    row = [1]  # a row of the Bell triangle, which starts with Bell(m)
-    for m in range(half + 1):
-        if m:
-            nxt = [row[-1]]
-            for v in row:
-                nxt.append(nxt[-1] + v)
-            row = nxt
-        bells.append(row[0])
+    for m in range(n // 2 + 1):
+        bells.append(bell_number(m))
         if sum(bells) > cap:
             return sum(bells)
     # p(M, m) for M <= n, one row per m, each made from the last
@@ -552,3 +562,28 @@ def oracle_bd_burnside(chi: int, n: int, d: int) -> int:
     check_guard(work, MAX_BD_ORACLE_WORK, "oracle_bd_burnside")
     total = _fat_sum(_burnside_table(n), chi, d)
     return _exact_div(total, math.factorial(n), "oracle_bd_burnside({}, {}, {})", chi, n, d)
+
+
+def chi_oracles(kind: str, chi: int, n: int, d: int) -> dict[str, int]:
+    """The independent oracles of the cell (n, d) of chi_columns, by name:
+    the one table of which oracle checks which formula, read by `chi
+    --verify` and by the verify battery.  bd is checked by the cycle-type
+    average and the stratum sum, fd by the set-partition sum, both by their
+    closed form at d = 2, and bupper by the complement, chi_sp less the
+    strata of the fat diagonal one level up, summed directly so that it
+    does not reuse chi_b_upper (chi_sp alone at d = n).
+
+    >>> chi_oracles("bd", 2, 4, 2)
+    {'cycle_type_average': 5, 'stratification_sum': 5, 'closed_d2_form': 5}
+    """
+    if kind == "bupper":
+        fat = stratification_sum_bd(chi, n, d + 1) if d < n else 0
+        return {"complement": chi_sp(chi, n) - fat}
+    if kind == "bd":
+        oracles = {"cycle_type_average": oracle_bd_burnside(chi, n, d),
+                   "stratification_sum": stratification_sum_bd(chi, n, d)}
+    else:
+        oracles = {"set_partition_sum": oracle_fd_setpartitions(chi, n, d)}
+    if d == 2:
+        oracles["closed_d2_form"] = (chi_b2 if kind == "bd" else chi_f2)(chi, n)
+    return oracles

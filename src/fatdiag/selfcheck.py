@@ -2,9 +2,8 @@
 
 Each check re-derives a family of published or independently-derived values
 and compares them against the closed formulas, raising AssertionError with
-a pinpointed message on the first disagreement.  The acceptance test suite
-runs every check at full ranges; the command line `fatdiag verify` runs
-them too, with --suite fast trimming the ranges for a quick smoke run.
+a pinpointed message on the first disagreement.  The acceptance tests and
+`fatdiag verify` run them alike, over one set of ranges.
 
 Checks are pure and deterministic, including the randomized graph check,
 which uses a fixed seed.
@@ -15,7 +14,8 @@ eulerchar.chi_columns over every d and every n up to the range, as a
 command-line grid reads them; S_n is the one memoized model of
 permgroup.symmetric_group_cached, so its chain and histogram are shared
 between checks; and check_depth_length takes each group's depth and chain
-length once.  The oracles the formulas are compared with stay per cell.
+length once.  The formulas are compared per cell with the oracles of
+eulerchar.chi_oracles, which `chi --verify` reads too.
 """
 
 from __future__ import annotations
@@ -39,10 +39,8 @@ from .eulerchar import (
     chi_f2,
     chi_fd,
     chi_gamma_product,
+    chi_oracles,
     chi_sp,
-    oracle_bd_burnside,
-    oracle_fd_setpartitions,
-    stratification_sum_bd,
 )
 from .fundgroup import pi1_bd, pi1_bgamma_abelian, pi1_gamma_product
 from .graphconf import Graph, discretized_chi_f2, farber_chi_f2, fixture
@@ -61,10 +59,10 @@ from .strata import depth, group_length, length_sn
 GRAPH_SEED = 20260821
 
 
-def check_macdonald_burnside(fast: bool = False) -> str:
+def check_macdonald_burnside() -> str:
     """Symmetric-product formula equals the group average over the full
     symmetric group."""
-    n_max = 6 if fast else 8
+    n_max = 8
     cases = 0
     for n in range(0, n_max + 1):
         group = symmetric_group_cached(n)
@@ -76,44 +74,40 @@ def check_macdonald_burnside(fast: bool = False) -> str:
     return f"{cases} cases, n <= {n_max}"
 
 
-def check_bd_three_way(fast: bool = False) -> str:
-    """Closed unordered-fat-diagonal formula, stratification sum, and the
-    cycle-type average all agree."""
-    n_max = 6 if fast else 8
+def _against_oracles(kind: str, chi: int, columns: dict[int, list[int]]) -> int:
+    """Every cell (n, d), d <= n, of kind's columns at chi against each of
+    its oracles in eulerchar.chi_oracles; the number of cells."""
     cases = 0
-    for chi in range(-4, 5):
-        formula = chi_columns("bd", chi, range(2, n_max + 1), n_max)
-        for n in range(2, n_max + 1):
-            for d in range(2, n + 1):
-                a = formula[d][n]
-                b = stratification_sum_bd(chi, n, d)
-                c = oracle_bd_burnside(chi, n, d)
-                assert a == b == c, (
-                    f"chi_bd({chi},{n},{d}): formula {a}, strata {b}, average {c}"
-                )
-                cases += 1
+    for d, column in columns.items():
+        for n in range(d, len(column)):
+            for name, got in chi_oracles(kind, chi, n, d).items():
+                assert got == column[n], (
+                    f"chi_{kind}({chi},{n},{d}): formula {column[n]}, {name} {got}")
+            cases += 1
+    return cases
+
+
+def check_bd_three_way() -> str:
+    """Closed unordered-fat-diagonal formula, stratification sum, and the
+    cycle-type average all agree (and the closed form at d = 2)."""
+    n_max = 8
+    cases = sum(_against_oracles("bd", chi, chi_columns("bd", chi, range(2, n_max + 1), n_max))
+                for chi in range(-4, 5))
     return f"{cases} cases three-way, n <= {n_max}"
 
 
-def check_fd_corrected(fast: bool = False) -> str:
+def check_fd_corrected() -> str:
     """Ordered fat diagonal: the formula with partition-type coefficients
     matches the set-partition oracle, the d = 2 and d = n - 1 polynomial
     specializations hold, and the coefficient-free variant provably fails
     at n = d = 3."""
-    n_max = 6 if fast else 8
+    n_max = 8
     cases = 0
     for chi in range(-5, 6):
         # formula[d][n] is chi_fd(chi, n, d)
         formula = chi_columns("fd", chi, range(2, n_max + 1), n_max)
         if -4 <= chi <= 4:
-            for n in range(2, n_max + 1):
-                for d in range(2, n + 1):
-                    left = formula[d][n]
-                    right = oracle_fd_setpartitions(chi, n, d)
-                    assert left == right, (
-                        f"chi_fd({chi},{n},{d})={left} != oracle {right}"
-                    )
-                    cases += 1
+            cases += _against_oracles("fd", chi, formula)
         assert formula[2][3] == 3 * chi**2 - 2 * chi
         for n in range(2, n_max + 1):
             assert formula[n][n] == chi, f"thin diagonal at n={n}"
@@ -132,7 +126,7 @@ def check_fd_corrected(fast: bool = False) -> str:
     return f"{cases} oracle cases; coefficient-free variant rejected (6 != 2)"
 
 
-def check_invariant_poincare(fast: bool = False) -> str:
+def check_invariant_poincare() -> str:
     """Quotient Betti fixtures and the symmetric-product series identity."""
     torus = preset("torus").poincare()
     circle = preset("circle").poincare()
@@ -143,7 +137,7 @@ def check_invariant_poincare(fast: bool = False) -> str:
     assert got_circle == [1, 1, 1, 1], f"circle/Z3 ranks {got_circle}"
     names = ["point", "circle", "sphere:2", "sphere:3", "torus", "surface:2",
              "projective_plane", "wedge_circles:3"]
-    n_max = 4 if fast else 5
+    n_max = 5
     cases = 0
     for name in names:
         poly = preset(name).poincare()
@@ -157,7 +151,7 @@ def check_invariant_poincare(fast: bool = False) -> str:
     return f"fixtures plus {cases} series identities"
 
 
-def check_sphere_fixtures(fast: bool = False) -> str:
+def check_sphere_fixtures() -> str:
     """Published sphere fat-diagonal values and the chi = 0 vanishing."""
     sphere = chi_columns("bd", 2, (2,), 5)[2]
     vanishing = chi_columns("bd", 0, range(2, 9), 8)
@@ -172,9 +166,9 @@ def check_sphere_fixtures(fast: bool = False) -> str:
     return f"{cases} fixture values"
 
 
-def check_complement_product(fast: bool = False) -> str:
+def check_complement_product() -> str:
     """Complement identity and the product splitting for large d."""
-    n_max = 6 if fast else 8
+    n_max = 8
     cases = 0
     for chi in range(-4, 5):
         upper = chi_columns("bupper", chi, range(1, n_max), n_max)
@@ -213,14 +207,14 @@ def random_connected_graphs(count: int, max_vertices: int = 8, seed: int = GRAPH
     return out
 
 
-def check_graph_configuration(fast: bool = False) -> str:
+def check_graph_configuration() -> str:
     """Closed graph formula against the discretized cell count."""
     gamma1, gamma2 = fixture("gamma1"), fixture("gamma2")
     assert farber_chi_f2(gamma1) == -4
     assert farber_chi_f2(gamma2) == -6
     assert discretized_chi_f2(gamma1) == -4
     assert discretized_chi_f2(gamma2) == -6
-    count = 20 if fast else 50
+    count = 50
     for graph in random_connected_graphs(count):
         left = farber_chi_f2(graph)
         right = discretized_chi_f2(graph)
@@ -230,9 +224,9 @@ def check_graph_configuration(fast: bool = False) -> str:
     return f"fixtures plus {count} random graphs"
 
 
-def check_depth_length(fast: bool = False) -> str:
+def check_depth_length() -> str:
     """Stratification depth values and the subgroup chain-length bound."""
-    n_max = 5 if fast else 6
+    n_max = 6
     # each group's depth and chain length once: the S_n of the table come
     # back in the battery and in the comparison with length_sn
     depth_of, length_of = cache(depth), cache(group_length)
@@ -268,9 +262,8 @@ def check_depth_length(fast: bool = False) -> str:
     # that refine its orbits, a product of partition lattices, so its depth
     # is the degree minus the number of orbits (fixed points included)
     young = [(5, (2, 3)), (7, (3, 4)), (8, (3, 3)), (8, (2, 3, 3)),
-             (12, (3, 3, 3, 3)), (12, (2, 2, 2, 2, 2, 2))]
-    if not fast:
-        young.append((12, (4, 4, 4)))  # 13824 elements, three S_4 factors
+             (12, (3, 3, 3, 3)), (12, (2, 2, 2, 2, 2, 2)),
+             (12, (4, 4, 4))]  # 13824 elements, three S_4 factors
     for degree, sizes in young:
         gens, start = [], 1
         for size in sizes:
@@ -284,7 +277,7 @@ def check_depth_length(fast: bool = False) -> str:
             f"{len(young)} Young subgroups")
 
 
-def check_pi1_descriptors(fast: bool = False) -> str:
+def check_pi1_descriptors() -> str:
     """Fundamental-group descriptor shapes."""
     opaque = preset("wedge_circles:2")
     circle = preset("circle")
@@ -342,9 +335,9 @@ def check_pi1_descriptors(fast: bool = False) -> str:
     return f"{len(transitive)} transitive groups, branch table {cases} cells"
 
 
-def check_partition_infrastructure(fast: bool = False) -> str:
+def check_partition_infrastructure() -> str:
     """Set-partition counts and the Stirling identity."""
-    n_max = 7 if fast else 8
+    n_max = 8
     cases = 0
     for n in range(0, n_max + 1):
         # one pass over the partitions, tallied by their sorted labels, a
@@ -386,7 +379,7 @@ class CheckOutcome(NamedTuple):
     elapsed: float
 
 
-CHECKS: list[tuple[str, Callable[[bool], str]]] = [
+CHECKS: list[tuple[str, Callable[[], str]]] = [
     ("macdonald-burnside", check_macdonald_burnside),
     ("bd-three-way", check_bd_three_way),
     ("fd-corrected", check_fd_corrected),
@@ -400,16 +393,13 @@ CHECKS: list[tuple[str, Callable[[bool], str]]] = [
 ]
 
 
-def run_suite(suite: str = "all") -> list[CheckOutcome]:
-    """Run every check; suite "fast" trims ranges to finish quickly."""
-    if suite not in ("all", "fast"):
-        raise ValueError(f"suite must be all or fast, got {suite!r}")
-    fast = suite == "fast"
+def run_suite() -> list[CheckOutcome]:
+    """Run every check."""
     outcomes = []
     for name, check in CHECKS:
         start = time.monotonic()
         try:
-            detail = check(fast)
+            detail = check()
             passed = True
         except AssertionError as exc:
             detail = str(exc) or "assertion failed"

@@ -8,6 +8,8 @@ pytest -v through the test name, and in captured output on failure).
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from fatdiag import selfcheck
@@ -17,7 +19,7 @@ from fatdiag.cli import main
 # regression by orders of magnitude without failing on a slow host.
 BUDGET = 5.0
 
-# What each suite checks, case counts included, so that work shared
+# What each check covers, case counts included, so that work shared
 # between the criteria cannot drop a case unnoticed.
 DETAILS = {
     "all": [
@@ -31,18 +33,6 @@ DETAILS = {
         "depth table n <= 6, battery of 9 groups, 7 Young subgroups",
         "11 transitive groups, branch table 36 cells",
         "Bell + 66 type counts, Stirling identity, d=2 forms, n <= 8",
-    ],
-    "fast": [
-        "77 cases, n <= 6",
-        "135 cases three-way, n <= 6",
-        "135 oracle cases; coefficient-free variant rejected (6 != 2)",
-        "fixtures plus 32 series identities",
-        "31 fixture values",
-        "225 identity cases, n <= 6",
-        "fixtures plus 20 random graphs",
-        "depth table n <= 5, battery of 9 groups, 6 Young subgroups",
-        "11 transitive groups, branch table 36 cells",
-        "Bell + 44 type counts, Stirling identity, d=2 forms, n <= 7",
     ],
 }
 
@@ -64,7 +54,7 @@ VERIFY_ALL_STDOUT = (
 
 @pytest.fixture(scope="module")
 def outcomes() -> list[selfcheck.CheckOutcome]:
-    return selfcheck.run_suite("all")
+    return selfcheck.run_suite()
 
 
 def _criterion(outcomes, number: int, name: str) -> None:
@@ -123,11 +113,16 @@ def test_cli_verify_runs_all_criteria(outcomes):
 
 def test_suites_check_the_same_cases(outcomes):
     assert [o.detail for o in outcomes] == DETAILS["all"]
-    fast = selfcheck.run_suite("fast")
-    assert all(o.passed for o in fast), [o.name for o in fast if not o.passed]
-    assert [o.detail for o in fast] == DETAILS["fast"]
 
 
 def test_cli_verify_stdout_is_pinned(capsys):
-    assert main(["verify", "--suite", "all"]) == 0
-    assert capsys.readouterr().out == VERIFY_ALL_STDOUT
+    # --suite keeps its one value, all, which is also the default; each
+    # check's time goes to stderr, in milliseconds
+    for argv in (["verify", "--suite", "all"], ["verify"]):
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert out == VERIFY_ALL_STDOUT
+        lines = err.splitlines()
+        assert [line.split(":")[0] for line in lines] == [
+            f"ok   {name}" for name, _ in selfcheck.CHECKS]
+        assert all(re.search(r" \(\d+\.\d ms\)$", line) for line in lines), lines

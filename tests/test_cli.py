@@ -288,7 +288,7 @@ def test_commands_import_only_what_they_run():
     assert "json" in _loaded_modules('chi|sp|--space|{"betti": [1]}|-n|2')
     package = {f"fatdiag.{path.stem}" for path in Path(fatdiag.__file__).parent.glob("*.py")
                if path.stem != "__init__"}
-    loaded = _loaded_modules("verify|--suite|fast", "--help")
+    loaded = _loaded_modules("verify", "--help")
     assert package - loaded == set()
     assert {"argparse", "gettext", "locale"} & loaded == set()
 
@@ -328,14 +328,11 @@ def test_graph_chi2_inline_json(capsys):
     assert payload["result"] == "0"
 
 
-def test_verify_fast(capsys):
+def test_verify_suite_fast_is_a_usage_error(capsys):
+    # verify runs one battery: --suite takes all only
     rc, out, err = run(capsys, "verify", "--suite", "fast")
-    assert rc == 0
-    payload = json.loads(out)
-    assert payload["result"]["failed"] == "0"
-    assert len(payload["result"]["checks"]) == 10
-    assert all(c["status"] == "ok" for c in payload["result"]["checks"])
-    assert sum(1 for line in err.splitlines() if line.startswith("ok")) == 10
+    assert rc == 1 and out == ""
+    assert err == "error: --suite takes one of all, got 'fast'\n"
 
 
 def test_output_is_deterministic(capsys):
@@ -500,6 +497,24 @@ def test_result_size_is_guarded_before_computing(capsys, monkeypatch):
         assert f"result size: size {size} " in err
 
 
+def test_chi_cell_size_is_guarded_before_any_column(capsys, monkeypatch):
+    # with chi = 2^1000 every command below would build columns for
+    # seconds, to hundreds of MB, before its result was refused; a lower
+    # bound on the last row's bits refuses them before any column is built
+    import fatdiag.eulerchar
+
+    def refuse(*args):
+        raise AssertionError("a column was built")
+
+    monkeypatch.setattr(fatdiag.eulerchar, "_series", refuse)
+    space = '{"betti": [1, 0, %d], "parity": "even"}' % (2**1000 - 1)
+    for kind in ("bd", "fd", "bupper"):
+        for n, d in (("1730", "2"), ("2..1730", "2..3")):
+            rc, out, err = run(capsys, "chi", kind, "--space", space, "-n", n, "-d", d)
+            assert rc == 4 and out == "", (kind, n, d, err)
+            assert "resource guard: result size" in err
+
+
 def test_result_size_precheck_refuses_only_what_exact_refuses(capsys, monkeypatch):
     # with the limit at 1000 bits: <(1 2)> at degree 1000 averages
     # 3 * 2^998, 1000 bits, though its identity term 2^1000 has 1001, so it
@@ -649,7 +664,7 @@ def test_help_prints_usage(capsys):
     assert rc == 0 and err == ""
     assert out.startswith("usage: fatdiag")
     assert "fatdiag strata depth --degree DEGREE [--gens GENS]" in out
-    assert "fatdiag verify [--suite {all,fast}]" in out
+    assert "fatdiag verify [--suite {all}]" in out
     rc, out, _ = run(capsys, "chi", "--help")
     assert rc == 0
     assert "fatdiag chi bd --space SPACE -n N -d D [--verify] [--csv]" in out

@@ -8,11 +8,13 @@ from fatdiag.eulerchar import (
     chi_b2,
     chi_b_upper,
     chi_bd,
+    chi_cell_bits,
     chi_columns,
     chi_f2,
     chi_fd,
     chi_gamma_bits,
     chi_gamma_product,
+    chi_oracles,
     chi_sp,
     chi_sp_bits,
     chi_stratum,
@@ -355,10 +357,10 @@ def test_oracles_enumerate_once_per_weight_vector():
 
     _fat_counts.cache_clear()
     _burnside_table.cache_clear()
-    check_bd_three_way(False)
+    check_bd_three_way()
     assert _burnside_table.cache_info().misses == 7  # one table per n
     hits = _fat_counts.cache_info().hits
-    assert check_fd_corrected(False).startswith("252 oracle cases")
+    assert check_fd_corrected().startswith("252 oracle cases")
     info = _fat_counts.cache_info()
     assert info.misses == 65
     assert info.hits - hits == 252
@@ -577,3 +579,33 @@ def test_ordinary_series_work_follows_the_coefficients():
     # charged STEP_BITS, where the exponential length is 30000 * 4 bits
     assert series_work(-6, 30000, 30000, False) == 30000 * STEP_BITS
     assert series_work(0, 1, 10**6, False) == 10**6 * STEP_BITS
+
+
+@pytest.mark.parametrize("kind", ["bd", "fd", "bupper"])
+@pytest.mark.parametrize("n, d", [(6, 2), (6, 4), (6, 6)])
+def test_chi_oracles_table(kind, n, d):
+    # the oracle names `chi --verify` prints, as perfbench/gate.py expects
+    # them, each equal to the formula's cell
+    names = {"bd": {"cycle_type_average", "stratification_sum"},
+             "fd": {"set_partition_sum"}, "bupper": {"complement"}}[kind]
+    if kind != "bupper" and d == 2:
+        names |= {"closed_d2_form"}
+    for chi in (-3, -1, 0, 1, 2, 5):
+        want = chi_columns(kind, chi, (d,), n)[d][n]
+        assert chi_oracles(kind, chi, n, d) == dict.fromkeys(names, want), (chi, kind, n, d)
+
+
+def test_cell_bits_bound_the_formulas():
+    # for chi >= 1 every stratum adds a term >= 0, so one stratum's term
+    # bounds the cell from below; no bound is known for chi <= 0
+    n_max = 60
+    for kind, d_min in (("bd", 2), ("fd", 2), ("bupper", 1)):
+        for chi in range(1, 41):
+            columns = chi_columns(kind, chi, range(d_min, n_max + 1), n_max)
+            for d, column in columns.items():
+                for n in range(d, n_max + 1):
+                    assert chi_cell_bits(kind, chi, n, d) <= column[n].bit_length(), (
+                        kind, chi, n, d)
+        assert chi_cell_bits(kind, -2**1000, 1730, 2) == 0
+        # chi = 2^1000 at n = 1730 has results of about 1.7 * 10^6 bits
+        assert chi_cell_bits(kind, 2**1000, 1730, 2) > 1.69 * 10**6
