@@ -28,9 +28,9 @@ any column is built.  `--verify` reads eulerchar.chi_oracles.
 Start-up imports only sys, types and the error types, and argv is read
 in one pass against the COMMANDS table; each command imports the modules
 it runs when it runs, so `chi sp` never loads the group, strata, graph or
-verification code.  The envelope is written by a small encoder whose
-bytes are those of json.dumps(envelope, sort_keys=True), and json itself
-is loaded only to parse a JSON --space or --graph.
+verification code.  No command loads json: the envelope is written by a
+small encoder whose bytes are those of json.dumps(envelope,
+sort_keys=True), and a JSON --space or --graph is read by jsonread.
 
 Examples:
 
@@ -194,7 +194,7 @@ def _space(args):
 
     try:
         return parse_space(args.space)
-    except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
+    except (ValueError, OSError) as exc:
         raise UsageError(f"bad --space: {exc}")
 
 
@@ -389,11 +389,11 @@ def _cmd_graph(args) -> int:
         elif ref.strip().startswith("{"):
             graph = graph_from_json(ref)
         else:
-            import json
+            from .jsonread import loads
 
             with open(ref, "r", encoding="utf-8") as fh:
-                graph = graph_from_json(json.load(fh))
-    except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
+                graph = graph_from_json(loads(fh.read()))
+    except (ValueError, OSError) as exc:
         raise UsageError(f"bad --graph: {exc}")
     try:
         value = farber_chi_f2(graph)

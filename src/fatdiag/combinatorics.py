@@ -3,7 +3,9 @@
 A multiplicity vector alpha records a multiset of part sizes: alpha[i - 1]
 parts of size i, with total weight sum(i * alpha[i - 1]) and sum(alpha)
 parts.  These index both the strata of symmetric products (alpha_i blocks
-of i equal coordinates) and the cycle types of permutations.
+of i equal coordinates) and the cycle types of permutations, whose
+conjugacy classes in S_n conjugacy_classes_sn counts without building the
+group.
 
 A set partition of {0, ..., n-1} is its label tuple: labels[i] is the block
 of point i, and blocks are numbered in order of their first point (a
@@ -19,6 +21,7 @@ from typing import Iterator
 from .errors import check_guard
 
 MAX_SET_PARTITION_N = 12
+MAX_CONJUGACY_N = 20
 
 
 def alpha_sequences(n: int, max_part: int) -> list[tuple[int, ...]]:
@@ -59,6 +62,27 @@ def factorial_product(alpha: tuple[int, ...]) -> int:
     12
     """
     return math.prod(map(math.factorial, alpha))
+
+
+def conjugacy_classes_sn(n: int) -> list[tuple[tuple[int, ...], int]]:
+    """Conjugacy classes of the full symmetric group on n points.
+
+    Returns (cycle type, class size) pairs in a deterministic order; the
+    class size is n! over the centralizer order prod_l (alpha_l! l^alpha_l),
+    and the sizes sum to n!.  S_0 has one class, of the empty cycle type.
+
+    >>> conjugacy_classes_sn(3)
+    [((3, 0, 0), 1), ((1, 1, 0), 3), ((0, 0, 1), 2)]
+    """
+    check_guard(n, MAX_CONJUGACY_N, "conjugacy_classes_sn")
+    if n == 0:
+        return [((), 1)]  # S_0 is the trivial group; its one element has no cycles
+    out = []
+    for alpha in alpha_sequences(n, n):
+        centralizer = factorial_product(alpha) * math.prod(
+            l**a for l, a in enumerate(alpha, start=1))
+        out.append((alpha, math.factorial(n) // centralizer))
+    return out
 
 
 def set_partitions(n: int) -> Iterator[tuple[int, ...]]:

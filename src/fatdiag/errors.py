@@ -3,8 +3,8 @@
 Exhaustive enumerations (set partitions, group elements, subgroup lattices)
 blow up quickly, so every such entry point checks its input size against a
 guard and raises ResourceGuardError instead of hanging.  The guards scale
-with the FATDIAG_GUARD_SCALE environment variable: setting it to 2 doubles
-every limit, setting it to 0.5 halves them.
+with the FATDIAG_GUARD_SCALE environment variable, read once per process:
+setting it to 2 doubles every limit, setting it to 0.5 halves them.
 """
 
 import os
@@ -32,8 +32,19 @@ class InternalConsistencyError(FatdiagError):
     coefficient).  This always indicates a bug, never bad user input."""
 
 
+_scale = None  # the parsed FATDIAG_GUARD_SCALE, once read
+
+
 def guard_scale() -> float:
-    """Multiplier applied to every resource guard limit."""
+    """Multiplier applied to every resource guard limit, read from the
+    environment once per process; a bad value is reported on every call."""
+    global _scale
+    if _scale is None:
+        _scale = _read_scale()
+    return _scale
+
+
+def _read_scale() -> float:
     raw = os.environ.get("FATDIAG_GUARD_SCALE", "")
     if not raw:
         return 1.0
@@ -41,7 +52,7 @@ def guard_scale() -> float:
         scale = float(raw)
     except ValueError:
         raise FatdiagError(f"FATDIAG_GUARD_SCALE is not a number: {raw!r}")
-    if scale <= 0:
+    if not scale > 0:  # NaN too: every guard would pass
         raise FatdiagError(f"FATDIAG_GUARD_SCALE must be positive: {raw!r}")
     return scale
 

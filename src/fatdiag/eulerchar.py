@@ -55,7 +55,8 @@ from types import MappingProxyType
 from typing import TYPE_CHECKING, Collection, Mapping
 
 from .algebra import binomial_gen, falling_factorial
-from .combinatorics import alpha_sequences, bell_number, factorial_product, set_partitions
+from .combinatorics import (alpha_sequences, bell_number, conjugacy_classes_sn, factorial_product,
+                            set_partitions)
 from .errors import (
     InternalConsistencyError,
     UnsupportedSpaceError,
@@ -465,6 +466,7 @@ def fd_oracle_work(n: int) -> int:
     return math.comb(n + 3, 4)
 
 
+@lru_cache(maxsize=64)
 def bd_oracle_work(n: int, cap: float) -> int:
     """Work of oracle_bd_burnside at n: the set partitions it walks, Bell(m)
     for each cycle type of S_n with m cycles of length >= 2.  The types with
@@ -472,7 +474,7 @@ def bd_oracle_work(n: int, cap: float) -> int:
     >= 2, that is of n - f - m into m parts, counted by p(M, m) = p(M - 1,
     m - 1) + p(M - m, m).  Every m <= n / 2 has such a type, so once the
     Bell(m) alone pass cap, their sum is returned and n is not looked at
-    further.
+    further.  Computed once per (n, cap): every (chi, d) of a battery asks.
     """
     bells: list[int] = []
     for m in range(n // 2 + 1):
@@ -527,8 +529,6 @@ def oracle_fd_setpartitions(chi: int, n: int, d: int) -> int:
 def _burnside_table(n: int) -> Mapping[tuple[int, int], int]:
     """The class-weighted sum over the cycle types of S_n of their
     _fat_counts tables, by (heaviest block, block count)."""
-    from .permgroup import conjugacy_classes_sn
-
     table: dict[tuple[int, int], int] = {}
     for ctype, class_size in conjugacy_classes_sn(n):
         weights = tuple(l for l, a in enumerate(ctype, start=1) for _ in range(a))

@@ -64,7 +64,6 @@ from collections import Counter
 from functools import lru_cache
 from typing import Iterator
 
-from .combinatorics import alpha_sequences, factorial_product
 from .errors import check_guard, guard_scale
 
 # Group work, in tuple entries: the entries the stabilizer chain composes,
@@ -77,7 +76,6 @@ from .errors import check_guard, guard_scale
 # search for direct factors, counted in the entries of the elements it
 # builds and sifts: past it, the orbits not yet tested stay unsplit.
 MAX_GROUP_WORK = 4 * 10**6
-MAX_CONJUGACY_N = 20
 
 Perm = tuple[int, ...]
 
@@ -377,27 +375,6 @@ def parse_cycles(text: str, degree: int) -> Perm:
             cyc.append(point)
         cycles.append(cyc)
     return _from_cycles(cycles, degree)
-
-
-def conjugacy_classes_sn(n: int) -> list[tuple[tuple[int, ...], int]]:
-    """Conjugacy classes of the full symmetric group on n points.
-
-    Returns (cycle type, class size) pairs in a deterministic order; the
-    class size is n! over the centralizer order prod_l (alpha_l! l^alpha_l),
-    and the sizes sum to n!.  S_0 has one class, of the empty cycle type.
-
-    >>> conjugacy_classes_sn(3)
-    [((3, 0, 0), 1), ((1, 1, 0), 3), ((0, 0, 1), 2)]
-    """
-    check_guard(n, MAX_CONJUGACY_N, "conjugacy_classes_sn")
-    if n == 0:
-        return [((), 1)]  # S_0 is the trivial group; its one element has no cycles
-    out = []
-    for alpha in alpha_sequences(n, n):
-        centralizer = factorial_product(alpha) * math.prod(
-            l**a for l, a in enumerate(alpha, start=1))
-        out.append((alpha, math.factorial(n) // centralizer))
-    return out
 
 
 class PermutationGroupModel:

@@ -313,38 +313,48 @@ def product(a: SpaceModel, b: SpaceModel) -> SpaceModel:
     )
 
 
+def _count(value) -> int:
+    """value if it is a JSON integer: not a float, a string or a bool."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError("not an integer")
+    return value
+
+
 def space_from_json(data) -> SpaceModel:
     """Build a space from the JSON schema
     {"betti": [...], "h1": {"rank": r, "torsion": [...]},
      "pi1": "trivial|abelian|opaque:<label>", "parity": "even|odd|none"}.
+    The Betti numbers, the rank and the torsion orders are JSON integers.
     """
     if isinstance(data, str):
-        import json
+        from .jsonread import loads
 
-        data = json.loads(data)
+        data = loads(data)
     if not isinstance(data, dict):
         raise ValueError("space JSON must be an object")
     try:
-        betti = tuple(int(b) for b in data["betti"])
-    except (KeyError, TypeError, ValueError):
+        betti = tuple(_count(b) for b in data["betti"])
+    except (KeyError, TypeError):
         raise ValueError('space JSON needs "betti": [ints]')
     h1_raw = data.get("h1", {"rank": betti[1] if len(betti) > 1 else 0, "torsion": []})
     try:
-        rank = int(h1_raw.get("rank", 0))
-        torsion = tuple(int(t) for t in h1_raw.get("torsion", ()))
-    except (AttributeError, TypeError, ValueError):
+        rank = _count(h1_raw.get("rank", 0))
+        torsion = tuple(_count(t) for t in h1_raw.get("torsion", ()))
+    except (AttributeError, TypeError):
         raise ValueError('space JSON needs "h1": {"rank": int, "torsion": [ints]}')
     h1 = AbelianDescriptor.of(rank, torsion)
     pi1 = data.get("pi1", "opaque:unspecified")
+    parity = data.get("parity", "none")
+    if not isinstance(pi1, str) or not isinstance(parity, str):
+        raise ValueError('space JSON "pi1" and "parity" are strings')
     if pi1 in ("trivial", "abelian"):
         kind, plabel = pi1, None
-    elif isinstance(pi1, str) and pi1.startswith("opaque:"):
+    elif pi1.startswith("opaque:"):
         kind, plabel = "opaque", pi1[len("opaque:"):] or "unspecified"
     elif pi1 == "opaque":
         kind, plabel = "opaque", "unspecified"
     else:
         raise ValueError(f'bad "pi1" value {pi1!r}')
-    parity = data.get("parity", "none")
     label = data.get("label", "custom")
     return SpaceModel(
         label=label, betti=betti, h1=h1, pi1_kind=kind, pi1_label=plabel, parity=parity
@@ -360,10 +370,10 @@ def parse_space(text: str) -> SpaceModel:
         return space_from_json(text)
     if text.startswith("@") or text.endswith(".json"):
         path = text[1:] if text.startswith("@") else text
-        import json
+        from .jsonread import loads
 
         with open(path, "r", encoding="utf-8") as fh:
-            return space_from_json(json.load(fh))
+            return space_from_json(loads(fh.read()))
     factors = [part.strip() for part in text.split(" x ")]
     if not all(factors):
         raise ValueError(f"cannot parse space {text!r}")

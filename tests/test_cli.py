@@ -283,14 +283,20 @@ def test_commands_import_only_what_they_run():
                  "fatdiag.selfcheck", "fatdiag.graphconf", "fatdiag.strata",
                  "fatdiag.fundgroup", "fatdiag.permgroup"):
         assert name not in loaded, name
-    # json is loaded to parse a JSON --space, and only then
-    assert "json" not in _loaded_modules("strata|depth|--degree|4|--gens|(1 2 3 4)")
-    assert "json" in _loaded_modules('chi|sp|--space|{"betti": [1]}|-n|2')
+    # no command loads json, not even to read a JSON --space or --graph,
+    # and chi bd --verify reads the classes of S_n without the group engine
+    loaded = _loaded_modules('chi|sp|--space|{"betti": [1]}|-n|2',
+                             'graph|chi2|--graph|{"vertices": ["a", "b"], "edges": [["a", "b"]]}'
+                             "|--oracle",
+                             "chi|bd|--space|sphere:2|-n|6|-d|3|--verify")
+    assert {"json", "fatdiag.permgroup"} & loaded == set()
+    assert {"fatdiag.jsonread", "fatdiag.graphconf", "fatdiag.combinatorics"} <= loaded
+    # verify loads every module but the JSON reader
     package = {f"fatdiag.{path.stem}" for path in Path(fatdiag.__file__).parent.glob("*.py")
                if path.stem != "__init__"}
     loaded = _loaded_modules("verify", "--help")
-    assert package - loaded == set()
-    assert {"argparse", "gettext", "locale"} & loaded == set()
+    assert package - loaded == {"fatdiag.jsonread"}
+    assert {"argparse", "gettext", "locale", "json"} & loaded == set()
 
 
 def test_strata_depth_and_length(capsys):
@@ -366,14 +372,14 @@ def test_exit_code_unsupported_space(capsys):
     assert rc == 2
 
 
-def test_exit_code_resource_guard(capsys, monkeypatch):
+def test_exit_code_resource_guard(capsys, guard_scale_env):
     # M_11: the depth search would make 9 * 10^6 units of tests and joins
     rc, out, err = run(capsys, "strata", "depth", "--degree", "11",
                        "--gens", "(1 2 3 4 5 6 7 8 9 10 11); (3 7 11 8)(4 10 5 6)")
     assert rc == 4 and out == ""
     assert "resource guard: stratification depth" in err
     # the guard scales down with the environment knob
-    monkeypatch.setenv("FATDIAG_GUARD_SCALE", "0.00001")
+    guard_scale_env("0.00001")
     rc, _, err = run(capsys, "strata", "depth", "--degree", "4", "--gens", "(1 2 3 4)")
     assert rc == 4
 
@@ -600,8 +606,32 @@ def test_malformed_input_is_usage_error(capsys):
     assert rc == 0 and json.loads(out)["result"] == "0"
 
 
-def test_guard_scale_env_validation(capsys, monkeypatch):
-    monkeypatch.setenv("FATDIAG_GUARD_SCALE", "banana")
+def test_deeply_nested_json_is_usage_error(capsys, tmp_path):
+    # the JSON reader keeps its own stack, so nesting far past the
+    # interpreter's recursion limit is read, then refused as a bad input;
+    # inline arguments stop near 5000 levels (Linux caps one at 128 KB)
+    def nested(depth):
+        return "[" * depth + "]" * depth
+
+    for depth in (5000, 10**5):
+        docs = [("--space", f'{{"betti": {nested(depth)}}}'),
+                ("--space", f'{{"betti": [1], "pi1": {nested(depth)}}}'),
+                ("--space", f'{{"betti": [1], "parity": {nested(depth)}}}'),
+                ("--graph", f'{{"vertices": {nested(depth)}, "edges": []}}')]
+        for i, (option, doc) in enumerate(docs):
+            if depth > 5000:
+                path = tmp_path / f"doc{i}.json"
+                path.write_text(doc)
+                doc = str(path)
+            argv = (["chi", "sp", "--space", doc, "-n", "2"] if option == "--space"
+                    else ["graph", "chi2", "--graph", doc])
+            rc, out, err = run(capsys, *argv)
+            assert (rc, out) == (1, ""), (depth, i, err)
+            assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_guard_scale_env_validation(capsys, guard_scale_env):
+    guard_scale_env("banana")
     rc, out, err = run(capsys, "strata", "depth", "--degree", "4", "--gens", "(1 2)")
     assert rc == 1
     assert "FATDIAG_GUARD_SCALE" in err
@@ -733,17 +763,20 @@ def test_envelope_encoder_matches_json_dumps(capsys, monkeypatch):
         assert fatdiag.cli._encode(envelope) == json.dumps(envelope, sort_keys=True)
 
 
+# A JSON --space label may be any JSON value: escapes, astral characters
+# (surrogate pairs), lone surrogates, DEL, floats, NaN, the infinities,
+# nested containers and keys that sort differently from their order.
+ADVERSARIAL_LABELS = [
+    '"q\\"uote\\\\ \\b\\f\\n\\r\\t \\u0000\\u001f\\u007f"',
+    '"\\u00e9 \\u20ac \\ud83d\\ude00 \\ud800 \\udfff \\uffff"',
+    '"é€😀"', "1.5", "-0.0", "1e400", "-1e400", "NaN", "Infinity", "-Infinity",
+    "1e-320", "123456789012345678901234567890", "true", "false", "null",
+    "[]", "{}", '[1, [2.5, {"b": null, "a": [true]}], "x"]',
+    '{"b": 1, "a": 2, "B": 3, "": 4, "\\u00e9": 5, "10": 6, "9": 7}']
+
+
 def test_envelope_encoder_on_adversarial_labels(capsys):
-    # a JSON --space label may be any JSON value: escapes, astral characters
-    # (surrogate pairs), lone surrogates, DEL, floats, NaN, the infinities,
-    # nested containers and keys that sort differently from their order
-    labels = ['"q\\"uote\\\\ \\b\\f\\n\\r\\t \\u0000\\u001f\\u007f"',
-              '"\\u00e9 \\u20ac \\ud83d\\ude00 \\ud800 \\udfff \\uffff"',
-              '"é€😀"', "1.5", "-0.0", "1e400", "-1e400", "NaN", "Infinity", "-Infinity",
-              "1e-320", "123456789012345678901234567890", "true", "false", "null",
-              "[]", "{}", '[1, [2.5, {"b": null, "a": [true]}], "x"]',
-              '{"b": 1, "a": 2, "B": 3, "": 4, "\\u00e9": 5, "10": 6, "9": 7}']
-    for label in labels:
+    for label in ADVERSARIAL_LABELS:
         rc, out, err = run(capsys, "chi", "sp", "--space",
                            f'{{"betti": [1], "label": {label}}}', "-n", "2")
         assert rc == 0, (label, err)

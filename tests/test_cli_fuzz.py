@@ -31,7 +31,8 @@ VALUES = {
                  "wedge_circles:2", "torus x sphere:2", '{"betti": [1, 0, 1]}'],
                 ["sphere:", "sphere:-1", "sphere:x", "nosuch", "", "x x", "torus x", "{",
                  "[]", '{"betti": "x"}', '{"betti": [1, 1], "parity": "odd"}',
-                 "sphere:99999999"]),
+                 "sphere:99999999", '{"betti": [1, 0.5, 1]}', '{"betti": [1, true, 1]}',
+                 '{"betti": [1, "2", 1]}', '{"betti": [1, 1e400]}']),
     "-n": (["0", "1", "2", "4", "8", "2..6", "3..8", " 5 ", "+4"],
            ["8..2", "-3", "x", "", "..", "2..", "..4", "1_0", "4.0", "2..x"]),
     "--degree": (["0", "1", "3", "4", "6", " 4", "+3"], ["-1", "x", "2.5", ""]),

@@ -15,6 +15,7 @@ MODULES = [
     "fatdiag.fundgroup",
     "fatdiag.strata",
     "fatdiag.graphconf",
+    "fatdiag.jsonread",
 ]
 
 

@@ -24,48 +24,59 @@ def test_exception_hierarchy():
     assert issubclass(FatdiagError, Exception)
 
 
-def test_guard_scale_default(monkeypatch):
-    monkeypatch.delenv("FATDIAG_GUARD_SCALE", raising=False)
+def test_guard_scale_default(guard_scale_env):
+    guard_scale_env(None)
     assert guard_scale() == 1.0
-    monkeypatch.setenv("FATDIAG_GUARD_SCALE", "")
+    guard_scale_env("")
     assert guard_scale() == 1.0
 
 
-def test_guard_scale_parsing(monkeypatch):
-    monkeypatch.setenv("FATDIAG_GUARD_SCALE", "2.5")
+def test_guard_scale_parsing(guard_scale_env):
+    guard_scale_env("2.5")
     assert guard_scale() == 2.5
-    monkeypatch.setenv("FATDIAG_GUARD_SCALE", "0.25")
+    guard_scale_env("0.25")
     assert guard_scale() == 0.25
 
 
-def test_guard_scale_rejects_garbage(monkeypatch):
-    monkeypatch.setenv("FATDIAG_GUARD_SCALE", "fast")
+def test_guard_scale_is_read_once(guard_scale_env, monkeypatch):
+    # parsed on the first call and kept for the process
+    guard_scale_env("2")
+    assert guard_scale() == 2.0
+    monkeypatch.setenv("FATDIAG_GUARD_SCALE", "3")
+    assert guard_scale() == 2.0
+
+
+def test_guard_scale_rejects_garbage(guard_scale_env):
+    guard_scale_env("fast")
     with pytest.raises(FatdiagError):
         guard_scale()
-    monkeypatch.setenv("FATDIAG_GUARD_SCALE", "-1")
+    guard_scale_env("-1")
     with pytest.raises(FatdiagError):
         guard_scale()
-    monkeypatch.setenv("FATDIAG_GUARD_SCALE", "0")
+    guard_scale_env("0")
+    with pytest.raises(FatdiagError):
+        guard_scale()
+    guard_scale_env("nan")
     with pytest.raises(FatdiagError):
         guard_scale()
 
 
-def test_check_guard_boundary(monkeypatch):
-    monkeypatch.delenv("FATDIAG_GUARD_SCALE", raising=False)
+def test_check_guard_boundary(guard_scale_env):
+    guard_scale_env(None)
     check_guard(10, 10, "exact limit passes")
     with pytest.raises(ResourceGuardError):
         check_guard(11, 10, "over limit")
 
 
-def test_check_guard_scales_both_ways(monkeypatch):
-    monkeypatch.setenv("FATDIAG_GUARD_SCALE", "2")
+def test_check_guard_scales_both_ways(guard_scale_env):
+    guard_scale_env("2")
     check_guard(19, 10, "raised limit passes")
-    monkeypatch.setenv("FATDIAG_GUARD_SCALE", "0.5")
+    guard_scale_env("0.5")
     with pytest.raises(ResourceGuardError):
         check_guard(6, 10, "lowered limit fails")
 
 
-def test_guard_message_mentions_knob(monkeypatch):
-    monkeypatch.delenv("FATDIAG_GUARD_SCALE", raising=False)
+def test_guard_message_mentions_knob(guard_scale_env):
+    guard_scale_env(None)
     with pytest.raises(ResourceGuardError, match="FATDIAG_GUARD_SCALE"):
         check_guard(2, 1, "thing")

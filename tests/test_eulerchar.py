@@ -213,7 +213,7 @@ def _fat_scan(chi, weights, d):
 def _burnside_scan(chi, n, d):
     import math
 
-    from fatdiag.permgroup import conjugacy_classes_sn
+    from fatdiag.combinatorics import conjugacy_classes_sn
 
     total = 0
     for ctype, size in conjugacy_classes_sn(n):
@@ -237,7 +237,7 @@ def test_oracles_match_their_definition():
 
 def test_fat_counts_equal_the_full_scan():
     from fatdiag.eulerchar import _fat_counts
-    from fatdiag.permgroup import conjugacy_classes_sn
+    from fatdiag.combinatorics import conjugacy_classes_sn
 
     for n in range(1, 11):
         for ctype, _ in conjugacy_classes_sn(n):
@@ -305,7 +305,7 @@ def test_oracle_work_counts_what_the_oracles_do():
 
     from fatdiag.combinatorics import bell_number
     from fatdiag.eulerchar import _unit_counts, bd_oracle_work, fd_oracle_work
-    from fatdiag.permgroup import conjugacy_classes_sn
+    from fatdiag.combinatorics import conjugacy_classes_sn
 
     for n in range(2, 15):
         walked = sum(bell_number(sum(ctype[1:])) for ctype, _ in conjugacy_classes_sn(n))
@@ -351,14 +351,17 @@ def test_oracle_guards_limit_work(monkeypatch):
 def test_oracles_enumerate_once_per_weight_vector():
     # a count, not a time: one table per cycle type of S_2 ... S_8, and the
     # ordered oracle's all-ones vectors are among them, so its 252 calls
-    # only read tables
-    from fatdiag.eulerchar import _burnside_table, _fat_counts
+    # only read tables; the Burnside oracle's work is estimated once per n
+    from fatdiag.eulerchar import _burnside_table, _fat_counts, bd_oracle_work
     from fatdiag.selfcheck import check_bd_three_way, check_fd_corrected
 
     _fat_counts.cache_clear()
     _burnside_table.cache_clear()
+    bd_oracle_work.cache_clear()
     check_bd_three_way()
     assert _burnside_table.cache_info().misses == 7  # one table per n
+    work = bd_oracle_work.cache_info()
+    assert (work.misses, work.hits) == (7, 252 - 7)  # 9 chi x 28 cells (n, d)
     hits = _fat_counts.cache_info().hits
     assert check_fd_corrected().startswith("252 oracle cases")
     info = _fat_counts.cache_info()

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from fatdiag import permgroup
+from fatdiag.combinatorics import conjugacy_classes_sn
 from fatdiag.errors import ResourceGuardError
 from fatdiag.permgroup import (
     PermutationGroupModel,
@@ -16,7 +17,6 @@ from fatdiag.permgroup import (
     _compose,
     _cycle_type,
     alternating_group,
-    conjugacy_classes_sn,
     cyclic_group,
     parse_cycles,
     regular_representation,
@@ -173,11 +173,11 @@ def test_regular_representation_structure():
     assert not r.is_d_transitive(2)
 
 
-def test_group_order_guard(monkeypatch):
-    monkeypatch.setenv("FATDIAG_GUARD_SCALE", "0.0001")
+def test_group_order_guard(guard_scale_env):
+    guard_scale_env("0.0001")
     with pytest.raises(ResourceGuardError):
         symmetric_group(9).order()
-    monkeypatch.setenv("FATDIAG_GUARD_SCALE", "1")
+    guard_scale_env("1")
     assert symmetric_group(6).order() == 720
 
 

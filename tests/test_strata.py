@@ -187,31 +187,31 @@ def test_depth_bounded_by_degree_minus_one():
         assert 0 <= depth(g) <= g.degree - 1
 
 
-def _depth_guard_at(monkeypatch, units: float) -> None:
+def _depth_guard_at(monkeypatch, guard_scale_env, units: float) -> None:
     """Scale the guards so that the depth guard admits `units`.  The group
     walk guard, which such a scale would trip first, is lifted."""
     monkeypatch.setattr(permgroup, "MAX_GROUP_WORK", 10**12)
-    monkeypatch.setenv("FATDIAG_GUARD_SCALE", str(units / MAX_DEPTH_WORK))
+    guard_scale_env(str(units / MAX_DEPTH_WORK))
 
 
-def test_depth_work_counts(monkeypatch):
+def test_depth_work_counts(monkeypatch, guard_scale_env):
     # on S_n the search climbs one transposition at a time: at i + 1 blocks
     # merged into the first, it tests the C(i + 1, 2) transpositions inside
     # that block, then tests and joins the next one, n units each.  So the
     # work is n (C(n, 3) + 2 (n - 1)) units, not Bell(n) patterns
     for n in range(2, 8):
         units = n * (math.comb(n, 3) + 2 * (n - 1))
-        _depth_guard_at(monkeypatch, units + 0.5)
+        _depth_guard_at(monkeypatch, guard_scale_env, units + 0.5)
         assert depth(symmetric_group(n)) == n - 1
-        _depth_guard_at(monkeypatch, units - 0.5)
+        _depth_guard_at(monkeypatch, guard_scale_env, units - 0.5)
         with pytest.raises(ResourceGuardError):
             depth(symmetric_group(n))
     # fixed points cost nothing: the search runs on the moved points
-    _depth_guard_at(monkeypatch, 0.5)
+    _depth_guard_at(monkeypatch, guard_scale_env, 0.5)
     assert depth(trivial_group(1000)) == 0
 
 
-def test_depth_guard(monkeypatch):
+def test_depth_guard(monkeypatch, guard_scale_env):
     # the guard counts the tests and joins as the search makes them, so a
     # large degree alone does not trip it
     assert depth(trivial_group(11)) == 0
@@ -225,24 +225,24 @@ def test_depth_guard(monkeypatch):
     assert a4_cubed.order() == 12**3
     assert [f.degree for f in a4_cubed.direct_factors()] == [4, 4, 4]
     assert depth(a4_cubed) == 6
-    _depth_guard_at(monkeypatch, 204.5)
+    _depth_guard_at(monkeypatch, guard_scale_env, 204.5)
     assert depth(a4_cubed) == 6
-    _depth_guard_at(monkeypatch, 203.5)
+    _depth_guard_at(monkeypatch, guard_scale_env, 203.5)
     with pytest.raises(ResourceGuardError, match="stratification depth"):
         depth(a4_cubed)
     # S_4 takes 40 units: 10 tests and joins of 4 points each
-    _depth_guard_at(monkeypatch, 40.5)
+    _depth_guard_at(monkeypatch, guard_scale_env, 40.5)
     assert depth(symmetric_group(4)) == 3
-    _depth_guard_at(monkeypatch, 39.5)
+    _depth_guard_at(monkeypatch, guard_scale_env, 39.5)
     with pytest.raises(ResourceGuardError):
         depth(symmetric_group(4))
     # S_4 acting on two copies of its points at once does not split, and
     # its search runs on all 8 points: 2888 units
     diagonal = PermutationGroupModel(8, ["(1 2 3 4)(5 6 7 8)", "(1 2)(5 6)"])
     assert [f.degree for f in diagonal.direct_factors()] == [8]
-    _depth_guard_at(monkeypatch, 2888.5)
+    _depth_guard_at(monkeypatch, guard_scale_env, 2888.5)
     assert depth(diagonal) == 3
-    _depth_guard_at(monkeypatch, 2887.5)
+    _depth_guard_at(monkeypatch, guard_scale_env, 2887.5)
     with pytest.raises(ResourceGuardError, match="stratification depth"):
         depth(diagonal)
 
@@ -309,16 +309,16 @@ def test_depth_strictly_below_sn_length_for_larger_n():
         assert depth(symmetric_group(n)) < length_sn(n)
 
 
-def test_subgroup_order_guard(monkeypatch):
+def test_subgroup_order_guard(guard_scale_env):
     # the guard counts the search's work as it goes.  C_2 takes 13 units:
     # two coset passes over 2 tuples of 2 entries, one join walk of 2
     # compositions, and 1 pair for the chain pass
-    monkeypatch.setenv("FATDIAG_GUARD_SCALE", str(13.5 / MAX_SUBGROUP_WORK))
+    guard_scale_env(str(13.5 / MAX_SUBGROUP_WORK))
     assert len(all_subgroups(cyclic_group(2))) == 2
-    monkeypatch.setenv("FATDIAG_GUARD_SCALE", str(12.5 / MAX_SUBGROUP_WORK))
+    guard_scale_env(str(12.5 / MAX_SUBGROUP_WORK))
     with pytest.raises(ResourceGuardError):
         all_subgroups(cyclic_group(2))
-    monkeypatch.delenv("FATDIAG_GUARD_SCALE")
+    guard_scale_env(None)
     # C_40 (1.5 * 10^5 units) answers.  C2^6 on 12 points has 2825
     # subgroups, and the search over them all trips the guard; its length
     # is the sum over its six C_2 factors
@@ -329,7 +329,7 @@ def test_subgroup_order_guard(monkeypatch):
     assert group_length(c2_6) == 6
 
 
-def test_group_length_searches_each_factor(monkeypatch):
+def test_group_length_searches_each_factor(monkeypatch, guard_scale_env):
     # group_length runs all_subgroups once per direct factor, by the
     # module's own name, and the searches share one guard count: S_3 x S_3
     # on 6 points trips a limit that S_3 alone (411 units) passes, at 429
@@ -345,12 +345,12 @@ def test_group_length_searches_each_factor(monkeypatch):
     s3_s3 = PermutationGroupModel(6, ["(1 2 3)", "(1 2)", "(4 5 6)", "(4 5)"])
     assert group_length(s3_s3) == 4 and seen == [3, 3]
     monkeypatch.setattr(permgroup, "MAX_GROUP_WORK", 10**12)
-    monkeypatch.setenv("FATDIAG_GUARD_SCALE", str(411.5 / MAX_SUBGROUP_WORK))
+    guard_scale_env(str(411.5 / MAX_SUBGROUP_WORK))
     assert group_length(symmetric_group(3)) == 2
     with pytest.raises(ResourceGuardError, match="subgroup enumeration: size 429 "):
         group_length(s3_s3)
     assert strata._carried_work == []
-    monkeypatch.setenv("FATDIAG_GUARD_SCALE", str(410.5 / MAX_SUBGROUP_WORK))
+    guard_scale_env(str(410.5 / MAX_SUBGROUP_WORK))
     with pytest.raises(ResourceGuardError, match="subgroup enumeration: size 411"):
         all_subgroups(symmetric_group(3))
 
