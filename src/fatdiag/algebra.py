@@ -167,10 +167,6 @@ class GradedPolynomial:
         """Terms of odd degree."""
         return GradedPolynomial({d: c for d, c in self._coeffs.items() if d % 2 == 1})
 
-    def evaluate(self, x: int) -> int:
-        """Value at x, exactly."""
-        return sum(c * x**d for d, c in self._coeffs.items())
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GradedPolynomial):
             return NotImplemented

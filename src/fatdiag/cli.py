@@ -386,13 +386,14 @@ def _cmd_graph(args) -> int:
     try:
         if ref in ("gamma1", "gamma2"):
             graph = fixture(ref)
-        elif ref.strip().startswith("{"):
-            graph = graph_from_json(ref)
         else:
             from .jsonread import loads
 
-            with open(ref, "r", encoding="utf-8") as fh:
-                graph = graph_from_json(loads(fh.read()))
+            if ref.strip().startswith("{"):
+                graph = graph_from_json(loads(ref))
+            else:
+                with open(ref, "r", encoding="utf-8") as fh:
+                    graph = graph_from_json(loads(fh.read()))
     except (ValueError, OSError) as exc:
         raise UsageError(f"bad --graph: {exc}")
     try:

@@ -270,7 +270,7 @@ def fixture(name: str) -> Graph:
 
 
 def graph_from_json(data) -> Graph:
-    """Build a graph from {"vertices": [...], "edges": [["a","b"], ...]}:
+    """Build a graph from decoded JSON {"vertices": [...], "edges": [...]}:
     the vertices a list of labels (strings or integers), the edges a list of
     two-vertex lists.
 
@@ -278,10 +278,6 @@ def graph_from_json(data) -> Graph:
     two parallel edges form a circle, not one edge, and a simple graph
     cannot hold them, so merging them would answer for another space.
     """
-    if isinstance(data, str):
-        from .jsonread import loads
-
-        data = loads(data)
     if not isinstance(data, dict) or "vertices" not in data or "edges" not in data:
         raise ValueError('graph JSON needs "vertices" and "edges"')
     vertices, edges = data["vertices"], data["edges"]

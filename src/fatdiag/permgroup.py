@@ -47,8 +47,8 @@ convolution of the factors' histograms, with the fixed points as
 
 The closure walk, _closure, is the orbit of a tuple under the group
 generated by some permutations, found breadth-first by left multiplication.
-From the identity it enumerates the subgroup joins of the subgroup-search
-oracle, strata.all_subgroups, the one place where elements are kept.
+From the identity it closes the subgroup joins of the subgroup climb of
+strata, the one place where elements are kept.
 
 Convention for the induced action on coordinate tuples, used throughout:
 (g . x)_i = x_{g^{-1}(i)}, so that g moves the coordinate sitting in slot j
@@ -116,9 +116,9 @@ def _closure(start: tuple[int, ...], generators) -> frozenset[tuple[int, ...]]:
     permutation t is the product g*t.
 
     Breadth-first under left multiplication by the generators.  Not
-    guarded: strata.all_subgroups, its one caller, closes subgroups of a
-    group whose element walk is guarded on |G| * degree before it starts,
-    and no subgroup is larger.
+    guarded: the subgroup climb of strata, its one caller, closes
+    subgroups of a group whose element walk is guarded on |G| * degree
+    before it starts, and no subgroup is larger.
     """
     found = {start}
     frontier = [start]
@@ -341,6 +341,28 @@ def _restrict(generators, points: list[int]) -> PermutationGroupModel:
                       for g in generators])
 
 
+def _classes(groups) -> list[list[int]]:
+    """The classes of the points that the given groups of points join, each
+    in increasing order, in order of their first point; a point in no group
+    is in no class."""
+    parent: dict[int, int] = {}
+
+    def find(x: int) -> int:
+        root = parent.setdefault(x, x)
+        while root != parent[root]:
+            parent[root] = parent[parent[root]]
+            root = parent[root]
+        return root
+
+    for points in groups:
+        for p in points:
+            parent[find(p)] = find(points[0])
+    classes: dict[int, list[int]] = {}
+    for p in sorted(parent):
+        classes.setdefault(find(p), []).append(p)
+    return list(classes.values())
+
+
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
@@ -424,18 +446,10 @@ class PermutationGroupModel:
         return _chain_elements(self._stabilizers().levels, tuple(range(self.degree)))
 
     def elements(self) -> frozenset[Perm]:
-        """The element set, kept for the subgroup search of
-        strata.all_subgroups."""
+        """The element set, kept for the subgroup climb of strata."""
         if self._elements is None:
             self._elements = frozenset(self.stream())
         return self._elements
-
-    def __contains__(self, g: Perm) -> bool:
-        """Whether g is an element, by sifting it through the chain; False
-        for anything that is not a permutation of the group's points."""
-        n = self.degree
-        return (len(g) == n and set(g) == set(range(n))
-                and _sift(self._stabilizers(), tuple(g))[0] == tuple(range(n)))
 
     def direct_factors(self) -> list[PermutationGroupModel]:
         """Groups on renumbered points whose direct product, on disjoint
@@ -459,30 +473,15 @@ class PermutationGroupModel:
         """
         if self._factors is None:
             chain = self._stabilizers()  # the degree and chain guards come first
-            orbits = self._moved_orbits()
-            orbit_of = {p: i for i, orbit in enumerate(orbits) for p in orbit}
-            tie = list(range(len(orbits)))
-
-            def find(i: int) -> int:
-                while tie[i] != i:
-                    tie[i] = tie[tie[i]]
-                    i = tie[i]
-                return i
-
-            moving: list[tuple[Perm, int]] = []
-            for g in self.generators:
-                moved = {find(orbit_of[p]) for p, q in enumerate(g) if p != q}
-                if moved:
-                    root = min(moved)
-                    for i in moved:
-                        tie[i] = root
-                    moving.append((g, root))
+            moved = [[p for p, q in enumerate(g) if p != q] for g in self.generators]
+            tie = {p: i for i, points in enumerate(_classes(moved)) for p in points}
             tied: dict[int, list[list[int]]] = {}
-            for i, orbit in enumerate(orbits):
-                tied.setdefault(find(i), []).append(orbit)
+            for orbit in self._moved_orbits():
+                tied.setdefault(tie[orbit[0]], []).append(orbit)
             gens: dict[int, list[Perm]] = {}
-            for g, i in moving:
-                gens.setdefault(find(i), []).append(g)
+            for g, points in zip(self.generators, moved):
+                if points:
+                    gens.setdefault(tie[points[0]], []).append(g)
             identity = tuple(range(self.degree))
             work, limit = 0, MAX_GROUP_WORK * guard_scale()
 
@@ -551,23 +550,7 @@ class PermutationGroupModel:
     def _moved_orbits(self) -> list[list[int]]:
         """The orbits of two or more points, each in increasing order, in
         order of their first point."""
-        parent: dict[int, int] = {}
-
-        def find(x: int) -> int:
-            root = parent.setdefault(x, x)
-            while root != parent[root]:
-                parent[root] = parent[parent[root]]
-                root = parent[root]
-            return root
-
-        for g in self.generators:
-            for i, j in enumerate(g):
-                if i != j:
-                    parent[find(i)] = find(j)
-        orbits: dict[int, list[int]] = {}
-        for p in sorted(parent):
-            orbits.setdefault(find(p), []).append(p)
-        return list(orbits.values())
+        return _classes((i, j) for g in self.generators for i, j in enumerate(g) if i != j)
 
     def orbit_sizes(self) -> list[int]:
         """Sizes of the orbits on points, in increasing order."""

@@ -29,6 +29,10 @@ PI1_KINDS = ("trivial", "abelian", "opaque")
 # Betti entries a space may carry, and convolution steps its products may
 # take: sphere:99999 answers chi sp in about 0.2 s, most of it the echo.
 MAX_SPACE_SIZE = 10**5
+# Lists and objects a JSON label may nest.  The envelope encoder of cli
+# echoes a label with up to three stack frames per level, and about 330
+# levels of objects exhaust Python's default recursion limit of 1000.
+MAX_LABEL_DEPTH = 100
 
 
 def _prime_factors(n: int) -> dict[int, int]:
@@ -321,15 +325,13 @@ def _count(value) -> int:
 
 
 def space_from_json(data) -> SpaceModel:
-    """Build a space from the JSON schema
+    """Build a space from decoded JSON of the schema
     {"betti": [...], "h1": {"rank": r, "torsion": [...]},
      "pi1": "trivial|abelian|opaque:<label>", "parity": "even|odd|none"}.
-    The Betti numbers, the rank and the torsion orders are JSON integers.
+    The Betti numbers, the rank and the torsion orders are JSON integers,
+    and an optional "label", echoed as given, nests at most
+    MAX_LABEL_DEPTH lists and objects.
     """
-    if isinstance(data, str):
-        from .jsonread import loads
-
-        data = loads(data)
     if not isinstance(data, dict):
         raise ValueError("space JSON must be an object")
     try:
@@ -356,6 +358,12 @@ def space_from_json(data) -> SpaceModel:
     else:
         raise ValueError(f'bad "pi1" value {pi1!r}')
     label = data.get("label", "custom")
+    level, depth = [label], 0
+    while level := [v for v in level if isinstance(v, (list, dict))]:
+        depth += 1
+        if depth > MAX_LABEL_DEPTH:
+            raise ValueError(f'space JSON "label" nests over {MAX_LABEL_DEPTH} lists and objects')
+        level = [x for v in level for x in (v.values() if isinstance(v, dict) else v)]
     return SpaceModel(
         label=label, betti=betti, h1=h1, pi1_kind=kind, pi1_label=plabel, parity=parity
     )
@@ -366,13 +374,12 @@ def parse_space(text: str) -> SpaceModel:
     "sphere:2 x circle", inline JSON (starts with "{"), or an @file.json /
     *.json path holding the JSON schema."""
     text = text.strip()
-    if text.startswith("{"):
-        return space_from_json(text)
-    if text.startswith("@") or text.endswith(".json"):
-        path = text[1:] if text.startswith("@") else text
+    if text.startswith(("{", "@")) or text.endswith(".json"):
         from .jsonread import loads
 
-        with open(path, "r", encoding="utf-8") as fh:
+        if text.startswith("{"):
+            return space_from_json(loads(text))
+        with open(text.removeprefix("@"), "r", encoding="utf-8") as fh:
             return space_from_json(loads(fh.read()))
     factors = [part.strip() for part in text.split(" x ")]
     if not all(factors):

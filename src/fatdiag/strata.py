@@ -15,18 +15,21 @@ consists of the elements whose cycle partitions refine P, and its orbit
 partition, the join of their cycle partitions, has the same stabilizer.
 The stabilizers that occur are therefore those of the lattice L of joins
 of cycle partitions, one member of L for each (a Galois connection:
-Birkhoff, Lattice Theory, ch. V), and the depth is the height of L.  It
-is found by a memoized longest-path search from the discrete pattern,
-each step joining one more cycle partition; L is usually far smaller than
-the Bell(n) set partitions, and when it is not (S_n, where every pattern
-is a join of cycle partitions) the search stops as soon as a path reaches
-the most steps the block counts allow.  depth is guarded on the
-refinement tests and joins it makes, counted as the search goes.
+Birkhoff, Lattice Theory, ch. V), and the depth is the height of L.  L is
+usually far smaller than the Bell(n) set partitions.
 
-Subgroup chains (group_length) run over every subgroup.  Each subgroup is
-found as a join <S, g> of a known subgroup S and one more element, built by
-the closure walk of permgroup from the generators of S plus g, so a join
-costs a walk over its own elements rather than products of all pairs.
+Both invariants are heights of lattices built by joins, found by one
+memoized longest-path search from the bottom, _climb, which stops at a
+state once its path reaches a bound on the steps any path from it can
+make, and skips a step whose bound cannot beat the best path found, so
+every path length it records is exact.  For depth a state is a pattern,
+a step joins one more cycle partition, and the bound is the blocks less
+the orbits.  For the subgroup chain length (group_length) a state is a
+subgroup S, a step joins S with one element of each coset of S, and the
+bound is Omega(|G:S|), the prime factors of the index counted with
+multiplicity, since each step of a strict chain multiplies the order by
+at least a prime.  With no bound the climb reaches every subgroup
+(all_subgroups, the tests' reference).
 
 Both invariants are sums over the direct factors of permgroup (each on its
 own renumbered points, so fixed points cost nothing).  Cycle partitions
@@ -40,6 +43,9 @@ products.  Each guard counts the work of all factors together.
 
 from __future__ import annotations
 
+import math
+from functools import lru_cache
+
 from .errors import check_guard, guard_scale
 from .permgroup import Perm, PermutationGroupModel, _closure, _compose
 
@@ -48,18 +54,61 @@ from .permgroup import Perm, PermutationGroupModel, _closure, _compose
 # PGammaL(2, 8) on 9 points 1.24 * 10^6 (about 0.5 s); M_11 would take
 # 9 * 10^6, and trips the guard after about 1 s.
 MAX_DEPTH_WORK = 2 * 10**6
-# Subgroup search work, counted as it goes: tuple entries composed, plus
-# the subgroup pairs the chain pass compares.  S_5 takes 3.7 * 10^6 units
-# (about 1.3 s); C2^6 on 12 points, 2.1 * 10^7 units in 4.5 s, trips the
-# guard after about 1 s.
+# Subgroup climb work, counted as it goes: tuple entries composed by the
+# coset passes and join walks.  S_5's climb takes 54,350 units (about
+# 16 ms), the search of all its 156 subgroups 3.9 * 10^6 (1.2 s); S_6, A_6
+# and A_7 trip the guard after about 1 s.
 MAX_SUBGROUP_WORK = 4 * 10**6
 
-# The subgroup-search count that group_length carries from one factor's
-# search into the next, so that one guard covers them all: one entry while
-# group_length runs, which empties it again when it returns or raises, and
-# empty otherwise, where each search counts from 0.  It is carried beside
-# the calls because all_subgroups keeps its one-argument signature.
-_carried_work: list[int] = []
+
+class _Work:
+    """One guard's work count, shared by the climbs of all direct factors
+    and checked, against the limit scaled once, as it grows."""
+
+    __slots__ = ("units", "limit", "cap", "what")
+
+    def __init__(self, cap: float, what: str) -> None:
+        self.units, self.cap, self.what = 0, cap, what
+        self.limit = cap * guard_scale()
+
+    def add(self, units: int) -> None:
+        self.units += units
+        if self.units > self.limit:
+            check_guard(self.units, self.cap, self.what)
+
+
+def _climb(start, moves, bound):
+    """The longest path from start, a step going to any successor that
+    moves(state) yields, and the longest path from every state reached: a
+    state stops once its path reaches bound(state), and a successor whose
+    bound cannot beat the best path found is skipped."""
+    best = {}
+
+    def climb(state) -> int:
+        score = best.get(state)
+        if score is not None:
+            return score
+        cap = bound(state)
+        score = 0
+        if cap:
+            for successor in moves(state):
+                if bound(successor) >= score:
+                    score = max(score, climb(successor) + 1)
+                    if score == cap:
+                        break
+        best[state] = score
+        return score
+
+    return climb(start), best
+
+
+def _factor_sum(group: PermutationGroupModel, height, cap: int, what: str) -> int:
+    """The sum of height(factor, work) over the direct factors of group,
+    with one work count for them all, guarded on cap as what."""
+    work = _Work(cap, what)
+    total = sum(height(factor, work) for factor in group.direct_factors())
+    check_guard(work.units, cap, what)
+    return total
 
 
 def _cycle_partition(g: Perm) -> tuple[int, ...]:
@@ -148,27 +197,15 @@ def depth(group: PermutationGroupModel) -> int:
     stabilizers: the height of the lattice L of joins of cycle partitions,
     summed over the direct factors.
 
-    The orbit partition of a pattern stabilizer G_P is the join of the
-    cycle partitions of its elements and has the same stabilizer, and a
-    join of cycle partitions is the orbit partition of its own stabilizer.
-    So replacing each pattern of a chain by the orbit partition of its
-    stabilizer keeps every stabilizer, distinct members of L have distinct
-    stabilizers, and the depth is the height of L (a Galois connection:
-    Birkhoff, Lattice Theory, ch. V).  L runs from the discrete pattern
-    to the orbit partition of G, and it has one member per pattern
-    stabilizer, not one per set partition.  Over a direct product L is the
-    product of the factors' lattices, so the heights add.
-
-    On each factor, a memoized longest path from the discrete pattern: a
-    step goes from P to P v c for a cycle partition c not refining P.
+    Replacing each pattern of a chain by the orbit partition of its
+    stabilizer, a member of L with the same stabilizer, keeps the chain,
+    and distinct members of L have distinct stabilizers.  On each factor,
+    the climb from the discrete pattern: a step goes from P to P v c for a
+    cycle partition c not refining P, those with the most blocks first.
     Every cover of L is a step and every step strictly enlarges the
-    stabilizer, so the longest path is the height.  Steps from the cycle
-    partitions with the most blocks come first, and a pattern stops once
-    its path reaches blocks(P) - blocks(orbit partition), the most any path
-    from it can make; a step whose join cannot beat the best found is not
-    followed.  The guard counts the refinement tests and joins, one unit
-    per point of the factor each, over all factors, as the search makes
-    them.
+    stabilizer, so the longest path is the height.  The bound of P is
+    blocks(P) - blocks(orbit partition).  The guard counts the refinement
+    tests and joins, one unit per point of the factor each.
 
     >>> from .permgroup import symmetric_group, trivial_group
     >>> depth(symmetric_group(4))
@@ -176,49 +213,29 @@ def depth(group: PermutationGroupModel) -> int:
     >>> depth(trivial_group(5))
     0
     """
-    limit = MAX_DEPTH_WORK * guard_scale()
-    total = work = 0
-    for factor in group.direct_factors():
-        height, work = _factor_depth(factor, work, limit)
-        total += height
-    check_guard(work, MAX_DEPTH_WORK, "stratification depth")
-    return total
+    return _factor_sum(group, _factor_depth, MAX_DEPTH_WORK, "stratification depth")
 
 
-def _factor_depth(group: PermutationGroupModel, work: int, limit: float) -> tuple[int, int]:
-    """The height of the join lattice of one factor, and the work count
-    after its search."""
+def _factor_depth(group: PermutationGroupModel, work: _Work) -> int:
+    """The height of the join lattice of one factor; a state is a pattern's
+    labels and number of blocks."""
     n = group.degree
     steps = _steps(group)
     top = len(group.orbit_sizes())
-    best: dict[tuple[int, ...], int] = {}
 
-    def climb(labels: tuple[int, ...], b: int) -> int:
-        nonlocal work
-        score = best.get(labels)
-        if score is not None:
-            return score
-        cap = b - top
-        score = 0
+    def moves(state):
+        labels, b = state
         label_of = labels.__getitem__
         for step in steps:
-            if score == cap:
-                break
-            work += n
-            if work > limit:
-                check_guard(work, MAX_DEPTH_WORK, "stratification depth")
+            work.units += n  # checked at the next join, or when the climbs end
             if tuple(map(label_of, step[0])) == labels:
                 continue
-            work += n
+            work.add(n)
             if step[1] is None:
                 step[1] = _blocks(step[0])
-            joined, k = _join(labels, b, step[1])
-            if k - top >= score:
-                score = max(score, climb(joined, k) + 1)
-        best[labels] = score
-        return score
+            yield _join(labels, b, step[1])
 
-    return climb(tuple(range(n)), n), work
+    return _climb((tuple(range(n)), n), moves, lambda state: state[1] - top)[0]
 
 
 def length_sn(n: int) -> int:
@@ -234,58 +251,58 @@ def length_sn(n: int) -> int:
     return (3 * n - 1) // 2 - bin(n).count("1")
 
 
-def all_subgroups(group: PermutationGroupModel) -> set[frozenset[Perm]]:
-    """Every subgroup, as a frozenset of elements.
+@lru_cache(maxsize=None)
+def _omega(m: int) -> int:
+    """The number of prime factors of m, counted with multiplicity."""
+    p = next((p for p in range(2, math.isqrt(m) + 1) if m % p == 0), m)
+    return 0 if m == 1 else 1 + _omega(m // p)
 
-    A search over one-generator joins: each known subgroup, kept with a
-    generator tuple, is joined with one representative of each of its
-    cosets, and the join is the closure of the identity under those
-    generators plus the representative.
 
-    Its time follows the number of subgroups, not the group order, so the
-    guard counts the work as the search goes: the coset pass composes |G|
-    tuples for each subgroup, a join walk composes each element it finds
-    with each of its generators, every tuple carries degree entries, and
-    each new subgroup adds the pairs that group_length compares it in.
-    Within group_length the count starts from the earlier factors' searches.
-    The count is compared with the limit scaled once, before the search.
+def _subgroup_climb(group: PermutationGroupModel, work: _Work, bound):
+    """_climb over the subgroups, as frozensets of elements, from the
+    trivial one, with bound(|G:S|) the bound of S: a subgroup S, kept with
+    generators, steps to its join with one representative g of each coset
+    Sg, the closure of the identity under those generators plus g.  Every
+    cover S < T is a step, as T = <S, g> for any g in T outside S.  The
+    work counts the tuple entries composed: |G| tuples for each coset
+    pass, and each element a join walk finds times its generators.
     """
     elements = sorted(group.elements())
     identity = tuple(range(group.degree))
     trivial = frozenset([identity])
-    found: set[frozenset[Perm]] = {trivial}
-    queue: list[tuple[frozenset[Perm], tuple[Perm, ...]]] = [(trivial, ())]
-    work = _carried_work[0] if _carried_work else 0
-    limit = MAX_SUBGROUP_WORK * guard_scale()
-    while queue:
-        sub, gens = queue.pop()
-        work += len(elements) * group.degree
-        if work > limit:
-            check_guard(work, MAX_SUBGROUP_WORK, "subgroup enumeration")
+    generators = {trivial: ()}
+
+    def moves(sub):
+        gens = generators[sub]
+        work.add(len(elements) * group.degree)
         covered = set(sub)
         for g in elements:
             if g in covered:
                 continue
             covered.update(_compose(h, g) for h in sub)
-            bigger = _closure(identity, gens + (g,))
-            work += len(bigger) * (len(gens) + 1) * group.degree
-            if bigger not in found:
-                work += len(found)
-                found.add(bigger)
-                queue.append((bigger, gens + (g,)))
-            if work > limit:
-                check_guard(work, MAX_SUBGROUP_WORK, "subgroup enumeration")
-    check_guard(work, MAX_SUBGROUP_WORK, "subgroup enumeration")
-    if _carried_work:
-        _carried_work[0] = work
-    return found
+            joined = gens + (g,)
+            bigger = _closure(identity, joined)
+            work.add(len(bigger) * len(joined) * group.degree)
+            generators.setdefault(bigger, joined)
+            yield bigger
+
+    return _climb(trivial, moves, lambda sub: bound(len(elements) // len(sub)))
+
+
+def all_subgroups(group: PermutationGroupModel) -> set[frozenset[Perm]]:
+    """Every subgroup, as a frozenset of elements: the subgroup climb with
+    no bound, guarded on its own work."""
+    work = _Work(MAX_SUBGROUP_WORK, "subgroup enumeration")
+    found = _subgroup_climb(group, work, lambda index: math.inf)[1]
+    check_guard(work.units, MAX_SUBGROUP_WORK, "subgroup enumeration")
+    return set(found)
 
 
 def group_length(group: PermutationGroupModel) -> int:
     """Length of the longest strict chain of subgroups from the trivial
     group to the whole group: the sum over the direct factors of the
-    longest chain among each factor's subgroups.  The subgroup searches
-    share one guard count.
+    height of each factor's subgroup lattice, found by the subgroup climb
+    with the bound Omega(|G:S|).  The climbs share one guard count.
 
     >>> from .permgroup import symmetric_group, cyclic_group
     >>> group_length(symmetric_group(3))
@@ -293,11 +310,8 @@ def group_length(group: PermutationGroupModel) -> int:
     >>> group_length(cyclic_group(4))
     2
     """
-    _carried_work.append(0)
-    try:
-        return sum(_longest_chain(all_subgroups(factor)) for factor in group.direct_factors())
-    finally:
-        _carried_work.clear()
+    return _factor_sum(group, lambda factor, work: _subgroup_climb(factor, work, _omega)[0],
+                       MAX_SUBGROUP_WORK, "subgroup enumeration")
 
 
 def _longest_chain(subgroups: set[frozenset[Perm]]) -> int:

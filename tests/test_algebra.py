@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-from fractions import Fraction
-
 import pytest
 
 from fatdiag.algebra import GradedPolynomial, binomial_gen, falling_factorial
@@ -68,13 +66,6 @@ def test_poly_substitute_and_parts():
     assert p.odd_part().to_list() == [0, 2, 0, 4]
     assert p.substitute_power(2).to_list() == [1, 0, 2, 0, 3, 0, 4]
     assert (p.even_part() + p.odd_part()) == p
-
-
-def test_poly_evaluate():
-    p = GradedPolynomial.from_list([1, 2, 1])
-    assert p.evaluate(-1) == 0
-    assert p.evaluate(2) == 9
-    assert p.evaluate(Fraction(1, 2)) == Fraction(9, 4)
 
 
 def test_poly_equality_and_hash():

@@ -14,6 +14,7 @@ import pytest
 
 import fatdiag
 from fatdiag.cli import main
+from fatdiag.spaces import MAX_LABEL_DEPTH
 
 
 def run(capsys, *argv):
@@ -628,6 +629,41 @@ def test_deeply_nested_json_is_usage_error(capsys, tmp_path):
             rc, out, err = run(capsys, *argv)
             assert (rc, out) == (1, ""), (depth, i, err)
             assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_label_nesting_is_bounded(capsys):
+    # a label nesting MAX_LABEL_DEPTH lists or objects is echoed as
+    # json.dumps writes it; one level more is refused before the echo
+    limit = MAX_LABEL_DEPTH
+    for depth, want in ((limit, 0), (limit + 1, 1)):
+        for label in ("[" * depth + "1" + "]" * depth,
+                      '{"a": ' * (depth - 1) + "{}" + "}" * (depth - 1),
+                      '{"a": ' * (depth - 2) + '[1, {"b": 2}]' + "}" * (depth - 2)):
+            rc, out, err = run(capsys, "chi", "sp", "--space",
+                               f'{{"betti": [1], "label": {label}}}', "-n", "2")
+            assert rc == want, (depth, label[:12], err)
+            if want == 0:
+                envelope = json.loads(out)
+                assert envelope["inputs"]["space"]["label"] == json.loads(label)
+                assert out == json.dumps(envelope, sort_keys=True) + "\n"
+            else:
+                assert out == "" and "Traceback" not in err
+                assert err == (f'error: bad --space: space JSON "label" nests over {limit} '
+                               "lists and objects\n")
+
+
+def test_json_string_file_is_not_decoded_twice(capsys, tmp_path):
+    # a file holding one JSON string is that string, not the document
+    # its text spells
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps(json.dumps({"betti": [1, 0, 1]})))
+    graph = tmp_path / "graph.json"
+    graph.write_text(json.dumps(json.dumps({"vertices": ["a", "b"], "edges": [["a", "b"]]})))
+    for argv in (["chi", "sp", "--space", str(space), "-n", "2"],
+                 ["graph", "chi2", "--graph", str(graph)]):
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (1, ""), err
+        assert err.startswith("error: bad --") and "Traceback" not in err
 
 
 def test_guard_scale_env_validation(capsys, guard_scale_env):

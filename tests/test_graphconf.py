@@ -141,10 +141,13 @@ def test_random_graphs_agree():
 def test_graph_from_json():
     g = graph_from_json({"vertices": ["a", "b"], "edges": [["a", "b"]]})
     assert g.num_edges == 1
-    g2 = graph_from_json('{"vertices": ["a", "b", "c"], "edges": [["a","b"], ["b","c"]]}')
+    g2 = graph_from_json({"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"]]})
     assert chi_graph(g2) == 1
     with pytest.raises(ValueError):
         graph_from_json({"vertices": ["a"]})
+    # it takes decoded JSON only: a string is not decoded a second time
+    with pytest.raises(ValueError):
+        graph_from_json('{"vertices": ["a", "b"], "edges": [["a", "b"]]}')
 
 
 def test_fixtures_differ():

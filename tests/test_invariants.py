@@ -67,6 +67,11 @@ def test_symmetric_power_of_circle_stabilizes():
         assert macdonald_poincare_sp(CIRCLE, n).to_list() == [1, 1]
 
 
+def _at_minus_one(p: GradedPolynomial) -> int:
+    """The alternating sum of the coefficients: p at t = -1."""
+    return sum(c * (-1) ** d for d, c in p.coefficients().items())
+
+
 def test_euler_characteristic_consistency_at_minus_one():
     # substituting t = -1 in the invariant Poincare polynomial gives the
     # Burnside average of chi powers
@@ -74,15 +79,15 @@ def test_euler_characteristic_consistency_at_minus_one():
     groups = [trivial_group(2), cyclic_group(2), cyclic_group(3), symmetric_group(3)]
     for p in spaces:
         for g in groups:
-            chi = p.evaluate(-1)
-            assert invariant_poincare(p, g).evaluate(-1) == chi_gamma_product(chi, g)
+            chi = _at_minus_one(p)
+            assert _at_minus_one(invariant_poincare(p, g)) == chi_gamma_product(chi, g)
 
 
 def test_invariant_poincare_euler_matches_symmetric_product():
     for p in (TORUS, SPHERE):
         for n in range(1, 6):
-            got = macdonald_poincare_sp(p, n).evaluate(-1)
-            assert got == chi_sp(p.evaluate(-1), n)
+            got = _at_minus_one(macdonald_poincare_sp(p, n))
+            assert got == chi_sp(_at_minus_one(p), n)
 
 
 def test_invariant_ranks_bounded_by_plain_power():

@@ -25,6 +25,7 @@ from fatdiag.strata import (
     _cycle_partition,
     _factor_depth,
     _longest_chain,
+    _Work,
     all_subgroups,
     depth,
     group_length,
@@ -288,11 +289,18 @@ def test_group_length_matches_closed_form():
         assert group_length(symmetric_group(n)) == length_sn(n)
 
 
-def test_group_length_s5():
-    # S_5 on its own five points, then with 55 fixed points added
+def test_group_length_s5(monkeypatch, guard_scale_env):
+    # S_5 on its own five points, then with 55 fixed points added: the
+    # climb reaches 8 of the 156 subgroups and takes 54,350 units at either
+    # degree, where the search of all_subgroups takes 3.9 * 10^6
+    monkeypatch.setattr(permgroup, "MAX_GROUP_WORK", 10**12)
     for degree in (5, 60):
         s5 = PermutationGroupModel(degree, ["(1 2 3 4 5)", "(1 2)"])
+        guard_scale_env(str(54350.5 / MAX_SUBGROUP_WORK))
         assert group_length(s5) == length_sn(5) == 5
+        guard_scale_env(str(54349.5 / MAX_SUBGROUP_WORK))
+        with pytest.raises(ResourceGuardError, match="subgroup enumeration"):
+            group_length(s5)
 
 
 def test_group_length_prime_power_is_exponent_sum():
@@ -310,18 +318,18 @@ def test_depth_strictly_below_sn_length_for_larger_n():
 
 
 def test_subgroup_order_guard(guard_scale_env):
-    # the guard counts the search's work as it goes.  C_2 takes 13 units:
-    # two coset passes over 2 tuples of 2 entries, one join walk of 2
-    # compositions, and 1 pair for the chain pass
-    guard_scale_env(str(13.5 / MAX_SUBGROUP_WORK))
-    assert len(all_subgroups(cyclic_group(2))) == 2
+    # the guard counts the search's work as it goes.  all_subgroups(C_2)
+    # takes 12 units: two coset passes over 2 tuples of 2 entries and one
+    # join walk of 2 compositions
     guard_scale_env(str(12.5 / MAX_SUBGROUP_WORK))
+    assert len(all_subgroups(cyclic_group(2))) == 2
+    guard_scale_env(str(11.5 / MAX_SUBGROUP_WORK))
     with pytest.raises(ResourceGuardError):
         all_subgroups(cyclic_group(2))
     guard_scale_env(None)
-    # C_40 (1.5 * 10^5 units) answers.  C2^6 on 12 points has 2825
-    # subgroups, and the search over them all trips the guard; its length
-    # is the sum over its six C_2 factors
+    # C_40 answers (30,520 units; its 8 subgroups take 146,320).  C2^6 on
+    # 12 points has 2825 subgroups, and the search over them all trips the
+    # guard; its length is the sum over its six C_2 factors
     assert group_length(cyclic_group(40)) == 4
     c2_6 = PermutationGroupModel(12, [f"({i} {i + 1})" for i in range(1, 12, 2)])
     with pytest.raises(ResourceGuardError):
@@ -330,34 +338,25 @@ def test_subgroup_order_guard(guard_scale_env):
 
 
 def test_group_length_searches_each_factor(monkeypatch, guard_scale_env):
-    # group_length runs all_subgroups once per direct factor, by the
-    # module's own name, and the searches share one guard count: S_3 x S_3
-    # on 6 points trips a limit that S_3 alone (411 units) passes, at 429
-    # units, early in the second factor's search
-    seen = []
-    search = strata.all_subgroups
-
-    def counted(group):
-        seen.append(group.degree)
-        return search(group)
-
-    monkeypatch.setattr(strata, "all_subgroups", counted)
+    # the climbs of the direct factors share one guard count: S_3 x S_3 on
+    # 6 points trips a limit that S_3 alone (78 units) passes, at 96 units,
+    # at the second factor's first coset pass
     s3_s3 = PermutationGroupModel(6, ["(1 2 3)", "(1 2)", "(4 5 6)", "(4 5)"])
-    assert group_length(s3_s3) == 4 and seen == [3, 3]
+    assert group_length(s3_s3) == 4
     monkeypatch.setattr(permgroup, "MAX_GROUP_WORK", 10**12)
-    guard_scale_env(str(411.5 / MAX_SUBGROUP_WORK))
+    guard_scale_env(str(78.5 / MAX_SUBGROUP_WORK))
     assert group_length(symmetric_group(3)) == 2
-    with pytest.raises(ResourceGuardError, match="subgroup enumeration: size 429 "):
+    with pytest.raises(ResourceGuardError, match="subgroup enumeration: size 96 "):
         group_length(s3_s3)
-    assert strata._carried_work == []
-    guard_scale_env(str(410.5 / MAX_SUBGROUP_WORK))
-    with pytest.raises(ResourceGuardError, match="subgroup enumeration: size 411"):
-        all_subgroups(symmetric_group(3))
+    guard_scale_env(str(77.5 / MAX_SUBGROUP_WORK))
+    with pytest.raises(ResourceGuardError, match="subgroup enumeration: size 78 "):
+        group_length(symmetric_group(3))
 
 
 def test_products_equal_their_factors():
     # depth and chain length summed over the direct factors equal the
-    # zeta search and the subgroup search on the whole product
+    # zeta search and the longest chain among all subgroups of the whole
+    # product
     cases = [
         PermutationGroupModel(4, ["(1 2)(3 4)"]),
         PermutationGroupModel(7, ["(1 2)(3 4)", "(5 6 7)"]),
@@ -368,7 +367,7 @@ def test_products_equal_their_factors():
     cases += [group for group, _ in _product_groups(40, seed=15, max_degree=8)]
     for group in cases:
         factors = group.direct_factors()
-        whole = _factor_depth(group, 0, math.inf)[0]
+        whole = _factor_depth(group, _Work(math.inf, "stratification depth"))
         assert depth(group) == whole == _reference_depth(group), group.generators
         assert depth(group) == sum(depth(f) for f in factors)
         if group.order() <= 48:
