@@ -6,8 +6,6 @@ GradedPolynomial models a Poincare polynomial: finitely many non-negative
 degrees with integer coefficients.
 """
 
-from __future__ import annotations
-
 import math
 from typing import Iterable, Mapping
 

@@ -22,15 +22,19 @@ options, stray words, a missing value, a bad integer or a bad choice are
 usage errors.  `-h` or `--help` prints usage lines made from the COMMANDS
 table.  A grid of `chi bd|fd|bupper` builds one power-series column per d
 and reads its cells from them; it is guarded on its cell count, the work
-of its columns and, for chi >= 1, a lower bound on a result's size before
-any column is built.  `--verify` reads eulerchar.chi_oracles.
+of its columns and, for chi >= 1 or chi <= -32 n^2, a lower bound on a
+result's size before any column is built.  `--verify` reads
+eulerchar.chi_oracles.
 
-Start-up imports only sys, types and the error types, and argv is read
-in one pass against the COMMANDS table; each command imports the modules
-it runs when it runs, so `chi sp` never loads the group, strata, graph or
-verification code.  No command loads json: the envelope is written by a
-small encoder whose bytes are those of json.dumps(envelope,
-sort_keys=True), and a JSON --space or --graph is read by jsonread.
+Start-up imports only os, sys, types and the error types, and argv is
+read in one pass against the COMMANDS table; each command imports the
+modules it runs when it runs, so `chi sp` never loads the group, strata,
+graph or verification code.  No command loads json: the envelope is
+written by a small encoder whose bytes are those of
+json.dumps(envelope, sort_keys=True), and a JSON --space or --graph is
+read by jsonread.  The `fatdiag` command and `python -m fatdiag.cli` end
+through run(): once stdout and stderr are flushed the process exits
+without the interpreter's teardown, which saves about 15 ms a command.
 
 Examples:
 
@@ -45,8 +49,7 @@ Examples:
     fatdiag chi --help
 """
 
-from __future__ import annotations
-
+import os
 import sys
 from types import SimpleNamespace
 
@@ -608,5 +611,26 @@ def _internal_error() -> int:
     return 5
 
 
+def run() -> None:
+    """The `fatdiag` command: main() on sys.argv, then the end of the process.
+
+    Once stdout and stderr are flushed the process ends at once through
+    os._exit, without the interpreter's teardown (clearing every module and
+    cache and a last garbage collection), which costs about 15 ms a
+    command.  Nothing in the package registers atexit handlers, starts
+    threads or writes files, so the teardown has no work of the program's
+    to do.  If a stream is None (closed at spawn) or its flush fails, the
+    process exits through sys.exit instead, whose teardown reports the
+    failure and sets the exit status as it always has.
+    """
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (AttributeError, OSError):  # a None stream, or a failed flush
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

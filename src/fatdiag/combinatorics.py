@@ -12,8 +12,6 @@ of point i, and blocks are numbered in order of their first point (a
 restricted-growth string), so the partition has max(labels) + 1 blocks.
 """
 
-from __future__ import annotations
-
 import math
 from functools import lru_cache
 from typing import Iterator

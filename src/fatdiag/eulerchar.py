@@ -47,8 +47,6 @@ it for a whole grid, under one parity gate, range check and work guard
 (series_work); the three formulas read one cell of it.
 """
 
-from __future__ import annotations
-
 import math
 from functools import lru_cache
 from types import MappingProxyType
@@ -117,7 +115,7 @@ def chi_sp(chi: int, n: int) -> int:
     return binomial_gen(chi + n - 1, n)
 
 
-def chi_gamma_product(chi: int, group: PermutationGroupModel) -> int:
+def chi_gamma_product(chi: int, group: "PermutationGroupModel") -> int:
     """Euler characteristic of the quotient of X^n by a permutation group.
 
     Average of chi^(number of cycles) over the group; the average is always
@@ -190,11 +188,29 @@ def chi_cell_bits(kind: str, chi: int, n: int, d: int) -> int:
     found without building it.  For chi >= 1 each stratum adds a term >= 0,
     so the cell is at least one stratum's: bd chi C(chi - 1, n - d) (one
     d-fold point, n - d simple), fd falling(chi, n - d + 1), bupper C(chi,
-    n); a binomial bounds each.  0 for chi <= 0, where none is known."""
-    if chi < 1:
+    n); a binomial bounds each.
+
+    For chi = -c with c >= 32 n^2 the terms alternate in sign, but one
+    dominates and each later one is smaller by a factor <= 8 n^2 / c, so
+    the cell is at least 2/3 of it, which has at most one bit fewer: bupper
+    C(c, n), the j = 0 term of its alternating sum; bd c C(c, n - d), the
+    j = 1 term, as the j = 0 terms of chi_sp and bupper cancel; fd C(n, d)
+    c (c + 1) ... (c + n - d), the one stratum with a d-fold block.  A
+    product has at least the bits of its factors less one for each factor
+    after the first.  0 for -32 n^2 < chi <= 0, where none is known."""
+    if chi >= 1:
+        m, k = {"bd": (chi - 1, n - d), "fd": (chi, n - d + 1), "bupper": (chi, n)}[kind]
+        return _binomial_bits(m, k)
+    c = -chi
+    if c < 32 * n * n:
         return 0
-    m, k = {"bd": (chi - 1, n - d), "fd": (chi, n - d + 1), "bupper": (chi, n)}[kind]
-    return _binomial_bits(m, k)
+    if kind == "bupper":
+        bits = _binomial_bits(c, n)
+    elif kind == "bd":
+        bits = c.bit_length() + _binomial_bits(c, n - d) - 1
+    else:  # c (c + 1) ... (c + n - d) >= c^(n - d + 1)
+        bits = _binomial_bits(n, d) + _bits_at_least(n - d + 1, math.log2(c)) - 1
+    return max(bits - 1, 0)
 
 
 def _log2_binomial_at_most(m: int, k: int) -> float:

@@ -14,8 +14,6 @@ one H1(X) per larger orbit.  Every SpaceModel is connected (b_0 = 1), so no
 descriptor has a connectedness case.
 """
 
-from __future__ import annotations
-
 from .errors import UnsupportedSpaceError
 from .permgroup import PermutationGroupModel
 from .spaces import AbelianDescriptor, Record, SpaceModel

@@ -24,8 +24,6 @@ as a simple graph has girth >= 3), and subdivides once.
 Only two-point configurations are handled.
 """
 
-from __future__ import annotations
-
 
 class Graph:
     """Finite simple graph with string vertex labels, canonically sorted.

@@ -13,8 +13,6 @@ of the 3-torus by the cyclic rotation would come out wrong in odd degrees.
 Only free ranks are computed here; torsion of the quotients is out of scope.
 """
 
-from __future__ import annotations
-
 from .algebra import GradedPolynomial
 from .errors import InternalConsistencyError
 from .permgroup import PermutationGroupModel

@@ -10,8 +10,6 @@ deeply nested document is read or refused like any other.  Loading json
 costs a command about 3 ms; this module costs a tenth of that.
 """
 
-from __future__ import annotations
-
 _WHITESPACE = " \t\n\r"
 _ESCAPES = {'"': '"', "\\": "\\", "/": "/", "b": "\b", "f": "\f", "n": "\n", "r": "\r",
             "t": "\t"}

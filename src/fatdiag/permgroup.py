@@ -55,8 +55,6 @@ Convention for the induced action on coordinate tuples, used throughout:
 to slot g(j) and (g h) . x = g . (h . x).
 """
 
-from __future__ import annotations
-
 import math
 import operator
 import re
@@ -332,7 +330,7 @@ def _chain_histogram(chain: _Chain, degree: int) -> Counter[tuple[int, ...]]:
     return hist
 
 
-def _restrict(generators, points: list[int]) -> PermutationGroupModel:
+def _restrict(generators, points: list[int]) -> "PermutationGroupModel":
     """The group the generators generate, acting on a union of its orbits,
     renumbered in order."""
     index = dict(zip(points, range(len(points))))
@@ -451,7 +449,7 @@ class PermutationGroupModel:
             self._elements = frozenset(self.stream())
         return self._elements
 
-    def direct_factors(self) -> list[PermutationGroupModel]:
+    def direct_factors(self) -> list["PermutationGroupModel"]:
         """Groups on renumbered points whose direct product, on disjoint
         point sets, is this group on the points it moves (none for the
         trivial group).

@@ -18,8 +18,6 @@ length once.  The formulas are compared per cell with the oracles of
 eulerchar.chi_oracles, which `chi --verify` reads too.
 """
 
-from __future__ import annotations
-
 import random
 import time
 from collections import Counter

@@ -19,8 +19,6 @@ Torsion is tracked only in H_1, where the fundamental-group descriptors need
 it; higher integral homology is out of scope.
 """
 
-from __future__ import annotations
-
 from .algebra import GradedPolynomial
 from .errors import check_guard
 

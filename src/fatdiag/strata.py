@@ -41,8 +41,6 @@ chains, and a step that neither grows is no step), so over direct
 products.  Each guard counts the work of all factors together.
 """
 
-from __future__ import annotations
-
 import math
 from functools import lru_cache
 

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import ast
+import functools
 import importlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from decimal import Decimal
@@ -281,7 +283,7 @@ def test_commands_import_only_what_they_run():
     loaded = _loaded_modules("chi|sp|--space|torus|-n|5",
                              "chi|bd|--space|sphere:2|-n|4|-d|2")
     for name in ("argparse", "gettext", "locale", "dataclasses", "inspect", "json",
-                 "fatdiag.selfcheck", "fatdiag.graphconf", "fatdiag.strata",
+                 "__future__", "fatdiag.selfcheck", "fatdiag.graphconf", "fatdiag.strata",
                  "fatdiag.fundgroup", "fatdiag.permgroup"):
         assert name not in loaded, name
     # no command loads json, not even to read a JSON --space or --graph,
@@ -290,14 +292,120 @@ def test_commands_import_only_what_they_run():
                              'graph|chi2|--graph|{"vertices": ["a", "b"], "edges": [["a", "b"]]}'
                              "|--oracle",
                              "chi|bd|--space|sphere:2|-n|6|-d|3|--verify")
-    assert {"json", "fatdiag.permgroup"} & loaded == set()
+    assert {"json", "__future__", "fatdiag.permgroup"} & loaded == set()
     assert {"fatdiag.jsonread", "fatdiag.graphconf", "fatdiag.combinatorics"} <= loaded
     # verify loads every module but the JSON reader
     package = {f"fatdiag.{path.stem}" for path in Path(fatdiag.__file__).parent.glob("*.py")
                if path.stem != "__init__"}
     loaded = _loaded_modules("verify", "--help")
     assert package - loaded == {"fatdiag.jsonread"}
-    assert {"argparse", "gettext", "locale", "json"} & loaded == set()
+    assert {"argparse", "gettext", "locale", "json", "__future__"} & loaded == set()
+
+
+def _cli_env() -> dict:
+    """_child_env() with block-buffered stdio, as a command run from a shell
+    or a pipe has."""
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def _cli_process(*argv: str, **popen) -> subprocess.CompletedProcess:
+    """`python -m fatdiag.cli argv` in a child; stdout and stderr are
+    captured as bytes unless popen says otherwise."""
+    popen = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **popen}
+    return subprocess.run([sys.executable, "-m", "fatdiag.cli", *argv], env=_cli_env(),
+                          **popen)
+
+
+# One command per COMMANDS entry, then a usage error (1), an unsupported
+# space (2) and a guard trip (4).
+_PROCESS_CASES = [
+    ("chi", "sp", "--space", "torus", "-n", "5"),
+    ("chi", "bd", "--space", "sphere:2", "-n", "6", "-d", "3", "--verify"),
+    ("chi", "fd", "--space", "sphere:2", "-n", "2..6", "-d", "2..3", "--csv"),
+    ("chi", "bupper", "--space", "surface:2", "-n", "2..5", "-d", "1..2"),
+    ("chi", "gamma", "--space", "torus", "--degree", "4", "--gens", "(1 2 3 4)"),
+    ("betti", "gamma", "--space", "torus", "--degree", "3", "--gens", "(1 2 3)"),
+    ("pi1", "bd", "--space", "circle", "-n", "4", "-d", "2"),
+    ("pi1", "gamma", "--space", "wedge_circles:2", "--degree", "4", "--gens", "(1 2)"),
+    ("strata", "depth", "--degree", "4", "--gens", "(1 2 3 4); (1 2)"),
+    ("strata", "length", "--degree", "4", "--gens", "(1 2 3 4)"),
+    ("graph", "chi2", "--graph", "gamma1", "--oracle"),
+    ("verify",),
+    ("chi", "sp", "-n", "5"),
+    ("chi", "bd", "--space", "circle", "-n", "4", "-d", "2"),
+    ("chi", "bd", "--space", '{"betti": [1, 0, %d], "parity": "even"}' % (2**1000 - 1),
+     "-n", "1730", "-d", "2"),
+]
+# about 82 KB of output, more than a 64 KiB pipe buffer
+_GRID_CSV = ("chi", "fd", "--space", "torus", "-n", "2..140", "-d", "2..140", "--csv")
+_SMALL = ("chi", "sp", "--space", "torus", "-n", "5")
+
+
+def _without_times(err: str) -> str:
+    """verify's stderr with each check's milliseconds blanked."""
+    return re.sub(r"\(\d+\.\d ms\)", "(ms)", err)
+
+
+def _last_line(err: bytes) -> bytes:
+    return err.rstrip(b"\n").rsplit(b"\n", 1)[-1]
+
+
+def test_cli_process_ends_as_main_returns(capsys):
+    # the process ends through run(): flushed stdio, then os._exit with
+    # main()'s code, so what it prints and returns is what main() gives
+    from fatdiag.cli import COMMANDS
+
+    assert {argv[:2] if argv[0] != "verify" else ("verify", None)
+            for argv in _PROCESS_CASES[:-3]} == set(COMMANDS)
+    codes = []
+    for argv in _PROCESS_CASES + [_GRID_CSV]:
+        code, out, err = run(capsys, *argv)
+        proc = _cli_process(*argv)
+        assert proc.returncode == code, argv
+        assert proc.stdout == out.encode(), argv
+        assert _without_times(proc.stderr.decode()) == _without_times(err), argv
+        codes.append(code)
+    assert codes == [0] * 12 + [1, 2, 4, 0]
+    assert len(proc.stdout) > 65536
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_cli_process_on_a_full_device():
+    # a write that fails inside main() is a bug report, exit 5; a flush that
+    # fails after main() (the output fitted in the buffer) falls back to
+    # the interpreter's own exit, which reports it and exits 120
+    with open("/dev/full", "wb") as full:
+        grid = _cli_process(*_GRID_CSV, stdout=full)
+        small = _cli_process(*_SMALL, stdout=full)
+    assert grid.returncode == 5
+    assert grid.stderr.startswith(b"Traceback")
+    assert _last_line(grid.stderr).startswith(b"OSError: [Errno 28]")
+    assert small.returncode == 120
+    assert small.stderr.startswith(b"Exception ignored")
+    assert _last_line(small.stderr).startswith(b"OSError: [Errno 28]")
+
+
+def test_cli_process_with_stdout_closed_at_spawn():
+    # sys.stdout is None: print writes nothing, and the process exits 0
+    for argv in (_SMALL, _GRID_CSV):
+        proc = _cli_process(*argv, stdout=None, preexec_fn=functools.partial(os.close, 1))
+        assert (proc.returncode, proc.stderr) == (0, b""), argv
+
+
+def test_cli_process_whose_reader_closes_early():
+    # the reader takes ten bytes of a grid larger than the pipe buffer and
+    # closes: the rest of the write fails inside main(), exit 5
+    with subprocess.Popen([sys.executable, "-m", "fatdiag.cli", *_GRID_CSV], env=_cli_env(),
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert code == 5
+    assert err.startswith(b"Traceback")
+    assert _last_line(err).startswith(b"BrokenPipeError")
 
 
 def test_strata_depth_and_length(capsys):
@@ -505,8 +613,8 @@ def test_result_size_is_guarded_before_computing(capsys, monkeypatch):
 
 
 def test_chi_cell_size_is_guarded_before_any_column(capsys, monkeypatch):
-    # with chi = 2^1000 every command below would build columns for
-    # seconds, to hundreds of MB, before its result was refused; a lower
+    # with chi = 2^1000 or -2^1000 every command below would build columns
+    # for seconds, to hundreds of MB, before its result was refused; a lower
     # bound on the last row's bits refuses them before any column is built
     import fatdiag.eulerchar
 
@@ -514,12 +622,13 @@ def test_chi_cell_size_is_guarded_before_any_column(capsys, monkeypatch):
         raise AssertionError("a column was built")
 
     monkeypatch.setattr(fatdiag.eulerchar, "_series", refuse)
-    space = '{"betti": [1, 0, %d], "parity": "even"}' % (2**1000 - 1)
-    for kind in ("bd", "fd", "bupper"):
-        for n, d in (("1730", "2"), ("2..1730", "2..3")):
-            rc, out, err = run(capsys, "chi", kind, "--space", space, "-n", n, "-d", d)
-            assert rc == 4 and out == "", (kind, n, d, err)
-            assert "resource guard: result size" in err
+    for betti in ([1, 0, 2**1000 - 1], [1, 2**1000 + 1, 0]):
+        space = '{"betti": %s, "parity": "even"}' % betti
+        for kind in ("bd", "fd", "bupper"):
+            for n, d in (("1730", "2"), ("2..1730", "2..3")):
+                rc, out, err = run(capsys, "chi", kind, "--space", space, "-n", n, "-d", d)
+                assert rc == 4 and out == "", (kind, betti[1], n, d, err)
+                assert "resource guard: result size" in err
 
 
 def test_result_size_precheck_refuses_only_what_exact_refuses(capsys, monkeypatch):

@@ -600,7 +600,8 @@ def test_chi_oracles_table(kind, n, d):
 
 def test_cell_bits_bound_the_formulas():
     # for chi >= 1 every stratum adds a term >= 0, so one stratum's term
-    # bounds the cell from below; no bound is known for chi <= 0
+    # bounds the cell from below; for chi = -c with c >= 32 n^2 one term
+    # dominates; no bound is known for -32 n^2 < chi <= 0
     n_max = 60
     for kind, d_min in (("bd", 2), ("fd", 2), ("bupper", 1)):
         for chi in range(1, 41):
@@ -609,6 +610,14 @@ def test_cell_bits_bound_the_formulas():
                 for n in range(d, n_max + 1):
                     assert chi_cell_bits(kind, chi, n, d) <= column[n].bit_length(), (
                         kind, chi, n, d)
-        assert chi_cell_bits(kind, -2**1000, 1730, 2) == 0
-        # chi = 2^1000 at n = 1730 has results of about 1.7 * 10^6 bits
+        for n in range(d_min, 13):
+            for c in (32 * n * n, 32 * n * n + 7, 10**6):
+                columns = chi_columns(kind, -c, range(d_min, n + 1), n)
+                for d, column in columns.items():
+                    assert 0 < chi_cell_bits(kind, -c, n, d) <= column[n].bit_length(), (
+                        kind, -c, n, d)
+        assert chi_cell_bits(kind, -(32 * 12 * 12 - 1), 12, 2) == 0
+        assert chi_cell_bits(kind, 0, 12, 2) == 0
+        # chi = +-2^1000 at n = 1730 has results of about 1.7 * 10^6 bits
         assert chi_cell_bits(kind, 2**1000, 1730, 2) > 1.69 * 10**6
+        assert chi_cell_bits(kind, -2**1000, 1730, 2) > 1.69 * 10**6

@@ -255,7 +255,7 @@ def test_length_sn_values():
         assert length_sn(n) == math.ceil(3 * n / 2) - bin(n).count("1") - 1
 
 
-def test_all_subgroups_counts():
+def test_all_subgroups_counts(guard_scale_env):
     # classical subgroup counts: C4 -> 3, V4 -> 5, S3 -> 6, A4 -> 10, S4 -> 30,
     # A5 -> 59, S5 -> 156
     assert len(all_subgroups(cyclic_group(4))) == 3
@@ -265,6 +265,10 @@ def test_all_subgroups_counts():
     assert len(all_subgroups(alternating_group(4))) == 10
     assert len(all_subgroups(symmetric_group(4))) == 30
     assert len(all_subgroups(alternating_group(5))) == 59
+    # S5's search takes about 98% of MAX_SUBGROUP_WORK, and the order in
+    # which it first reaches each subgroup sets its join cost: the guard is
+    # doubled so that a change of order alone cannot trip it
+    guard_scale_env("2")
     assert len(all_subgroups(symmetric_group(5))) == 156
 
 
