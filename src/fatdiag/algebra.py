@@ -7,7 +7,7 @@ degrees with integer coefficients.
 """
 
 import math
-from typing import Iterable, Mapping
+from collections.abc import Iterable
 
 
 def falling_factorial(x: int, k: int) -> int:
@@ -55,26 +55,11 @@ class GradedPolynomial:
 
     __slots__ = ("_coeffs",)
 
-    def __init__(self, coeffs: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
-        if type(coeffs) is dict:
-            # the common case, without the abstract Mapping check: the
-            # degrees are distinct, so only the zero coefficients go
-            for deg in coeffs:
-                if deg < 0:
-                    raise ValueError(f"negative degree {deg} in graded polynomial")
-            self._coeffs = {deg: c for deg, c in coeffs.items() if c}
-            return
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        clean: dict[int, int] = {}
-        for deg, c in items:
+    def __init__(self, coeffs: dict[int, int]):
+        for deg in coeffs:
             if deg < 0:
                 raise ValueError(f"negative degree {deg} in graded polynomial")
-            if c == 0:
-                continue
-            clean[deg] = clean.get(deg, 0) + c
-            if clean[deg] == 0:
-                del clean[deg]
-        self._coeffs = clean
+        self._coeffs = {deg: c for deg, c in coeffs.items() if c}
 
     @classmethod
     def from_list(cls, coeffs: Iterable[int]) -> "GradedPolynomial":
@@ -87,7 +72,7 @@ class GradedPolynomial:
 
     @classmethod
     def zero(cls) -> "GradedPolynomial":
-        return cls()
+        return cls({})
 
     @classmethod
     def one(cls) -> "GradedPolynomial":

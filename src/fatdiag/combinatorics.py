@@ -13,8 +13,8 @@ restricted-growth string), so the partition has max(labels) + 1 blocks.
 """
 
 import math
+from collections.abc import Iterator
 from functools import lru_cache
-from typing import Iterator
 
 from .errors import check_guard
 

@@ -48,9 +48,9 @@ it for a whole grid, under one parity gate, range check and work guard
 """
 
 import math
+from collections.abc import Collection, Mapping
 from functools import lru_cache
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Collection, Mapping
 
 from .algebra import binomial_gen, falling_factorial
 from .combinatorics import (alpha_sequences, bell_number, conjugacy_classes_sn, factorial_product,
@@ -61,9 +61,6 @@ from .errors import (
     check_guard,
     guard_scale,
 )
-
-if TYPE_CHECKING:  # the closed formulas run without the group layer
-    from .permgroup import PermutationGroupModel
 
 # Oracle work, counted before the oracle runs: set partitions of long
 # cycles walked (bd_oracle_work; 22069 at n = 17, about 0.2 s) and terms of
@@ -115,6 +112,8 @@ def chi_sp(chi: int, n: int) -> int:
     return binomial_gen(chi + n - 1, n)
 
 
+# the group is annotated by name only: the closed formulas run without the
+# group layer
 def chi_gamma_product(chi: int, group: "PermutationGroupModel") -> int:
     """Euler characteristic of the quotient of X^n by a permutation group.
 

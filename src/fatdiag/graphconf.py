@@ -15,14 +15,21 @@ conservative sufficient condition used here is that every cycle has at
 least 5 edges and every path between vertices of degree other than 2 has
 at least 3 edges.  Subdivision is harmless, because the answer is a
 homotopy invariant and subdivision does not change the homeomorphism type.
-Uniform k-fold subdivision multiplies the girth and every such path length
-by exactly k (the new vertices all have degree 2, the old ones keep
-theirs), so the oracle reads both from the graph as given, takes the
-smallest k with k * girth >= 5 and k * shortest path >= 3 (k <= 3 always,
-as a simple graph has girth >= 3), and subdivides once.
+A factor of 3 always meets the condition: a simple graph has girth >= 3
+and every path between vertices of degree other than 2 has at least one
+edge, and k-fold subdivision multiplies both lengths by k (the new
+vertices all have degree 2, the old ones keep theirs), so after 3-fold
+subdivision every cycle has >= 9 edges and every such path >= 3, whatever
+the graph.
 
 Only two-point configurations are handled.
 """
+
+from .errors import check_guard
+
+# pair tests of the discretized oracle: K_35 makes 4.5 * 10^6 (about 0.4 s), while
+# criterion 7 and the benchmark's graphs stay under 11,000
+MAX_CELL_PAIRS = 5 * 10**6
 
 
 class Graph:
@@ -145,75 +152,6 @@ def subdivide(graph: Graph, k: int) -> Graph:
     return Graph(tuple(sorted(vertices)), tuple(sorted(edges)))
 
 
-def _girth(graph: Graph) -> int | None:
-    """Length of the shortest cycle, None for a forest."""
-    adj = graph.adjacency()
-    best: int | None = None
-    for start in graph.vertices:
-        dist = {start: 0}
-        parent = {start: None}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for y in adj[x]:
-                    if y not in dist:
-                        dist[y] = dist[x] + 1
-                        parent[y] = x
-                        nxt.append(y)
-                    elif parent[x] != y:
-                        cycle = dist[x] + dist[y] + 1
-                        if best is None or cycle < best:
-                            best = cycle
-            frontier = nxt
-    return best
-
-
-def _essential_path_lengths(graph: Graph) -> list[int]:
-    """Edge counts of maximal paths whose interior vertices have degree 2
-    and whose endpoints do not."""
-    adj = graph.adjacency()
-    deg = graph.degrees()
-    branch = [v for v in graph.vertices if deg[v] != 2]
-    lengths = []
-    for u in branch:
-        for first in adj[u]:
-            length = 1
-            prev, cur = u, first
-            while deg[cur] == 2:
-                a, b = adj[cur]
-                prev, cur = cur, (b if a == prev else a)
-                length += 1
-            lengths.append(length)
-    # each path is walked once from each endpoint (twice from the same
-    # endpoint when it is a loop back to it), so the minimum is unaffected
-    return lengths
-
-
-def _discretization_ok(graph: Graph) -> bool:
-    """The discretization condition, tested on the graph itself: girth at
-    least 5 and every essential path at least 3 edges long."""
-    girth = _girth(graph)
-    if girth is not None and girth < 5:
-        return False
-    return all(length >= 3 for length in _essential_path_lengths(graph))
-
-
-def _subdivision_factor(graph: Graph) -> int:
-    """The smallest k for which subdivide(graph, k) meets the
-    discretization condition: k * girth >= 5 and k * (shortest path between
-    vertices of degree other than 2) >= 3, each bound read from the graph
-    as given, since k-fold subdivision multiplies both by k."""
-    k = 1
-    girth = _girth(graph)
-    if girth is not None:
-        k = max(k, -(-5 // girth))
-    lengths = _essential_path_lengths(graph)
-    if lengths:
-        k = max(k, -(-3 // min(lengths)))
-    return k
-
-
 def _cell_pair_count(graph: Graph) -> int:
     """Alternating count of ordered pairs of cells with disjoint closures.
 
@@ -235,15 +173,20 @@ def _cell_pair_count(graph: Graph) -> int:
 
 
 def discretized_chi_f2(graph: Graph) -> int:
-    """Independent oracle for farber_chi_f2: subdivide once, by the
-    smallest factor that makes the discretized two-point model faithful
-    (the girth and the path lengths it is read from scale with the
-    factor), then count the model's cells with signs.
+    """Independent oracle for farber_chi_f2: subdivide by 3, which always
+    makes the discretized two-point model faithful (see the module
+    docstring), then count the model's cells with signs.
+
+    The subdivided graph has V + 2E vertices and 3E edges, so V + 5E cells
+    and C(V + 5E, 2) pair tests, known before anything is built; that count
+    is guarded.
 
     >>> discretized_chi_f2(fixture("gamma2"))
     -6
     """
-    return _cell_pair_count(subdivide(graph, _subdivision_factor(graph)))
+    cells = graph.num_vertices + 5 * graph.num_edges
+    check_guard(cells * (cells - 1) // 2, MAX_CELL_PAIRS, "discretized cell pairs")
+    return _cell_pair_count(subdivide(graph, 3))
 
 
 def fixture(name: str) -> Graph:

@@ -59,8 +59,8 @@ import math
 import operator
 import re
 from collections import Counter
+from collections.abc import Iterator
 from functools import lru_cache
-from typing import Iterator
 
 from .errors import check_guard, guard_scale
 

@@ -20,9 +20,9 @@ eulerchar.chi_oracles, which `chi --verify` reads too.
 
 import random
 import time
-from collections import Counter
+from collections import Counter, namedtuple
+from collections.abc import Callable
 from functools import cache
-from typing import Callable, NamedTuple
 
 from .algebra import falling_factorial
 from .combinatorics import (
@@ -186,12 +186,13 @@ def check_complement_product() -> str:
     return f"{cases} identity cases, n <= {n_max}"
 
 
-def random_connected_graphs(count: int, max_vertices: int = 8, seed: int = GRAPH_SEED):
-    """Deterministic stream of random connected simple graphs."""
-    rng = random.Random(seed)
+def random_connected_graphs(count: int):
+    """Deterministic stream of random connected simple graphs on 2 to 8
+    vertices."""
+    rng = random.Random(GRAPH_SEED)
     out = []
     while len(out) < count:
-        n = rng.randint(2, max_vertices)
+        n = rng.randint(2, 8)
         names = [chr(ord("a") + i) for i in range(n)]
         edges = [
             (a, b)
@@ -371,11 +372,8 @@ def check_partition_infrastructure() -> str:
     return f"Bell + {cases} type counts, Stirling identity, d=2 forms, n <= {n_max}"
 
 
-class CheckOutcome(NamedTuple):
-    name: str
-    passed: bool
-    detail: str
-    elapsed: float
+# elapsed is in seconds
+CheckOutcome = namedtuple("CheckOutcome", "name passed detail elapsed")
 
 
 CHECKS: list[tuple[str, Callable[[], str]]] = [

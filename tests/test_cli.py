@@ -261,7 +261,9 @@ def test_chi_gamma_streams_the_group():
 
 # Runs main on each '|'-separated argv given, then prints the exit codes
 # and the names of every module loaded, as a Python literal (printing JSON
-# would load json itself).
+# would load json itself).  The child runs under -S: a site hook (a .pth
+# file of some installed package) may import modules such as typing first
+# and hide what the package itself loads.
 _LOADED_MODULES = """
 import contextlib, io, sys
 from fatdiag.cli import main
@@ -272,7 +274,7 @@ print(repr([codes, sorted(sys.modules)]))
 
 
 def _loaded_modules(*argvs: str) -> set[str]:
-    proc = subprocess.run([sys.executable, "-c", _LOADED_MODULES, *argvs],
+    proc = subprocess.run([sys.executable, "-S", "-c", _LOADED_MODULES, *argvs],
                           capture_output=True, text=True, env=_child_env(), check=True)
     codes, modules = ast.literal_eval(proc.stdout)
     assert codes == [0] * len(argvs)
@@ -283,8 +285,8 @@ def test_commands_import_only_what_they_run():
     loaded = _loaded_modules("chi|sp|--space|torus|-n|5",
                              "chi|bd|--space|sphere:2|-n|4|-d|2")
     for name in ("argparse", "gettext", "locale", "dataclasses", "inspect", "json",
-                 "__future__", "fatdiag.selfcheck", "fatdiag.graphconf", "fatdiag.strata",
-                 "fatdiag.fundgroup", "fatdiag.permgroup"):
+                 "__future__", "typing", "fatdiag.selfcheck", "fatdiag.graphconf",
+                 "fatdiag.strata", "fatdiag.fundgroup", "fatdiag.permgroup"):
         assert name not in loaded, name
     # no command loads json, not even to read a JSON --space or --graph,
     # and chi bd --verify reads the classes of S_n without the group engine
@@ -292,14 +294,14 @@ def test_commands_import_only_what_they_run():
                              'graph|chi2|--graph|{"vertices": ["a", "b"], "edges": [["a", "b"]]}'
                              "|--oracle",
                              "chi|bd|--space|sphere:2|-n|6|-d|3|--verify")
-    assert {"json", "__future__", "fatdiag.permgroup"} & loaded == set()
+    assert {"json", "__future__", "typing", "fatdiag.permgroup"} & loaded == set()
     assert {"fatdiag.jsonread", "fatdiag.graphconf", "fatdiag.combinatorics"} <= loaded
     # verify loads every module but the JSON reader
     package = {f"fatdiag.{path.stem}" for path in Path(fatdiag.__file__).parent.glob("*.py")
                if path.stem != "__init__"}
     loaded = _loaded_modules("verify", "--help")
     assert package - loaded == {"fatdiag.jsonread"}
-    assert {"argparse", "gettext", "locale", "json", "__future__"} & loaded == set()
+    assert {"argparse", "gettext", "locale", "json", "__future__", "typing"} & loaded == set()
 
 
 def _cli_env() -> dict:
@@ -441,6 +443,26 @@ def test_graph_chi2_inline_json(capsys):
     )
     payload = run_json(capsys, "graph", "chi2", "--graph", doc, "--oracle")
     assert payload["result"] == "0"
+
+
+def test_graph_oracle_is_guarded_before_it_counts(capsys, monkeypatch):
+    # K_60 subdivides to 60 + 5 * 1770 = 8910 cells, 39.7 * 10^6 pair
+    # tests: the guard refuses it before subdividing or counting anything
+    from fatdiag import graphconf
+
+    def never(graph):
+        raise AssertionError("cells counted past the guard")
+
+    monkeypatch.setattr(graphconf, "_cell_pair_count", never)
+    names = [f"v{i}" for i in range(60)]
+    doc = json.dumps({"vertices": names,
+                      "edges": [[a, b] for i, a in enumerate(names) for b in names[i + 1:]]})
+    rc, out, err = run(capsys, "graph", "chi2", "--graph", doc, "--oracle")
+    assert rc == 4 and out == ""
+    assert "resource guard: discretized cell pairs" in err
+    # the closed formula alone still answers: chi = 60 - 1770, every degree 59
+    payload = run_json(capsys, "graph", "chi2", "--graph", doc)
+    assert payload["result"] == str((-1710) ** 2 - 1710 - 60 * 58 * 57) == "2724030"
 
 
 def test_verify_suite_fast_is_a_usage_error(capsys):

@@ -8,8 +8,6 @@ from fatdiag import graphconf
 from fatdiag.graphconf import (
     Graph,
     _cell_pair_count,
-    _discretization_ok,
-    _subdivision_factor,
     chi_graph,
     discretized_chi_f2,
     farber_chi_f2,
@@ -167,13 +165,12 @@ def oracle_battery() -> list[Graph]:
             + [star_graph(k) for k in range(1, 6)] + [complete_graph(4), complete_graph(5)])
 
 
-def test_subdivision_factor_is_read_from_the_graph():
-    # k-fold subdivision scales the girth and the essential path lengths by
-    # k, so the factor read from the graph as given is the first k whose
-    # subdivision meets the condition
+def test_threefold_subdivision_cell_count_is_known_in_advance():
+    # the guard counts V + 5E cells before subdividing: each edge gains two
+    # vertices and becomes three edges
     for g in oracle_battery():
-        first = next(k for k in (1, 2, 3) if _discretization_ok(subdivide(g, k)))
-        assert _subdivision_factor(g) == first, g
+        s = subdivide(g, 3)
+        assert s.num_vertices + s.num_edges == g.num_vertices + 5 * g.num_edges, g
 
 
 def frozenset_pair_count(graph: Graph) -> int:
@@ -204,4 +201,4 @@ def test_oracle_subdivides_once(monkeypatch):
     for g in oracle_battery():
         calls.clear()
         assert discretized_chi_f2(g) == farber_chi_f2(g)
-        assert calls == [_subdivision_factor(g)], g
+        assert calls == [3], g
