@@ -390,13 +390,9 @@ def _cmd_graph(args) -> int:
         if ref in ("gamma1", "gamma2"):
             graph = fixture(ref)
         else:
-            from .jsonread import loads
+            from .jsonread import load
 
-            if ref.strip().startswith("{"):
-                graph = graph_from_json(loads(ref))
-            else:
-                with open(ref, "r", encoding="utf-8") as fh:
-                    graph = graph_from_json(loads(fh.read()))
+            graph = graph_from_json(load(ref))
     except (ValueError, OSError) as exc:
         raise UsageError(f"bad --graph: {exc}")
     try:
@@ -482,7 +478,7 @@ _OPTION_HELP = """\
           ranges A..B and print a grid (--csv: an n,d,value table)
 --degree  number of points the group acts on
 --gens    generators in cycle notation, ';'-separated; empty = trivial
---graph   fixture name (gamma1, gamma2), inline JSON, or *.json path
+--graph   fixture name (gamma1, gamma2), inline JSON, or a path (@path too)
 --verify, --oracle
           also run the independent oracles; a mismatch exits 3
 --suite   all, the one verification battery (the default)

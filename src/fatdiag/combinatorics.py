@@ -16,7 +16,7 @@ import math
 from collections.abc import Iterator
 from functools import lru_cache
 
-from .errors import check_guard
+from .errors import _exact_div, check_guard
 
 MAX_SET_PARTITION_N = 12
 MAX_CONJUGACY_N = 20
@@ -143,9 +143,7 @@ def count_set_partitions_of_type(alpha: tuple[int, ...]) -> int:
     sizes = list(enumerate(alpha, start=1))
     n = sum(i * a for i, a in sizes)
     den = factorial_product(alpha) * math.prod(math.factorial(i) ** a for i, a in sizes)
-    q, r = divmod(math.factorial(n), den)
-    assert r == 0
-    return q
+    return _exact_div(math.factorial(n), den, "count_set_partitions_of_type({})", alpha)
 
 
 def bell_number(n: int) -> int:

@@ -1,10 +1,13 @@
-"""Error types and resource guards.
+"""Error types, resource guards and exact division.
 
 Exhaustive enumerations (set partitions, group elements, subgroup lattices)
 blow up quickly, so every such entry point checks its input size against a
-guard and raises ResourceGuardError instead of hanging.  The guards scale
-with the FATDIAG_GUARD_SCALE environment variable, read once per process:
-setting it to 2 doubles every limit, setting it to 0.5 halves them.
+guard and raises ResourceGuardError instead of hanging: check_guard for a
+size known in advance, Work for a count kept as the work is done.  The
+guards scale with the FATDIAG_GUARD_SCALE environment variable, read once
+per process: setting it to 2 doubles every limit, setting it to 0.5 halves
+them.  A division that must come out whole is _exact_div, which raises
+InternalConsistencyError when it does not.
 """
 
 import os
@@ -64,3 +67,34 @@ def check_guard(value: float, limit: float, what: str) -> None:
             f"{what}: size {value} exceeds guard limit {limit}"
             f" (scale with FATDIAG_GUARD_SCALE)"
         )
+
+
+class Work:
+    """A guard's work count, kept as the work is done and checked, against
+    the limit scaled once, as it grows.  done() checks the final count
+    with check_guard, so every count is checked there at least once; a
+    count that only bounds a search compares units with limit itself."""
+
+    __slots__ = ("units", "limit", "cap", "what")
+
+    def __init__(self, cap: float, what: str) -> None:
+        self.units, self.cap, self.what = 0, cap, what
+        self.limit = cap * guard_scale()
+
+    def add(self, units: int) -> None:
+        self.units += units
+        if self.units > self.limit:
+            check_guard(self.units, self.cap, self.what)
+
+    def done(self) -> None:
+        check_guard(self.units, self.cap, self.what)
+
+
+def _exact_div(num: int, den: int, what: str, *args) -> int:
+    """num / den, which must be exact; what, formatted with args only if
+    it is not, names the computation in the error."""
+    value, rest = divmod(num, den)
+    if rest:
+        raise InternalConsistencyError(
+            f"{what.format(*args)}: non-integral value {num}/{den}")
+    return value

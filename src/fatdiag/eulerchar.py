@@ -55,12 +55,7 @@ from types import MappingProxyType
 from .algebra import binomial_gen, falling_factorial
 from .combinatorics import (alpha_sequences, bell_number, conjugacy_classes_sn, factorial_product,
                             set_partitions)
-from .errors import (
-    InternalConsistencyError,
-    UnsupportedSpaceError,
-    check_guard,
-    guard_scale,
-)
+from .errors import UnsupportedSpaceError, _exact_div, check_guard, guard_scale
 
 # Oracle work, counted before the oracle runs: set partitions of long
 # cycles walked (bd_oracle_work; 22069 at n = 17, about 0.2 s) and terms of
@@ -84,16 +79,6 @@ def _require_even(parity: str, what: str) -> None:
             f"{what} is only defined over closed even-dimensional manifolds;"
             f" got parity {parity!r}"
         )
-
-
-def _exact_div(num: int, den: int, what: str, *args) -> int:
-    """num / den, which must be exact; what, formatted with args only if
-    it is not, names the computation in the error."""
-    value, rest = divmod(num, den)
-    if rest:
-        raise InternalConsistencyError(
-            f"{what.format(*args)}: non-integral value {num}/{den}")
-    return value
 
 
 def chi_sp(chi: int, n: int) -> int:

@@ -210,10 +210,16 @@ def fixture(name: str) -> Graph:
     raise ValueError(f"unknown graph fixture {name!r}")
 
 
+def _is_label(value) -> bool:
+    """value is a JSON string or integer, not a bool: labels are compared
+    as strings, and true would be the vertex "True"."""
+    return isinstance(value, (str, int)) and not isinstance(value, bool)
+
+
 def graph_from_json(data) -> Graph:
     """Build a graph from decoded JSON {"vertices": [...], "edges": [...]}:
-    the vertices a list of labels (strings or integers), the edges a list of
-    two-vertex lists.
+    the vertices a list of labels (strings or integers, not booleans), the
+    edges a list of two-vertex lists of labels.
 
     A vertex or an edge (in either orientation) listed twice is an error:
     two parallel edges form a circle, not one edge, and a simple graph
@@ -222,10 +228,10 @@ def graph_from_json(data) -> Graph:
     if not isinstance(data, dict) or "vertices" not in data or "edges" not in data:
         raise ValueError('graph JSON needs "vertices" and "edges"')
     vertices, edges = data["vertices"], data["edges"]
-    if not isinstance(vertices, list) or not all(isinstance(v, (str, int)) for v in vertices):
+    if not isinstance(vertices, list) or not all(map(_is_label, vertices)):
         raise ValueError('"vertices" must be a list of labels')
     if not isinstance(edges, list) or not all(isinstance(e, list) and len(e) == 2
-                                              for e in edges):
+                                              and all(map(_is_label, e)) for e in edges):
         raise ValueError('"edges" must be a list of two-vertex lists')
     graph = Graph.from_parts(vertices, edges)
     if graph.num_vertices < len(vertices):

@@ -14,8 +14,14 @@ Only free ranks are computed here; torsion of the quotients is out of scope.
 """
 
 from .algebra import GradedPolynomial
-from .errors import InternalConsistencyError
+from .errors import InternalConsistencyError, _exact_div, check_guard
 from .permgroup import PermutationGroupModel
+
+# Coefficient products of invariant_poincare, bounded by _poincare_work
+# before the first: about 5 * 10^7 a second.  1,501 Betti numbers of 1 on
+# the trivial group of degree 2 are 2.7 * 10^7 (about 0.5 s); 3,001 are
+# 1.1 * 10^8 and trip the guard.
+MAX_POINCARE_WORK = 3 * 10**7
 
 
 def graded_trace_cycle(poincare: GradedPolynomial, length: int) -> GradedPolynomial:
@@ -36,6 +42,25 @@ def graded_trace_cycle(poincare: GradedPolynomial, length: int) -> GradedPolynom
     return even + odd
 
 
+def _poincare_work(poincare: GradedPolynomial, n: int, hist) -> int:
+    """A bound on the coefficient products invariant_poincare makes for a
+    group of degree n with cycle-type histogram hist.
+
+    Each cycle type of m_l cycles of length l makes, for each l, the
+    bit_length(m_l) + popcount(m_l) products of the power trace_l ** m_l
+    and of its product with the term.  Each factor of such a product has
+    at most T terms: its degree is at most n * D, for D the top degree of
+    poincare, and it is a product of at most n traces of B terms each, B
+    the nonzero Betti numbers.  So a product costs at most T ** 2, where
+    T = min(n * D + 1, B ** n); the exponent is capped at the bit length
+    of n * D + 1, past which B ** n, for B >= 2, is the larger anyway.
+    """
+    products = sum(m.bit_length() + bin(m).count("1") for ctype in hist for m in ctype if m)
+    span = n * max(poincare.degree(), 0) + 1
+    terms = min(span, len(poincare.coefficients()) ** min(n, span.bit_length()))
+    return products * terms * terms
+
+
 def invariant_poincare(
     poincare: GradedPolynomial, group: PermutationGroupModel
 ) -> GradedPolynomial:
@@ -53,9 +78,12 @@ def invariant_poincare(
     [1, 2, 5, 8, 5, 2, 1]
     """
     order = group.order()
+    hist = group.cycle_type_histogram()
+    check_guard(_poincare_work(poincare, group.degree, hist), MAX_POINCARE_WORK,
+                "invariant Poincare products")
     acc = GradedPolynomial.zero()
     traces: dict[int, GradedPolynomial] = {}  # by cycle length, each made once
-    for ctype, count in group.cycle_type_histogram().items():
+    for ctype, count in hist.items():
         term = GradedPolynomial.one()
         for length, mult in enumerate(ctype, start=1):
             if mult:
@@ -65,11 +93,7 @@ def invariant_poincare(
         acc = acc + term.scale(count)
     ranks = {}
     for deg, c in acc.coefficients().items():
-        rank, rest = divmod(c, order)
-        if rest:
-            raise InternalConsistencyError(
-                f"non-integral coefficient {c}/{order} in degree {deg}"
-            )
+        rank = _exact_div(c, order, "coefficient in degree {}", deg)
         if rank < 0:
             raise InternalConsistencyError(
                 f"negative invariant rank {rank} in degree {deg}"

@@ -62,7 +62,7 @@ from collections import Counter
 from collections.abc import Iterator
 from functools import lru_cache
 
-from .errors import check_guard, guard_scale
+from .errors import Work, check_guard
 
 # Group work, in tuple entries: the entries the stabilizer chain composes,
 # counted as it is built, and |G| * degree before the first element is
@@ -192,14 +192,14 @@ def _stabilizer_chain(degree: int, generators) -> _Chain:
     one where it stopped (a new level, at its first moved point, if it
     passed them all).  Each pair is tested once, so the chain is complete
     when no pair is pending.  The group work guard counts the tuple entries
-    composed as the chain is built, against the limit scaled once.
+    composed as the chain is built, after each generator's sift and each
+    pending pair.
     """
-    limit = MAX_GROUP_WORK * guard_scale()
+    work = Work(MAX_GROUP_WORK, "group enumeration")
     identity = tuple(range(degree))
     chain = _Chain()
     points, strong, reps = chain.points, chain.strong, chain.transversals
     pending: list[tuple[int, Perm, Perm]] = []
-    work = 0
 
     def add(g: Perm, first: int, last: int) -> None:
         if last == len(points):
@@ -214,15 +214,12 @@ def _stabilizer_chain(degree: int, generators) -> _Chain:
 
     for g in generators:
         residue, level, sifted = _sift(chain, g)
-        work += sifted
         if residue != identity:
             add(residue, 0, level)
-        if work > limit:
-            check_guard(work, MAX_GROUP_WORK, "group enumeration")
+        work.add(sifted)
         while pending:
             level, s, u = pending.pop()
             v = _compose(s, u)
-            work += degree
             p = v[points[level]]
             t = reps[level].get(p)
             if t is None:
@@ -230,12 +227,11 @@ def _stabilizer_chain(degree: int, generators) -> _Chain:
                 pending.extend((level, s2, v) for s2 in strong[level])
             elif t != v:
                 residue, stop, sifted = _sift(chain, v, level)
-                work += sifted
                 if residue != identity:
                     add(residue, level + 1, stop)
-            if work > limit:
-                check_guard(work, MAX_GROUP_WORK, "group enumeration")
-    check_guard(work, MAX_GROUP_WORK, "group enumeration")
+                work.units += sifted
+            work.add(degree)
+    work.done()
     chain.levels = [list(transversal.values()) for transversal in reps]
     return chain
 
@@ -481,16 +477,15 @@ class PermutationGroupModel:
                 if points:
                     gens.setdefault(tie[points[0]], []).append(g)
             identity = tuple(range(self.degree))
-            work, limit = 0, MAX_GROUP_WORK * guard_scale()
+            work = Work(MAX_GROUP_WORK, "group enumeration")
 
             def splits_off(orbit: list[int], generators: list[Perm]) -> bool:
-                nonlocal work
                 for g in generators:
                     part = list(identity)
                     for p in orbit:
                         part[p] = g[p]
                     residue, _, sifted = _sift(chain, tuple(part))
-                    work += self.degree + sifted
+                    work.units += self.degree + sifted
                     if residue != identity:
                         return False
                 return True
@@ -499,7 +494,8 @@ class PermutationGroupModel:
             for root, group_orbits in tied.items():
                 rest: list[int] = []
                 for orbit in group_orbits:
-                    if len(group_orbits) > 1 and work <= limit and splits_off(orbit, gens[root]):
+                    if (len(group_orbits) > 1 and work.units <= work.limit
+                            and splits_off(orbit, gens[root])):
                         factors.append(_restrict(gens[root], orbit))
                     else:
                         rest += orbit
@@ -523,17 +519,17 @@ class PermutationGroupModel:
             if fixed:
                 fixed[0] = self.degree - sum(factor.degree for factor in factors)
             hist = Counter({tuple(fixed): 1})
-            work = 0
+            work = Work(MAX_GROUP_WORK, "group enumeration")
             for factor in factors:
                 part = _chain_histogram(factor._stabilizers(), factor.degree)
-                work += len(hist) * len(part) * self.degree
-                check_guard(work, MAX_GROUP_WORK, "group enumeration")
+                work.add(len(hist) * len(part) * self.degree)
                 merged: Counter[tuple[int, ...]] = Counter()
                 for ctype, count in hist.items():
                     for piece, times in part.items():
                         summed = tuple(map(operator.add, ctype, piece)) + ctype[len(piece):]
                         merged[summed] += count * times
                 hist = merged
+            work.done()
             self._cycle_types = hist
         return Counter(self._cycle_types)
 

@@ -67,7 +67,8 @@ def check_macdonald_burnside() -> str:
         for chi in range(-5, 6):
             left = chi_sp(chi, n)
             right = chi_gamma_product(chi, group)
-            assert left == right, f"chi_sp({chi},{n})={left} != average {right}"
+            if left != right:
+                raise AssertionError(f"chi_sp({chi},{n})={left} != average {right}")
             cases += 1
     return f"{cases} cases, n <= {n_max}"
 
@@ -79,8 +80,9 @@ def _against_oracles(kind: str, chi: int, columns: dict[int, list[int]]) -> int:
     for d, column in columns.items():
         for n in range(d, len(column)):
             for name, got in chi_oracles(kind, chi, n, d).items():
-                assert got == column[n], (
-                    f"chi_{kind}({chi},{n},{d}): formula {column[n]}, {name} {got}")
+                if got != column[n]:
+                    raise AssertionError(
+                        f"chi_{kind}({chi},{n},{d}): formula {column[n]}, {name} {got}")
             cases += 1
     return cases
 
@@ -106,21 +108,21 @@ def check_fd_corrected() -> str:
         formula = chi_columns("fd", chi, range(2, n_max + 1), n_max)
         if -4 <= chi <= 4:
             cases += _against_oracles("fd", chi, formula)
-        assert formula[2][3] == 3 * chi**2 - 2 * chi
+        if formula[2][3] != 3 * chi**2 - 2 * chi:
+            raise AssertionError
         for n in range(2, n_max + 1):
-            assert formula[n][n] == chi, f"thin diagonal at n={n}"
+            if formula[n][n] != chi:
+                raise AssertionError(f"thin diagonal at n={n}")
         for n in range(3, n_max + 1):
-            assert formula[n - 1][n] == n * chi**2 - (n - 1) * chi, (
-                f"two-block case at n={n}, chi={chi}"
-            )
+            if formula[n - 1][n] != n * chi**2 - (n - 1) * chi:
+                raise AssertionError(f"two-block case at n={n}, chi={chi}")
     # the coefficient-free variant: wrong for d >= 3
     chi = 2
     uncorrected = chi**3 - sum(
         falling_factorial(chi, sum(alpha)) for alpha in alpha_sequences(3, 2)
     )
-    assert uncorrected == 6 and chi_fd(2, 3, 3) == 2, (
-        f"coefficient witness: without {uncorrected}, with {chi_fd(2, 3, 3)}"
-    )
+    if not (uncorrected == 6 and chi_fd(2, 3, 3) == 2):
+        raise AssertionError(f"coefficient witness: without {uncorrected}, with {chi_fd(2, 3, 3)}")
     return f"{cases} oracle cases; coefficient-free variant rejected (6 != 2)"
 
 
@@ -130,9 +132,11 @@ def check_invariant_poincare() -> str:
     circle = preset("circle").poincare()
     z3 = cyclic_group(3)
     got_torus = invariant_poincare(torus, z3).to_list()
-    assert got_torus == [1, 2, 5, 8, 5, 2, 1], f"torus/Z3 ranks {got_torus}"
+    if got_torus != [1, 2, 5, 8, 5, 2, 1]:
+        raise AssertionError(f"torus/Z3 ranks {got_torus}")
     got_circle = invariant_poincare(circle, z3).to_list()
-    assert got_circle == [1, 1, 1, 1], f"circle/Z3 ranks {got_circle}"
+    if got_circle != [1, 1, 1, 1]:
+        raise AssertionError(f"circle/Z3 ranks {got_circle}")
     names = ["point", "circle", "sphere:2", "sphere:3", "torus", "surface:2",
              "projective_plane", "wedge_circles:3"]
     n_max = 5
@@ -142,9 +146,9 @@ def check_invariant_poincare() -> str:
         for n in range(1, n_max + 1):
             left = invariant_poincare(poly, symmetric_group_cached(n))
             right = macdonald_poincare_sp(poly, n)
-            assert left == right, (
-                f"{name}, n={n}: invariants {left.to_list()} != series {right.to_list()}"
-            )
+            if left != right:
+                raise AssertionError(
+                    f"{name}, n={n}: invariants {left.to_list()} != series {right.to_list()}")
             cases += 1
     return f"fixtures plus {cases} series identities"
 
@@ -153,13 +157,17 @@ def check_sphere_fixtures() -> str:
     """Published sphere fat-diagonal values and the chi = 0 vanishing."""
     sphere = chi_columns("bd", 2, (2,), 5)[2]
     vanishing = chi_columns("bd", 0, range(2, 9), 8)
-    assert sphere[4] == 5
-    assert sphere[5] == 6
-    assert vanishing[2][5] == 0
+    if sphere[4] != 5:
+        raise AssertionError
+    if sphere[5] != 6:
+        raise AssertionError
+    if vanishing[2][5] != 0:
+        raise AssertionError
     cases = 3
     for n in range(2, 9):
         for d in range(2, n + 1):
-            assert vanishing[d][n] == 0, f"chi_bd(0,{n},{d}) != 0"
+            if vanishing[d][n] != 0:
+                raise AssertionError(f"chi_bd(0,{n},{d}) != 0")
             cases += 1
     return f"{cases} fixture values"
 
@@ -173,15 +181,13 @@ def check_complement_product() -> str:
         fat = chi_columns("bd", chi, range(2, n_max + 1), n_max)
         for n in range(2, n_max + 1):
             for d in range(1, n):
-                assert upper[d][n] + fat[d + 1][n] == chi_sp(chi, n), (
-                    f"complement identity fails at chi={chi}, n={n}, d={d}"
-                )
+                if upper[d][n] + fat[d + 1][n] != chi_sp(chi, n):
+                    raise AssertionError(f"complement identity fails at chi={chi}, n={n}, d={d}")
                 cases += 1
             for d in range(2, n + 1):
                 if n >= 3 and d > n // 2:
-                    assert fat[d][n] == chi * chi_sp(chi, n - d), (
-                        f"product identity fails at chi={chi}, n={n}, d={d}"
-                    )
+                    if fat[d][n] != chi * chi_sp(chi, n - d):
+                        raise AssertionError(f"product identity fails at chi={chi}, n={n}, d={d}")
                     cases += 1
     return f"{cases} identity cases, n <= {n_max}"
 
@@ -209,17 +215,21 @@ def random_connected_graphs(count: int):
 def check_graph_configuration() -> str:
     """Closed graph formula against the discretized cell count."""
     gamma1, gamma2 = fixture("gamma1"), fixture("gamma2")
-    assert farber_chi_f2(gamma1) == -4
-    assert farber_chi_f2(gamma2) == -6
-    assert discretized_chi_f2(gamma1) == -4
-    assert discretized_chi_f2(gamma2) == -6
+    if farber_chi_f2(gamma1) != -4:
+        raise AssertionError
+    if farber_chi_f2(gamma2) != -6:
+        raise AssertionError
+    if discretized_chi_f2(gamma1) != -4:
+        raise AssertionError
+    if discretized_chi_f2(gamma2) != -6:
+        raise AssertionError
     count = 50
     for graph in random_connected_graphs(count):
         left = farber_chi_f2(graph)
         right = discretized_chi_f2(graph)
-        assert left == right, (
-            f"graph {graph.vertices}/{graph.edges}: formula {left}, cells {right}"
-        )
+        if left != right:
+            raise AssertionError(
+                f"graph {graph.vertices}/{graph.edges}: formula {left}, cells {right}")
     return f"fixtures plus {count} random graphs"
 
 
@@ -231,14 +241,18 @@ def check_depth_length() -> str:
     depth_of, length_of = cache(depth), cache(group_length)
     sym = symmetric_group_cached
     for n in range(1, n_max + 1):
-        assert depth_of(sym(n)) == n - 1, f"depth(S_{n})"
+        if depth_of(sym(n)) != n - 1:
+            raise AssertionError(f"depth(S_{n})")
     regular = regular_representation(sym(3))
-    assert depth_of(regular) == 2 == length_of(sym(3))
+    if not (depth_of(regular) == 2 == length_of(sym(3))):
+        raise AssertionError
     expected = [0, 1, 2, 4, 5, 6, 7, 10, 11, 12]
     for n in range(1, 11):
-        assert length_sn(n) == expected[n - 1], f"length_sn({n})"
+        if length_sn(n) != expected[n - 1]:
+            raise AssertionError(f"length_sn({n})")
     for n in range(1, 5):
-        assert length_of(sym(n)) == length_sn(n), n
+        if length_of(sym(n)) != length_sn(n):
+            raise AssertionError(n)
     battery = [
         trivial_group(3),
         cyclic_group(4),
@@ -252,11 +266,11 @@ def check_depth_length() -> str:
     ]
     for group in battery:
         d_val, l_val = depth_of(group), length_of(group)
-        assert d_val <= l_val, (
-            f"depth {d_val} > length {l_val} at degree {group.degree}"
-        )
+        if d_val > l_val:
+            raise AssertionError(f"depth {d_val} > length {l_val} at degree {group.degree}")
     for n in (5, 6):
-        assert depth_of(sym(n)) == n - 1 < length_sn(n)
+        if not (depth_of(sym(n)) == n - 1 < length_sn(n)):
+            raise AssertionError
     # a Young subgroup S_l1 x S_l2 x ... stabilizes exactly the patterns
     # that refine its orbits, a product of partition lattices, so its depth
     # is the degree minus the number of orbits (fixed points included)
@@ -271,7 +285,8 @@ def check_depth_length() -> str:
             start += size
         orbits = len(sizes) + degree - sum(sizes)
         got = depth(PermutationGroupModel(degree, gens))
-        assert got == degree - orbits, f"depth(S_{sizes} on {degree} points) = {got}"
+        if got != degree - orbits:
+            raise AssertionError(f"depth(S_{sizes} on {degree} points) = {got}")
     return (f"depth table n <= {n_max}, battery of {len(battery)} groups, "
             f"{len(young)} Young subgroups")
 
@@ -289,18 +304,21 @@ def check_pi1_descriptors() -> str:
         sym(6),
     ]
     for group in transitive:
-        assert group.is_transitive()
+        if not group.is_transitive():
+            raise AssertionError
         expr = pi1_gamma_product(opaque, group)
-        assert (expr.pi1_exponent, expr.h1_exponent) == (0, 1), (
-            f"transitive degree {group.degree} gave {expr.display()}"
-        )
+        if (expr.pi1_exponent, expr.h1_exponent) != (0, 1):
+            raise AssertionError(f"transitive degree {group.degree} gave {expr.display()}")
     embed_fix = PermutationGroupModel(4, ["(1 2)"])
     embed_free = PermutationGroupModel(4, ["(1 3)(2 4)"])
     first = pi1_gamma_product(opaque, embed_fix)
     second = pi1_gamma_product(opaque, embed_free)
-    assert (first.pi1_exponent, first.h1_exponent) == (2, 1), first.display()
-    assert (second.pi1_exponent, second.h1_exponent) == (0, 2), second.display()
-    assert first != second
+    if (first.pi1_exponent, first.h1_exponent) != (2, 1):
+        raise AssertionError(first.display())
+    if (second.pi1_exponent, second.h1_exponent) != (0, 2):
+        raise AssertionError(second.display())
+    if first == second:
+        raise AssertionError
     cases = 0
     for n in range(1, 9):
         for d in range(1, n + 1):
@@ -313,9 +331,8 @@ def check_pi1_descriptors() -> str:
                 want = (2, 0)
             else:
                 want = (1, 1)
-            assert (expr.pi1_exponent, expr.h1_exponent) == want, (
-                f"pi1_bd branch at n={n}, d={d}: {expr.display()}"
-            )
+            if (expr.pi1_exponent, expr.h1_exponent) != want:
+                raise AssertionError(f"pi1_bd branch at n={n}, d={d}: {expr.display()}")
             cases += 1
     # the abelian criterion for quotients of the ordered fat diagonal agrees
     # with the unordered branch table where both speak, for S_n and for A_n,
@@ -323,14 +340,21 @@ def check_pi1_descriptors() -> str:
     for n in range(1, 13):
         full, even = sym(n), alternating_group(n)
         for d in range(1, n // 2 + 1):
-            assert pi1_bgamma_abelian(full, n, d), (n, d)
-            assert n < 3 or pi1_bgamma_abelian(even, n, d), (n, d)
-            assert pi1_bd(opaque, n, d).pi1_exponent == 0, (n, d)
+            if not pi1_bgamma_abelian(full, n, d):
+                raise AssertionError((n, d))
+            if not (n < 3 or pi1_bgamma_abelian(even, n, d)):
+                raise AssertionError((n, d))
+            if pi1_bd(opaque, n, d).pi1_exponent != 0:
+                raise AssertionError((n, d))
         if n >= 4:
-            assert even.is_d_transitive(n - 2) and not even.is_d_transitive(n - 1), n
-    assert not pi1_bgamma_abelian(cyclic_group(4), 4, 2)
-    assert str(pi1_bd(circle, 4, 2).abelian_descriptor()) == "Z"
-    assert pi1_bd(circle, 4, 3).display() == "H1(X)^2"
+            if not (even.is_d_transitive(n - 2) and not even.is_d_transitive(n - 1)):
+                raise AssertionError(n)
+    if pi1_bgamma_abelian(cyclic_group(4), 4, 2):
+        raise AssertionError
+    if str(pi1_bd(circle, 4, 2).abelian_descriptor()) != "Z":
+        raise AssertionError
+    if pi1_bd(circle, 4, 3).display() != "H1(X)^2":
+        raise AssertionError
     return f"{len(transitive)} transitive groups, branch table {cases} cells"
 
 
@@ -352,23 +376,28 @@ def check_partition_infrastructure() -> str:
                 alpha[runs.count(label) - 1] += 1
             by_blocks[blocks] += count
             by_type[tuple(alpha)] += count
-        assert sum(by_blocks.values()) == bell_number(n), f"Bell({n})"
+        if sum(by_blocks.values()) != bell_number(n):
+            raise AssertionError(f"Bell({n})")
         for alpha in alpha_sequences(n, n) if n else []:
             want = count_set_partitions_of_type(alpha)
             got = by_type[alpha]
-            assert want == got, f"type {alpha}: count {want} != {got}"
+            if want != got:
+                raise AssertionError(f"type {alpha}: count {want} != {got}")
             cases += 1
         for chi in range(-4, 5):
             total = sum(count * falling_factorial(chi, k) for k, count in by_blocks.items())
-            assert total == chi**n, f"Stirling identity at chi={chi}, n={n}"
+            if total != chi**n:
+                raise AssertionError(f"Stirling identity at chi={chi}, n={n}")
     # d = 2 closed forms against the general ones, at the chi = +-5 that
     # criteria 2 and 3 (chi in -4..4) leave out
     for chi in (-5, 5):
         ordered = chi_columns("fd", chi, (2,), n_max)[2]
         unordered = chi_columns("bd", chi, (2,), n_max)[2]
         for n in range(2, n_max + 1):
-            assert chi_f2(chi, n) == ordered[n]
-            assert chi_b2(chi, n) == unordered[n]
+            if chi_f2(chi, n) != ordered[n]:
+                raise AssertionError
+            if chi_b2(chi, n) != unordered[n]:
+                raise AssertionError
     return f"Bell + {cases} type counts, Stirling identity, d=2 forms, n <= {n_max}"
 
 

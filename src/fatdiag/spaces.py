@@ -19,8 +19,10 @@ Torsion is tracked only in H_1, where the fundamental-group descriptors need
 it; higher integral homology is out of scope.
 """
 
+from collections import Counter
+
 from .algebra import GradedPolynomial
-from .errors import check_guard
+from .errors import Work, check_guard
 
 PARITIES = ("even", "odd", "none")
 PI1_KINDS = ("trivial", "abelian", "opaque")
@@ -33,10 +35,13 @@ MAX_SPACE_SIZE = 10**5
 MAX_LABEL_DEPTH = 100
 
 
-def _prime_factors(n: int) -> dict[int, int]:
+def _prime_factors(n: int, work: Work) -> dict[int, int]:
+    """The prime factorization of n by trial division, each trial divisor
+    counted on work."""
     out: dict[int, int] = {}
     p = 2
     while p * p <= n:
+        work.add(1)
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
@@ -56,11 +61,13 @@ def invariant_factors(torsion) -> tuple[int, ...]:
     (2, 12)
     """
     by_prime: dict[int, list[int]] = {}
-    for t in torsion:
+    work = Work(MAX_SPACE_SIZE, "space size")
+    for t, copies in Counter(torsion).items():
         if t < 2:
             raise ValueError(f"torsion orders must be >= 2, got {t}")
-        for p, e in _prime_factors(t).items():
-            by_prime.setdefault(p, []).append(e)
+        for p, e in _prime_factors(t, work).items():
+            by_prime.setdefault(p, []).extend([e] * copies)
+    work.done()
     k = max((len(v) for v in by_prime.values()), default=0)
     factors = [1] * k
     for p, exps in by_prime.items():
@@ -373,12 +380,9 @@ def parse_space(text: str) -> SpaceModel:
     *.json path holding the JSON schema."""
     text = text.strip()
     if text.startswith(("{", "@")) or text.endswith(".json"):
-        from .jsonread import loads
+        from .jsonread import load
 
-        if text.startswith("{"):
-            return space_from_json(loads(text))
-        with open(text.removeprefix("@"), "r", encoding="utf-8") as fh:
-            return space_from_json(loads(fh.read()))
+        return space_from_json(load(text))
     factors = [part.strip() for part in text.split(" x ")]
     if not all(factors):
         raise ValueError(f"cannot parse space {text!r}")

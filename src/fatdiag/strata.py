@@ -44,7 +44,7 @@ products.  Each guard counts the work of all factors together.
 import math
 from functools import lru_cache
 
-from .errors import check_guard, guard_scale
+from .errors import Work
 from .permgroup import Perm, PermutationGroupModel, _closure, _compose
 
 # Refinement tests and joins of the depth search, counted as it makes them,
@@ -57,22 +57,6 @@ MAX_DEPTH_WORK = 2 * 10**6
 # 16 ms), the search of all its 156 subgroups 3.9 * 10^6 (1.2 s); S_6, A_6
 # and A_7 trip the guard after about 1 s.
 MAX_SUBGROUP_WORK = 4 * 10**6
-
-
-class _Work:
-    """One guard's work count, shared by the climbs of all direct factors
-    and checked, against the limit scaled once, as it grows."""
-
-    __slots__ = ("units", "limit", "cap", "what")
-
-    def __init__(self, cap: float, what: str) -> None:
-        self.units, self.cap, self.what = 0, cap, what
-        self.limit = cap * guard_scale()
-
-    def add(self, units: int) -> None:
-        self.units += units
-        if self.units > self.limit:
-            check_guard(self.units, self.cap, self.what)
 
 
 def _climb(start, moves, bound):
@@ -103,9 +87,9 @@ def _climb(start, moves, bound):
 def _factor_sum(group: PermutationGroupModel, height, cap: int, what: str) -> int:
     """The sum of height(factor, work) over the direct factors of group,
     with one work count for them all, guarded on cap as what."""
-    work = _Work(cap, what)
+    work = Work(cap, what)
     total = sum(height(factor, work) for factor in group.direct_factors())
-    check_guard(work.units, cap, what)
+    work.done()
     return total
 
 
@@ -214,7 +198,7 @@ def depth(group: PermutationGroupModel) -> int:
     return _factor_sum(group, _factor_depth, MAX_DEPTH_WORK, "stratification depth")
 
 
-def _factor_depth(group: PermutationGroupModel, work: _Work) -> int:
+def _factor_depth(group: PermutationGroupModel, work: Work) -> int:
     """The height of the join lattice of one factor; a state is a pattern's
     labels and number of blocks."""
     n = group.degree
@@ -256,7 +240,7 @@ def _omega(m: int) -> int:
     return 0 if m == 1 else 1 + _omega(m // p)
 
 
-def _subgroup_climb(group: PermutationGroupModel, work: _Work, bound):
+def _subgroup_climb(group: PermutationGroupModel, work: Work, bound):
     """_climb over the subgroups, as frozensets of elements, from the
     trivial one, with bound(|G:S|) the bound of S: a subgroup S, kept with
     generators, steps to its join with one representative g of each coset
@@ -290,9 +274,9 @@ def _subgroup_climb(group: PermutationGroupModel, work: _Work, bound):
 def all_subgroups(group: PermutationGroupModel) -> set[frozenset[Perm]]:
     """Every subgroup, as a frozenset of elements: the subgroup climb with
     no bound, guarded on its own work."""
-    work = _Work(MAX_SUBGROUP_WORK, "subgroup enumeration")
+    work = Work(MAX_SUBGROUP_WORK, "subgroup enumeration")
     found = _subgroup_climb(group, work, lambda index: math.inf)[1]
-    check_guard(work.units, MAX_SUBGROUP_WORK, "subgroup enumeration")
+    work.done()
     return set(found)
 
 

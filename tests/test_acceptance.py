@@ -9,8 +9,11 @@ pytest -v through the test name, and in captured output on failure).
 from __future__ import annotations
 
 import re
+import subprocess
+import sys
 
 import pytest
+from test_cli import _child_env
 
 from fatdiag import selfcheck
 from fatdiag.cli import main
@@ -126,3 +129,25 @@ def test_cli_verify_stdout_is_pinned(capsys):
         assert [line.split(":")[0] for line in lines] == [
             f"ok   {name}" for name, _ in selfcheck.CHECKS]
         assert all(re.search(r" \(\d+\.\d ms\)$", line) for line in lines), lines
+
+
+# The battery in a child, with the symmetric-product formula made wrong:
+# prints whether asserts run, then each failed check's name and detail.
+_WRONG_FORMULA_BATTERY = """
+from fatdiag import selfcheck
+selfcheck.chi_sp = lambda chi, n: 12345
+print(__debug__)
+for outcome in selfcheck.run_suite():
+    if not outcome.passed:
+        print(outcome.name, outcome.detail, sep=": ")
+"""
+
+
+def test_battery_checks_under_python_O():
+    # python -O strips assert statements; the checks raise AssertionError
+    # themselves, so a wrong formula still fails its criterion
+    proc = subprocess.run([sys.executable, "-O", "-c", _WRONG_FORMULA_BATTERY],
+                          env=_child_env(), capture_output=True, text=True, check=True)
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "False"
+    assert "macdonald-burnside: chi_sp(-5,0)=12345 != average 1" in lines[1:], lines

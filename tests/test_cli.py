@@ -445,6 +445,41 @@ def test_graph_chi2_inline_json(capsys):
     assert payload["result"] == "0"
 
 
+def test_graph_json_file_with_or_without_at(capsys, tmp_path):
+    # --graph reads any path, as --space reads an @path: both through
+    # jsonread.load
+    path = tmp_path / "path3.json"
+    path.write_text('{"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"]]}')
+    for ref in (str(path), "@" + str(path)):
+        payload = run_json(capsys, "graph", "chi2", "--graph", ref)
+        assert (payload["result"], payload["inputs"]["edges"]) == ("2", 2)
+    rc, out, err = run(capsys, "graph", "chi2", "--graph", "@" + str(tmp_path / "none.json"))
+    assert rc == 1 and out == "" and "No such file" in err
+
+
+def test_large_inputs_of_spaces_are_guarded(capsys, monkeypatch):
+    # a torsion order with a large prime factor is refused on its trial
+    # divisions, and a long Betti vector on its coefficient products,
+    # before the first; 10^5 copies of Z/2 still answer
+    from fatdiag.algebra import GradedPolynomial
+
+    def refuse(self, other):
+        raise AssertionError("a product was made")
+
+    monkeypatch.setattr(GradedPolynomial, "__mul__", refuse)
+    for argv in (
+        ("chi", "gamma", "--space", '{"betti":[1],"h1":{"rank":0,"torsion":[100000000000031]}}',
+         "--degree", "2", "--gens", ""),
+        ("betti", "gamma", "--space", '{"betti": [%s]}' % ", ".join(["1"] * 3001),
+         "--degree", "2", "--gens", ""),
+    ):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 4 and out == "", err
+    payload = run_json(capsys, "pi1", "gamma", "--space", "projective_plane",
+                       "--degree", "100000", "--gens", "")
+    assert payload["result"]["abelian"]["torsion"] == ["2"] * 100000
+
+
 def test_graph_oracle_is_guarded_before_it_counts(capsys, monkeypatch):
     # K_60 subdivides to 60 + 5 * 1770 = 8910 cells, 39.7 * 10^6 pair
     # tests: the guard refuses it before subdividing or counting anything
@@ -727,6 +762,12 @@ def test_malformed_input_is_usage_error(capsys):
          '{"vertices": ["a", "b", "a"], "edges": [["a", "b"]]}'),
         ("graph", "chi2", "--graph", '{"vertices": 3, "edges": []}'),
         ("graph", "chi2", "--graph", '{"vertices": ["a", "b"], "edges": [3]}'),
+        # labels are strings or integers: true is no vertex "True", and an
+        # endpoint 1.0 no vertex "1.0"
+        ("graph", "chi2", "--graph", '{"vertices":[true,"a"],"edges":[[true,"a"]]}'),
+        ("graph", "chi2", "--graph",
+         '{"vertices":[false,"a","b"],"edges":[["False","a"],["a","b"]]}'),
+        ("graph", "chi2", "--graph", '{"vertices":["1.0","a"],"edges":[[1.0,"a"]]}'),
     ]
     for argv in cases:
         rc, out, err = run(capsys, *argv)

@@ -8,6 +8,8 @@ from fatdiag.errors import (
     OracleMismatchError,
     ResourceGuardError,
     UnsupportedSpaceError,
+    Work,
+    _exact_div,
     check_guard,
     guard_scale,
 )
@@ -80,3 +82,27 @@ def test_guard_message_mentions_knob(guard_scale_env):
     guard_scale_env(None)
     with pytest.raises(ResourceGuardError, match="FATDIAG_GUARD_SCALE"):
         check_guard(2, 1, "thing")
+
+
+def test_work_checks_as_it_grows_and_when_done(guard_scale_env):
+    guard_scale_env(None)
+    work = Work(10, "counted thing")
+    work.units += 11  # unchecked until the next add or done()
+    with pytest.raises(ResourceGuardError, match="counted thing: size 11 "):
+        work.done()
+    work = Work(10, "counted thing")
+    work.add(10)
+    work.done()
+    with pytest.raises(ResourceGuardError, match="size 12 "):
+        work.add(2)
+    guard_scale_env("2")
+    work = Work(10, "counted thing")  # the limit is scaled when the count starts
+    work.add(20)
+    assert work.limit == 20
+    work.done()
+
+
+def test_exact_division():
+    assert _exact_div(-12, 4, "unused {}", 1) == -3
+    with pytest.raises(InternalConsistencyError, match=r"^f\(2, 3\): non-integral value 7/2$"):
+        _exact_div(7, 2, "f({}, {})", 2, 3)

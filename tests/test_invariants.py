@@ -4,7 +4,10 @@ import pytest
 
 from fatdiag.algebra import GradedPolynomial
 from fatdiag.eulerchar import chi_gamma_product, chi_sp
+from fatdiag.errors import ResourceGuardError
 from fatdiag.invariants import (
+    MAX_POINCARE_WORK,
+    _poincare_work,
     graded_trace_cycle,
     invariant_poincare,
     macdonald_poincare_sp,
@@ -128,3 +131,25 @@ def test_macdonald_agrees_with_invariant_definition_wedge():
 def test_graded_trace_rejects_bad_length():
     with pytest.raises(ValueError):
         graded_trace_cycle(TORUS, 0)
+
+
+def test_coefficient_products_are_guarded_before_the_first(monkeypatch):
+    # 3,001 Betti numbers on two points took 1.6 s, 6,001 took 5.2 s; the
+    # bound 3 * (2 * 3000 + 1)^2 products is refused before any is made
+    long_vector = GradedPolynomial.from_list([1] * 3001)
+
+    def refuse(self, other):
+        raise AssertionError("a product was made")
+
+    monkeypatch.setattr(GradedPolynomial, "__mul__", refuse)
+    with pytest.raises(ResourceGuardError, match=r"invariant Poincare products: size 108036003 "):
+        invariant_poincare(long_vector, trivial_group(2))
+    monkeypatch.undo()
+    # the bound counts terms, not degrees: a sparse top degree of 10^5 is cheap
+    sparse = GradedPolynomial({0: 1, 10**5: 1})
+    assert _poincare_work(sparse, 2, trivial_group(2).cycle_type_histogram()) == 3 * 4**2
+    assert invariant_poincare(sparse, trivial_group(2)).to_list()[::10**5] == [1, 2, 1]
+    # and the roster's spaces stay far below the limit on S_8
+    s8 = symmetric_group(8).cycle_type_histogram()
+    for name in ("surface:2", "torus", "wedge_circles:2"):
+        assert _poincare_work(preset(name).poincare(), 8, s8) < MAX_POINCARE_WORK / 10

@@ -10,7 +10,7 @@ import random
 import pytest
 from test_cli import ADVERSARIAL_LABELS
 
-from fatdiag.jsonread import loads
+from fatdiag.jsonread import load, loads
 
 
 def _outcome(parse, text: str) -> str:
@@ -99,3 +99,13 @@ def test_depth_needs_no_recursion():
     assert value == []
     with pytest.raises(ValueError):
         loads("[" * depth + "]" * (depth - 1))
+
+
+def test_load_reads_inline_text_or_a_file(tmp_path):
+    doc = '{"betti": [1, 0, 1]}'
+    path = tmp_path / "doc.json"
+    path.write_text(doc)
+    for ref in (doc, "  " + doc, str(path), "@" + str(path)):
+        assert load(ref) == {"betti": [1, 0, 1]}, ref
+    with pytest.raises(OSError):
+        load("@" + str(tmp_path / "missing.json"))

@@ -200,3 +200,24 @@ def test_space_size_guard():
     assert len(parse_space(" x ".join(["circle"] * 300)).betti) == 301
     with pytest.raises(ResourceGuardError, match="space size"):
         parse_space(" x ".join(["circle"] * 320))
+
+
+def test_torsion_factoring_is_guarded_on_its_trial_divisions(monkeypatch):
+    # trial division up to sqrt(t): a prime order near 10^14 took 3 s, and
+    # one near 10^32 would never end; both pass the space-size guard's
+    # 10^5 divisors within milliseconds
+    for order in (100000000000031, 99999999999999999999999999999989):
+        with pytest.raises(ResourceGuardError, match="space size"):
+            invariant_factors([order])
+    # a smooth order needs few divisors, and each distinct order is
+    # factored once, so 10^5 copies cost no more than one
+    assert invariant_factors([2**60, 6, 6, 10]) == (2, 2, 6, 2**60 * 15)
+    assert invariant_factors([99991] * 10**5) == (99991,) * 10**5
+    import fatdiag.spaces
+
+    factored = []
+    factor = fatdiag.spaces._prime_factors
+    monkeypatch.setattr(fatdiag.spaces, "_prime_factors",
+                        lambda n, work: factored.append(n) or factor(n, work))
+    assert invariant_factors([4, 2, 3, 2, 4]) == (2, 2, 4, 12)
+    assert sorted(factored) == [2, 3, 4]

@@ -9,7 +9,7 @@ from test_permgroup import _product_groups, _random_groups, _roster
 
 from fatdiag import combinatorics, permgroup, strata
 from fatdiag.combinatorics import set_partitions, set_partitions_cached
-from fatdiag.errors import ResourceGuardError
+from fatdiag.errors import ResourceGuardError, Work
 from fatdiag.permgroup import (
     PermutationGroupModel,
     _compose,
@@ -25,7 +25,6 @@ from fatdiag.strata import (
     _cycle_partition,
     _factor_depth,
     _longest_chain,
-    _Work,
     all_subgroups,
     depth,
     group_length,
@@ -371,7 +370,7 @@ def test_products_equal_their_factors():
     cases += [group for group, _ in _product_groups(40, seed=15, max_degree=8)]
     for group in cases:
         factors = group.direct_factors()
-        whole = _factor_depth(group, _Work(math.inf, "stratification depth"))
+        whole = _factor_depth(group, Work(math.inf, "stratification depth"))
         assert depth(group) == whole == _reference_depth(group), group.generators
         assert depth(group) == sum(depth(f) for f in factors)
         if group.order() <= 48:
