@@ -5,11 +5,15 @@ Every computation prints a single JSON envelope on stdout:
     {"schema": "fatdiag/1", "command": "chi bd", "inputs": {...},
      "result": ..., "oracle_results": {...}}
 
-Exact integers in results are serialized as decimal strings so no JSON
-consumer can round them, under a guard on their size (exit 4); polynomial
+Every exact integer of a result, an echo or a count is written by _exact:
+a decimal string no JSON consumer can round, of any length past Python's
+4300-digit str() limit, under a guard on its size (exit 4).  Polynomial
 results are degree -> coefficient maps; group expressions are structured
-objects.  Diagnostics go to stderr only, and identical invocations
-produce byte-identical stdout.
+objects, whose abelian group is guarded on its printed size before it is
+built.  The five commands on a group, chi|betti|pi1 gamma and strata
+depth|length, share one handler that parses the space and the group and
+writes their echo.  Diagnostics go to stderr only, and identical
+invocations produce byte-identical stdout.
 
 Exit codes: 0 success, 1 usage error, 2 unsupported space or parity,
 3 oracle or verification mismatch, 4 resource guard tripped, 5 internal
@@ -141,13 +145,16 @@ def _emit(command: str, inputs: dict, result, oracle_results=None) -> None:
 
 
 def _exact(value: int) -> str:
-    """Decimal string of an exact integer result.
-
-    Python refuses str() on integers over 4300 digits by default, because
-    the conversion is quadratic in the length; the limit is lifted for this
-    conversion only, and the result is guarded on its size instead.
-    """
+    """Decimal string of an exact integer, guarded on its size: the one way
+    this module writes a result or a count as text."""
     check_guard(value.bit_length(), MAX_RESULT_BITS, "result size")
+    return _unlimited_str(value)
+
+
+def _unlimited_str(value) -> str:
+    """str(value) past Python's default refusal to write integers over 4300
+    digits, a conversion quadratic in the length: the limit is lifted for
+    this call only, and the caller has guarded every integer in value."""
     if not hasattr(sys, "set_int_max_str_digits"):  # no limit before 3.10.7
         return str(value)
     limit = sys.get_int_max_str_digits()
@@ -215,7 +222,7 @@ def _space_echo(space) -> dict:
     return {
         "label": space.label,
         "betti": list(space.betti),
-        "euler": str(space.euler()),
+        "euler": _exact(space.euler()),
         "parity": space.parity,
     }
 
@@ -223,20 +230,23 @@ def _space_echo(space) -> dict:
 def _expression_payload(expr) -> dict:
     payload = {
         "display": expr.display(),
-        "pi1_exponent": str(expr.pi1_exponent),
-        "h1_exponent": str(expr.h1_exponent),
+        "pi1_exponent": _exact(expr.pi1_exponent),
+        "h1_exponent": _exact(expr.h1_exponent),
         "pi1_kind": expr.pi1_kind,
         "qualifier": "exact",
+        "abelian": None,
     }
     if expr.is_concrete():
+        # the power prints each torsion order h1_exponent times (twice, with
+        # the display): its size is guarded before the power is built
+        bits = expr.h1_exponent * sum(t.bit_length() for t in expr.h1.torsion)
+        check_guard(bits, MAX_RESULT_BITS, "result size")
         group = expr.abelian_descriptor()
         payload["abelian"] = {
-            "rank": str(group.rank),
-            "torsion": [str(t) for t in group.torsion],
-            "display": str(group),
+            "rank": _exact(group.rank),
+            "torsion": [_exact(t) for t in group.torsion],
+            "display": _unlimited_str(group),
         }
-    else:
-        payload["abelian"] = None
     return payload
 
 
@@ -248,17 +258,11 @@ def _cmd_chi(args) -> int:
     chi = space.euler()
     kind = args.variant
     if kind == "sp":
-        n, n_hi = _parse_range(args.n, "-n")
-        if n != n_hi:
-            raise UsageError("chi sp takes a single -n")
+        n = args.n
         if n < 0:
             raise UsageError("-n must be >= 0")
         check_guard(chi_sp_bits(chi, n), MAX_RESULT_BITS, "result size")
-        _emit(
-            "chi sp",
-            {"space": _space_echo(space), "n": n},
-            _exact(chi_sp(chi, n)),
-        )
+        _emit("chi sp", {"space": _space_echo(space), "n": n}, _exact(chi_sp(chi, n)))
         return 0
 
     d_min = 1 if kind == "bupper" else 2
@@ -282,10 +286,11 @@ def _cmd_chi(args) -> int:
     if args.verify:
         for (n, d), value in zip(cells, values):
             oracles = chi_oracles(kind, chi, n, d)
-            bad = ", ".join(f"{name}={got}" for name, got in sorted(oracles.items())
+            bad = ", ".join(f"{name}={_exact(got)}" for name, got in sorted(oracles.items())
                             if got != value)
             if bad:
-                raise OracleMismatchError(f"chi {kind}({chi}, {n}, {d}) = {value} but {bad}")
+                raise OracleMismatchError(
+                    f"chi {kind}({_exact(chi)}, {n}, {d}) = {_exact(value)} but {bad}")
 
     if args.csv:
         lines = [f"{n},{d},{_exact(value)}" for (n, d), value in zip(cells, values)]
@@ -302,11 +307,22 @@ def _cmd_chi(args) -> int:
     return 0
 
 
-def _cmd_chi_gamma(args) -> int:
-    from .eulerchar import chi_gamma_bits, chi_gamma_product
+def _cmd_pi1_bd(args) -> int:
+    from .fundgroup import pi1_bd
 
     space = _space(args)
-    group = _group(args)
+    try:
+        expr = pi1_bd(space, args.n, args.d)
+    except ValueError as exc:
+        raise UsageError(str(exc))
+    _emit("pi1 bd", {"space": _space_echo(space), "n": args.n, "d": args.d},
+          _expression_payload(expr))
+    return 0
+
+
+def _chi_gamma(space, group) -> str:
+    from .eulerchar import chi_gamma_bits, chi_gamma_product
+
     chi = space.euler()
     if chi > 0:
         # every term is positive, so the average is at least the identity's
@@ -314,71 +330,50 @@ def _cmd_chi_gamma(args) -> int:
         # computed when even that is too long
         bits = chi_gamma_bits(chi, group.degree) - (group.order() - 1).bit_length()
         check_guard(bits, MAX_RESULT_BITS, "result size")
-    value = chi_gamma_product(chi, group)
-    _emit(
-        "chi gamma",
-        {"space": _space_echo(space), "degree": args.degree, "gens": args.gens,
-         "group_order": str(group.order())},
-        _exact(value),
-    )
-    return 0
+    return _exact(chi_gamma_product(chi, group))
 
 
-def _cmd_betti_gamma(args) -> int:
+def _betti_gamma(space, group) -> dict:
     from .invariants import invariant_poincare
 
-    space = _space(args)
-    group = _group(args)
     poly = invariant_poincare(space.poincare(), group)
-    result = {str(deg): _exact(c) for deg, c in sorted(poly.coefficients().items())}
-    _emit(
-        "betti gamma",
-        {"space": _space_echo(space), "degree": args.degree, "gens": args.gens,
-         "group_order": str(group.order())},
-        result,
-    )
-    return 0
+    return {_exact(deg): _exact(c) for deg, c in sorted(poly.coefficients().items())}
 
 
-def _cmd_pi1(args) -> int:
-    from .fundgroup import pi1_bd, pi1_gamma_product
+def _pi1_gamma(space, group) -> dict:
+    from .fundgroup import pi1_gamma_product
 
-    space = _space(args)
-    if args.variant == "bd":
-        (n, n_hi), (d, d_hi) = _parse_range(args.n, "-n"), _parse_range(args.d, "-d")
-        if n != n_hi or d != d_hi:
-            raise UsageError("pi1 bd takes single -n and -d")
-        try:
-            expr = pi1_bd(space, n, d)
-        except ValueError as exc:
-            raise UsageError(str(exc))
-        _emit(
-            "pi1 bd",
-            {"space": _space_echo(space), "n": n, "d": d},
-            _expression_payload(expr),
-        )
-    else:
-        group = _group(args)
-        expr = pi1_gamma_product(space, group)
-        _emit(
-            "pi1 gamma",
-            {"space": _space_echo(space), "degree": args.degree, "gens": args.gens,
-             "group_order": str(group.order())},
-            _expression_payload(expr),
-        )
-    return 0
+    return _expression_payload(pi1_gamma_product(space, group))
 
 
-def _cmd_strata(args) -> int:
-    from .strata import depth, group_length
+def _strata_depth(space, group) -> str:
+    from .strata import depth
 
+    return _exact(depth(group))
+
+
+def _strata_length(space, group) -> str:
+    from .strata import group_length
+
+    return _exact(group_length(group))
+
+
+# The result of each command on a group, from the space (None for strata)
+# and the group; each imports the modules it runs.
+_GROUP_RESULTS = {("chi", "gamma"): _chi_gamma, ("betti", "gamma"): _betti_gamma,
+                  ("pi1", "gamma"): _pi1_gamma, ("strata", "depth"): _strata_depth,
+                  ("strata", "length"): _strata_length}
+
+
+def _cmd_group(args) -> int:
+    """A command on a group: the space, when it takes one, is parsed before
+    the group, and the result is computed before the group's order."""
+    space = _space(args) if hasattr(args, "space") else None
     group = _group(args)
-    value = depth(group) if args.variant == "depth" else group_length(group)
-    _emit(
-        f"strata {args.variant}",
-        {"degree": args.degree, "gens": args.gens, "group_order": str(group.order())},
-        str(value),
-    )
+    result = _GROUP_RESULTS[args.command, args.variant](space, group)
+    inputs = {} if space is None else {"space": _space_echo(space)}
+    inputs.update(degree=args.degree, gens=args.gens, group_order=_exact(group.order()))
+    _emit(f"{args.command} {args.variant}", inputs, result)
     return 0
 
 
@@ -404,14 +399,13 @@ def _cmd_graph(args) -> int:
         cell_count = discretized_chi_f2(graph)
         if cell_count != value:
             raise OracleMismatchError(
-                f"graph chi2 = {value} but discretized count = {cell_count}"
-            )
-        oracles = {"discretized": str(cell_count)}
+                f"graph chi2 = {_exact(value)} but discretized count = {_exact(cell_count)}")
+        oracles = {"discretized": _exact(cell_count)}
     _emit(
         "graph chi2",
         {"graph": ref, "vertices": graph.num_vertices, "edges": graph.num_edges,
          "oracle": bool(args.oracle)},
-        str(value),
+        _exact(value),
         oracles,
     )
     return 0
@@ -428,8 +422,8 @@ def _cmd_verify(args) -> int:
     failed = [o for o in outcomes if not o.passed]
     result = {
         "suite": args.suite,
-        "passed": str(len(outcomes) - len(failed)),
-        "failed": str(len(failed)),
+        "passed": _exact(len(outcomes) - len(failed)),
+        "failed": _exact(len(failed)),
         "checks": [
             {"name": o.name, "status": "ok" if o.passed else "fail"} for o in outcomes
         ],
@@ -443,26 +437,26 @@ def _cmd_verify(args) -> int:
 # makes the option required.
 _SPACE = {"--space": (str, None)}
 _GROUP = {"--degree": (int, None), "--gens": (str, "")}
-_N_D = {"-n": (str, None), "-d": (str, None)}
-_CHI_GRID = {**_SPACE, **_N_D, "--verify": (bool, False), "--csv": (bool, False)}
+_CHI_GRID = {**_SPACE, "-n": (str, None), "-d": (str, None), "--verify": (bool, False),
+             "--csv": (bool, False)}
 
 # (command, variant) -> (handler, options, summary); verify has no variant.
 COMMANDS = {
-    ("chi", "sp"): (_cmd_chi, {**_SPACE, "-n": (str, None)}, "symmetric product"),
+    ("chi", "sp"): (_cmd_chi, {**_SPACE, "-n": (int, None)}, "symmetric product"),
     ("chi", "bd"): (_cmd_chi, _CHI_GRID, "unordered fat diagonal (multiplicity >= d)"),
     ("chi", "fd"): (_cmd_chi, _CHI_GRID, "ordered fat diagonal (multiplicity >= d)"),
     ("chi", "bupper"): (_cmd_chi, _CHI_GRID,
                         "multiplicity-bounded symmetric product (multiplicity <= d)"),
-    ("chi", "gamma"): (_cmd_chi_gamma, {**_SPACE, **_GROUP},
+    ("chi", "gamma"): (_cmd_group, {**_SPACE, **_GROUP},
                        "quotient of a cartesian power by a group"),
-    ("betti", "gamma"): (_cmd_betti_gamma, {**_SPACE, **_GROUP},
+    ("betti", "gamma"): (_cmd_group, {**_SPACE, **_GROUP},
                          "rational Betti numbers of the quotient by a group"),
-    ("pi1", "bd"): (_cmd_pi1, {**_SPACE, **_N_D},
+    ("pi1", "bd"): (_cmd_pi1_bd, {**_SPACE, "-n": (int, None), "-d": (int, None)},
                     "fundamental group of the unordered fat diagonal"),
-    ("pi1", "gamma"): (_cmd_pi1, {**_SPACE, **_GROUP},
+    ("pi1", "gamma"): (_cmd_group, {**_SPACE, **_GROUP},
                        "fundamental group of the quotient by a group"),
-    ("strata", "depth"): (_cmd_strata, _GROUP, "depth of the equality-pattern stratification"),
-    ("strata", "length"): (_cmd_strata, _GROUP, "longest subgroup chain of the group"),
+    ("strata", "depth"): (_cmd_group, _GROUP, "depth of the equality-pattern stratification"),
+    ("strata", "length"): (_cmd_group, _GROUP, "longest subgroup chain of the group"),
     ("graph", "chi2"): (_cmd_graph, {"--graph": (str, None), "--oracle": (bool, False)},
                         "two-point configuration space of a graph"),
     ("verify", None): (_cmd_verify, {"--suite": (("all",), "all")},

@@ -242,7 +242,7 @@ def _series(chi: int, top: int, n: int, exponential: bool) -> list[int]:
     e^(chi x) up to x^top, so a_k = chi^k for k <= top.  With top >= n the
     series are those of chi_sp, (1 - q)^(-chi), and of chi^n, e^(chi x).
     """
-    what = f"_series({chi}, {top}, {n}, {exponential})"
+    call = (chi, top, n, exponential)  # formatted only if a division is not exact
     a = [1]
     if exponential:
         for _ in range(min(top, n)):
@@ -259,7 +259,7 @@ def _series(chi: int, top: int, n: int, exponential: bool) -> list[int]:
             plain += a[k - 1] - gone
             weighted += plain - top * gone
             acc = (chi + 1) * weighted - k * plain
-        a.append(_exact_div(acc, k, what))
+        a.append(_exact_div(acc, k, "_series{}", call))
     return a
 
 

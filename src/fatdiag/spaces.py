@@ -19,6 +19,7 @@ Torsion is tracked only in H_1, where the fundamental-group descriptors need
 it; higher integral homology is out of scope.
 """
 
+import operator
 from collections import Counter
 
 from .algebra import GradedPolynomial
@@ -121,8 +122,10 @@ class AbelianDescriptor(Record):
         super().__init__(rank, torsion)
         if self.rank < 0:
             raise ValueError("negative rank")
-        if invariant_factors(self.torsion) != tuple(self.torsion):
-            raise ValueError(f"torsion {self.torsion} not in invariant factor form")
+        # the form is a divisor chain 2 <= d_1 | d_2 | ..., checked without factoring
+        t = self.torsion
+        if min(t, default=2) < 2 or any(map(operator.mod, t[1:], t)):
+            raise ValueError(f"torsion {t} not in invariant factor form")
 
     @classmethod
     def of(cls, rank: int, torsion=()) -> "AbelianDescriptor":
@@ -132,10 +135,11 @@ class AbelianDescriptor(Record):
         return AbelianDescriptor.of(self.rank + other.rank, self.torsion + other.torsion)
 
     def power(self, k: int) -> "AbelianDescriptor":
-        """Direct sum of k copies."""
+        """Direct sum of k copies: the sorted k-fold copy of a divisor chain
+        is again one, so nothing is factored."""
         if k < 0:
             raise ValueError("negative power")
-        return AbelianDescriptor.of(self.rank * k, self.torsion * k)
+        return AbelianDescriptor(self.rank * k, tuple(sorted(self.torsion * k)))
 
     def is_trivial(self) -> bool:
         return self.rank == 0 and not self.torsion

@@ -302,6 +302,21 @@ def test_commands_import_only_what_they_run():
     loaded = _loaded_modules("verify", "--help")
     assert package - loaded == {"fatdiag.jsonread"}
     assert {"argparse", "gettext", "locale", "json", "__future__", "typing"} & loaded == set()
+    # the commands on a group share one handler, and each loads only the
+    # modules its invariant runs
+    group = "|--degree|3|--gens|(1 2 3)"
+    for argv, modules in (
+        ("strata|length" + group, {"cli", "errors", "permgroup", "strata"}),
+        ("strata|depth" + group, {"cli", "errors", "permgroup", "strata"}),
+        ("pi1|gamma|--space|torus" + group,
+         {"cli", "errors", "permgroup", "spaces", "algebra", "fundgroup"}),
+        ("chi|gamma|--space|torus" + group,
+         {"cli", "errors", "permgroup", "spaces", "algebra", "eulerchar", "combinatorics"}),
+        ("betti|gamma|--space|torus" + group,
+         {"cli", "errors", "permgroup", "spaces", "algebra", "invariants"}),
+    ):
+        loaded = {name for name in _loaded_modules(argv) if name.startswith("fatdiag.")}
+        assert loaded == {f"fatdiag.{name}" for name in modules}, argv
 
 
 def _cli_env() -> dict:
@@ -645,6 +660,71 @@ def test_exact_results_past_the_digit_limit(capsys):
     assert rc == 4
     assert "result size" in err
     assert out == ""
+
+
+# Valid JSON spaces whose integers pass Python's 4300-digit str() limit
+# only once combined: Euler characteristic 1 + 2X with X = 10^4300 - 1
+# (4301 digits), and the invariant factor 2^10000 3^6300 (about 6000
+# digits) of two torsion orders of about 3000 digits each.
+_HUGE_EULER = '{"betti": [1, 0, %s, 0, %s], "parity": "even"}' % ("9" * 4300, "9" * 4300)
+_HUGE_TORSION = ('{"betti": [1], "h1": {"rank": 0, "torsion": [%d, %d]}, "pi1": "abelian"}'
+                 % (2**10000, 3**6300))
+
+
+def test_integers_past_the_digit_limit_are_printed_everywhere(capsys):
+    # they exited 5 with a traceback when the echo and the group payload
+    # wrote integers with a bare str()
+    x = 10**4300 - 1
+    euler = str(Decimal(1 + 2 * x))
+    payload = run_json(capsys, "betti", "gamma", "--space", _HUGE_EULER, "--degree", "2",
+                       "--gens", "(1 2)")
+    assert payload["inputs"]["space"]["euler"] == euler
+    assert payload["result"]["8"] == str(Decimal(x * (x + 1) // 2))
+    payload = run_json(capsys, "chi", "sp", "--space", _HUGE_EULER, "-n", "1")
+    assert payload["inputs"]["space"]["euler"] == payload["result"] == euler
+    factor = str(Decimal(2**10000 * 3**6300))
+    for argv in (("pi1", "gamma", "--degree", "2", "--gens", "(1 2)"),
+                 ("pi1", "bd", "-n", "4", "-d", "2")):
+        payload = run_json(capsys, *argv, "--space", _HUGE_TORSION)
+        assert payload["result"]["abelian"] == {"rank": "0", "torsion": [factor],
+                                                "display": "Z/" + factor}, argv
+
+
+def test_abelian_answer_is_guarded_on_its_printed_size(capsys, monkeypatch):
+    # H1(X)^k prints each torsion order k times: with one order 2^14000
+    # (14001 bits) degree 71 makes 994071 bits and answers, degree 72
+    # makes 1008072 and is refused before the k-fold sum is built
+    import fatdiag.spaces
+
+    space = '{"betti": [1], "h1": {"rank": 0, "torsion": [%d]}, "pi1": "abelian"}' % 2**14000
+    payload = run_json(capsys, "pi1", "gamma", "--space", space, "--degree", "71", "--gens", "")
+    assert payload["result"]["abelian"]["torsion"] == [str(Decimal(2**14000))] * 71
+    # Z/2 at degree 100000 is 2 * 10^5 bits
+    payload = run_json(capsys, "pi1", "gamma", "--space", "projective_plane",
+                       "--degree", "100000", "--gens", "")
+    assert payload["result"]["abelian"]["torsion"] == ["2"] * 100000
+
+    def refuse(self, k):
+        raise AssertionError("the power was built")
+
+    monkeypatch.setattr(fatdiag.spaces.AbelianDescriptor, "power", refuse)
+    rc, out, err = run(capsys, "pi1", "gamma", "--space", space, "--degree", "72", "--gens", "")
+    assert rc == 4 and out == ""
+    assert "resource guard: result size: size 1008072 " in err
+
+
+def test_single_value_options_take_integers(capsys):
+    # chi sp and pi1 bd take one -n (and -d): a range, even a degenerate
+    # one, is refused by the parser as any other non-integer
+    for argv, option in ((("chi", "sp", "--space", "torus", "-n", "4..4"), "-n"),
+                         (("pi1", "bd", "--space", "circle", "-n", "4..4", "-d", "2"), "-n"),
+                         (("pi1", "bd", "--space", "circle", "-n", "4", "-d", "2..2"), "-d"),
+                         (("chi", "sp", "--space", "nosuch", "-n", "x"), "-n")):
+        rc, out, err = run(capsys, *argv)
+        value = argv[argv.index(option) + 1]
+        assert (rc, out, err) == (1, "", f"error: {option} takes an integer, got {value!r}\n")
+    payload = run_json(capsys, "pi1", "bd", "--space", "circle", "-n", " +4", "-d", "2")
+    assert payload["inputs"]["n"] == 4 and payload["inputs"]["d"] == 2
 
 
 def test_result_size_is_guarded_before_computing(capsys, monkeypatch):

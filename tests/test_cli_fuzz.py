@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
 from fractions import Fraction
 
 from fatdiag.cli import COMMANDS, main
@@ -28,7 +29,11 @@ from fatdiag.strata import length_sn
 # option -> (well-formed values, malformed values)
 VALUES = {
     "--space": (["torus", "sphere:2", "point", "surface:2", "projective_plane", "circle",
-                 "wedge_circles:2", "torus x sphere:2", '{"betti": [1, 0, 1]}'],
+                 "wedge_circles:2", "torus x sphere:2", '{"betti": [1, 0, 1]}',
+                 # integers past Python's 4300-digit str() limit once combined
+                 '{"betti": [1, 0, %s, 0, %s], "parity": "even"}' % ("9" * 4300, "9" * 4300),
+                 '{"betti": [1], "h1": {"rank": 0, "torsion": [%d, %d]}, "pi1": "abelian"}'
+                 % (2**10000, 3**6300)],
                 ["sphere:", "sphere:-1", "sphere:x", "nosuch", "", "x x", "torus x", "{",
                  "[]", '{"betti": "x"}', '{"betti": [1, 1], "parity": "odd"}',
                  "sphere:99999999", '{"betti": [1, 0.5, 1]}', '{"betti": [1, true, 1]}',
@@ -184,7 +189,8 @@ def _check(argv: list[str], rc: int, out: str, err: str) -> None:
     if "--csv" in argv:
         assert lines[0] == "n,d,value" and len(lines) > 1, (argv, out)
         for line in lines[1:]:
-            assert [str(int(x)) for x in line.split(",")] == line.split(","), (argv, line)
+            # canonical decimal integers, of any length
+            assert all(re.fullmatch(r"0|-?[1-9][0-9]*", x) for x in line.split(",")), (argv, line)
         return
     assert len(lines) == 1 and out.endswith("\n"), (argv, out)
     assert json.loads(lines[0])["schema"] == "fatdiag/1", (argv, out)

@@ -42,6 +42,35 @@ def test_abelian_descriptor_rejects_non_normalized():
         AbelianDescriptor(rank=0, torsion=(3, 2))
     with pytest.raises(ValueError):
         AbelianDescriptor(rank=-1, torsion=())
+    # the form is a divisor chain of orders >= 2
+    for torsion in ((2, 3), (1, 2), (0,), (-2,), (4, 2)):
+        with pytest.raises(ValueError):
+            AbelianDescriptor(rank=0, torsion=torsion)
+    assert str(AbelianDescriptor(0, (2, 4, 4, 12))) == "Z/2 + Z/4 + Z/4 + Z/12"
+
+
+def test_abelian_descriptor_factors_its_torsion_at_most_once(monkeypatch):
+    # of() normalizes once; the constructor checks the divisor chain and
+    # power() copies it, so neither factors an order
+    import fatdiag.spaces
+    from fatdiag.fundgroup import pi1_gamma_product
+    from fatdiag.permgroup import PermutationGroupModel
+
+    calls = []
+
+    def counted(torsion):
+        calls.append(len(torsion))
+        return invariant_factors(torsion)
+
+    monkeypatch.setattr(fatdiag.spaces, "invariant_factors", counted)
+    a = AbelianDescriptor.of(1, [4, 2, 3])
+    assert a.torsion == (2, 12) and calls == [3]
+    assert a.power(3) == AbelianDescriptor(3, (2, 2, 2, 12, 12, 12))
+    assert a.power(0) == TRIVIAL_GROUP and calls == [3]
+    calls.clear()
+    expr = pi1_gamma_product(preset("projective_plane"), PermutationGroupModel(1000, []))
+    assert expr.abelian_descriptor().torsion == (2,) * 1000
+    assert calls == []
 
 
 def test_presets():
