@@ -101,12 +101,6 @@ class GradedPolynomial:
             out[deg] = out.get(deg, 0) + c
         return GradedPolynomial(out)
 
-    def __sub__(self, other: "GradedPolynomial") -> "GradedPolynomial":
-        out = dict(self._coeffs)
-        for deg, c in other._coeffs.items():
-            out[deg] = out.get(deg, 0) - c
-        return GradedPolynomial(out)
-
     def __mul__(self, other: "GradedPolynomial") -> "GradedPolynomial":
         out: dict[int, int] = {}
         for d1, c1 in self._coeffs.items():
@@ -131,24 +125,6 @@ class GradedPolynomial:
             if e:  # the square is needed only for a higher bit
                 base = base * base
         return out
-
-    def substitute_power(self, power: int) -> "GradedPolynomial":
-        """Substitute t -> t**power.
-
-        >>> GradedPolynomial.from_list([1, 1]).substitute_power(3).to_list()
-        [1, 0, 0, 1]
-        """
-        if power < 1:
-            raise ValueError(f"substitute_power needs power >= 1, got {power}")
-        return GradedPolynomial({d * power: c for d, c in self._coeffs.items()})
-
-    def even_part(self) -> "GradedPolynomial":
-        """Terms of even degree."""
-        return GradedPolynomial({d: c for d, c in self._coeffs.items() if d % 2 == 0})
-
-    def odd_part(self) -> "GradedPolynomial":
-        """Terms of odd degree."""
-        return GradedPolynomial({d: c for d, c in self._coeffs.items() if d % 2 == 1})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GradedPolynomial):

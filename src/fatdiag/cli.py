@@ -7,7 +7,9 @@ Every computation prints a single JSON envelope on stdout:
 
 Every exact integer of a result, an echo or a count is written by _exact:
 a decimal string no JSON consumer can round, of any length past Python's
-4300-digit str() limit, under a guard on its size (exit 4).  Polynomial
+4300-digit str() limit, under a guard on its size (exit 4).  The Betti
+numbers echoed with a space stay JSON integers, under one guard on their
+total size, and the envelope is written past that limit too.  Polynomial
 results are degree -> coefficient maps; group expressions are structured
 objects, whose abelian group is guarded on its printed size before it is
 built.  The five commands on a group, chi|betti|pi1 gamma and strata
@@ -141,7 +143,7 @@ def _emit(command: str, inputs: dict, result, oracle_results=None) -> None:
     envelope = {"schema": SCHEMA, "command": command, "inputs": inputs, "result": result}
     if oracle_results is not None:
         envelope["oracle_results"] = oracle_results
-    print(_encode(envelope))
+    print(_unlimited_str(envelope, _encode))
 
 
 def _exact(value: int) -> str:
@@ -151,16 +153,16 @@ def _exact(value: int) -> str:
     return _unlimited_str(value)
 
 
-def _unlimited_str(value) -> str:
-    """str(value) past Python's default refusal to write integers over 4300
-    digits, a conversion quadratic in the length: the limit is lifted for
-    this call only, and the caller has guarded every integer in value."""
+def _unlimited_str(value, write=str) -> str:
+    """write(value) past Python's default refusal to write integers over
+    4300 digits, a conversion quadratic in the length: the limit is lifted
+    for this call only, and the caller has guarded every integer in value."""
     if not hasattr(sys, "set_int_max_str_digits"):  # no limit before 3.10.7
-        return str(value)
+        return write(value)
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        return str(value)
+        return write(value)
     finally:
         sys.set_int_max_str_digits(limit)
 
@@ -219,6 +221,9 @@ def _group(args):
 
 
 def _space_echo(space) -> dict:
+    """The space as echoed with a result.  Its Betti numbers are JSON
+    integers, guarded together on their size before any is written."""
+    check_guard(sum(b.bit_length() for b in space.betti), MAX_RESULT_BITS, "result size")
     return {
         "label": space.label,
         "betti": list(space.betti),

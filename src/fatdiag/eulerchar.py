@@ -469,28 +469,18 @@ def fd_oracle_work(n: int) -> int:
 @lru_cache(maxsize=64)
 def bd_oracle_work(n: int, cap: float) -> int:
     """Work of oracle_bd_burnside at n: the set partitions it walks, Bell(m)
-    for each cycle type of S_n with m cycles of length >= 2.  The types with
-    m long cycles are the partitions of n - f (f fixed points) into m parts
-    >= 2, that is of n - f - m into m parts, counted by p(M, m) = p(M - 1,
-    m - 1) + p(M - m, m).  Every m <= n / 2 has such a type, so once the
-    Bell(m) alone pass cap, their sum is returned and n is not looked at
-    further.  Computed once per (n, cap): every (chi, d) of a battery asks.
+    for each cycle type of S_n with m cycles of length >= 2, summed over the
+    multiplicity vectors of alpha_sequences(n, n).  Every m <= n / 2 has
+    such a type, so once the Bell(m) alone pass cap, their sum is returned
+    and no vector is listed.  Computed once per (n, cap): every (chi, d) of
+    a battery asks.
     """
     bells: list[int] = []
     for m in range(n // 2 + 1):
         bells.append(bell_number(m))
         if sum(bells) > cap:
             return sum(bells)
-    # p(M, m) for M <= n, one row per m, each made from the last
-    parts = [1] + [0] * n  # p(M, 0)
-    work = 0
-    for m, bell in enumerate(bells):
-        if m:
-            prev, parts = parts, [0] * (n + 1)
-            for total in range(m, n + 1):
-                parts[total] = prev[total - 1] + parts[total - m]
-        work += bell * sum(parts[m:n - m + 1])
-    return work
+    return sum(bells[sum(alpha[1:])] for alpha in alpha_sequences(n, n))
 
 
 def _fat_sum(table: Mapping[tuple[int, int], int], chi: int, d: int) -> int:

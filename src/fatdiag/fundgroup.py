@@ -89,7 +89,8 @@ class GroupExpression(Record):
 def pi1_gamma_product(space: SpaceModel, group: PermutationGroupModel) -> GroupExpression:
     """Fundamental group of the quotient of X^n by a permutation group:
     one Pi1(X) factor per fixed point of the action, one H1(X) factor per
-    orbit of size >= 2.
+    orbit of size >= 2.  The fixed points are the degree less the points of
+    those orbits, so no point is listed on its own.
 
     >>> from .spaces import preset
     >>> from .permgroup import PermutationGroupModel
@@ -97,10 +98,9 @@ def pi1_gamma_product(space: SpaceModel, group: PermutationGroupModel) -> GroupE
     ...                   PermutationGroupModel(4, ["(1 2)"])).display()
     'Pi1(X)^2 x H1(X)'
     """
-    sizes = group.orbit_sizes()
-    fixed = sizes.count(1)
+    moved = group._moved_orbits()
     return GroupExpression.for_space(
-        space, pi1_exponent=fixed, h1_exponent=len(sizes) - fixed
+        space, pi1_exponent=group.degree - sum(map(len, moved)), h1_exponent=len(moved)
     )
 
 

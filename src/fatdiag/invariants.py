@@ -3,10 +3,12 @@ groups, computed from the invariant subspace of the tensor power of the
 homology of the base.
 
 The permutation action on a tensor power of graded vector spaces carries
-the Koszul sign: transposing two odd-degree classes contributes -1.  The
-graded trace of a single cycle of length l acting on the l-th tensor power
-is therefore P_even(t^l) + (-1)^(l-1) P_odd(t^l), and averaging the product
-over all group elements yields the Poincare polynomial of the quotient.
+the Koszul sign: transposing two odd-degree classes contributes -1.  A
+cycle of length l on the l-th tensor power fixes only the l-fold copies
+of one basis class, and cycling those of degree i has sign (-1)^(i(l-1)),
+so its graded trace is the sum of (-1)^(i(l-1)) b_i t^(il).  Averaging
+the product over all group elements yields the Poincare polynomial of the
+quotient.
 
 The sign convention is not a choice: with the unsigned trace, the quotient
 of the 3-torus by the cyclic rotation would come out wrong in odd degrees.
@@ -25,8 +27,9 @@ MAX_POINCARE_WORK = 3 * 10**7
 
 
 def graded_trace_cycle(poincare: GradedPolynomial, length: int) -> GradedPolynomial:
-    """Graded trace of one cycle of the given length acting on the
-    corresponding tensor power.
+    """Graded trace of one cycle of length l acting on the l-th tensor
+    power: b_i t^(il) for each Betti number b_i, with the Koszul sign
+    (-1)^(i(l-1)).
 
     >>> graded_trace_cycle(GradedPolynomial.from_list([1, 2, 1]), 3).to_list()
     [1, 0, 0, 2, 0, 0, 1]
@@ -35,11 +38,8 @@ def graded_trace_cycle(poincare: GradedPolynomial, length: int) -> GradedPolynom
     """
     if length < 1:
         raise ValueError(f"cycle length must be >= 1, got {length}")
-    even = poincare.even_part().substitute_power(length)
-    odd = poincare.odd_part().substitute_power(length)
-    if length % 2 == 0:
-        return even - odd
-    return even + odd
+    return GradedPolynomial({i * length: (-1) ** (i * (length - 1)) * b
+                             for i, b in poincare.coefficients().items()})
 
 
 def _poincare_work(poincare: GradedPolynomial, n: int, hist) -> int:

@@ -31,9 +31,10 @@ pointwise stabilizer H of the upper base points, and lower levels, whose
 products are the elements of H.  The coset uH is named by its base image
 (u(b_0), ..., u(b_{k-1})); conjugating by h in H sends uH to (h u)H, whose
 base image is h applied entrywise, and keeps every cycle type.  So the
-histogram is the sum over the H-orbits of base images, found breadth-first
-under H's strong generators, of the orbit size times the histogram of one
-coset (Seress, ch. 4-5, for the chain and its strong generators).
+histogram is the sum over the H-orbits of base images, the classes of
+_classes under H's strong generators, of the orbit size times the
+histogram of one coset (Seress, ch. 4-5, for the chain and its strong
+generators).
 
 A group that is a direct product over its orbits is handled factor by
 factor (direct_factors).  Orbits that no generator ties together carry
@@ -282,10 +283,11 @@ def _chain_histogram(chain: _Chain, degree: int) -> Counter[tuple[int, ...]]:
     generators those of level k.  Each upper product u is keyed by its base
     image, which names the coset uH; h in H conjugates uH to the coset
     keyed by h applied to that key, with the same cycle types.  The keys'
-    H-orbits are found breadth-first, and each adds its size times the
-    histogram of the coset of one of its keys.  Guarded on the entries of
-    the two lists before they are built, and on the elements walked, times
-    the degree, before the walk.
+    H-orbits are the classes of _classes joining each key with its images
+    under those generators, and each adds its size times the histogram of
+    the coset of its first key.  Guarded on the entries of the two lists
+    before they are built, and on the elements walked, times the degree,
+    before the walk.
     """
     levels = chain.levels
     split = _split(levels)
@@ -299,30 +301,14 @@ def _chain_histogram(chain: _Chain, degree: int) -> Counter[tuple[int, ...]]:
     base = chain.points[:split]
     coset = {tuple(map(u.__getitem__, base)): u for u in _products(levels[:split], identity)}
     conjugators = chain.strong[split] if split < len(levels) else []
-    orbits: list[tuple[Perm, int]] = []
-    seen: set[tuple[int, ...]] = set()
-    for key, u in coset.items():
-        if key in seen:
-            continue
-        seen.add(key)
-        frontier = [key]
-        size = 0
-        while frontier:
-            size += len(frontier)
-            nxt = []
-            for t in frontier:
-                for h in conjugators:
-                    image = tuple(map(h.__getitem__, t))
-                    if image not in seen:
-                        seen.add(image)
-                        nxt.append(image)
-            frontier = nxt
-        orbits.append((u, size))
+    orbits = _classes([key] + [tuple(map(h.__getitem__, key)) for h in conjugators]
+                      for key in coset)
     check_guard(len(orbits) * lower_size * degree, MAX_GROUP_WORK, "group enumeration")
     hist: Counter[tuple[int, ...]] = Counter()
-    for u, size in orbits:
+    for orbit in orbits:
+        u = coset[orbit[0]]
         for ctype, count in Counter(_cycle_type(_compose(u, x)) for x in lower).items():
-            hist[ctype] += size * count
+            hist[ctype] += len(orbit) * count
     return hist
 
 
@@ -335,7 +321,7 @@ def _restrict(generators, points: list[int]) -> "PermutationGroupModel":
                       for g in generators])
 
 
-def _classes(groups) -> list[list[int]]:
+def _classes(groups) -> list[list]:
     """The classes of the points that the given groups of points join, each
     in increasing order, in order of their first point; a point in no group
     is in no class."""
@@ -348,9 +334,10 @@ def _classes(groups) -> list[list[int]]:
             root = parent[root]
         return root
 
-    for points in groups:
-        for p in points:
-            parent[find(p)] = find(points[0])
+    for first, *rest in filter(None, groups):
+        root = find(first)
+        for p in rest:
+            parent[find(p)] = root
     classes: dict[int, list[int]] = {}
     for p in sorted(parent):
         classes.setdefault(find(p), []).append(p)
@@ -397,10 +384,10 @@ class PermutationGroupModel:
     """Finite permutation group given by generators, held as a stabilizer
     chain built on first use.
 
-    Generators are image tuples or cycle-notation strings.  The chain is
-    guarded on the degree before it is built and on the entries it composes
-    while it is built; a walk over the elements (stream and elements) is
-    guarded on its work |G| * degree before the first element, and the
+    Generators are image tuples or cycle-notation strings.  The degree is
+    guarded before any generator is read, the chain on the entries it
+    composes while it is built, a walk over the elements (stream and
+    elements) on its work |G| * degree before the first element, and the
     histograms on their coset lists and coset walks, factor by factor.  The
     chain, the direct factors, the element set and the cycle-type histogram
     are computed once.
@@ -409,6 +396,7 @@ class PermutationGroupModel:
     def __init__(self, degree: int, generators) -> None:
         if degree < 0:
             raise ValueError(f"degree must be >= 0, got {degree}")
+        check_guard(degree, MAX_GROUP_WORK, "group enumeration")
         self.degree = degree
         gens = []
         for g in generators:
@@ -425,7 +413,6 @@ class PermutationGroupModel:
 
     def _stabilizers(self) -> _Chain:
         if self._chain is None:
-            check_guard(self.degree, MAX_GROUP_WORK, "group enumeration")
             self._chain = _stabilizer_chain(self.degree, self.generators)
         return self._chain
 
@@ -466,7 +453,7 @@ class PermutationGroupModel:
         with the rest.
         """
         if self._factors is None:
-            chain = self._stabilizers()  # the degree and chain guards come first
+            chain = self._stabilizers()  # the chain guard comes first
             moved = [[p for p, q in enumerate(g) if p != q] for g in self.generators]
             tie = {p: i for i, points in enumerate(_classes(moved)) for p in points}
             tied: dict[int, list[list[int]]] = {}

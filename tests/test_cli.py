@@ -690,6 +690,74 @@ def test_integers_past_the_digit_limit_are_printed_everywhere(capsys):
                                                 "display": "Z/" + factor}, argv
 
 
+# torus x surface:G x surface:G with G = 10^3000: Euler characteristic 0,
+# and Betti numbers of up to 6001 digits, 79,741 bits in all.
+_HUGE_GENUS = f"torus x surface:{10**3000} x surface:{10**3000}"
+
+
+def _convolve(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def test_betti_echo_past_the_digit_limit(capsys):
+    # the echo wrote the Betti numbers with int.__repr__ and exited 5,
+    # though chi = 0 keeps every result short
+    surface = [1, 2 * 10**3000, 1]
+    betti = _convolve(_convolve([1, 2, 1], surface), surface)
+    argvs = [("chi", "sp", "-n", "1"), ("chi", "bd", "-n", "3", "-d", "2"),
+             ("pi1", "bd", "-n", "4", "-d", "2"),
+             *((verb, "gamma", "--degree", "2", "--gens", "(1 2)")
+               for verb in ("chi", "betti", "pi1"))]
+    runs = [run(capsys, *argv, "--space", _HUGE_GENUS) for argv in argvs]
+    # X^2 / S_2: (P(t)^2 + P_even(t^2) - P_odd(t^2)) / 2
+    square = _convolve(betti, betti)
+    for i, b in enumerate(betti):
+        square[2 * i] += (-1) ** i * b
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # for json.loads and str() in this test only
+    try:
+        for argv, (rc, out, err) in zip(argvs, runs):
+            assert rc == 0, (argv, err)
+            payload = json.loads(out)
+            assert payload["inputs"]["space"]["betti"] == betti, argv
+            assert out == json.dumps(payload, sort_keys=True) + "\n", argv
+        assert json.loads(runs[0][1])["result"] == "0"
+        assert json.loads(runs[4][1])["result"] == {str(deg): str(c // 2)
+                                                    for deg, c in enumerate(square) if c}
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_betti_echo_is_guarded_on_its_total_size(capsys):
+    # 100 factors surface:10^41: 201 Betti numbers, each under 4300 digits
+    # (it answered before the guard), 1,385,870 bits in all
+    space = " x ".join([f"surface:{10**41}"] * 100)
+    rc, out, err = run(capsys, "chi", "sp", "--space", space, "-n", "1")
+    assert rc == 4 and out == ""
+    assert "resource guard: result size: size 1385870 " in err
+
+
+def test_huge_degree_is_refused_before_any_generator_is_read(capsys, monkeypatch):
+    # parse_cycles built the identity on every point first (MemoryError,
+    # exit 5), and pi1 gamma listed every point before the guard
+    import fatdiag.permgroup
+
+    def refuse(*args):
+        raise AssertionError("a generator was parsed")
+
+    monkeypatch.setattr(fatdiag.permgroup, "parse_cycles", refuse)
+    for argv in (("chi", "gamma", "--space", "torus"), ("pi1", "gamma", "--space", "torus"),
+                 ("strata", "depth")):
+        for degree, gens in (("100000000000", "(1 2)"), ("100000000", "")):
+            rc, out, err = run(capsys, *argv, "--degree", degree, "--gens", gens)
+            assert rc == 4 and out == "", argv
+            assert f"resource guard: group enumeration: size {degree} " in err, argv
+
+
 def test_abelian_answer_is_guarded_on_its_printed_size(capsys, monkeypatch):
     # H1(X)^k prints each torsion order k times: with one order 2^14000
     # (14001 bits) degree 71 makes 994071 bits and answers, degree 72

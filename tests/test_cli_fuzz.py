@@ -20,6 +20,7 @@ import json
 import math
 import random
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 from fatdiag.cli import COMMANDS, main
@@ -33,14 +34,16 @@ VALUES = {
                  # integers past Python's 4300-digit str() limit once combined
                  '{"betti": [1, 0, %s, 0, %s], "parity": "even"}' % ("9" * 4300, "9" * 4300),
                  '{"betti": [1], "h1": {"rank": 0, "torsion": [%d, %d]}, "pi1": "abelian"}'
-                 % (2**10000, 3**6300)],
+                 % (2**10000, 3**6300),
+                 # chi = 0, and Betti numbers of up to 6001 digits in the echo
+                 f"torus x surface:{10**3000} x surface:{10**3000}"],
                 ["sphere:", "sphere:-1", "sphere:x", "nosuch", "", "x x", "torus x", "{",
                  "[]", '{"betti": "x"}', '{"betti": [1, 1], "parity": "odd"}',
                  "sphere:99999999", '{"betti": [1, 0.5, 1]}', '{"betti": [1, true, 1]}',
                  '{"betti": [1, "2", 1]}', '{"betti": [1, 1e400]}']),
     "-n": (["0", "1", "2", "4", "8", "2..6", "3..8", " 5 ", "+4"],
            ["8..2", "-3", "x", "", "..", "2..", "..4", "1_0", "4.0", "2..x"]),
-    "--degree": (["0", "1", "3", "4", "6", " 4", "+3"], ["-1", "x", "2.5", ""]),
+    "--degree": (["0", "1", "3", "4", "6", " 4", "+3", "100000000000"], ["-1", "x", "2.5", ""]),
     "--gens": (["", "(1 2)", "(1 2 3)", "(1 2)(3 4)", "(1 2 3 4); (1 3)", "(1 2 3); (1 2)"],
                ["(1 9)", "(1 1)", "(", "(a b)", ";;", "(0 1)", "()", "1 2", "(1 2", "(1 2));"]),
     "--graph": (["gamma1", "gamma2", '{"vertices": ["a", "b"], "edges": [["a", "b"]]}',
@@ -193,7 +196,8 @@ def _check(argv: list[str], rc: int, out: str, err: str) -> None:
             assert all(re.fullmatch(r"0|-?[1-9][0-9]*", x) for x in line.split(",")), (argv, line)
         return
     assert len(lines) == 1 and out.endswith("\n"), (argv, out)
-    assert json.loads(lines[0])["schema"] == "fatdiag/1", (argv, out)
+    # Decimal reads integers of any length, past int()'s 4300-digit limit
+    assert json.loads(lines[0], parse_int=Decimal)["schema"] == "fatdiag/1", (argv, out)
 
 
 def test_contract_holds_on_random_argv(capsys):

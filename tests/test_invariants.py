@@ -39,6 +39,21 @@ def test_graded_trace_koszul_sign():
     assert s.to_list() == [1, 0, 0, 0, 1]
 
 
+def test_graded_trace_is_the_even_odd_rule():
+    # the reference rule P_even(t^l) + (-1)^(l-1) P_odd(t^l), restated here
+    def reference(betti, length):
+        out = [0] * ((len(betti) - 1) * length + 1)
+        for i, b in enumerate(betti):
+            out[i * length] = b if i % 2 == 0 else (-1) ** (length - 1) * b
+        return out
+
+    for betti in ([1], [1, 1], [1, 0, 1], [1, 2, 1], [1, 4, 1], [1, 3, 0, 5, 2],
+                  [1, 0, 0, 7], [1, 6, 15, 20, 15, 6, 1]):
+        for length in range(1, 7):
+            got = graded_trace_cycle(GradedPolynomial.from_list(betti), length)
+            assert got.to_list() == reference(betti, length), (betti, length)
+
+
 def test_invariant_poincare_fixtures():
     assert invariant_poincare(TORUS, cyclic_group(3)).to_list() == [1, 2, 5, 8, 5, 2, 1]
     assert invariant_poincare(CIRCLE, cyclic_group(3)).to_list() == [1, 1, 1, 1]
