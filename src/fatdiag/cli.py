@@ -25,12 +25,14 @@ Options: `--opt value` or `--opt=value` (`-n5` too); the last of a
 repeated option wins, and the word after a value option is always its
 value, so `--degree -1` reaches the group model.  Abbreviations, unknown
 options, stray words, a missing value, a bad integer or a bad choice are
-usage errors.  `-h` or `--help` prints usage lines made from the COMMANDS
-table.  A grid of `chi bd|fd|bupper` builds one power-series column per d
-and reads its cells from them; it is guarded on its cell count, the work
-of its columns and, for chi >= 1 or chi <= -32 n^2, a lower bound on a
-result's size before any column is built.  `--verify` reads
-eulerchar.chi_oracles.
+usage errors (UsageError, a FatdiagError: exit 1).  Every integer typed,
+in an option, a range, a preset parameter or a cycle point, is read by
+errors._integer: ASCII digits with at most one sign.  `-h` or `--help`
+prints usage lines made from the COMMANDS table.  A grid of
+`chi bd|fd|bupper` builds one power-series column per d and reads its
+cells from them; it is guarded on its cell count, the work of its columns
+and, for chi >= 1 or chi <= -32 n^2, a lower bound on a result's size
+before any column is built.  `--verify` reads eulerchar.chi_oracles.
 
 Start-up imports only os, sys, types and the error types, and argv is
 read in one pass against the COMMANDS table; each command imports the
@@ -65,6 +67,7 @@ from .errors import (
     OracleMismatchError,
     ResourceGuardError,
     UnsupportedSpaceError,
+    _integer,
     check_guard,
 )
 
@@ -76,8 +79,9 @@ MAX_RESULT_BITS = 10**6
 MAX_GRID_CELLS = 10**5
 
 
-class UsageError(Exception):
-    pass
+class UsageError(FatdiagError):
+    """A malformed command line: exit 1, as any FatdiagError main() does
+    not name."""
 
 
 _ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t",
@@ -172,16 +176,14 @@ def _parse_range(text: str, what: str) -> tuple[int, int]:
     text = text.strip()
     if ".." in text:
         lo, _, hi = text.partition("..")
-        try:
-            lo_i, hi_i = int(lo), int(hi)
-        except ValueError:
+        lo_i, hi_i = _integer(lo), _integer(hi)
+        if lo_i is None or hi_i is None:
             raise UsageError(f"bad {what} range {text!r}")
         if hi_i < lo_i:
             raise UsageError(f"empty {what} range {text!r}")
         return lo_i, hi_i
-    try:
-        value = int(text)
-    except ValueError:
+    value = _integer(text)
+    if value is None:
         raise UsageError(f"bad {what} value {text!r}")
     return value, value
 
@@ -563,10 +565,10 @@ def _parse(argv: list[str]):
         if value is None:
             raise UsageError(f"missing {name}")
         if kind is int:
-            try:
-                value = int(value)
-            except ValueError:
+            number = _integer(value)
+            if number is None:
                 raise UsageError(f"{name} takes an integer, got {value!r}")
+            value = number
         elif isinstance(kind, tuple) and value not in kind:
             raise UsageError(f"{name} takes one of {', '.join(kind)}, got {value!r}")
         setattr(args, name.lstrip("-"), value)
@@ -577,9 +579,6 @@ def main(argv=None) -> int:
     try:
         handler, args = _parse(sys.argv[1:] if argv is None else list(argv))
         return handler(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except UnsupportedSpaceError as exc:
         print(f"unsupported space: {exc}", file=sys.stderr)
         return 2
@@ -591,7 +590,7 @@ def main(argv=None) -> int:
         return 4
     except InternalConsistencyError:
         return _internal_error()
-    except FatdiagError as exc:
+    except FatdiagError as exc:  # a usage error, or a bad FATDIAG_GUARD_SCALE
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception:

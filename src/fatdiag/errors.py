@@ -7,7 +7,9 @@ size known in advance, Work for a count kept as the work is done.  The
 guards scale with the FATDIAG_GUARD_SCALE environment variable, read once
 per process: setting it to 2 doubles every limit, setting it to 0.5 halves
 them.  A division that must come out whole is _exact_div, which raises
-InternalConsistencyError when it does not.
+InternalConsistencyError when it does not.  Every integer typed on the
+command line (an option, a range bound, a preset parameter, a cycle point)
+is read by _integer, whose refusal each caller words for itself.
 """
 
 import os
@@ -98,3 +100,22 @@ def _exact_div(num: int, den: int, what: str, *args) -> int:
         raise InternalConsistencyError(
             f"{what.format(*args)}: non-integral value {num}/{den}")
     return value
+
+
+# The most digits int() reads from text by default (Python >= 3.10.7).
+_MAX_DIGITS = 4300
+
+
+def _integer(text: str) -> int | None:
+    """The integer text spells, or None: optional surrounding whitespace,
+    at most one sign and 1 to _MAX_DIGITS ASCII digits, nothing else (no
+    underscores, no other digits).
+
+    >>> _integer(" +007 "), _integer("-1"), _integer("1_0"), _integer("4.0")
+    (7, -1, None, None)
+    """
+    body = text.strip()
+    digits = body[1:] if body[:1] in ("+", "-") else body
+    if not (digits.isascii() and digits.isdigit()) or len(digits) > _MAX_DIGITS:
+        return None
+    return int(body)

@@ -12,10 +12,12 @@ For a permutation quotient the exponents count orbits of the group on the
 coordinates, read from its orbit sizes alone: one Pi1(X) per fixed point,
 one H1(X) per larger orbit.  Every SpaceModel is connected (b_0 = 1), so no
 descriptor has a connectedness case.
+
+Groups are read through their own methods and named in annotations only
+as text, so pi1 bd never loads the group engine.
 """
 
 from .errors import UnsupportedSpaceError
-from .permgroup import PermutationGroupModel
 from .spaces import AbelianDescriptor, Record, SpaceModel
 
 
@@ -86,7 +88,7 @@ class GroupExpression(Record):
         return " x ".join(parts) if parts else "1"
 
 
-def pi1_gamma_product(space: SpaceModel, group: PermutationGroupModel) -> GroupExpression:
+def pi1_gamma_product(space: SpaceModel, group: "PermutationGroupModel") -> GroupExpression:
     """Fundamental group of the quotient of X^n by a permutation group:
     one Pi1(X) factor per fixed point of the action, one H1(X) factor per
     orbit of size >= 2.  The fixed points are the degree less the points of
@@ -129,7 +131,7 @@ def pi1_bd(space: SpaceModel, n: int, d: int) -> GroupExpression:
     return GroupExpression.for_space(space, pi1_exponent=1, h1_exponent=1)
 
 
-def pi1_bgamma_abelian(group: PermutationGroupModel, n: int, d: int) -> bool:
+def pi1_bgamma_abelian(group: "PermutationGroupModel", n: int, d: int) -> bool:
     """Whether the quotient of the ordered fat diagonal by the group is
     guaranteed to have abelian fundamental group: the group must act
     d-transitively and d must be at most n/2.  Transitivity is read off

@@ -15,6 +15,8 @@ of the 3-torus by the cyclic rotation would come out wrong in odd degrees.
 Only free ranks are computed here; torsion of the quotients is out of scope.
 """
 
+import math
+
 from .algebra import GradedPolynomial
 from .errors import InternalConsistencyError, _exact_div, check_guard
 from .permgroup import PermutationGroupModel
@@ -109,6 +111,13 @@ def macdonald_poincare_sp(poincare: GradedPolynomial, n: int) -> GradedPolynomia
         (1 + q t^i)^(b_i)        for odd i,
         1 / (1 - q t^i)^(b_i)    for even i.
 
+    Each degree takes one pass over the series by the binomial theorem,
+    with the terms C(b_i, k) q^k t^(ik) for 1 <= k <= min(b_i, n): an odd
+    degree multiplies by (1 + q t^i)^(b_i), and an even one divides by
+    (1 - q t^i)^(b_i), whose terms carry the sign (-1)^(k+1) once moved to
+    the other side.  So the cost grows with n and the number of degrees,
+    not with the Betti numbers' values.
+
     >>> macdonald_poincare_sp(GradedPolynomial.from_list([1, 0, 1]), 2).to_list()
     [1, 0, 1, 0, 1]
     >>> macdonald_poincare_sp(GradedPolynomial.from_list([1, 1]), 4).to_list()
@@ -121,15 +130,12 @@ def macdonald_poincare_sp(poincare: GradedPolynomial, n: int) -> GradedPolynomia
         GradedPolynomial.zero() for _ in range(n)
     ]
     for deg, betti in sorted(poincare.coefficients().items()):
-        tpow = GradedPolynomial({deg: 1})
-        for _ in range(betti):
-            if deg % 2 == 1:
-                # one factor (1 + q t^deg): descending, reads old values
-                for a in range(n, 0, -1):
-                    series[a] = series[a] + tpow * series[a - 1]
-            else:
-                # one factor 1/(1 - q t^deg): new[a] = old[a] + t^deg new[a-1],
-                # so ascending, reads already-updated values
-                for a in range(1, n + 1):
-                    series[a] = series[a] + tpow * series[a - 1]
+        odd = deg % 2
+        terms = [GradedPolynomial({deg * k: math.comb(betti, k) * (1 if odd else (-1) ** (k + 1))})
+                 for k in range(1, min(betti, n) + 1)]
+        # a product reads the old series[a - k], so it goes down; a quotient
+        # new[a] = old[a] + sum (-1)^(k+1) C(b, k) t^(ik) new[a - k] goes up
+        for a in range(n, 0, -1) if odd else range(1, n + 1):
+            for k, term in enumerate(terms[:a], start=1):
+                series[a] = series[a] + term * series[a - k]
     return series[n]

@@ -63,7 +63,7 @@ from collections import Counter
 from collections.abc import Iterator
 from functools import lru_cache
 
-from .errors import Work, check_guard
+from .errors import Work, _integer, check_guard
 
 # Group work, in tuple entries: the entries the stabilizer chain composes,
 # counted as it is built, and |G| * degree before the first element is
@@ -350,8 +350,9 @@ _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 def parse_cycles(text: str, degree: int) -> Perm:
     """Parse 1-indexed cycle notation like "(1 2 3)(4 5)".
 
-    Points may be separated by spaces or commas; "e", "()" and "" denote the
-    identity.  Points not mentioned are fixed.
+    Points may be separated by spaces or commas, and each is read by
+    errors._integer (ASCII digits, at most one sign); "e", "()" and ""
+    denote the identity.  Points not mentioned are fixed.
 
     >>> parse_cycles("(1 2 3)(4 5)", 5)
     (1, 2, 0, 4, 3)
@@ -367,9 +368,10 @@ def parse_cycles(text: str, degree: int) -> Perm:
     for body in _CYCLE_RE.findall(text):
         cyc = []
         for p in body.replace(",", " ").split():
-            if not p.isdigit() or int(p) < 1:
+            point = _integer(p)
+            if point is None or point < 1:
                 raise ValueError(f"bad point {p!r} in {text!r} (points are 1-indexed)")
-            point = int(p) - 1
+            point -= 1
             if point >= degree:
                 raise ValueError(f"point {p} exceeds degree {degree}")
             if point in seen:

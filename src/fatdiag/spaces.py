@@ -23,7 +23,7 @@ import operator
 from collections import Counter
 
 from .algebra import GradedPolynomial
-from .errors import Work, check_guard
+from .errors import Work, _integer, check_guard
 
 PARITIES = ("even", "odd", "none")
 PI1_KINDS = ("trivial", "abelian", "opaque")
@@ -255,7 +255,8 @@ def preset(name: str) -> SpaceModel:
 
     Registry: point, circle, torus, projective_plane, sphere:k (k >= 1),
     surface:g (g >= 0, orientable, surface:0 = sphere:2, surface:1 = torus),
-    wedge_circles:r (r >= 0).
+    wedge_circles:r (r >= 0).  The parameter is read by errors._integer:
+    ASCII digits with at most one sign.
 
     >>> preset("torus").betti
     (1, 2, 1)
@@ -290,9 +291,10 @@ def preset(name: str) -> SpaceModel:
         return plain[base]()
     parametrized = {"sphere": _sphere, "surface": _surface, "wedge_circles": _wedge_circles}
     if base in parametrized:
-        if not arg or not arg.lstrip("-").isdigit():
+        value = _integer(arg)
+        if value is None:
             raise ValueError(f"preset {base!r} needs an integer parameter, e.g. {base}:2")
-        return parametrized[base](int(arg))
+        return parametrized[base](value)
     raise ValueError(f"unknown space preset {name!r}")
 
 

@@ -24,12 +24,12 @@ state once its path reaches a bound on the steps any path from it can
 make, and skips a step whose bound cannot beat the best path found, so
 every path length it records is exact.  For depth a state is a pattern,
 a step joins one more cycle partition, and the bound is the blocks less
-the orbits; a step's cycles are the classes of permgroup._classes over
-the pairs (p, g(p)).  For the subgroup chain length (group_length) a
-state is a subgroup S, a step joins S with one element of each coset of
-S, and the bound is Omega(|G:S|), the prime factors of the index counted
-with multiplicity, since each step of a strict chain multiplies the order
-by at least a prime.  With no bound the climb reaches every subgroup
+the orbits; a step merges the blocks that each cycle of one element
+touches.  For the subgroup chain length (group_length) a state is a
+subgroup S, a step joins S with one element of each coset of S, and the
+bound is Omega(|G:S|), the prime factors of the index counted with
+multiplicity, since each step of a strict chain multiplies the order by
+at least a prime.  With no bound the climb reaches every subgroup
 (all_subgroups, the tests' reference).
 
 Both invariants are sums over the direct factors of permgroup (each on its
@@ -46,7 +46,7 @@ import math
 from functools import lru_cache
 
 from .errors import Work
-from .permgroup import Perm, PermutationGroupModel, _classes, _closure, _compose
+from .permgroup import Perm, PermutationGroupModel, _closure, _compose
 
 # Refinement tests and joins of the depth search, counted as it makes them,
 # one unit per moved point each: S_9 takes 900 units, A_9 1.9 * 10^5 and
@@ -129,8 +129,19 @@ def _steps(group: PermutationGroupModel) -> list[list]:
 
 
 def _blocks(g: Perm) -> list[list[int]]:
-    """The cycles of g of two or more points, each as its sorted points."""
-    return _classes((p, q) for p, q in enumerate(g) if p != q)
+    """The cycles of g of two or more points, found in one walk over g,
+    each from its smallest point in the order g visits them."""
+    seen = [False] * len(g)
+    blocks = []
+    for start, p in enumerate(g):
+        if p != start and not seen[start]:
+            cycle = [start]
+            while p != start:
+                seen[p] = True
+                cycle.append(p)
+                p = g[p]
+            blocks.append(cycle)
+    return blocks
 
 
 def _join(labels: tuple[int, ...], b: int,

@@ -306,6 +306,7 @@ def test_commands_import_only_what_they_run():
     # modules its invariant runs
     group = "|--degree|3|--gens|(1 2 3)"
     for argv, modules in (
+        ("pi1|bd|--space|circle|-n|4|-d|2", {"cli", "errors", "spaces", "algebra", "fundgroup"}),
         ("strata|length" + group, {"cli", "errors", "permgroup", "strata"}),
         ("strata|depth" + group, {"cli", "errors", "permgroup", "strata"}),
         ("pi1|gamma|--space|torus" + group,
@@ -793,6 +794,63 @@ def test_single_value_options_take_integers(capsys):
         assert (rc, out, err) == (1, "", f"error: {option} takes an integer, got {value!r}\n")
     payload = run_json(capsys, "pi1", "bd", "--space", "circle", "-n", " +4", "-d", "2")
     assert payload["inputs"]["n"] == 4 and payload["inputs"]["d"] == 2
+
+
+_BAD_SPHERE = "error: bad --space: preset 'sphere' needs an integer parameter, e.g. sphere:2\n"
+
+
+def test_every_typed_integer_has_one_grammar(capsys):
+    # -n, -d and --degree, both ends of a range, a preset parameter and a
+    # cycle point are read alike: optional whitespace, at most one sign,
+    # ASCII digits; underscores, other scripts' digits and superscripts are
+    # refused with each reader's own message, never int()'s
+    gens = ("--gens", "(1 2)")
+    for argv, err in (
+        (("chi", "sp", "--space", "torus", "-n", "1_0"), "error: -n takes an integer, got '1_0'\n"),
+        (("chi", "bd", "--space", "torus", "-n", "1_0", "-d", "2"), "error: bad -n value '1_0'\n"),
+        (("pi1", "bd", "--space", "circle", "-n", "1_0", "-d", "2"),
+         "error: -n takes an integer, got '1_0'\n"),
+        (("strata", "depth", "--degree", "1_0", *gens),
+         "error: --degree takes an integer, got '1_0'\n"),
+        (("chi", "sp", "--space", "torus", "-n", "\u0663"),
+         "error: -n takes an integer, got '\u0663'\n"),
+        (("strata", "depth", "--degree", "\u0663", *gens),
+         "error: --degree takes an integer, got '\u0663'\n"),
+        (("chi", "bd", "--space", "torus", "-n", "\u0663..\u0665", "-d", "2"),
+         "error: bad -n range '\u0663..\u0665'\n"),
+        (("chi", "sp", "--space", "sphere:\u0663", "-n", "1"), _BAD_SPHERE),
+        (("chi", "sp", "--space", "wedge_circles:0\u0663", "-n", "1"),
+         "error: bad --space: preset 'wedge_circles' needs an integer parameter,"
+         " e.g. wedge_circles:2\n"),
+        (("strata", "depth", "--degree", "3", "--gens", "(1 \u0662)"),
+         "error: bad --degree or --gens: bad point '\u0662' in '(1 \u0662)'"
+         " (points are 1-indexed)\n"),
+        (("chi", "sp", "--space", "sphere:--2", "-n", "1"), _BAD_SPHERE),
+        (("chi", "sp", "--space", "surface:\u00b2", "-n", "1"),
+         "error: bad --space: preset 'surface' needs an integer parameter, e.g. surface:2\n"),
+        (("strata", "depth", "--degree", "3", "--gens", "(1 \u00b2)"),
+         "error: bad --degree or --gens: bad point '\u00b2' in '(1 \u00b2)'"
+         " (points are 1-indexed)\n"),
+        (("chi", "sp", "--space", "sphere:-1", "-n", "1"),
+         "error: bad --space: sphere dimension must be >= 1\n"),
+        (("chi", "sp", "--space", "torus", "-n", "9" * 4301),
+         f"error: -n takes an integer, got '{'9' * 4301}'\n"),
+        (("chi", "sp", "--space", "sphere:" + "9" * 4301, "-n", "1"), _BAD_SPHERE),
+    ):
+        assert run(capsys, *argv) == (1, "", err), argv
+    # a sign is taken everywhere, and so are whitespace and leading zeros
+    payload = run_json(capsys, "chi", "sp", "--space", "sphere:+2", "-n", "1")
+    assert payload["inputs"]["space"]["label"] == "sphere:2"
+    for space in ("sphere: 2", "sphere:02"):
+        assert run_json(capsys, "chi", "sp", "--space", space, "-n", "1") == payload
+    for cycles in ("(+1 2)", "(01 2)", "(1 2)"):
+        payload = run_json(capsys, "chi", "gamma", "--space", "torus", "--degree", "3",
+                           "--gens", cycles)
+        assert payload["inputs"]["group_order"] == "2", cycles
+    assert run_json(capsys, "strata", "depth", "--degree", "+3", *gens)["result"] == "1"
+    # --degree -1 is an integer, refused by the group model
+    assert run(capsys, "strata", "depth", "--degree", "-1", "--gens", "") == (
+        1, "", "error: bad --degree or --gens: degree must be >= 0, got -1\n")
 
 
 def test_result_size_is_guarded_before_computing(capsys, monkeypatch):

@@ -3,11 +3,11 @@
 Each case is an argv drawn from the command table, then bent: malformed
 spaces, ranges, cycle notation and degrees, huge n, '=' forms, repeated,
 unknown and abbreviated options, stray words and missing values.  Whatever
-the argv, the contract holds: the exit code is 0, 1, 2 or 4, no traceback
-reaches stderr, and stdout is empty, one envelope line, or a CSV table
-when --csv was given.  The draws stay cheap (groups of degree <= 6 and at
-most S_4, --verify only with n <= 8, and `verify`, whose one battery takes
-about 0.1 s), apart from
+the argv, the contract holds: the exit code is 0, 1, 2 or 4, neither a
+traceback nor int()'s "invalid literal" reaches stderr, and stdout is
+empty, one envelope line, or a CSV table when --csv was given.  The draws
+stay cheap (groups of degree <= 6 and at most S_4, --verify only with
+n <= 8, and `verify`, whose one battery takes about 0.1 s), apart from
 `strata depth` at degree up to 40 on a trivial, cyclic or involution
 generator, whose join lattice is small at any degree, and Young subgroups
 and direct products of symmetric and cyclic groups at degree up to 40,
@@ -40,12 +40,16 @@ VALUES = {
                 ["sphere:", "sphere:-1", "sphere:x", "nosuch", "", "x x", "torus x", "{",
                  "[]", '{"betti": "x"}', '{"betti": [1, 1], "parity": "odd"}',
                  "sphere:99999999", '{"betti": [1, 0.5, 1]}', '{"betti": [1, true, 1]}',
-                 '{"betti": [1, "2", 1]}', '{"betti": [1, 1e400]}']),
+                 '{"betti": [1, "2", 1]}', '{"betti": [1, 1e400]}', "sphere:\u0663",
+                 "sphere:--2", "surface:\u00b2"]),
     "-n": (["0", "1", "2", "4", "8", "2..6", "3..8", " 5 ", "+4"],
-           ["8..2", "-3", "x", "", "..", "2..", "..4", "1_0", "4.0", "2..x"]),
-    "--degree": (["0", "1", "3", "4", "6", " 4", "+3", "100000000000"], ["-1", "x", "2.5", ""]),
+           ["8..2", "-3", "x", "", "..", "2..", "..4", "1_0", "4.0", "2..x", "\u0663",
+            "\u00b2"]),
+    "--degree": (["0", "1", "3", "4", "6", " 4", "+3", "100000000000"],
+                 ["-1", "x", "2.5", "", "\u0663", "\u00b2"]),
     "--gens": (["", "(1 2)", "(1 2 3)", "(1 2)(3 4)", "(1 2 3 4); (1 3)", "(1 2 3); (1 2)"],
-               ["(1 9)", "(1 1)", "(", "(a b)", ";;", "(0 1)", "()", "1 2", "(1 2", "(1 2));"]),
+               ["(1 9)", "(1 1)", "(", "(a b)", ";;", "(0 1)", "()", "1 2", "(1 2", "(1 2));",
+                "(1 \u0662)", "(1 \u00b2)"]),
     "--graph": (["gamma1", "gamma2", '{"vertices": ["a", "b"], "edges": [["a", "b"]]}',
                  '{"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"], ["c", "a"]]}'],
                 ["gamma9", "{", '{"vertices": 3, "edges": []}', "/nonexistent/graph.json", "",
@@ -185,6 +189,7 @@ def random_argv(rng: random.Random) -> list[str]:
 def _check(argv: list[str], rc: int, out: str, err: str) -> None:
     assert rc in (0, 1, 2, 4), (argv, rc, err)
     assert "Traceback" not in err, (argv, err)
+    assert "invalid literal" not in err, (argv, err)  # int()'s words never reach the user
     if rc != 0:
         assert out == "", (argv, out)
         return

@@ -10,6 +10,7 @@ from fatdiag.errors import (
     UnsupportedSpaceError,
     Work,
     _exact_div,
+    _integer,
     check_guard,
     guard_scale,
 )
@@ -106,3 +107,12 @@ def test_exact_division():
     assert _exact_div(-12, 4, "unused {}", 1) == -3
     with pytest.raises(InternalConsistencyError, match=r"^f\(2, 3\): non-integral value 7/2$"):
         _exact_div(7, 2, "f({}, {})", 2, 3)
+
+
+def test_integer_reads_one_sign_and_ascii_digits():
+    for text, value in (("0", 0), (" 5 ", 5), ("+4", 4), ("-1", -1), ("007", 7),
+                        ("9" * 4300, int("9" * 4300))):
+        assert _integer(text) == value, text
+    for text in ("", " ", "+", "-", "1_0", "\u0663", "\u00b2", "--2", "+-2", "4.0", "0x10",
+                 "1 2", "1e3", "9" * 4301, "-" + "9" * 4301):
+        assert _integer(text) is None, text

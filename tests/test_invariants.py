@@ -17,7 +17,7 @@ from fatdiag.permgroup import (
     symmetric_group,
     trivial_group,
 )
-from fatdiag.spaces import preset
+from fatdiag.spaces import parse_space, preset
 
 TORUS = GradedPolynomial.from_list([1, 2, 1])
 CIRCLE = GradedPolynomial.from_list([1, 1])
@@ -66,7 +66,10 @@ def test_invariant_poincare_trivial_group_is_plain_power():
 
 
 def test_invariant_poincare_matches_macdonald_for_full_symmetric_group():
-    for p in (TORUS, CIRCLE, SPHERE, GradedPolynomial.from_list([1, 4, 1])):
+    # Betti numbers above and below n, in odd and even degrees
+    for p in (TORUS, CIRCLE, SPHERE, GradedPolynomial.from_list([1, 4, 1]),
+              GradedPolynomial.from_list([1, 3, 4, 0, 2]),
+              GradedPolynomial.from_list([3, 1, 0, 6])):
         for n in range(1, 6):
             assert invariant_poincare(p, symmetric_group(n)) == macdonald_poincare_sp(p, n)
 
@@ -77,6 +80,14 @@ def test_macdonald_poincare_small_cases():
     assert macdonald_poincare_sp(CIRCLE, 2).to_list() == [1, 1]
     assert macdonald_poincare_sp(CIRCLE, 5).to_list() == [1, 1]
     assert macdonald_poincare_sp(TORUS, 1) == TORUS
+
+
+def test_macdonald_poincare_takes_huge_betti_numbers():
+    # one binomial pass per degree: Betti numbers of about 6001 digits
+    # cost a few products, and the S_n average agrees
+    big = parse_space(f"torus x surface:{10**3000} x surface:{10**3000}").poincare()
+    for n in (2, 3):
+        assert macdonald_poincare_sp(big, n) == invariant_poincare(big, symmetric_group(n))
 
 
 def test_symmetric_power_of_circle_stabilizes():

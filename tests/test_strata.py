@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import random
 from collections import Counter
 from itertools import combinations
 
@@ -151,6 +152,21 @@ def test_depth_enumerates_no_set_partitions(monkeypatch):
     assert not [name for name in vars(strata) if "set_partitions" in name]
     assert depth(symmetric_group(7)) == 6
     assert depth(PermutationGroupModel(12, ["(1 2)(3 4)", "(5 6 7)", "(9 10 11 12)"])) == 4
+
+
+def test_blocks_are_the_classes_of_the_moved_pairs():
+    # the one walk over g's cycles against the union-find over the pairs
+    # (p, g(p)) with p moved, as sets of sets
+    rng = random.Random(73)
+    for _ in range(500):
+        n = rng.randint(0, 12)
+        moved = rng.sample(range(n), rng.randint(0, n))
+        images = list(range(n))
+        for p, q in zip(moved, rng.sample(moved, len(moved))):
+            images[p] = q
+        g = tuple(images)
+        want = permgroup._classes((p, q) for p, q in enumerate(g) if p != q)
+        assert {frozenset(b) for b in strata._blocks(g)} == set(map(frozenset, want)), g
 
 
 def test_depth_symmetric_groups():
