@@ -19,7 +19,8 @@ invocations produce byte-identical stdout.
 
 Exit codes: 0 success, 1 usage error, 2 unsupported space or parity,
 3 oracle or verification mismatch, 4 resource guard tripped, 5 internal
-error (a bug: the traceback goes to stderr and stdout stays empty).
+error (a bug: the traceback goes to stderr and stdout stays empty).  Each
+error class carries its exit code and stderr label (errors).
 
 Options: `--opt value` or `--opt=value` (`-n5` too); the last of a
 repeated option wins, and the word after a value option is always its
@@ -27,12 +28,16 @@ value, so `--degree -1` reaches the group model.  Abbreviations, unknown
 options, stray words, a missing value, a bad integer or a bad choice are
 usage errors (UsageError, a FatdiagError: exit 1).  Every integer typed,
 in an option, a range, a preset parameter or a cycle point, is read by
-errors._integer: ASCII digits with at most one sign.  `-h` or `--help`
-prints usage lines made from the COMMANDS table.  A grid of
-`chi bd|fd|bupper` builds one power-series column per d and reads its
-cells from them; it is guarded on its cell count, the work of its columns
-and, for chi >= 1 or chi <= -32 n^2, a lower bound on a result's size
-before any column is built.  `--verify` reads eulerchar.chi_oracles.
+errors._integer: ASCII digits with at most one sign.  The -n and -d of
+`chi bd|fd|bupper` are ranges ("4" or "2..8"), read by the parser and
+echoed as their canonical text ("4", "2..8").  `-h` or `--help` prints
+usage lines made from the COMMANDS table.  A grid of `chi bd|fd|bupper`
+builds one power-series column per d and reads its cells from them; it
+is guarded on its cell count, the work of its columns and, for chi >= 1
+or chi <= -32 n^2, a lower bound on a result's size before any column is
+built.  `chi --verify` (every cell, against eulerchar.chi_oracles) and
+`graph chi2 --oracle` make one comparison, _check_oracles, which names
+every oracle that disagrees.
 
 Start-up imports only os, sys, types and the error types, and argv is
 read in one pass against the COMMANDS table; each command imports the
@@ -65,8 +70,6 @@ from .errors import (
     FatdiagError,
     InternalConsistencyError,
     OracleMismatchError,
-    ResourceGuardError,
-    UnsupportedSpaceError,
     _integer,
     check_guard,
 )
@@ -80,8 +83,7 @@ MAX_GRID_CELLS = 10**5
 
 
 class UsageError(FatdiagError):
-    """A malformed command line: exit 1, as any FatdiagError main() does
-    not name."""
+    """A malformed command line: exit 1, as FatdiagError."""
 
 
 _ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t",
@@ -143,10 +145,11 @@ def _encode(value) -> str:
     return text
 
 
-def _emit(command: str, inputs: dict, result, oracle_results=None) -> None:
+def _emit(command: str, inputs: dict, result, oracles=None) -> None:
+    """Print the envelope, with the oracles' integers by name, if given."""
     envelope = {"schema": SCHEMA, "command": command, "inputs": inputs, "result": result}
-    if oracle_results is not None:
-        envelope["oracle_results"] = oracle_results
+    if oracles is not None:
+        envelope["oracle_results"] = {name: _exact(got) for name, got in oracles.items()}
     print(_unlimited_str(envelope, _encode))
 
 
@@ -169,6 +172,19 @@ def _unlimited_str(value, write=str) -> str:
         return write(value)
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def _check_oracles(value: int, oracles: dict[str, int], what: str, *args: int) -> dict:
+    """oracles, once each agrees with value: otherwise one
+    OracleMismatchError names every oracle that disagrees, and the
+    computation, what called with the integers args.  An integer is
+    written only into that error."""
+    bad = ", ".join(f"{name}={_exact(got)}" for name, got in sorted(oracles.items())
+                    if got != value)
+    if bad:
+        call = f"{what}({', '.join(map(_exact, args))})" if args else what
+        raise OracleMismatchError(f"{call} = {_exact(value)} but {bad}")
+    return oracles
 
 
 def _parse_range(text: str, what: str) -> tuple[int, int]:
@@ -273,7 +289,7 @@ def _cmd_chi(args) -> int:
         return 0
 
     d_min = 1 if kind == "bupper" else 2
-    cells = _grid(_parse_range(args.n, "-n"), _parse_range(args.d, "-d"), d_min)
+    cells = _grid(args.n, args.d, d_min)
     if not cells:
         raise UsageError(f"no valid (n, d) pairs with {d_min} <= d <= n in the ranges")
     if space.parity == "even":  # (the formulas refuse other parities, exit 2)
@@ -292,26 +308,27 @@ def _cmd_chi(args) -> int:
     oracles = None  # a single cell prints its oracles
     if args.verify:
         for (n, d), value in zip(cells, values):
-            oracles = chi_oracles(kind, chi, n, d)
-            bad = ", ".join(f"{name}={_exact(got)}" for name, got in sorted(oracles.items())
-                            if got != value)
-            if bad:
-                raise OracleMismatchError(
-                    f"chi {kind}({_exact(chi)}, {n}, {d}) = {_exact(value)} but {bad}")
+            oracles = _check_oracles(value, chi_oracles(kind, chi, n, d), f"chi {kind}",
+                                     chi, n, d)
 
     if args.csv:
         lines = [f"{n},{d},{_exact(value)}" for (n, d), value in zip(cells, values)]
         print("\n".join(["n,d,value"] + lines))
         return 0
 
-    inputs = {"space": _space_echo(space), "n": args.n, "d": args.d, "verify": bool(args.verify)}
+    inputs = {"space": _space_echo(space), "n": _range_text(args.n), "d": _range_text(args.d),
+              "verify": args.verify}
     if grid:
         result = [{"n": n, "d": d, "value": _exact(v)} for (n, d), v in zip(cells, values)]
         _emit(f"chi {kind}", inputs, result)
-    else:  # the encoder sorts the oracle names
-        payload = {name: _exact(got) for name, got in oracles.items()} if oracles else None
-        _emit(f"chi {kind}", inputs, _exact(values[0]), payload)
+    else:
+        _emit(f"chi {kind}", inputs, _exact(values[0]), oracles)
     return 0
+
+
+def _range_text(bounds: tuple[int, int]) -> str:
+    """The canonical text of a range: "4", or "2..8"."""
+    return "..".join(map(_exact, sorted(set(bounds))))
 
 
 def _cmd_pi1_bd(args) -> int:
@@ -403,18 +420,10 @@ def _cmd_graph(args) -> int:
         raise UsageError(str(exc))
     oracles = None
     if args.oracle:
-        cell_count = discretized_chi_f2(graph)
-        if cell_count != value:
-            raise OracleMismatchError(
-                f"graph chi2 = {_exact(value)} but discretized count = {_exact(cell_count)}")
-        oracles = {"discretized": _exact(cell_count)}
-    _emit(
-        "graph chi2",
-        {"graph": ref, "vertices": graph.num_vertices, "edges": graph.num_edges,
-         "oracle": bool(args.oracle)},
-        _exact(value),
-        oracles,
-    )
+        oracles = _check_oracles(value, {"discretized": discretized_chi_f2(graph)}, "graph chi2")
+    inputs = {"graph": ref, "vertices": graph.num_vertices, "edges": graph.num_edges,
+              "oracle": args.oracle}
+    _emit("graph chi2", inputs, _exact(value), oracles)
     return 0
 
 
@@ -440,11 +449,12 @@ def _cmd_verify(args) -> int:
 
 
 # Options by name: (kind, default).  The kind is str or int for a value,
-# bool for a switch, or a tuple of the values allowed; None as the default
-# makes the option required.
+# range for the bounds of "4" or "2..8" (inclusive), bool for a switch, or
+# a tuple of the values allowed; None as the default makes the option
+# required.
 _SPACE = {"--space": (str, None)}
 _GROUP = {"--degree": (int, None), "--gens": (str, "")}
-_CHI_GRID = {**_SPACE, "-n": (str, None), "-d": (str, None), "--verify": (bool, False),
+_CHI_GRID = {**_SPACE, "-n": (range, None), "-d": (range, None), "--verify": (bool, False),
              "--csv": (bool, False)}
 
 # (command, variant) -> (handler, options, summary); verify has no variant.
@@ -569,6 +579,8 @@ def _parse(argv: list[str]):
             if number is None:
                 raise UsageError(f"{name} takes an integer, got {value!r}")
             value = number
+        elif kind is range:
+            value = _parse_range(value, name)
         elif isinstance(kind, tuple) and value not in kind:
             raise UsageError(f"{name} takes one of {', '.join(kind)}, got {value!r}")
         setattr(args, name.lstrip("-"), value)
@@ -576,23 +588,16 @@ def _parse(argv: list[str]):
 
 
 def main(argv=None) -> int:
+    """The exit code of argv (sys.argv by default): a FatdiagError's class
+    gives its stderr label and code; any other exception is a bug (exit 5)."""
     try:
         handler, args = _parse(sys.argv[1:] if argv is None else list(argv))
         return handler(args)
-    except UnsupportedSpaceError as exc:
-        print(f"unsupported space: {exc}", file=sys.stderr)
-        return 2
-    except OracleMismatchError as exc:
-        print(f"oracle mismatch: {exc}", file=sys.stderr)
-        return 3
-    except ResourceGuardError as exc:
-        print(f"resource guard: {exc}", file=sys.stderr)
-        return 4
     except InternalConsistencyError:
         return _internal_error()
-    except FatdiagError as exc:  # a usage error, or a bad FATDIAG_GUARD_SCALE
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except FatdiagError as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
     except Exception:
         return _internal_error()
 

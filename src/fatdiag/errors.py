@@ -1,5 +1,9 @@
 """Error types, resource guards and exact division.
 
+Each error class carries its exit code on the command line and the label
+its message is printed under on stderr; an InternalConsistencyError is a
+bug, whose traceback the command line prints (exit 5).
+
 Exhaustive enumerations (set partitions, group elements, subgroup lattices)
 blow up quickly, so every such entry point checks its input size against a
 guard and raises ResourceGuardError instead of hanging: check_guard for a
@@ -17,24 +21,29 @@ import os
 
 class FatdiagError(Exception):
     """Base class for all library errors."""
+    exit_code, label = 1, "error"
 
 
 class UnsupportedSpaceError(FatdiagError):
     """The requested invariant is not defined for this space (wrong parity,
     not a manifold)."""
+    exit_code, label = 2, "unsupported space"
 
 
 class OracleMismatchError(FatdiagError):
     """A closed formula and its independent oracle disagree."""
+    exit_code, label = 3, "oracle mismatch"
 
 
 class ResourceGuardError(FatdiagError):
     """The input exceeds a guard limit for exhaustive enumeration."""
+    exit_code, label = 4, "resource guard"
 
 
 class InternalConsistencyError(FatdiagError):
     """An exactness assertion failed (non-integral average, negative Betti
     coefficient).  This always indicates a bug, never bad user input."""
+    exit_code, label = 5, "internal error"
 
 
 _scale = None  # the parsed FATDIAG_GUARD_SCALE, once read

@@ -24,16 +24,17 @@ i is that modulo prod S_{alpha_i}, with chi falling(chi, k) / prod(alpha_i!).
 The strata sums are coefficients of power series, which the closed formulas
 read off without enumerating anything; the enumerations stay as oracles.
 Since a stratum's count depends on its set partition only through the
-number of blocks, the set-partition oracles count once per weight vector
-(the all-ones vector of X^n, or the cycle lengths of a permutation) into
-a table of partitions by (heaviest block weight, number of blocks), and
-read every (d, chi) from it.  Only the points of weight >= 2 (the long
-cycles) are walked as set partitions; the points of weight 1 are placed
-by binomial counts, into the walked blocks or into blocks of their own,
-whose partitions one memoized recurrence counts.  The Burnside oracle
-sums the class-weighted tables into one table per n.  The oracles sum
-the fat partitions per block count k before they take one falling(chi,
-k) per k, and each is guarded on the work it would do before it starts.
+number of blocks, the set-partition oracles count into a table of
+partitions by (heaviest block weight, number of blocks), and read every
+(d, chi) from it.  The ordered oracle's table, of n points of weight 1,
+is one memoized recurrence.  The Burnside oracle makes one table per
+cycle type, with the cycle lengths as weights: only the points of weight
+>= 2 (the long cycles) are walked as set partitions, and the points of
+weight 1 are placed by binomial counts, into the walked blocks or into
+blocks of their own, whose partitions the recurrence counts; it sums the
+class-weighted tables into one table per n.  The oracles sum the fat
+partitions per block count k before they take one falling(chi, k) per
+k, and each is guarded on the work it would do before it starts.
 
   chi_sp       [q^n] (1 - q)^(-chi)
   chi_b_upper  [q^n] (1 + q + ... + q^d)^chi
@@ -418,8 +419,8 @@ def _unit_counts(r: int) -> Mapping[tuple[int, int], int]:
 @lru_cache(maxsize=256)
 def _fat_counts(weights: tuple[int, ...]) -> Mapping[tuple[int, int], int]:
     """Set partitions of points carrying these weights, counted by (weight
-    of the heaviest block, number of blocks): the table both set-partition
-    oracles read for every (d, chi).
+    of the heaviest block, number of blocks): the table of one cycle type
+    that the Burnside oracle reads.
 
     Only the points of weight >= 2 are walked: the Bell(c) set partitions
     of those c points, grouped by their sorted block weights.  The f points
@@ -502,9 +503,9 @@ def oracle_fd_setpartitions(chi: int, n: int, d: int) -> int:
     By additivity each partition adds the Euler characteristic of its
     stratum, which depends on the partition only through its number of
     blocks, so the partitions are counted once per n, into the (largest
-    block, block count) table of _fat_counts at the all-ones vector, which
-    is the _unit_counts recurrence (guarded on its terms, fd_oracle_work),
-    and every (d, chi) is read from it by _fat_sum.
+    block, block count) table of the _unit_counts recurrence (guarded on
+    its terms, fd_oracle_work), and every (d, chi) is read from it by
+    _fat_sum.
 
     >>> oracle_fd_setpartitions(2, 3, 2)
     8
@@ -512,7 +513,7 @@ def oracle_fd_setpartitions(chi: int, n: int, d: int) -> int:
     if not 2 <= d <= n:
         raise ValueError(f"needs 2 <= d <= n, got d={d}, n={n}")
     check_guard(fd_oracle_work(n), MAX_FD_ORACLE_WORK, "oracle_fd_setpartitions")
-    return _fat_sum(_fat_counts((1,) * n), chi, d)
+    return _fat_sum(_unit_counts(n), chi, d)
 
 
 @lru_cache(maxsize=32)

@@ -26,7 +26,7 @@ class GroupExpression(Record):
     carried along so the expression can resolve itself when possible.
     """
 
-    __slots__ = ("pi1_exponent", "h1_exponent", "pi1_kind", "h1", "pi1_label")
+    __slots__ = ("pi1_exponent", "h1_exponent", "pi1_kind", "h1")
 
     def __init__(
         self,
@@ -34,9 +34,8 @@ class GroupExpression(Record):
         h1_exponent: int,
         pi1_kind: str,
         h1: AbelianDescriptor,
-        pi1_label: str | None = None,
     ) -> None:
-        super().__init__(pi1_exponent, h1_exponent, pi1_kind, h1, pi1_label)
+        super().__init__(pi1_exponent, h1_exponent, pi1_kind, h1)
         if self.pi1_exponent < 0 or self.h1_exponent < 0:
             raise ValueError("negative exponent")
         if self.pi1_kind in ("trivial", "abelian") and self.pi1_exponent:
@@ -60,7 +59,6 @@ class GroupExpression(Record):
             h1_exponent=h1_exponent,
             pi1_kind=space.pi1_kind,
             h1=space.h1,
-            pi1_label=space.pi1_label,
         )
 
     def is_concrete(self) -> bool:

@@ -3,7 +3,7 @@ invariant formulas consume.
 
 A SpaceModel records rational Betti numbers, the first integral homology as
 an AbelianDescriptor, what is known about the fundamental group (trivial,
-abelian, or an opaque label), and a manifold parity flag:
+abelian, or opaque: neither known to be), and a manifold parity flag:
 
   "even"  closed manifold of even dimension
   "odd"   closed manifold of odd dimension
@@ -160,7 +160,7 @@ TRIVIAL_GROUP = AbelianDescriptor(0, ())
 class SpaceModel(Record):
     """Connected-space data consumed by the invariant formulas."""
 
-    __slots__ = ("label", "betti", "h1", "pi1_kind", "pi1_label", "parity")
+    __slots__ = ("label", "betti", "h1", "pi1_kind", "parity")
 
     def __init__(
         self,
@@ -168,10 +168,9 @@ class SpaceModel(Record):
         betti: tuple[int, ...],
         h1: AbelianDescriptor = TRIVIAL_GROUP,
         pi1_kind: str = "trivial",
-        pi1_label: str | None = None,
         parity: str = "none",
     ) -> None:
-        super().__init__(label, betti, h1, pi1_kind, pi1_label, parity)
+        super().__init__(label, betti, h1, pi1_kind, parity)
         if not self.betti or any(b < 0 for b in self.betti):
             raise ValueError(f"bad Betti vector {self.betti}")
         if self.betti[0] != 1:
@@ -183,8 +182,6 @@ class SpaceModel(Record):
             raise ValueError(f"unknown pi1 kind {self.pi1_kind!r}")
         if self.pi1_kind == "trivial" and not self.h1.is_trivial():
             raise ValueError("trivial fundamental group forces trivial H_1")
-        if self.pi1_kind == "opaque" and not self.pi1_label:
-            raise ValueError("opaque pi1 needs a label")
         if self.parity not in PARITIES:
             raise ValueError(f"unknown parity {self.parity!r}")
 
@@ -228,7 +225,6 @@ def _surface(genus: int) -> SpaceModel:
         betti=(1, 2 * genus, 1),
         h1=AbelianDescriptor(2 * genus),
         pi1_kind="opaque",
-        pi1_label=f"surface group of genus {genus}",
         parity="even",
     )
 
@@ -245,7 +241,6 @@ def _wedge_circles(r: int) -> SpaceModel:
         betti=(1, r),
         h1=AbelianDescriptor(r),
         pi1_kind="opaque",
-        pi1_label=f"free group of rank {r}",
         parity="none",
     )
 
@@ -313,17 +308,16 @@ def product(a: SpaceModel, b: SpaceModel) -> SpaceModel:
         for j, y in enumerate(b.betti):
             betti[i + j] += x * y
     if a.pi1_kind == "trivial" and b.pi1_kind == "trivial":
-        kind, plabel = "trivial", None
+        kind = "trivial"
     elif a.pi1_kind in ("trivial", "abelian") and b.pi1_kind in ("trivial", "abelian"):
-        kind, plabel = "abelian", None
+        kind = "abelian"
     else:
-        kind, plabel = "opaque", f"product of {a.label} and {b.label} groups"
+        kind = "opaque"
     return SpaceModel(
         label=f"{a.label} x {b.label}",
         betti=tuple(betti),
         h1=a.h1.direct_sum(b.h1),
         pi1_kind=kind,
-        pi1_label=plabel,
         parity=_combine_parity(a.parity, b.parity),
     )
 
@@ -338,9 +332,10 @@ def _count(value) -> int:
 def space_from_json(data) -> SpaceModel:
     """Build a space from decoded JSON of the schema
     {"betti": [...], "h1": {"rank": r, "torsion": [...]},
-     "pi1": "trivial|abelian|opaque:<label>", "parity": "even|odd|none"}.
-    The Betti numbers, the rank and the torsion orders are JSON integers,
-    and an optional "label", echoed as given, nests at most
+     "pi1": "trivial|abelian|opaque", "parity": "even|odd|none"}.
+    "opaque", the default, may be followed by a colon and any text, which
+    nothing reads.  The Betti numbers, the rank and the torsion orders are
+    JSON integers, and an optional "label", echoed as given, nests at most
     MAX_LABEL_DEPTH lists and objects.
     """
     if not isinstance(data, dict):
@@ -356,17 +351,12 @@ def space_from_json(data) -> SpaceModel:
     except (AttributeError, TypeError):
         raise ValueError('space JSON needs "h1": {"rank": int, "torsion": [ints]}')
     h1 = AbelianDescriptor.of(rank, torsion)
-    pi1 = data.get("pi1", "opaque:unspecified")
+    pi1 = data.get("pi1", "opaque")
     parity = data.get("parity", "none")
     if not isinstance(pi1, str) or not isinstance(parity, str):
         raise ValueError('space JSON "pi1" and "parity" are strings')
-    if pi1 in ("trivial", "abelian"):
-        kind, plabel = pi1, None
-    elif pi1.startswith("opaque:"):
-        kind, plabel = "opaque", pi1[len("opaque:"):] or "unspecified"
-    elif pi1 == "opaque":
-        kind, plabel = "opaque", "unspecified"
-    else:
+    kind = "opaque" if pi1 == "opaque" or pi1.startswith("opaque:") else pi1
+    if kind not in PI1_KINDS:
         raise ValueError(f'bad "pi1" value {pi1!r}')
     label = data.get("label", "custom")
     level, depth = [label], 0
@@ -375,9 +365,7 @@ def space_from_json(data) -> SpaceModel:
         if depth > MAX_LABEL_DEPTH:
             raise ValueError(f'space JSON "label" nests over {MAX_LABEL_DEPTH} lists and objects')
         level = [x for v in level for x in (v.values() if isinstance(v, dict) else v)]
-    return SpaceModel(
-        label=label, betti=betti, h1=h1, pi1_kind=kind, pi1_label=plabel, parity=parity
-    )
+    return SpaceModel(label=label, betti=betti, h1=h1, pi1_kind=kind, parity=parity)
 
 
 def parse_space(text: str) -> SpaceModel:

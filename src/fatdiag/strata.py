@@ -303,18 +303,3 @@ def group_length(group: PermutationGroupModel) -> int:
     return _factor_sum(group, lambda factor, work: _subgroup_climb(factor, work, _omega)[0],
                        MAX_SUBGROUP_WORK, "subgroup enumeration")
 
-
-def _longest_chain(subgroups: set[frozenset[Perm]]) -> int:
-    """The longest strict chain from the smallest to the largest of a
-    group's subgroups."""
-    ordered = sorted(subgroups, key=len)
-    longest: dict[frozenset[Perm], int] = {}
-    for sub in ordered:
-        best = 0
-        for smaller in ordered:
-            if len(smaller) >= len(sub):
-                break
-            if len(sub) % len(smaller) == 0 and smaller < sub:
-                best = max(best, longest[smaller] + 1)
-        longest[sub] = best
-    return longest[ordered[-1]]

@@ -949,6 +949,76 @@ def test_bug_exits_5_with_traceback(capsys, monkeypatch):
         assert err.startswith("Traceback") and formula.__name__ in err
 
 
+def test_each_error_class_carries_its_exit_code(capsys, monkeypatch):
+    # main has one branch for every FatdiagError: the class's label on
+    # stderr and its exit code; an InternalConsistencyError is a bug
+    import fatdiag.cli as cli
+    from fatdiag.errors import (FatdiagError, InternalConsistencyError, OracleMismatchError,
+                                ResourceGuardError, UnsupportedSpaceError)
+
+    def raising(error):
+        def handler(args):
+            raise error("the message")
+        return handler
+
+    _, options, summary = cli.COMMANDS["verify", None]
+    for error, code, label in ((FatdiagError, 1, "error"), (cli.UsageError, 1, "error"),
+                               (UnsupportedSpaceError, 2, "unsupported space"),
+                               (OracleMismatchError, 3, "oracle mismatch"),
+                               (ResourceGuardError, 4, "resource guard")):
+        assert (error.exit_code, error.label) == (code, label)
+        monkeypatch.setitem(cli.COMMANDS, ("verify", None), (raising(error), options, summary))
+        assert run(capsys, "verify") == (code, "", f"{label}: the message\n"), error
+    monkeypatch.setitem(cli.COMMANDS, ("verify", None),
+                        (raising(InternalConsistencyError), options, summary))
+    rc, out, err = run(capsys, "verify")
+    assert (rc, out) == (InternalConsistencyError.exit_code, "") == (5, "")
+    assert err.startswith("Traceback")
+    assert err.endswith("InternalConsistencyError: the message\n")
+
+
+def test_oracle_mismatches_share_one_format(capsys, monkeypatch):
+    # chi --verify, on a single cell or any cell of a grid, and graph chi2
+    # --oracle raise one mismatch naming every oracle that disagrees
+    import fatdiag.eulerchar
+    import fatdiag.graphconf
+
+    right = fatdiag.eulerchar.chi_oracles
+
+    def off_at(cell, name):
+        def oracles(kind, chi, n, d):
+            table = right(kind, chi, n, d)
+            if (n, d) == cell:
+                table[name] += 1
+            return table
+        return oracles
+
+    monkeypatch.setattr(fatdiag.eulerchar, "chi_oracles", off_at((4, 2), "stratification_sum"))
+    assert run(capsys, "chi", "bd", "--space", "torus", "-n", "4", "-d", "2", "--verify") == (
+        3, "", "oracle mismatch: chi bd(0, 4, 2) = 0 but stratification_sum=1\n")
+    monkeypatch.setattr(fatdiag.eulerchar, "chi_oracles", off_at((3, 3), "set_partition_sum"))
+    assert run(capsys, "chi", "fd", "--space", "sphere:2", "-n", "2..4", "-d", "2..3",
+               "--verify") == (3, "", "oracle mismatch: chi fd(2, 3, 3) = 2 but"
+                                      " set_partition_sum=3\n")
+    monkeypatch.setattr(fatdiag.graphconf, "discretized_chi_f2", lambda graph: -5)
+    assert run(capsys, "graph", "chi2", "--graph", "gamma1", "--oracle") == (
+        3, "", "oracle mismatch: graph chi2 = -4 but discretized=-5\n")
+
+
+def test_ranges_are_echoed_canonically(capsys):
+    # -n and -d of chi bd|fd|bupper are read by the parser and echoed as
+    # the canonical text of their bounds
+    for n, d, echo in ((" 007", "+2", ("7", "2")), ("2 .. 3", "2", ("2..3", "2")),
+                       ("02..+08", " 3..3 ", ("2..8", "3")), ("7", "2", ("7", "2")),
+                       ("2..8", "2..3", ("2..8", "2..3"))):
+        payload = run_json(capsys, "chi", "bd", "--space", "torus", "-n", n, "-d", d)
+        assert (payload["inputs"]["n"], payload["inputs"]["d"]) == echo, (n, d)
+    # ranges are read by the parser, in table order, as -n of chi sp is:
+    # before the space, and -n before a missing -d
+    for argv in (("--space", "nosuch", "-n", "x", "-d", "2"), ("--space", "torus", "-n", "x")):
+        assert run(capsys, "chi", "bd", *argv) == (1, "", "error: bad -n value 'x'\n"), argv
+
+
 def test_malformed_input_is_usage_error(capsys):
     cases = [
         ("pi1", "bd", "--space", "circle", "-n", "0", "-d", "0"),

@@ -5,7 +5,8 @@ spaces, ranges, cycle notation and degrees, huge n, '=' forms, repeated,
 unknown and abbreviated options, stray words and missing values.  Whatever
 the argv, the contract holds: the exit code is 0, 1, 2 or 4, neither a
 traceback nor int()'s "invalid literal" reaches stderr, and stdout is
-empty, one envelope line, or a CSV table when --csv was given.  The draws
+empty, one envelope line, or a CSV table when --csv was given.  A chi
+bd|fd|bupper envelope echoes -n and -d as canonical ranges.  The draws
 stay cheap (groups of degree <= 6 and at most S_4, --verify only with
 n <= 8, and `verify`, whose one battery takes about 0.1 s), apart from
 `strata depth` at degree up to 40 on a trivial, cyclic or involution
@@ -58,6 +59,7 @@ VALUES = {
 }
 VALUES["-d"] = VALUES["-n"]
 HUGE_N = ["100000000", "2..20000000", "10" * 30, "999999999999"]
+CANONICAL_RANGE = re.compile(r"(0|[1-9][0-9]*)(\.\.(0|[1-9][0-9]*))?")
 VERIFY_N = ["2", "3", "4", "8", "2..5", "3..8", "8..3", "x"]
 STRAY = ["extra", "-x", "--nosuch", "--", "-", "--=", "=", "-n", "--space"]
 
@@ -202,7 +204,12 @@ def _check(argv: list[str], rc: int, out: str, err: str) -> None:
         return
     assert len(lines) == 1 and out.endswith("\n"), (argv, out)
     # Decimal reads integers of any length, past int()'s 4300-digit limit
-    assert json.loads(lines[0], parse_int=Decimal)["schema"] == "fatdiag/1", (argv, out)
+    envelope = json.loads(lines[0], parse_int=Decimal)
+    assert envelope["schema"] == "fatdiag/1", (argv, out)
+    if envelope["command"] in ("chi bd", "chi fd", "chi bupper"):
+        # a range is echoed as the canonical text of its bounds
+        for option in ("n", "d"):
+            assert CANONICAL_RANGE.fullmatch(envelope["inputs"][option]), (argv, out)
 
 
 def test_contract_holds_on_random_argv(capsys):

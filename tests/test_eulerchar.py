@@ -349,9 +349,9 @@ def test_oracle_guards_limit_work(monkeypatch):
 
 
 def test_oracles_enumerate_once_per_weight_vector():
-    # a count, not a time: one table per cycle type of S_2 ... S_8, and the
-    # ordered oracle's all-ones vectors are among them, so its 252 calls
-    # only read tables; the Burnside oracle's work is estimated once per n
+    # a count, not a time: one table per cycle type of S_2 ... S_8, the
+    # Burnside oracle's work estimated once per n, and the ordered oracle's
+    # 252 calls read the unit-point recurrence, never a _fat_counts table
     from fatdiag.eulerchar import _burnside_table, _fat_counts, bd_oracle_work
     from fatdiag.selfcheck import check_bd_three_way, check_fd_corrected
 
@@ -362,11 +362,10 @@ def test_oracles_enumerate_once_per_weight_vector():
     assert _burnside_table.cache_info().misses == 7  # one table per n
     work = bd_oracle_work.cache_info()
     assert (work.misses, work.hits) == (7, 252 - 7)  # 9 chi x 28 cells (n, d)
-    hits = _fat_counts.cache_info().hits
-    assert check_fd_corrected().startswith("252 oracle cases")
     info = _fat_counts.cache_info()
     assert info.misses == 65
-    assert info.hits - hits == 252
+    assert check_fd_corrected().startswith("252 oracle cases")
+    assert _fat_counts.cache_info() == info
 
 
 def test_chi_bd_product_identity():

@@ -161,6 +161,8 @@ def test_space_from_json_validation():
         space_from_json({"label": "x", "betti": [1], "parity": "sideways"})
     with pytest.raises(ValueError):
         space_from_json({"label": "x", "betti": [1], "pi1": "green", "parity": "even"})
+    for pi1 in ("opaque", "opaque:", "opaque:free group of rank 2"):
+        assert space_from_json({"betti": [1], "pi1": pi1}).pi1_kind == "opaque"
 
 
 def test_parse_space_forms(tmp_path):
@@ -181,7 +183,9 @@ def test_space_model_validation():
     with pytest.raises(ValueError):
         SpaceModel(label="bad", betti=(1, 2))  # h1 rank mismatch
     with pytest.raises(ValueError):
-        SpaceModel(label="bad", betti=(1,), pi1_kind="opaque")
+        SpaceModel(label="bad", betti=(1,), pi1_kind="green")
+    # opaque says only that pi1 is not known to be abelian: no label
+    assert SpaceModel(label="ok", betti=(1,), pi1_kind="opaque").pi1_kind == "opaque"
 
 
 
@@ -192,16 +196,16 @@ def test_records_are_values():
     sphere = preset("sphere:2")
     assert preset("surface:0") == sphere
     assert hash(preset("surface:0")) == hash(sphere)
-    assert sphere == SpaceModel("sphere:2", (1, 0, 1), TRIVIAL_GROUP, "trivial", None, "even")
+    assert sphere == SpaceModel("sphere:2", (1, 0, 1), TRIVIAL_GROUP, "trivial", "even")
     assert sphere != SpaceModel(label="sphere:2", betti=(1, 0, 1))  # parity "none"
     z2 = AbelianDescriptor(rank=0, torsion=(2,))
     assert z2 == AbelianDescriptor.of(0, [2]) and hash(z2) == hash(AbelianDescriptor(0, (2,)))
     assert AbelianDescriptor(rank=1) == AbelianDescriptor(1, ())
     expr = GroupExpression(pi1_exponent=2, h1_exponent=1, pi1_kind="opaque",
-                           h1=AbelianDescriptor(2), pi1_label="free group of rank 2")
-    same = GroupExpression(2, 1, "opaque", AbelianDescriptor(2), "free group of rank 2")
+                           h1=AbelianDescriptor(2))
+    same = GroupExpression(2, 1, "opaque", AbelianDescriptor(2))
     assert expr == same and hash(expr) == hash(same)
-    assert expr != GroupExpression(2, 1, "opaque", AbelianDescriptor(2))
+    assert expr != GroupExpression(2, 1, "opaque", AbelianDescriptor(3))
     assert len({sphere, preset("surface:0"), z2, expr, same}) == 3
     assert repr(z2) == "AbelianDescriptor(rank=0, torsion=(2,))"
     for record, field in ((sphere, "parity"), (z2, "rank"), (expr, "h1_exponent")):

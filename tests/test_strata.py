@@ -25,7 +25,6 @@ from fatdiag.strata import (
     MAX_SUBGROUP_WORK,
     _cycle_partition,
     _factor_depth,
-    _longest_chain,
     all_subgroups,
     depth,
     group_length,
@@ -370,6 +369,22 @@ def test_group_length_searches_each_factor(monkeypatch, guard_scale_env):
     guard_scale_env(str(77.5 / MAX_SUBGROUP_WORK))
     with pytest.raises(ResourceGuardError, match="subgroup enumeration: size 78 "):
         group_length(symmetric_group(3))
+
+
+def _longest_chain(subgroups) -> int:
+    """The longest strict chain from the smallest to the largest of a
+    group's subgroups."""
+    ordered = sorted(subgroups, key=len)
+    longest = {}
+    for sub in ordered:
+        best = 0
+        for smaller in ordered:
+            if len(smaller) >= len(sub):
+                break
+            if len(sub) % len(smaller) == 0 and smaller < sub:
+                best = max(best, longest[smaller] + 1)
+        longest[sub] = best
+    return longest[ordered[-1]]
 
 
 def test_products_equal_their_factors():
