@@ -115,16 +115,16 @@ class GradedPolynomial:
     def __pow__(self, exponent: int) -> "GradedPolynomial":
         if exponent < 0:
             raise ValueError("negative exponent")
-        out = GradedPolynomial.one()
+        out = None  # no product with one
         base = self
         e = exponent
         while e:
             if e & 1:
-                out = out * base
+                out = base if out is None else out * base
             e >>= 1
             if e:  # the square is needed only for a higher bit
                 base = base * base
-        return out
+        return GradedPolynomial.one() if out is None else out
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GradedPolynomial):

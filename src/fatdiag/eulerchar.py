@@ -103,17 +103,19 @@ def chi_sp(chi: int, n: int) -> int:
 def chi_gamma_product(chi: int, group: "PermutationGroupModel") -> int:
     """Euler characteristic of the quotient of X^n by a permutation group.
 
-    Average of chi^(number of cycles) over the group; the average is always
-    an exact integer, and a failure of that is a bug.
+    chi^f, for the f fixed points, times each direct factor's average of
+    chi^(number of cycles), an exact integer (anything else is a bug).
 
     >>> from .permgroup import cyclic_group
     >>> chi_gamma_product(2, cyclic_group(3))
     4
     """
-    total = 0
-    for cycle_count, elements in group.cycle_count_histogram().items():
-        total += elements * chi**cycle_count
-    return _exact_div(total, group.order(), "chi_gamma_product")
+    factors = group.direct_factors()
+    value = chi ** (group.degree - sum(factor.degree for factor in factors))
+    for factor in factors:
+        total = sum(count * chi**c for c, count in factor.cycle_count_histogram().items())
+        value *= _exact_div(total, factor.order(), "chi_gamma_product")
+    return value
 
 
 def chi_stratum(chi: int, alpha: tuple[int, ...]) -> int:

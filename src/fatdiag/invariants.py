@@ -16,6 +16,7 @@ Only free ranks are computed here; torsion of the quotients is out of scope.
 """
 
 import math
+from functools import cache, partial, reduce
 
 from .algebra import GradedPolynomial
 from .errors import InternalConsistencyError, _exact_div, check_guard
@@ -44,8 +45,14 @@ def graded_trace_cycle(poincare: GradedPolynomial, length: int) -> GradedPolynom
                              for i, b in poincare.coefficients().items()})
 
 
+def _terms(poincare: GradedPolynomial, n: int) -> int:
+    """The bound T of _poincare_work on the terms of a product of n traces."""
+    span = n * max(poincare.degree(), 0) + 1
+    return min(span, len(poincare.coefficients()) ** min(n, span.bit_length()))
+
+
 def _poincare_work(poincare: GradedPolynomial, n: int, hist) -> int:
-    """A bound on the coefficient products invariant_poincare makes for a
+    """A bound on the coefficient products of the group average over a
     group of degree n with cycle-type histogram hist.
 
     Each cycle type of m_l cycles of length l makes, for each l, the
@@ -58,50 +65,51 @@ def _poincare_work(poincare: GradedPolynomial, n: int, hist) -> int:
     of n * D + 1, past which B ** n, for B >= 2, is the larger anyway.
     """
     products = sum(m.bit_length() + bin(m).count("1") for ctype in hist for m in ctype if m)
-    span = n * max(poincare.degree(), 0) + 1
-    terms = min(span, len(poincare.coefficients()) ** min(n, span.bit_length()))
-    return products * terms * terms
+    return products * _terms(poincare, n) ** 2
 
 
 def invariant_poincare(
     poincare: GradedPolynomial, group: PermutationGroupModel
 ) -> GradedPolynomial:
     """Poincare polynomial of the quotient of X^n by a permutation group,
-    where poincare is the Poincare polynomial of X.
+    where poincare is the Poincare polynomial P of X.
 
-    Averages, over the group, the product over cycles of the graded trace:
-    the integer sum is divided by |G| coefficient by coefficient.  The
-    result must have non-negative integer coefficients (they are dimensions
-    of invariant subspaces), and anything else is a bug.
+    Over Q it is P^f, for the f fixed points, times each direct factor's
+    average of the product over cycles of the graded trace (Kunneth): the
+    integer sum is divided by the factor's order coefficient by
+    coefficient.  The result must have non-negative integer coefficients
+    (they are dimensions of invariant subspaces), and anything else is a
+    bug.  The products, joins included, are guarded before the first.
 
     >>> torus = GradedPolynomial.from_list([1, 2, 1])
     >>> from .permgroup import cyclic_group
     >>> invariant_poincare(torus, cyclic_group(3)).to_list()
     [1, 2, 5, 8, 5, 2, 1]
     """
-    order = group.order()
-    hist = group.cycle_type_histogram()
-    check_guard(_poincare_work(poincare, group.degree, hist), MAX_POINCARE_WORK,
-                "invariant Poincare products")
-    acc = GradedPolynomial.zero()
-    traces: dict[int, GradedPolynomial] = {}  # by cycle length, each made once
-    for ctype, count in hist.items():
-        term = GradedPolynomial.one()
-        for length, mult in enumerate(ctype, start=1):
-            if mult:
-                if length not in traces:
-                    traces[length] = graded_trace_cycle(poincare, length)
-                term = term * traces[length] ** mult
-        acc = acc + term.scale(count)
-    ranks = {}
-    for deg, c in acc.coefficients().items():
-        rank = _exact_div(c, order, "coefficient in degree {}", deg)
-        if rank < 0:
-            raise InternalConsistencyError(
-                f"negative invariant rank {rank} in degree {deg}"
-            )
-        ranks[deg] = rank
-    return GradedPolynomial(ranks)
+    factors = group.direct_factors()
+    fixed = joined = group.degree - sum(factor.degree for factor in factors)
+    work = _poincare_work(poincare, fixed, [(fixed,)])
+    for factor in factors:
+        work += (_poincare_work(poincare, factor.degree, factor.cycle_type_histogram())
+                 + _terms(poincare, joined) * _terms(poincare, factor.degree))
+        joined += factor.degree
+    check_guard(work, MAX_POINCARE_WORK, "invariant Poincare products")
+    result = poincare ** fixed
+    trace = cache(partial(graded_trace_cycle, poincare))  # each cycle length made once
+    for factor in factors:
+        acc = GradedPolynomial.zero()
+        for ctype, count in factor.cycle_type_histogram().items():
+            # a factor moves some point, so there is a power to start from
+            powers = [trace(length) ** mult for length, mult in enumerate(ctype, start=1) if mult]
+            acc = acc + reduce(GradedPolynomial.__mul__, powers).scale(count)
+        ranks = {}
+        for deg, c in acc.coefficients().items():
+            rank = _exact_div(c, factor.order(), "coefficient in degree {}", deg)
+            if rank < 0:
+                raise InternalConsistencyError(f"negative invariant rank {rank} in degree {deg}")
+            ranks[deg] = rank
+        result = result * GradedPolynomial(ranks)
+    return result
 
 
 def macdonald_poincare_sp(poincare: GradedPolynomial, n: int) -> GradedPolynomial:

@@ -36,15 +36,14 @@ _classes under H's strong generators, of the orbit size times the
 histogram of one coset (Seress, ch. 4-5, for the chain and its strong
 generators).
 
-A group that is a direct product over its orbits is handled factor by
-factor (direct_factors).  Orbits that no generator ties together carry
+A group that is a direct product over its orbits is split into factors
+(direct_factors).  Orbits that no generator ties together carry
 commuting factors at once; within a set of tied orbits, an orbit O splits
 off when, for every generator g, the element acting as g on O and fixing
 every other point lies in G, which sifting through the chain decides, and
 the orbits that do not split form one last factor.  Each factor is a
-group on its own renumbered points; the histogram of G is the
-convolution of the factors' histograms, with the fixed points as
-1-cycles, and strata adds depth and chain length over the factors.
+group on its own renumbered points; chi and Betti numbers of X^n / G
+multiply over the factors, and depth and chain length add.
 
 The closure walk, _closure, is the orbit of a tuple under the group
 generated by some permutations, found breadth-first by left multiplication.
@@ -57,7 +56,6 @@ to slot g(j) and (g h) . x = g . (h . x).
 """
 
 import math
-import operator
 import re
 from collections import Counter
 from collections.abc import Iterator
@@ -69,9 +67,8 @@ from .errors import Work, _integer, check_guard
 # counted as it is built, and |G| * degree before the first element is
 # streamed, which bounds both the time of a walk over the group and the
 # memory of an element set.  A histogram is guarded on the entries of its
-# coset lists before they are built, on the elements of the cosets it walks
-# (times the degree) before the walk, and on the cycle-type pairs its
-# factor convolution adds (times the degree).  The same limit ends the
+# coset lists before they are built, and on the elements of the cosets it
+# walks (times the degree) before the walk.  The same limit ends the
 # search for direct factors, counted in the entries of the elements it
 # builds and sifts: past it, the orbits not yet tested stay unsplit.
 MAX_GROUP_WORK = 4 * 10**6
@@ -390,9 +387,9 @@ class PermutationGroupModel:
     guarded before any generator is read, the chain on the entries it
     composes while it is built, a walk over the elements (stream and
     elements) on its work |G| * degree before the first element, and the
-    histograms on their coset lists and coset walks, factor by factor.  The
-    chain, the direct factors, the element set and the cycle-type histogram
-    are computed once.
+    histograms on their coset lists and coset walks.  The chain, the direct
+    factors, the element set and the cycle-type histogram are computed
+    once.
     """
 
     def __init__(self, degree: int, generators) -> None:
@@ -495,31 +492,10 @@ class PermutationGroupModel:
         return list(self._factors)
 
     def cycle_type_histogram(self) -> Counter[tuple[int, ...]]:
-        """Map cycle type -> number of elements of that type (a copy).
-
-        The convolution of the direct factors' histograms (each from its
-        chain, by _chain_histogram), starting from the fixed points as
-        1-cycles.  The convolution is guarded on the cycle-type pairs it
-        adds, times the degree.
-        """
+        """Map cycle type -> number of elements of that type (a copy), by
+        _chain_histogram over the group's own chain."""
         if self._cycle_types is None:
-            factors = self.direct_factors()
-            fixed = [0] * self.degree
-            if fixed:
-                fixed[0] = self.degree - sum(factor.degree for factor in factors)
-            hist = Counter({tuple(fixed): 1})
-            work = Work(MAX_GROUP_WORK, "group enumeration")
-            for factor in factors:
-                part = _chain_histogram(factor._stabilizers(), factor.degree)
-                work.add(len(hist) * len(part) * self.degree)
-                merged: Counter[tuple[int, ...]] = Counter()
-                for ctype, count in hist.items():
-                    for piece, times in part.items():
-                        summed = tuple(map(operator.add, ctype, piece)) + ctype[len(piece):]
-                        merged[summed] += count * times
-                hist = merged
-            work.done()
-            self._cycle_types = hist
+            self._cycle_types = _chain_histogram(self._stabilizers(), self.degree)
         return Counter(self._cycle_types)
 
     def cycle_count_histogram(self) -> dict[int, int]:

@@ -18,6 +18,7 @@ length once.  The formulas are compared per cell with the oracles of
 eulerchar.chi_oracles, which `chi --verify` reads too.
 """
 
+import math
 import random
 import time
 from collections import Counter, namedtuple
@@ -56,21 +57,37 @@ from .strata import depth, group_length, length_sn
 
 GRAPH_SEED = 20260821
 
+# Young subgroups with f fixed points, as (degree, block sizes): X^n / G is
+# X^f times the symmetric products over the blocks.
+KUNNETH = [(7, (2, 3)), (8, (2, 2, 3))]
+
+
+@cache
+def _young(degree: int, sizes: tuple[int, ...]) -> PermutationGroupModel:
+    """S_a1 x S_a2 x ... on blocks of at least 2 points from point 1, the
+    other points fixed; memoized, so that the criteria share each model."""
+    gens, start = [], 1
+    for size in sizes:
+        block = " ".join(map(str, range(start, start + size)))
+        gens += [f"({block})", f"({start} {start + 1})"]
+        start += size
+    return PermutationGroupModel(degree, gens)
+
 
 def check_macdonald_burnside() -> str:
-    """Symmetric-product formula equals the group average over the full
-    symmetric group."""
+    """Symmetric-product formula equals the group average over S_n, and its
+    product over the blocks, times chi^f, over Young subgroups (Kunneth)."""
     n_max = 8
     cases = 0
-    for n in range(0, n_max + 1):
-        group = symmetric_group_cached(n)
+    groups = {(n, (n,)): symmetric_group_cached(n) for n in range(n_max + 1)}
+    for (degree, sizes), group in (groups | {case: _young(*case) for case in KUNNETH}).items():
         for chi in range(-5, 6):
-            left = chi_sp(chi, n)
+            left = math.prod((chi_sp(chi, a) for a in sizes), start=chi ** (degree - sum(sizes)))
             right = chi_gamma_product(chi, group)
             if left != right:
-                raise AssertionError(f"chi_sp({chi},{n})={left} != average {right}")
+                raise AssertionError(f"chi={chi}, S_{sizes} on {degree} points: {left} != {right}")
             cases += 1
-    return f"{cases} cases, n <= {n_max}"
+    return f"{cases} cases, n <= {n_max} and {len(KUNNETH)} Young subgroups"
 
 
 def _against_oracles(kind: str, chi: int, columns: dict[int, list[int]]) -> int:
@@ -127,30 +144,30 @@ def check_fd_corrected() -> str:
 
 
 def check_invariant_poincare() -> str:
-    """Quotient Betti fixtures and the symmetric-product series identity."""
-    torus = preset("torus").poincare()
-    circle = preset("circle").poincare()
+    """Quotient Betti fixtures and the symmetric-product series identity,
+    over S_n and, times P^f, over Young subgroups (Kunneth)."""
+    polys = {name: preset(name).poincare() for name in [
+        "point", "circle", "sphere:2", "sphere:3", "torus", "surface:2", "projective_plane",
+        "wedge_circles:3"]}
     z3 = cyclic_group(3)
-    got_torus = invariant_poincare(torus, z3).to_list()
+    got_torus = invariant_poincare(polys["torus"], z3).to_list()
     if got_torus != [1, 2, 5, 8, 5, 2, 1]:
         raise AssertionError(f"torus/Z3 ranks {got_torus}")
-    got_circle = invariant_poincare(circle, z3).to_list()
+    got_circle = invariant_poincare(polys["circle"], z3).to_list()
     if got_circle != [1, 1, 1, 1]:
         raise AssertionError(f"circle/Z3 ranks {got_circle}")
-    names = ["point", "circle", "sphere:2", "sphere:3", "torus", "surface:2",
-             "projective_plane", "wedge_circles:3"]
-    n_max = 5
-    cases = 0
-    for name in names:
-        poly = preset(name).poincare()
-        for n in range(1, n_max + 1):
-            left = invariant_poincare(poly, symmetric_group_cached(n))
-            right = macdonald_poincare_sp(poly, n)
-            if left != right:
-                raise AssertionError(
-                    f"{name}, n={n}: invariants {left.to_list()} != series {right.to_list()}")
-            cases += 1
-    return f"fixtures plus {cases} series identities"
+    cases = [(name, (n, (n,)), symmetric_group_cached(n)) for name in polys for n in range(1, 6)]
+    # the Young subgroups on two presets with odd-degree classes, whose
+    # traces carry the Koszul sign
+    cases += [(name, case, _young(*case)) for case in KUNNETH for name in ("sphere:3", "torus")]
+    for name, (degree, sizes), group in cases:
+        poly = polys[name]
+        left = invariant_poincare(poly, group)
+        right = math.prod((macdonald_poincare_sp(poly, a) for a in sizes),
+                          start=poly ** (degree - sum(sizes)))
+        if left != right:
+            raise AssertionError(f"{name}, S_{sizes} on {degree} points: {left} != {right}")
+    return f"fixtures plus {len(cases)} series identities, {len(KUNNETH)} Young subgroups"
 
 
 def check_sphere_fixtures() -> str:
@@ -278,13 +295,8 @@ def check_depth_length() -> str:
              (12, (3, 3, 3, 3)), (12, (2, 2, 2, 2, 2, 2)),
              (12, (4, 4, 4))]  # 13824 elements, three S_4 factors
     for degree, sizes in young:
-        gens, start = [], 1
-        for size in sizes:
-            block = " ".join(map(str, range(start, start + size)))
-            gens += [f"({block})", f"({start} {start + 1})"]
-            start += size
         orbits = len(sizes) + degree - sum(sizes)
-        got = depth(PermutationGroupModel(degree, gens))
+        got = depth(_young(degree, sizes))
         if got != degree - orbits:
             raise AssertionError(f"depth(S_{sizes} on {degree} points) = {got}")
     return (f"depth table n <= {n_max}, battery of {len(battery)} groups, "

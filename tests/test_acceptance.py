@@ -26,10 +26,10 @@ BUDGET = 5.0
 # between the criteria cannot drop a case unnoticed.
 DETAILS = {
     "all": [
-        "99 cases, n <= 8",
+        "121 cases, n <= 8 and 2 Young subgroups",
         "252 cases three-way, n <= 8",
         "252 oracle cases; coefficient-free variant rejected (6 != 2)",
-        "fixtures plus 40 series identities",
+        "fixtures plus 44 series identities, 2 Young subgroups",
         "31 fixture values",
         "414 identity cases, n <= 8",
         "fixtures plus 50 random graphs",
@@ -150,4 +150,4 @@ def test_battery_checks_under_python_O():
                           env=_child_env(), capture_output=True, text=True, check=True)
     lines = proc.stdout.splitlines()
     assert lines[0] == "False"
-    assert "macdonald-burnside: chi_sp(-5,0)=12345 != average 1" in lines[1:], lines
+    assert "macdonald-burnside: chi=-5, S_(0,) on 0 points: 12345 != 1" in lines[1:], lines

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
-import pytest
+from collections import Counter
 
+import pytest
+from test_permgroup import _families, _product_groups
+
+from fatdiag import permgroup
 from fatdiag.algebra import GradedPolynomial
 from fatdiag.eulerchar import chi_gamma_product, chi_sp
 from fatdiag.errors import ResourceGuardError
@@ -13,6 +17,8 @@ from fatdiag.invariants import (
     macdonald_poincare_sp,
 )
 from fatdiag.permgroup import (
+    PermutationGroupModel,
+    _closure,
     cyclic_group,
     symmetric_group,
     trivial_group,
@@ -179,3 +185,95 @@ def test_coefficient_products_are_guarded_before_the_first(monkeypatch):
     s8 = symmetric_group(8).cycle_type_histogram()
     for name in ("surface:2", "torus", "wedge_circles:2"):
         assert _poincare_work(preset(name).poincare(), 8, s8) < MAX_POINCARE_WORK / 10
+
+
+def test_products_of_factors_are_guarded_with_their_joins(monkeypatch):
+    # <(1 2)> on 3 points and 1,201 Betti numbers of 1: P^1 for the fixed
+    # point, 2 products of 1,201^2; S_2's average on its 2 points, 3
+    # products for the identity's two 1-cycles and 2 for the transposition,
+    # each of 2,401^2; and the product joining the two, 1,201 * 2,401
+    size = 2 * 1201**2 + 5 * 2401**2 + 1201 * 2401
+
+    def refuse(self, other):
+        raise AssertionError("a product was made")
+
+    monkeypatch.setattr(GradedPolynomial, "__mul__", refuse)
+    with pytest.raises(ResourceGuardError, match=rf"invariant Poincare products: size {size} "):
+        invariant_poincare(GradedPolynomial.from_list([1] * 1201),
+                           PermutationGroupModel(3, ["(1 2)"]))
+
+
+def _walked_cycle_lengths(group: PermutationGroupModel) -> Counter:
+    """Each element's cycle lengths, sorted, with how many elements have
+    them: the elements by the closure walk from the identity, and the
+    cycles counted here, so that no stabilizer chain, coset orbit or direct
+    factor takes part."""
+    lengths: Counter = Counter()
+    for g in _closure(tuple(range(group.degree)), group.generators):
+        seen, cycles = set(), []
+        for start in range(group.degree):
+            if start not in seen:
+                size, p = 0, start
+                while p not in seen:
+                    seen.add(p)
+                    p, size = g[p], size + 1
+                cycles.append(size)
+        lengths[tuple(sorted(cycles))] += 1
+    return lengths
+
+
+def test_products_match_the_element_walk(monkeypatch):
+    # chi and Betti numbers of X^n / G against averages over every element,
+    # on groups with tied orbits, several direct factors and fixed points
+    groups = [
+        PermutationGroupModel(4, ["(1 2)(3 4)"]),
+        PermutationGroupModel(5, ["(1 2)(3 4)", "(1 2)"]),
+        PermutationGroupModel(9, ["(1 2)(3 4)", "(5 6 7)"]),
+        PermutationGroupModel(7, ["(1 2)", "(3 4 5)", "(3 4)"]),  # S_2 x S_3
+        PermutationGroupModel(9, ["(1 2 3)", "(2 3 4)", "(5 6 7)"]),  # A_4 x C_3
+        PermutationGroupModel(10, ["(1 2)", "(3 4 5)", "(3 4)", "(6 7 8 9)", "(6 8)"]),
+    ]
+    families = _families(monkeypatch)
+    groups += [PermutationGroupModel(families[name].degree, families[name].gens)
+               for name in ("S3wrS2", "S3xS3+2", "S2xS3xS3")]
+    groups += [group for group, _ in _product_groups(40, seed=16)]
+    polys = [CIRCLE, GradedPolynomial.from_list([1, 3, 3, 1]), preset("sphere:3").poincare(),
+             preset("wedge_circles:2").poincare()]
+    for group in groups:
+        walk = _walked_cycle_lengths(group)
+        order = sum(walk.values())
+        for chi in range(-5, 6):
+            total = sum(count * chi ** len(cycles) for cycles, count in walk.items())
+            assert total % order == 0
+            assert chi_gamma_product(chi, group) == total // order, (group.generators, chi)
+        for poly in polys:
+            total = GradedPolynomial.zero()
+            for cycles, count in walk.items():
+                term = GradedPolynomial.one()
+                for length in cycles:
+                    term = term * graded_trace_cycle(poly, length)
+                total = total + term.scale(count)
+            assert all(c % order == 0 for c in total.coefficients().values())
+            want = GradedPolynomial({d: c // order for d, c in total.coefficients().items()})
+            assert invariant_poincare(poly, group) == want, (group.generators, poly)
+
+
+def test_products_walk_each_factor_and_never_the_whole_group(monkeypatch):
+    # S_6^5 on 30 points: one histogram walk per factor, of 6 points each
+    walked = []
+    chain_histogram = permgroup._chain_histogram
+
+    def counted(chain, degree):
+        walked.append(degree)
+        return chain_histogram(chain, degree)
+
+    monkeypatch.setattr(permgroup, "_chain_histogram", counted)
+    gens = [g for start in range(1, 30, 6)
+            for g in ("(" + " ".join(map(str, range(start, start + 6))) + ")",
+                      f"({start} {start + 1})")]
+    assert chi_gamma_product(3, PermutationGroupModel(30, gens)) == chi_sp(3, 6) ** 5
+    assert walked == [6] * 5
+    walked.clear()
+    assert (invariant_poincare(TORUS, PermutationGroupModel(30, gens))
+            == macdonald_poincare_sp(TORUS, 6) ** 5)
+    assert walked == [6] * 5

@@ -1,0 +1,51 @@
+"""Named wrong programs that `fatdiag verify` must catch.
+
+Each entry is a name, a monkeypatch that makes the program wrong, and the
+verify criterion that must then fail.  The memoized models are cleared
+first, so that no answer computed by the right program is reused, and
+only the named criterion runs.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from fatdiag import eulerchar, permgroup, selfcheck
+from fatdiag.permgroup import PermutationGroupModel, symmetric_group_cached
+
+
+def _fixed_points_removed(monkeypatch) -> None:
+    # chi_gamma_product answers for G acting on its moved points only
+    def mutant(chi, group):
+        moved = sorted({p for g in group.generators for p, q in enumerate(g) if p != q})
+        return eulerchar.chi_gamma_product(chi, permgroup._restrict(group.generators, moved))
+
+    monkeypatch.setattr(selfcheck, "chi_gamma_product", mutant)
+
+
+def _factor_left_out(monkeypatch) -> None:
+    # invariant_poincare folds over all direct factors but the last of
+    # several, whose points then count as fixed
+    direct_factors = PermutationGroupModel.direct_factors
+    monkeypatch.setattr(PermutationGroupModel, "direct_factors",
+                        lambda group: direct_factors(group)[:-1] or direct_factors(group))
+
+
+MUTANTS = {
+    "chi-gamma-fixed-points-removed": (_fixed_points_removed, "macdonald-burnside"),
+    "betti-gamma-factor-left-out": (_factor_left_out, "invariant-poincare"),
+}
+
+
+@pytest.mark.parametrize("name", MUTANTS)
+def test_verify_catches_the_mutant(monkeypatch, name):
+    mutate, criterion = MUTANTS[name]
+    check = dict(selfcheck.CHECKS)[criterion]
+    symmetric_group_cached.cache_clear()
+    selfcheck._young.cache_clear()
+    check()
+    mutate(monkeypatch)
+    symmetric_group_cached.cache_clear()
+    selfcheck._young.cache_clear()
+    with pytest.raises(AssertionError):
+        check()

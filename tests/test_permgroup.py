@@ -187,11 +187,15 @@ def test_group_order_guard(guard_scale_env):
     assert symmetric_group(6).order() == 720
 
 
-def _roster(monkeypatch):
-    """The benchmark's group-strata roster: 20 families of degree 3-8."""
+def _families(monkeypatch) -> dict:
+    """The benchmark's group-strata roster by name: 20 families of degree
+    3-8."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
-    workloads = importlib.import_module("workloads")
-    return [PermutationGroupModel(f.degree, f.gens) for f in workloads.GROUP_ROSTER]
+    return importlib.import_module("workloads").FAMILIES
+
+
+def _roster(monkeypatch):
+    return [PermutationGroupModel(f.degree, f.gens) for f in _families(monkeypatch).values()]
 
 
 def _random_groups(count: int, seed: int):
