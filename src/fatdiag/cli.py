@@ -35,9 +35,12 @@ usage lines made from the COMMANDS table.  A grid of `chi bd|fd|bupper`
 builds one power-series column per d and reads its cells from them; it
 is guarded on its cell count, the work of its columns and, for chi >= 1
 or chi <= -32 n^2, a lower bound on a result's size before any column is
-built.  `chi --verify` (every cell, against eulerchar.chi_oracles) and
-`graph chi2 --oracle` make one comparison, _check_oracles, which names
-every oracle that disagrees.
+built.  Once its cells are counted, and before the size bound, it asks
+the one manifold gate, eulerchar.require_manifold, of the space's parity
+(exit 2); every other command takes a space of any parity.  `chi
+--verify` (every cell, against eulerchar.chi_oracles) and `graph chi2
+--oracle` make one comparison, _check_oracles, which names every oracle
+that disagrees.
 
 Start-up imports only os, sys, types and the error types, and argv is
 read in one pass against the COMMANDS table; each command imports the
@@ -274,8 +277,8 @@ def _expression_payload(expr) -> dict:
 
 
 def _cmd_chi(args) -> int:
-    from .eulerchar import (chi_b_upper, chi_bd, chi_cell_bits, chi_columns, chi_fd,
-                            chi_oracles, chi_sp, chi_sp_bits)
+    from .eulerchar import (KINDS, chi_b_upper, chi_bd, chi_cell_bits, chi_columns, chi_fd,
+                            chi_oracles, chi_sp, chi_sp_bits, require_manifold)
 
     space = _space(args)
     chi = space.euler()
@@ -288,22 +291,22 @@ def _cmd_chi(args) -> int:
         _emit("chi sp", {"space": _space_echo(space), "n": n}, _exact(chi_sp(chi, n)))
         return 0
 
-    d_min = 1 if kind == "bupper" else 2
+    d_min = KINDS[kind][0]
     cells = _grid(args.n, args.d, d_min)
     if not cells:
         raise UsageError(f"no valid (n, d) pairs with {d_min} <= d <= n in the ranges")
-    if space.parity == "even":  # (the formulas refuse other parities, exit 2)
-        # every cell is printed, so one too long refuses the command: the
-        # last row at its smallest d is bounded before any column is built
-        bits = chi_cell_bits(kind, chi, cells[-1][0], cells[0][1])
-        check_guard(bits, MAX_RESULT_BITS, "result size")
+    require_manifold(kind, space.parity)
+    # every cell is printed, so one too long refuses the command: the last
+    # row at its smallest d is bounded before any column is built
+    bits = chi_cell_bits(kind, chi, cells[-1][0], cells[0][1])
+    check_guard(bits, MAX_RESULT_BITS, "result size")
     grid = len(cells) > 1
     if grid:  # one column per d, up to the last row
-        columns = chi_columns(kind, chi, {d for _, d in cells}, cells[-1][0], space.parity)
+        columns = chi_columns(kind, chi, {d for _, d in cells}, cells[-1][0])
         values = [columns[d][n] for n, d in cells]
     else:
         formula = {"bd": chi_bd, "fd": chi_fd, "bupper": chi_b_upper}[kind]
-        values = [formula(chi, *cells[0], space.parity)]
+        values = [formula(chi, *cells[0])]
 
     oracles = None  # a single cell prints its oracles
     if args.verify:

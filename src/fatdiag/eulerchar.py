@@ -2,11 +2,14 @@
 powers, and bounded-multiplicity configuration spaces.
 
 All functions take the Euler characteristic chi of the base space as a plain
-integer and return exact integers.  The functions for ordered/unordered fat
-diagonals (multiplicity >= d loci) and their complements are only valid for
-closed even-dimensional manifolds; they check a parity argument and raise
-UnsupportedSpaceError otherwise, because on general complexes these numbers
-are not functions of chi at all.
+integer and return exact integers.  The formulas for the ordered and
+unordered fat diagonals (multiplicity >= d loci) and their complements,
+chi_columns and the three scalar ones read from it, are stated for a base
+that is a closed even-dimensional manifold.  That is a property of the
+space, not of the integer chi, so they take integers only: the caller
+that holds the space asks the one gate, require_manifold, first.  KINDS
+is the one table of the three kinds, read by the formulas, the gate and
+the command line.
 
 Conventions:
 
@@ -44,8 +47,8 @@ k, and each is guarded on the work it would do before it starts.
 The last three are coefficient n of the chi-th power of one truncated
 series, ordinary or exponential, and one recurrence (_series) gives every
 coefficient up to n in one pass.  chi_columns reads a column per d from
-it for a whole grid, under one parity gate, range check and work guard
-(series_work); the three formulas read one cell of it.
+it for a whole grid, under one range check and work guard (series_work);
+the three formulas read one cell of it.
 """
 
 import math
@@ -74,10 +77,30 @@ MAX_FORMULA_WORK = 3 * 10**9
 STEP_BITS = 4096
 
 
-def _require_even(parity: str, what: str) -> None:
+# The kinds of chi_columns: smallest d, top - d of the truncated series,
+# exponential form, and the locus that require_manifold names.
+KINDS = {
+    "bd": (2, -1, False, "unordered fat diagonal"),
+    "fd": (2, -1, True, "ordered fat diagonal"),
+    "bupper": (1, 0, False, "multiplicity-bounded symmetric product"),
+}
+
+
+def require_manifold(kind: str, parity: str) -> None:
+    """The hypothesis of the chi_columns formulas of a kind: the base is a
+    closed even-dimensional manifold, given by its parity ("even", "odd"
+    or "none").  UnsupportedSpaceError names the kind's locus otherwise.
+
+    The open locus bupper needs it: over a graph its chi is not a function
+    of chi(X).  On the gamma2 fixture (chi = -1) the ordered two-point
+    configuration space has chi -6, not chi^2 - chi = 2, so bupper at n = 2,
+    d = 1 is -3, not C(chi, 2) = 1.  For the compact loci bd and fd it
+    is stricter than the mathematics: their chi is chi_c, which adds over
+    strata, and chi_c(F(X, k)) = falling(chi, k) on any finite complex.
+    """
     if parity != "even":
         raise UnsupportedSpaceError(
-            f"{what} is only defined over closed even-dimensional manifolds;"
+            f"{KINDS[kind][3]} is only defined over closed even-dimensional manifolds;"
             f" got parity {parity!r}"
         )
 
@@ -266,13 +289,14 @@ def _series(chi: int, top: int, n: int, exponential: bool) -> list[int]:
     return a
 
 
-def chi_columns(kind: str, chi: int, ds: Collection[int], n: int,
-                parity: str = "even") -> dict[int, list[int]]:
+def chi_columns(kind: str, chi: int, ds: Collection[int], n: int) -> dict[int, list[int]]:
     """Columns of chi_bd, chi_fd or chi_b_upper (kind "bd", "fd" or
-    "bupper"): for each d of ds, the values at every m = 0 ... n.  This is
-    the one parity gate, range check and work guard of the three formulas,
-    and the work of all the columns, and of the untruncated series they
-    are taken from, is guarded before any is built.
+    "bupper" of KINDS): for each d of ds, the values at every m = 0 ... n,
+    over a closed even-dimensional manifold of Euler characteristic chi
+    (require_manifold is the caller's).  This is the one range check and
+    work guard of the three formulas, and the work of all the columns, and
+    of the untruncated series they are taken from, is guarded before any
+    is built.
 
     A chi_b_upper column is _series(chi, d, n).  A chi_bd or chi_fd column
     is the untruncated series (chi_sp, or chi^m) less the one with top
@@ -281,13 +305,7 @@ def chi_columns(kind: str, chi: int, ds: Collection[int], n: int,
     >>> chi_columns("bd", 2, [2, 3], 4)
     {2: [0, 0, 2, 4, 5], 3: [0, 0, 0, 2, 4]}
     """
-    # smallest d, top - d, exponential form, what the parity gate names
-    d_min, shift, exponential, what = {
-        "bd": (2, -1, False, "unordered fat diagonal"),
-        "fd": (2, -1, True, "ordered fat diagonal"),
-        "bupper": (1, 0, False, "multiplicity-bounded symmetric product"),
-    }[kind]
-    _require_even(parity, what)
+    d_min, shift, exponential, _ = KINDS[kind]
     for d in ds:
         if not d_min <= d <= n:
             raise ValueError(f"needs {d_min} <= d <= n, got d={d}, n={n}")
@@ -309,7 +327,7 @@ def chi_columns(kind: str, chi: int, ds: Collection[int], n: int,
     return columns
 
 
-def chi_fd(chi: int, n: int, d: int, parity: str = "even") -> int:
+def chi_fd(chi: int, n: int, d: int) -> int:
     """Euler characteristic of the ordered fat diagonal: n-tuples in which
     some value occurs at least d times.  Even-dimensional closed manifolds.
 
@@ -321,10 +339,10 @@ def chi_fd(chi: int, n: int, d: int, parity: str = "even") -> int:
     >>> chi_fd(2, 4, 3)
     10
     """
-    return chi_columns("fd", chi, (d,), n, parity)[d][n]
+    return chi_columns("fd", chi, (d,), n)[d][n]
 
 
-def chi_bd(chi: int, n: int, d: int, parity: str = "even") -> int:
+def chi_bd(chi: int, n: int, d: int) -> int:
     """Euler characteristic of the unordered fat diagonal: points of the
     n-th symmetric product where some value has multiplicity >= d.  Even-
     dimensional closed manifolds.  Its strata are those of sp(X, n) that
@@ -336,7 +354,7 @@ def chi_bd(chi: int, n: int, d: int, parity: str = "even") -> int:
     >>> chi_bd(2, 5, 2)
     6
     """
-    return chi_columns("bd", chi, (d,), n, parity)[d][n]
+    return chi_columns("bd", chi, (d,), n)[d][n]
 
 
 def chi_f2(chi: int, n: int) -> int:
@@ -362,7 +380,7 @@ def chi_b2(chi: int, n: int) -> int:
     return chi_sp(chi, n) - binomial_gen(chi, n)
 
 
-def chi_b_upper(chi: int, n: int, d: int, parity: str = "even") -> int:
+def chi_b_upper(chi: int, n: int, d: int) -> int:
     """Euler characteristic of the multiplicity-at-most-d part of the n-th
     symmetric product.  Even-dimensional closed manifolds only; for general
     complexes this is not a function of chi.
@@ -375,7 +393,7 @@ def chi_b_upper(chi: int, n: int, d: int, parity: str = "even") -> int:
     >>> chi_b_upper(2, 3, 2)
     2
     """
-    return chi_columns("bupper", chi, (d,), n, parity)[d][n]
+    return chi_columns("bupper", chi, (d,), n)[d][n]
 
 
 def stratification_sum_bd(chi: int, n: int, d: int) -> int:

@@ -129,24 +129,23 @@ def pi1_bd(space: SpaceModel, n: int, d: int) -> GroupExpression:
     return GroupExpression.for_space(space, pi1_exponent=1, h1_exponent=1)
 
 
-def pi1_bgamma_abelian(group: "PermutationGroupModel", n: int, d: int) -> bool:
-    """Whether the quotient of the ordered fat diagonal by the group is
-    guaranteed to have abelian fundamental group: the group must act
-    d-transitively and d must be at most n/2.  Transitivity is read off
-    the group's stabilizer chain, so any d is answered at once.
+def pi1_bgamma_abelian(group: "PermutationGroupModel", d: int) -> bool:
+    """Whether the quotient of the ordered fat diagonal of X^n by the group,
+    n its degree, is guaranteed to have abelian fundamental group: the
+    group must act d-transitively and d must be at most n/2.  Transitivity
+    is read off the group's stabilizer chain, so any d is answered at once.
 
     False means "no claim", not "non-abelian".
 
     >>> from .permgroup import alternating_group, cyclic_group
-    >>> pi1_bgamma_abelian(cyclic_group(3), 3, 1)
+    >>> pi1_bgamma_abelian(cyclic_group(3), 1)
     True
-    >>> pi1_bgamma_abelian(alternating_group(12), 12, 6)
+    >>> pi1_bgamma_abelian(alternating_group(12), 6)
     True
     """
+    n = group.degree
     if not 1 <= d <= n:
         raise ValueError(f"needs 1 <= d <= n, got d={d}, n={n}")
-    if group.degree != n:
-        raise ValueError(f"group degree {group.degree} != n = {n}")
     if 2 * d > n:
         return False
     return group.is_d_transitive(d)

@@ -449,7 +449,9 @@ class PermutationGroupModel:
         does not split, and <(1 2)(3 4), (1 2)> does.  The tests count the
         entries they build and compose, over all groups of orbits; once the
         count passes MAX_GROUP_WORK, scaled, the orbits not yet tested stay
-        with the rest.
+        with the rest.  Factors of the same degree and renumbered
+        generators are one model, listed once for each, so that its chain
+        and histogram are built once.
         """
         if self._factors is None:
             chain = self._stabilizers()  # the chain guard comes first
@@ -476,18 +478,24 @@ class PermutationGroupModel:
                         return False
                 return True
 
+            shared: dict[tuple, PermutationGroupModel] = {}
+
+            def factor(generators: list[Perm], points: list[int]) -> PermutationGroupModel:
+                model = _restrict(generators, points)
+                return shared.setdefault((model.degree, model.generators), model)
+
             factors: list[PermutationGroupModel] = []
             for root, group_orbits in tied.items():
                 rest: list[int] = []
                 for orbit in group_orbits:
                     if (len(group_orbits) > 1 and work.units <= work.limit
                             and splits_off(orbit, gens[root])):
-                        factors.append(_restrict(gens[root], orbit))
+                        factors.append(factor(gens[root], orbit))
                     else:
                         rest += orbit
                 if rest:
                     factors.append(self if len(rest) == self.degree
-                                   else _restrict(gens[root], sorted(rest)))
+                                   else factor(gens[root], sorted(rest)))
             self._factors = factors
         return list(self._factors)
 

@@ -9,11 +9,12 @@ abelian, or opaque: neither known to be), and a manifold parity flag:
   "odd"   closed manifold of odd dimension
   "none"  no manifold structure assumed
 
-Parity "none" disables the manifold-only formulas (ordered configuration
-spaces, ordered/unordered fat diagonals for d >= 3, bounded-multiplicity
-complements); those entry points raise UnsupportedSpaceError instead of
-returning a silently wrong number, because for general complexes the answers
-are genuinely not functions of the Euler characteristic alone.
+The formulas for the ordered and unordered fat diagonals and their
+bounded-multiplicity complements (`chi bd|fd|bupper`) are stated for closed
+even-dimensional manifolds: on a space of parity "odd" or "none" the one
+gate, eulerchar.require_manifold, raises UnsupportedSpaceError instead of
+returning a number that is not known to be right.  Every other invariant
+takes a space of any parity.
 
 Torsion is tracked only in H_1, where the fundamental-group descriptors need
 it; higher integral homology is out of scope.

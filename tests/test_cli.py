@@ -574,12 +574,56 @@ def test_exit_code_usage_errors(capsys):
         assert err.strip(), argv
 
 
+_LOCI = {"bd": "unordered fat diagonal", "fd": "ordered fat diagonal",
+         "bupper": "multiplicity-bounded symmetric product"}
+
+
+def _gate_line(kind: str, parity: str) -> str:
+    return (f"unsupported space: {_LOCI[kind]} is only defined over closed even-dimensional"
+            f" manifolds; got parity '{parity}'\n")
+
+
 def test_exit_code_unsupported_space(capsys):
-    rc, out, err = run(capsys, "chi", "bd", "--space", "circle", "-n", "4", "-d", "2")
-    assert rc == 2
-    assert "unsupported" in err
-    rc, _, _ = run(capsys, "chi", "fd", "--space", "wedge_circles:2", "-n", "4", "-d", "2")
-    assert rc == 2
+    # the manifold gate: chi bd|fd|bupper, single cells and grids, with or
+    # without --verify and --csv, exit 2 with one stderr line on a space
+    # that is not even
+    for space, parity in (("circle", "odd"), ("sphere:3", "odd"), ("wedge_circles:2", "none")):
+        for kind in _LOCI:
+            for extra in ((), ("--verify",), ("--csv",)):
+                for n, d in (("4", "2"), ("2..5", "2..3")):
+                    argv = ("chi", kind, "--space", space, "-n", n, "-d", d, *extra)
+                    assert run(capsys, *argv) == (2, "", _gate_line(kind, parity)), argv
+
+
+def test_manifold_gate_precedence(capsys):
+    # an empty grid (exit 1) and the grid-cell guard come before the gate,
+    # and the gate before the result-size bound
+    rc, out, err = run(capsys, "chi", "bd", "--space", "circle", "-n", "3", "-d", "9")
+    assert (rc, out) == (1, "")
+    assert err == "error: no valid (n, d) pairs with 2 <= d <= n in the ranges\n"
+    rc, out, err = run(capsys, "chi", "bd", "--space", "circle", "-n", "0..1000",
+                       "-d", "0..1000")
+    assert (rc, out) == (4, "")
+    assert err.startswith("resource guard: grid cells: size 499500 ")
+    space = '{"betti": [1, 0, %d], "parity": "%s"}'
+    rc, out, err = run(capsys, "chi", "bd", "--space", space % (2**4000, "odd"),
+                       "-n", "1000", "-d", "2")
+    assert (rc, out, err) == (2, "", _gate_line("bd", "odd"))
+    rc, out, err = run(capsys, "chi", "bd", "--space", space % (2**4000, "even"),
+                       "-n", "1000", "-d", "2")
+    assert (rc, out) == (4, "")
+    assert err.startswith("resource guard: result size: ")
+
+
+def test_other_commands_take_any_parity(capsys):
+    # only chi bd|fd|bupper ask the manifold gate
+    group = ("--degree", "3", "--gens", "(1 2 3); (1 2)")
+    for space in ("circle", "sphere:3", "wedge_circles:2"):
+        for argv in (("chi", "sp", "-n", "3"), ("chi", "gamma", *group),
+                     ("betti", "gamma", *group), ("pi1", "gamma", *group),
+                     ("pi1", "bd", "-n", "4", "-d", "2")):
+            payload = run_json(capsys, *argv[:2], "--space", space, *argv[2:])
+            assert payload["inputs"]["space"]["parity"] != "even"
 
 
 def test_exit_code_resource_guard(capsys, guard_scale_env):

@@ -6,7 +6,9 @@ unknown and abbreviated options, stray words and missing values.  Whatever
 the argv, the contract holds: the exit code is 0, 1, 2 or 4, neither a
 traceback nor int()'s "invalid literal" reaches stderr, and stdout is
 empty, one envelope line, or a CSV table when --csv was given.  A chi
-bd|fd|bupper envelope echoes -n and -d as canonical ranges.  The draws
+bd|fd|bupper envelope echoes -n and -d as canonical ranges.  Exit 2 comes
+only from the manifold gate: chi bd|fd|bupper on a space whose parity is
+not "even", with the one stderr line that names the kind's locus.  The draws
 stay cheap (groups of degree <= 6 and at most S_4, --verify only with
 n <= 8, and `verify`, whose one battery takes about 0.1 s), apart from
 `strata depth` at degree up to 40 on a trivial, cyclic or involution
@@ -24,8 +26,9 @@ import re
 from decimal import Decimal
 from fractions import Fraction
 
-from fatdiag.cli import COMMANDS, main
-from fatdiag.eulerchar import chi_sp
+from fatdiag.cli import COMMANDS, _parse, main
+from fatdiag.eulerchar import KINDS, chi_sp
+from fatdiag.spaces import parse_space
 from fatdiag.strata import length_sn
 
 # option -> (well-formed values, malformed values)
@@ -192,6 +195,13 @@ def _check(argv: list[str], rc: int, out: str, err: str) -> None:
     assert rc in (0, 1, 2, 4), (argv, rc, err)
     assert "Traceback" not in err, (argv, err)
     assert "invalid literal" not in err, (argv, err)  # int()'s words never reach the user
+    if rc == 2:
+        _, args = _parse(argv)
+        assert args.command == "chi" and args.variant in KINDS, (argv, err)
+        parity = parse_space(args.space).parity
+        assert parity != "even", (argv, err)
+        assert err == (f"unsupported space: {KINDS[args.variant][3]} is only defined over"
+                       f" closed even-dimensional manifolds; got parity {parity!r}\n"), (argv, err)
     if rc != 0:
         assert out == "", (argv, out)
         return

@@ -5,6 +5,7 @@ import pytest
 from fatdiag.algebra import binomial_gen, falling_factorial
 from fatdiag.errors import UnsupportedSpaceError
 from fatdiag.eulerchar import (
+    KINDS,
     chi_b2,
     chi_b_upper,
     chi_bd,
@@ -20,6 +21,7 @@ from fatdiag.eulerchar import (
     chi_stratum,
     oracle_bd_burnside,
     oracle_fd_setpartitions,
+    require_manifold,
     stratification_sum_bd,
 )
 from fatdiag.permgroup import (
@@ -404,14 +406,18 @@ def test_d2_closed_forms():
 
 
 def test_parity_gating():
-    # the stratification formulas need a closed even-dimensional manifold
-    for parity in ("odd", "none"):
-        with pytest.raises(UnsupportedSpaceError):
-            chi_fd(2, 3, 2, parity=parity)
-        with pytest.raises(UnsupportedSpaceError):
-            chi_bd(2, 3, 2, parity=parity)
-        with pytest.raises(UnsupportedSpaceError):
-            chi_b_upper(2, 3, 2, parity=parity)
+    # the one gate of the stratification formulas: a closed even-dimensional
+    # manifold, named by the locus of each kind
+    loci = {"bd": "unordered fat diagonal", "fd": "ordered fat diagonal",
+            "bupper": "multiplicity-bounded symmetric product"}
+    assert set(KINDS) == set(loci)
+    for kind, locus in loci.items():
+        assert require_manifold(kind, "even") is None
+        for parity in ("odd", "none"):
+            with pytest.raises(UnsupportedSpaceError) as raised:
+                require_manifold(kind, parity)
+            assert str(raised.value) == (f"{locus} is only defined over closed"
+                                         f" even-dimensional manifolds; got parity {parity!r}")
 
 
 def test_bad_arguments():
@@ -531,14 +537,12 @@ def test_engine_matches_the_replaced_algorithms(chi):
 
 
 def test_columns_check_once_for_every_d(monkeypatch):
-    # one gate, one range check and one guard on the summed work of the
-    # columns, before any is built
+    # one range check and one guard on the summed work of the columns,
+    # before any is built
     import fatdiag.eulerchar
     from fatdiag.errors import ResourceGuardError
     from fatdiag.eulerchar import MAX_FORMULA_WORK, series_work
 
-    with pytest.raises(UnsupportedSpaceError):
-        chi_columns("fd", 2, (2, 3), 5, "odd")
     for kind, ds in (("bd", (1, 2)), ("fd", (2, 6)), ("bupper", (0,))):
         with pytest.raises(ValueError):
             chi_columns(kind, 2, ds, 5)

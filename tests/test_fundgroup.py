@@ -117,18 +117,19 @@ def test_pi1_bd_validation():
 
 
 def test_pi1_bgamma_abelian_table():
-    assert pi1_bgamma_abelian(cyclic_group(3), 3, 1)
-    assert pi1_bgamma_abelian(symmetric_group(4), 4, 2)
-    assert pi1_bgamma_abelian(symmetric_group(6), 6, 3)
-    assert not pi1_bgamma_abelian(cyclic_group(4), 4, 2)
-    assert not pi1_bgamma_abelian(symmetric_group(4), 4, 3)
-    assert not pi1_bgamma_abelian(cyclic_group(6), 6, 3)
-    assert pi1_bgamma_abelian(alternating_group(4), 4, 2)
-    assert not pi1_bgamma_abelian(alternating_group(4), 4, 3)
+    # n is the group's degree
+    assert pi1_bgamma_abelian(cyclic_group(3), 1)
+    assert pi1_bgamma_abelian(symmetric_group(4), 2)
+    assert pi1_bgamma_abelian(symmetric_group(6), 3)
+    assert not pi1_bgamma_abelian(cyclic_group(4), 2)
+    assert not pi1_bgamma_abelian(symmetric_group(4), 3)
+    assert not pi1_bgamma_abelian(cyclic_group(6), 3)
+    assert pi1_bgamma_abelian(alternating_group(4), 2)
+    assert not pi1_bgamma_abelian(alternating_group(4), 3)
 
 
 def test_pi1_bgamma_abelian_validation():
     with pytest.raises(ValueError):
-        pi1_bgamma_abelian(cyclic_group(3), 4, 1)
+        pi1_bgamma_abelian(cyclic_group(3), 0)
     with pytest.raises(ValueError):
-        pi1_bgamma_abelian(cyclic_group(3), 3, 0)
+        pi1_bgamma_abelian(cyclic_group(3), 4)

@@ -31,9 +31,17 @@ def _factor_left_out(monkeypatch) -> None:
                         lambda group: direct_factors(group)[:-1] or direct_factors(group))
 
 
+def _half_bound_dropped(monkeypatch) -> None:
+    # pi1_bgamma_abelian claims an abelian group wherever the group is
+    # d-transitive, past d = n/2 too (S_4 at d = 3)
+    monkeypatch.setattr(selfcheck, "pi1_bgamma_abelian",
+                        lambda group, d: group.is_d_transitive(d))
+
+
 MUTANTS = {
     "chi-gamma-fixed-points-removed": (_fixed_points_removed, "macdonald-burnside"),
     "betti-gamma-factor-left-out": (_factor_left_out, "invariant-poincare"),
+    "pi1-bgamma-half-bound-dropped": (_half_bound_dropped, "pi1-descriptors"),
 }
 
 
