@@ -405,16 +405,10 @@ def _cmd_group(args) -> int:
 
 
 def _cmd_graph(args) -> int:
-    from .graphconf import discretized_chi_f2, farber_chi_f2, fixture, graph_from_json
+    from .graphconf import discretized_chi_f2, farber_chi_f2, read_graph
 
-    ref = args.graph
     try:
-        if ref in ("gamma1", "gamma2"):
-            graph = fixture(ref)
-        else:
-            from .jsonread import load
-
-            graph = graph_from_json(load(ref))
+        graph = read_graph(args.graph)
     except (ValueError, OSError) as exc:
         raise UsageError(f"bad --graph: {exc}")
     try:
@@ -424,7 +418,7 @@ def _cmd_graph(args) -> int:
     oracles = None
     if args.oracle:
         oracles = _check_oracles(value, {"discretized": discretized_chi_f2(graph)}, "graph chi2")
-    inputs = {"graph": ref, "vertices": graph.num_vertices, "edges": graph.num_edges,
+    inputs = {"graph": args.graph, "vertices": graph.num_vertices, "edges": graph.num_edges,
               "oracle": args.oracle}
     _emit("graph chi2", inputs, _exact(value), oracles)
     return 0

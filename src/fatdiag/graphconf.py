@@ -22,6 +22,10 @@ vertices all have degree 2, the old ones keep theirs), so after 3-fold
 subdivision every cycle has >= 9 edges and every such path >= 3, whatever
 the graph.
 
+Graph.from_parts numbers a graph's vertices once, in the sorted order of
+their labels as strings, and read_graph is the one reader of a --graph;
+past them the code sees vertex numbers only.
+
 Only two-point configurations are handled.
 """
 
@@ -33,68 +37,59 @@ MAX_CELL_PAIRS = 5 * 10**6
 
 
 class Graph:
-    """Finite simple graph with string vertex labels, canonically sorted.
-    A plain class: a NamedTuple costs about 0.2 ms to create at import,
-    which every graph command pays."""
+    """Finite simple graph on the vertices 0, ..., num_vertices - 1, each edge
+    a pair (u, v), u < v.  A plain class: a NamedTuple costs about 0.2 ms
+    to create at import, which every graph command pays."""
 
-    __slots__ = ("vertices", "edges")
+    __slots__ = ("num_vertices", "edges")
 
-    def __init__(self, vertices: tuple[str, ...], edges: tuple[tuple[str, str], ...]) -> None:
-        self.vertices = vertices
+    def __init__(self, num_vertices: int, edges: tuple[tuple[int, int], ...]) -> None:
+        self.num_vertices = num_vertices
         self.edges = edges
 
     def __repr__(self) -> str:
-        return f"Graph(vertices={self.vertices!r}, edges={self.edges!r})"
+        return f"Graph(num_vertices={self.num_vertices!r}, edges={self.edges!r})"
 
     @classmethod
     def from_parts(cls, vertices, edges) -> "Graph":
-        verts = tuple(sorted({str(v) for v in vertices}))
-        vert_set = set(verts)
-        canon: set[tuple[str, str]] = set()
+        """The graph on labels compared as strings, each numbered by its
+        place in sorted order, its edges sorted."""
+        number = {label: i for i, label in enumerate(sorted({str(v) for v in vertices}))}
+        canon: set[tuple[int, int]] = set()
         for e in edges:
             u, v = (str(x) for x in e)
             if u == v:
                 raise ValueError(f"loop at {u!r}")
-            if u not in vert_set or v not in vert_set:
+            if u not in number or v not in number:
                 raise ValueError(f"edge ({u!r}, {v!r}) uses unknown vertex")
-            canon.add((u, v) if u < v else (v, u))
-        return cls(verts, tuple(sorted(canon)))
-
-    @property
-    def num_vertices(self) -> int:
-        return len(self.vertices)
+            canon.add((number[u], number[v]) if u < v else (number[v], number[u]))
+        return cls(len(number), tuple(sorted(canon)))
 
     @property
     def num_edges(self) -> int:
         return len(self.edges)
 
-    def degrees(self) -> dict[str, int]:
-        deg = {v: 0 for v in self.vertices}
+    def degrees(self) -> list[int]:
+        deg = [0] * self.num_vertices
         for u, v in self.edges:
             deg[u] += 1
             deg[v] += 1
         return deg
 
-    def adjacency(self) -> dict[str, list[str]]:
-        adj: dict[str, list[str]] = {v: [] for v in self.vertices}
+    def is_connected(self) -> bool:
+        if not self.num_vertices:
+            return True
+        adj: list[list[int]] = [[] for _ in range(self.num_vertices)]
         for u, v in self.edges:
             adj[u].append(v)
             adj[v].append(u)
-        return adj
-
-    def is_connected(self) -> bool:
-        if not self.vertices:
-            return True
-        adj = self.adjacency()
-        seen = {self.vertices[0]}
-        frontier = [self.vertices[0]]
+        seen, frontier = {0}, [0]
         while frontier:
-            x = frontier.pop()
-            for y in adj[x]:
+            for y in adj[frontier.pop()]:
                 if y not in seen:
                     seen.add(y)
                     frontier.append(y)
-        return len(seen) == len(self.vertices)
+        return len(seen) == self.num_vertices
 
 
 def chi_graph(graph: Graph) -> int:
@@ -118,38 +113,28 @@ def farber_chi_f2(graph: Graph) -> int:
     if not graph.is_connected():
         raise ValueError("formula needs a connected graph")
     chi = chi_graph(graph)
-    penalty = sum((d - 1) * (d - 2) for d in graph.degrees().values())
+    penalty = sum((d - 1) * (d - 2) for d in graph.degrees())
     return chi * chi + chi - penalty
-
-
-def _fresh_separator(graph: Graph) -> str:
-    sep = "~"
-    while any(sep in v for v in graph.vertices):
-        sep += "~"
-    return sep
 
 
 def subdivide(graph: Graph, k: int) -> Graph:
     """Replace every edge by a path of k edges, keeping the original
-    vertices; the new interior vertices get fresh derived labels.
+    vertices: edge i's k - 1 new vertices are V + i(k - 1) through
+    V + (i + 1)(k - 1) - 1, V the number of vertices, in order from its
+    smaller end.
 
-    >>> subdivide(Graph.from_parts("ab", [("a", "b")]), 3).num_vertices
-    4
+    >>> subdivide(Graph.from_parts("ab", [("a", "b")]), 3).edges
+    ((0, 2), (2, 3), (1, 3))
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if k == 1:
         return graph
-    sep = _fresh_separator(graph)
-    vertices = list(graph.vertices)
-    edges = []
-    for u, v in graph.edges:
-        path = [u] + [f"{u}{sep}{v}{sep}{i}" for i in range(1, k)] + [v]
-        vertices.extend(path[1:-1])
+    n, edges = graph.num_vertices, []
+    for i, (u, v) in enumerate(graph.edges):
+        path = [u, *range(n + i * (k - 1), n + (i + 1) * (k - 1)), v]
         edges.extend((a, b) if a < b else (b, a) for a, b in zip(path, path[1:]))
-    # the labels are distinct by construction, so the graph is already
-    # simple and only needs sorting, as from_parts would sort it
-    return Graph(tuple(sorted(vertices)), tuple(sorted(edges)))
+    return Graph(n + (k - 1) * graph.num_edges, tuple(edges))
 
 
 def _cell_pair_count(graph: Graph) -> int:
@@ -160,9 +145,8 @@ def _cell_pair_count(graph: Graph) -> int:
     share no bit.  Disjointness is symmetric and no cell is disjoint from
     itself, so each unordered pair is tested once and counts for both
     orders: +2 for two vertices or two edges, -2 for a vertex and an edge."""
-    bit = {v: 1 << i for i, v in enumerate(graph.vertices)}
-    points = list(bit.values())
-    edges = [bit[u] | bit[v] for u, v in graph.edges]
+    points = [1 << i for i in range(graph.num_vertices)]
+    edges = [points[u] | points[v] for u, v in graph.edges]
     total = 0
     for i, mask in enumerate(points):
         total += 2 * len([m for m in points[i + 1:] if not m & mask])
@@ -189,25 +173,27 @@ def discretized_chi_f2(graph: Graph) -> int:
     return _cell_pair_count(subdivide(graph, 3))
 
 
-def fixture(name: str) -> Graph:
-    """Built-in test graphs.
+# The built-in test graphs, as vertex labels and edges: gamma1 is two squares
+# sharing an edge, gamma2 two triangles wedged at a vertex.
+FIXTURES = {"gamma1": ("abcdef", ["ab", "bc", "cd", "da", "de", "ef", "fc"]),
+            "gamma2": ("abcde", ["ab", "bc", "ca", "cd", "de", "ec"])}
 
-    gamma1: two squares sharing an edge (6 vertices, 7 edges).
-    gamma2: two triangles wedged at a vertex (5 vertices, 6 edges).
-    """
-    if name == "gamma1":
-        return Graph.from_parts(
-            "abcdef",
-            [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"),
-             ("d", "e"), ("e", "f"), ("f", "c")],
-        )
-    if name == "gamma2":
-        return Graph.from_parts(
-            "abcde",
-            [("a", "b"), ("b", "c"), ("c", "a"),
-             ("c", "d"), ("d", "e"), ("e", "c")],
-        )
-    raise ValueError(f"unknown graph fixture {name!r}")
+
+def fixture(name: str) -> Graph:
+    """The built-in test graph name of FIXTURES."""
+    if name not in FIXTURES:
+        raise ValueError(f"unknown graph fixture {name!r}")
+    return Graph.from_parts(*FIXTURES[name])
+
+
+def read_graph(ref: str) -> Graph:
+    """The graph a --graph ref names: a fixture, or else a JSON document,
+    inline or in a file, read by jsonread.load (loaded only then)."""
+    if ref in FIXTURES:
+        return fixture(ref)
+    from .jsonread import load
+
+    return graph_from_json(load(ref))
 
 
 def _is_label(value) -> bool:

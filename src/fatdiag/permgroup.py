@@ -247,7 +247,8 @@ def _products(levels: list[list[Perm]], identity: Perm) -> list[Perm]:
 def _split(levels: list[list[Perm]]) -> int:
     """The level k at which the products of levels below k and those of
     levels k and above make the shortest two lists together (about
-    sqrt(|G|) each when the orbits are alike)."""
+    sqrt(|G|) each when the orbits are alike).  k = len(levels) ties with
+    k = 0 at |G| + 1, and min takes 0, so a split k > 0 has a level k."""
     order = math.prod(map(len, levels))
     lower_sizes = [math.prod(map(len, levels[k:])) for k in range(len(levels) + 1)]
     return min(range(len(levels) + 1), key=lambda k: lower_sizes[k] + order // lower_sizes[k])
@@ -297,7 +298,7 @@ def _chain_histogram(chain: _Chain, degree: int) -> Counter[tuple[int, ...]]:
         return Counter(map(_cycle_type, lower))
     base = chain.points[:split]
     coset = {tuple(map(u.__getitem__, base)): u for u in _products(levels[:split], identity)}
-    conjugators = chain.strong[split] if split < len(levels) else []
+    conjugators = chain.strong[split]
     orbits = _classes([key] + [tuple(map(h.__getitem__, key)) for h in conjugators]
                       for key in coset)
     check_guard(len(orbits) * lower_size * degree, MAX_GROUP_WORK, "group enumeration")

@@ -60,6 +60,10 @@ GRAPH_SEED = 20260821
 # Young subgroups with f fixed points, as (degree, block sizes): X^n / G is
 # X^f times the symmetric products over the blocks.
 KUNNETH = [(7, (2, 3)), (8, (2, 2, 3))]
+# S_m acting alike on k blocks of m points, as (m, k, generators): its
+# orbits are tied, so it is no direct product, and X^(km) / G is SP^m(X^k)
+# (Macdonald 1962).
+DIAGONAL = [(2, 2, ["(1 2)(3 4)"]), (3, 2, ["(1 2 3)(4 5 6)", "(1 2)(4 5)"])]
 
 
 @cache
@@ -76,7 +80,8 @@ def _young(degree: int, sizes: tuple[int, ...]) -> PermutationGroupModel:
 
 def check_macdonald_burnside() -> str:
     """Symmetric-product formula equals the group average over S_n, and its
-    product over the blocks, times chi^f, over Young subgroups (Kunneth)."""
+    product over the blocks, times chi^f, over Young subgroups (Kunneth);
+    over a diagonal S_m on k blocks it is chi_sp(chi^k, m)."""
     n_max = 8
     cases = 0
     groups = {(n, (n,)): symmetric_group_cached(n) for n in range(n_max + 1)}
@@ -87,7 +92,15 @@ def check_macdonald_burnside() -> str:
             if left != right:
                 raise AssertionError(f"chi={chi}, S_{sizes} on {degree} points: {left} != {right}")
             cases += 1
-    return f"{cases} cases, n <= {n_max} and {len(KUNNETH)} Young subgroups"
+    for m, k, gens in DIAGONAL:
+        group = PermutationGroupModel(m * k, gens)
+        for chi in range(-5, 6):
+            left, right = chi_sp(chi**k, m), chi_gamma_product(chi, group)
+            if left != right:
+                raise AssertionError(f"chi={chi}, S_{m} on {k} blocks: {left} != {right}")
+            cases += 1
+    return (f"{cases} cases, n <= {n_max}, {len(KUNNETH)} Young and {len(DIAGONAL)} diagonal"
+            " subgroups")
 
 
 def _against_oracles(kind: str, chi: int, columns: dict[int, list[int]]) -> int:
@@ -145,7 +158,8 @@ def check_fd_corrected() -> str:
 
 def check_invariant_poincare() -> str:
     """Quotient Betti fixtures and the symmetric-product series identity,
-    over S_n and, times P^f, over Young subgroups (Kunneth)."""
+    over S_n and, times P^f, over Young subgroups (Kunneth); over a diagonal
+    S_m on k blocks the series is that of SP^m of P^k."""
     polys = {name: preset(name).poincare() for name in [
         "point", "circle", "sphere:2", "sphere:3", "torus", "surface:2", "projective_plane",
         "wedge_circles:3"]}
@@ -167,7 +181,17 @@ def check_invariant_poincare() -> str:
                           start=poly ** (degree - sum(sizes)))
         if left != right:
             raise AssertionError(f"{name}, S_{sizes} on {degree} points: {left} != {right}")
-    return f"fixtures plus {len(cases)} series identities, {len(KUNNETH)} Young subgroups"
+    identities = len(cases)
+    for m, k, gens in DIAGONAL:
+        group = PermutationGroupModel(m * k, gens)
+        for name in ("sphere:3", "torus"):
+            left = invariant_poincare(polys[name], group)
+            right = macdonald_poincare_sp(polys[name] ** k, m)
+            if left != right:
+                raise AssertionError(f"{name}, S_{m} on {k} blocks: {left} != {right}")
+            identities += 1
+    return (f"fixtures plus {identities} series identities, {len(KUNNETH)} Young and"
+            f" {len(DIAGONAL)} diagonal subgroups")
 
 
 def check_sphere_fixtures() -> str:
@@ -245,8 +269,7 @@ def check_graph_configuration() -> str:
         left = farber_chi_f2(graph)
         right = discretized_chi_f2(graph)
         if left != right:
-            raise AssertionError(
-                f"graph {graph.vertices}/{graph.edges}: formula {left}, cells {right}")
+            raise AssertionError(f"{graph!r}: formula {left}, cells {right}")
     return f"fixtures plus {count} random graphs"
 
 

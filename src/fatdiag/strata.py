@@ -39,7 +39,8 @@ direct product is the product of the factors' lattices, whose height is
 the sum of their heights; and the chain length l is additive over any
 normal subgroup N, l(G) = l(N) + l(G/N) (a chain meets N and G/N in
 chains, and a step that neither grows is no step), so over direct
-products.  Each guard counts the work of all factors together.
+products.  Each guard counts the work of all factors together; equal
+factors are climbed once, and each repeat counts its climb's work again.
 """
 
 import math
@@ -87,9 +88,19 @@ def _climb(start, moves, bound):
 
 def _factor_sum(group: PermutationGroupModel, height, cap: int, what: str) -> int:
     """The sum of height(factor, work) over the direct factors of group,
-    with one work count for them all, guarded on cap as what."""
+    with one work count for them all, guarded on cap as what.  Equal
+    factors are one model, climbed once: each repeat adds its height and
+    the units its climb counted again."""
     work = Work(cap, what)
-    total = sum(height(factor, work) for factor in group.direct_factors())
+    climbed: dict[PermutationGroupModel, tuple[int, int]] = {}
+    total = 0
+    for factor in group.direct_factors():
+        if factor in climbed:
+            work.add(climbed[factor][1])
+        else:
+            units = work.units
+            climbed[factor] = height(factor, work), work.units - units
+        total += climbed[factor][0]
     work.done()
     return total
 

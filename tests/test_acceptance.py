@@ -26,10 +26,10 @@ BUDGET = 5.0
 # between the criteria cannot drop a case unnoticed.
 DETAILS = {
     "all": [
-        "121 cases, n <= 8 and 2 Young subgroups",
+        "143 cases, n <= 8, 2 Young and 2 diagonal subgroups",
         "252 cases three-way, n <= 8",
         "252 oracle cases; coefficient-free variant rejected (6 != 2)",
-        "fixtures plus 44 series identities, 2 Young subgroups",
+        "fixtures plus 48 series identities, 2 Young and 2 diagonal subgroups",
         "31 fixture values",
         "414 identity cases, n <= 8",
         "fixtures plus 50 random graphs",

@@ -318,6 +318,10 @@ def test_commands_import_only_what_they_run():
     ):
         loaded = {name for name in _loaded_modules(argv) if name.startswith("fatdiag.")}
         assert loaded == {f"fatdiag.{name}" for name in modules}, argv
+    # a graph fixture is read without the JSON reader
+    loaded = {name for name in _loaded_modules("graph|chi2|--graph|gamma1|--oracle")
+              if name.startswith("fatdiag.")}
+    assert loaded == {"fatdiag.cli", "fatdiag.errors", "fatdiag.graphconf"}
 
 
 def _cli_env() -> dict:

@@ -55,9 +55,12 @@ VALUES = {
                ["(1 9)", "(1 1)", "(", "(a b)", ";;", "(0 1)", "()", "1 2", "(1 2", "(1 2));",
                 "(1 \u0662)", "(1 \u00b2)"]),
     "--graph": (["gamma1", "gamma2", '{"vertices": ["a", "b"], "edges": [["a", "b"]]}',
-                 '{"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"], ["c", "a"]]}'],
+                 '{"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"], ["c", "a"]]}',
+                 # integer labels, whose order as numbers is not their order as strings
+                 '{"vertices": [10, 9, 100], "edges": [[10, 9], [9, 100]]}'],
                 ["gamma9", "{", '{"vertices": 3, "edges": []}', "/nonexistent/graph.json", "",
-                 '{"vertices": ["a"], "edges": [["a", "z"]]}']),
+                 '{"vertices": ["a"], "edges": [["a", "z"]]}',
+                 '{"vertices": [1, "1"], "edges": []}']),
     "--suite": (["all"], ["none", "", "ALL"]),
 }
 VALUES["-d"] = VALUES["-n"]

@@ -13,6 +13,7 @@ from fatdiag.graphconf import (
     farber_chi_f2,
     fixture,
     graph_from_json,
+    read_graph,
     subdivide,
 )
 from fatdiag.selfcheck import random_connected_graphs
@@ -35,10 +36,14 @@ def complete_graph(k: int) -> Graph:
 
 
 def test_graph_canonicalization():
+    # vertices are numbered in the order of their labels as strings, and
+    # an edge given both ways is one edge, its smaller number first
     g = Graph.from_parts(["b", "a"], [("b", "a"), ("a", "b")])
-    assert g.vertices == ("a", "b")
-    assert g.edges == (("a", "b"),)
-    assert g.num_vertices == 2 and g.num_edges == 1
+    assert (g.num_vertices, g.edges) == (2, ((0, 1),))
+    assert g.num_edges == 1
+    g = Graph.from_parts([9, 10, "a"], [(9, "a"), ("a", 10), (10, 9)])
+    assert g.edges == ((0, 1), (0, 2), (1, 2))
+    assert Graph.from_parts([9, 10, "a"], [(10, "a")]).edges == ((0, 2),)
 
 
 def test_graph_rejects_loops_and_unknown_vertices():
@@ -148,6 +153,29 @@ def test_graph_from_json():
         graph_from_json('{"vertices": ["a", "b"], "edges": [["a", "b"]]}')
 
 
+def test_read_graph_takes_a_fixture_inline_json_or_a_file(tmp_path):
+    assert repr(read_graph("gamma2")) == repr(fixture("gamma2"))
+    doc = '{"vertices": [10, 9, 100], "edges": [[10, 9], [9, 100]]}'
+    # "10" < "100" < "9" as strings
+    assert read_graph(doc).edges == ((0, 2), (1, 2))
+    path = tmp_path / "graph.json"
+    path.write_text(doc)
+    for ref in (str(path), "@" + str(path)):
+        assert repr(read_graph(ref)) == repr(read_graph(doc))
+    # a name that is no fixture is a path
+    with pytest.raises(FileNotFoundError):
+        read_graph("gamma3")
+    with pytest.raises(ValueError, match="listed twice"):
+        read_graph('{"vertices": [1, "1"], "edges": []}')
+
+
+def test_subdivision_numbers_each_edge_path_in_turn():
+    # edge i of V vertices gets V + i(k - 1) .. V + (i + 1)(k - 1) - 1
+    s = subdivide(Graph.from_parts("abc", ["ab", "bc"]), 3)
+    assert s.num_vertices == 7
+    assert s.edges == ((0, 3), (3, 4), (1, 4), (1, 5), (5, 6), (2, 6))
+
+
 def test_fixtures_differ():
     # same chi, different local structure, different configuration spaces
     assert chi_graph(fixture("gamma1")) == chi_graph(fixture("gamma2"))
@@ -177,7 +205,7 @@ def frozenset_pair_count(graph: Graph) -> int:
     """The cell count as sets: ordered pairs of cells (vertex or edge,
     with its vertex set as closure) whose closures are disjoint, signed
     (-1)^(dim1 + dim2)."""
-    cells = [(0, frozenset([v])) for v in graph.vertices]
+    cells = [(0, frozenset([v])) for v in range(graph.num_vertices)]
     cells.extend((1, frozenset(e)) for e in graph.edges)
     return sum((-1) ** (dim1 + dim2) for dim1, cl1 in cells for dim2, cl2 in cells
                if not cl1 & cl2)

@@ -1,9 +1,9 @@
 """Named wrong programs that `fatdiag verify` must catch.
 
 Each entry is a name, a monkeypatch that makes the program wrong, and the
-verify criterion that must then fail.  The memoized models are cleared
-first, so that no answer computed by the right program is reused, and
-only the named criterion runs.
+verify criteria that must then each fail.  The memoized models are
+cleared first, so that no answer computed by the right program is
+reused, and only the named criteria run.
 """
 
 from __future__ import annotations
@@ -38,22 +38,34 @@ def _half_bound_dropped(monkeypatch) -> None:
                         lambda group, d: group.is_d_transitive(d))
 
 
+def _tied_orbits_split(monkeypatch) -> None:
+    # every moved orbit is its own direct factor, tied or not: <(1 2)(3 4)>
+    # would answer as S_2 x S_2
+    monkeypatch.setattr(PermutationGroupModel, "direct_factors",
+                        lambda group: [permgroup._restrict(group.generators, orbit)
+                                       for orbit in group._moved_orbits()])
+
+
 MUTANTS = {
-    "chi-gamma-fixed-points-removed": (_fixed_points_removed, "macdonald-burnside"),
-    "betti-gamma-factor-left-out": (_factor_left_out, "invariant-poincare"),
-    "pi1-bgamma-half-bound-dropped": (_half_bound_dropped, "pi1-descriptors"),
+    "chi-gamma-fixed-points-removed": (_fixed_points_removed, ["macdonald-burnside"]),
+    "betti-gamma-factor-left-out": (_factor_left_out, ["invariant-poincare"]),
+    "pi1-bgamma-half-bound-dropped": (_half_bound_dropped, ["pi1-descriptors"]),
+    "direct-factors-split-tied-orbits": (_tied_orbits_split,
+                                         ["macdonald-burnside", "invariant-poincare"]),
 }
 
 
 @pytest.mark.parametrize("name", MUTANTS)
 def test_verify_catches_the_mutant(monkeypatch, name):
-    mutate, criterion = MUTANTS[name]
-    check = dict(selfcheck.CHECKS)[criterion]
+    mutate, criteria = MUTANTS[name]
+    checks = [dict(selfcheck.CHECKS)[criterion] for criterion in criteria]
     symmetric_group_cached.cache_clear()
     selfcheck._young.cache_clear()
-    check()
-    mutate(monkeypatch)
-    symmetric_group_cached.cache_clear()
-    selfcheck._young.cache_clear()
-    with pytest.raises(AssertionError):
+    for check in checks:
         check()
+    mutate(monkeypatch)
+    for check in checks:
+        symmetric_group_cached.cache_clear()
+        selfcheck._young.cache_clear()
+        with pytest.raises(AssertionError):
+            check()

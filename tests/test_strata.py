@@ -357,18 +357,39 @@ def test_subgroup_order_guard(guard_scale_env):
 
 def test_group_length_searches_each_factor(monkeypatch, guard_scale_env):
     # the climbs of the direct factors share one guard count: S_3 x S_3 on
-    # 6 points trips a limit that S_3 alone (78 units) passes, at 96 units,
-    # at the second factor's first coset pass
+    # 6 points trips a limit that S_3 alone (78 units) passes, at 156 units,
+    # when the second factor, the same model, counts its climb again
     s3_s3 = PermutationGroupModel(6, ["(1 2 3)", "(1 2)", "(4 5 6)", "(4 5)"])
     assert group_length(s3_s3) == 4
     monkeypatch.setattr(permgroup, "MAX_GROUP_WORK", 10**12)
     guard_scale_env(str(78.5 / MAX_SUBGROUP_WORK))
     assert group_length(symmetric_group(3)) == 2
-    with pytest.raises(ResourceGuardError, match="subgroup enumeration: size 96 "):
+    with pytest.raises(ResourceGuardError, match="subgroup enumeration: size 156 "):
         group_length(s3_s3)
     guard_scale_env(str(77.5 / MAX_SUBGROUP_WORK))
     with pytest.raises(ResourceGuardError, match="subgroup enumeration: size 78 "):
         group_length(symmetric_group(3))
+
+
+def test_equal_direct_factors_are_climbed_once(monkeypatch):
+    # S_m^4 on four blocks of m points has four equal direct factors, one
+    # model, so its climb runs once and counts four times
+    calls = Counter()
+    for name in ("_factor_depth", "_subgroup_climb"):
+        def counted(*args, _name=name, _climb=getattr(strata, name)):
+            calls[_name] += 1
+            return _climb(*args)
+
+        monkeypatch.setattr(strata, name, counted)
+
+    def power(m: int) -> PermutationGroupModel:
+        blocks = [range(start, start + m) for start in range(1, 4 * m, m)]
+        return PermutationGroupModel(4 * m, [f"({' '.join(map(str, b))})" for b in blocks]
+                                     + [f"({b[0]} {b[1]})" for b in blocks])
+
+    assert depth(power(7)) == 4 * 6
+    assert group_length(power(5)) == 4 * length_sn(5)
+    assert calls == {"_factor_depth": 1, "_subgroup_climb": 1}
 
 
 def _longest_chain(subgroups) -> int:
