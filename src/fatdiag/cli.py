@@ -486,7 +486,7 @@ _OPTION_HELP = """\
           ranges A..B and print a grid (--csv: an n,d,value table)
 --degree  number of points the group acts on
 --gens    generators in cycle notation, ';'-separated; empty = trivial
---graph   fixture name (gamma1, gamma2), inline JSON, or a path (@path too)
+--graph   fixture name ({fixtures}), inline JSON, or a path (@path too)
 --verify, --oracle
           also run the independent oracles; a mismatch exits 3
 --suite   all, the one verification battery (the default)
@@ -497,6 +497,8 @@ repeated option wins.  Exit codes: 0 ok, 1 usage, 2 unsupported space,
 
 def _usage(command: str | None) -> str:
     """Usage lines of every command, or of one, generated from COMMANDS."""
+    from .graphconf import FIXTURES
+
     lines = ["usage: fatdiag COMMAND [VARIANT] [OPTIONS]", ""]
     for (name, variant), (_, options, summary) in COMMANDS.items():
         if command not in (None, name):
@@ -512,7 +514,7 @@ def _usage(command: str | None) -> str:
                 meta = option.lstrip("-").upper()
             words.append(f"{option} {meta}" if default is None else f"[{option} {meta}]")
         lines += ["  " + " ".join(words), f"      {summary}"]
-    return "\n".join(lines + ["", _OPTION_HELP])
+    return "\n".join(lines + ["", _OPTION_HELP.format(fixtures=", ".join(FIXTURES))])
 
 
 def _cmd_help(args) -> int:

@@ -59,7 +59,6 @@ import math
 import re
 from collections import Counter
 from collections.abc import Iterator
-from functools import lru_cache
 
 from .errors import Work, _integer, check_guard
 
@@ -349,8 +348,8 @@ def parse_cycles(text: str, degree: int) -> Perm:
     """Parse 1-indexed cycle notation like "(1 2 3)(4 5)".
 
     Points may be separated by spaces or commas, and each is read by
-    errors._integer (ASCII digits, at most one sign); "e", "()" and ""
-    denote the identity.  Points not mentioned are fixed.
+    errors._integer (ASCII digits, at most one sign); "e", "id", "()" and
+    "" denote the identity.  Points not mentioned are fixed.
 
     >>> parse_cycles("(1 2 3)(4 5)", 5)
     (1, 2, 0, 4, 3)
@@ -389,8 +388,8 @@ class PermutationGroupModel:
     composes while it is built, a walk over the elements (stream and
     elements) on its work |G| * degree before the first element, and the
     histograms on their coset lists and coset walks.  The chain, the direct
-    factors, the element set and the cycle-type histogram are computed
-    once.
+    factors, the element set and the cycle-type and cycle-count histograms
+    are computed once.
     """
 
     def __init__(self, degree: int, generators) -> None:
@@ -410,6 +409,7 @@ class PermutationGroupModel:
         self._factors: list[PermutationGroupModel] | None = None
         self._elements: frozenset[Perm] | None = None
         self._cycle_types: Counter[tuple[int, ...]] | None = None
+        self._cycle_counts: dict[int, int] | None = None
 
     def _stabilizers(self) -> _Chain:
         if self._chain is None:
@@ -508,12 +508,15 @@ class PermutationGroupModel:
         return Counter(self._cycle_types)
 
     def cycle_count_histogram(self) -> dict[int, int]:
-        """Map cycle count -> number of elements with that many cycles."""
-        out: dict[int, int] = {}
-        for ctype, count in self.cycle_type_histogram().items():
-            cycles = sum(ctype)
-            out[cycles] = out.get(cycles, 0) + count
-        return out
+        """Map cycle count -> number of elements with that many cycles (a
+        copy), summed once from the cycle-type histogram."""
+        if self._cycle_counts is None:
+            out: dict[int, int] = {}
+            for ctype, count in self.cycle_type_histogram().items():
+                cycles = sum(ctype)
+                out[cycles] = out.get(cycles, 0) + count
+            self._cycle_counts = out
+        return dict(self._cycle_counts)
 
     def _moved_orbits(self) -> list[list[int]]:
         """The orbits of two or more points, each in increasing order, in
@@ -582,11 +585,3 @@ def regular_representation(group: PermutationGroupModel) -> PermutationGroupMode
     gens = [tuple(index[_compose(g, h)] for h in elems) for g in group.generators]
     return PermutationGroupModel(len(elems), gens)
 
-
-@lru_cache(maxsize=16)
-def symmetric_group_cached(n: int) -> PermutationGroupModel:
-    """Memoized full symmetric group, so that its chain, cycle-type
-    histogram and direct factors are computed once per process.  The size
-    covers S_0 ... S_12, every S_n the verify battery builds, so its
-    criteria share one model of each."""
-    return symmetric_group(n)

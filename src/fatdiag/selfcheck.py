@@ -11,11 +11,13 @@ which uses a fixed seed.
 Each piece of work is done once.  The closed formulas chi_bd, chi_fd and
 chi_b_upper are read a whole (kind, chi) at a time, as the columns of
 eulerchar.chi_columns over every d and every n up to the range, as a
-command-line grid reads them; S_n is the one memoized model of
-permgroup.symmetric_group_cached, so its chain and histogram are shared
-between checks; and check_depth_length takes each group's depth and chain
-length once.  The formulas are compared per cell with the oracles of
-eulerchar.chi_oracles, which `chi --verify` reads too.
+command-line grid reads them; criteria 1, 4 and 8 read one table of
+products of symmetric groups, PRODUCTS, and every such group, S_n
+included, is one model of one memoized builder, product_group, so its
+chain and histogram are shared between checks; and check_depth_length
+takes each group's depth and chain length once.  The formulas are
+compared per cell with the oracles of eulerchar.chi_oracles, which
+`chi --verify` reads too.
 """
 
 import math
@@ -49,7 +51,7 @@ from .permgroup import (
     alternating_group,
     cyclic_group,
     regular_representation,
-    symmetric_group_cached,
+    symmetric_group,
     trivial_group,
 )
 from .spaces import preset
@@ -57,50 +59,65 @@ from .strata import depth, group_length, length_sn
 
 GRAPH_SEED = 20260821
 
-# Young subgroups with f fixed points, as (degree, block sizes): X^n / G is
-# X^f times the symmetric products over the blocks.
-KUNNETH = [(7, (2, 3)), (8, (2, 2, 3))]
-# S_m acting alike on k blocks of m points, as (m, k, generators): its
-# orbits are tied, so it is no direct product, and X^(km) / G is SP^m(X^k)
-# (Macdonald 1962).
-DIAGONAL = [(2, 2, ["(1 2)(3 4)"]), (3, 2, ["(1 2 3)(4 5 6)", "(1 2)(4 5)"])]
+# Products of symmetric groups, whose quotients are known in closed form, as
+# (degree, blocks).  A block (m, k) is S_m acting alike on k consecutive
+# sets of m points; the blocks start at point 1, and the other
+# f = degree - sum(m k) points are fixed.  X^degree / G is X^f times the
+# symmetric products SP^m(X^k) over the blocks (Macdonald 1962, with
+# Kunneth).  The entries are S_0 ... S_8, two Young subgroups, and two
+# diagonal groups, whose tied orbits make them no direct product.
+PRODUCTS = [(n, ((n, 1),)) for n in range(9)] + [
+    (7, ((2, 1), (3, 1))), (8, ((2, 1), (2, 1), (3, 1))),
+    (4, ((2, 2),)), (6, ((3, 2),)),
+]
+# Young subgroups whose depth criterion 8 checks too, kept out of PRODUCTS
+# so that criteria 1 and 4 do not average over them
+DEPTH_PRODUCTS = [(5, ((2, 1), (3, 1))), (7, ((3, 1), (4, 1))), (8, ((3, 1), (3, 1))),
+                  (8, ((2, 1), (3, 1), (3, 1))), (12, ((3, 1),) * 4), (12, ((2, 1),) * 6),
+                  (12, ((4, 1),) * 3)]  # 13824 elements, three S_4 factors
 
 
 @cache
-def _young(degree: int, sizes: tuple[int, ...]) -> PermutationGroupModel:
-    """S_a1 x S_a2 x ... on blocks of at least 2 points from point 1, the
-    other points fixed; memoized, so that the criteria share each model."""
-    gens, start = [], 1
-    for size in sizes:
-        block = " ".join(map(str, range(start, start + size)))
-        gens += [f"({block})", f"({start} {start + 1})"]
-        start += size
+def product_group(degree: int, blocks: tuple[tuple[int, int], ...]) -> PermutationGroupModel:
+    """The group of a (degree, blocks) entry: each generator of S_m copied
+    onto every set of its block.  Memoized, so that the criteria share
+    each model; S_n is (n, ((n, 1),))."""
+    gens, start = [], 0
+    for m, k in blocks:
+        for g in symmetric_group(m).generators:
+            images = list(range(degree))
+            for offset in range(start, start + m * k, m):
+                images[offset:offset + m] = [offset + p for p in g]
+            gens.append(images)
+        start += m * k
     return PermutationGroupModel(degree, gens)
 
 
+def _sym(n: int) -> PermutationGroupModel:
+    return product_group(n, ((n, 1),))
+
+
+def _products(table: list, largest: int):
+    """Each entry of table whose blocks have m <= largest, as its group, its
+    blocks, its number f of fixed points, and its name in a message."""
+    for degree, blocks in table:
+        if max(m for m, _ in blocks) <= largest:
+            yield (product_group(degree, blocks), blocks,
+                   degree - sum(m * k for m, k in blocks), f"blocks {blocks} on {degree} points")
+
+
 def check_macdonald_burnside() -> str:
-    """Symmetric-product formula equals the group average over S_n, and its
-    product over the blocks, times chi^f, over Young subgroups (Kunneth);
-    over a diagonal S_m on k blocks it is chi_sp(chi^k, m)."""
-    n_max = 8
+    """The Burnside average over each group of PRODUCTS equals chi^f times
+    chi_sp(chi^k, m) over its blocks (m, k)."""
     cases = 0
-    groups = {(n, (n,)): symmetric_group_cached(n) for n in range(n_max + 1)}
-    for (degree, sizes), group in (groups | {case: _young(*case) for case in KUNNETH}).items():
+    for group, blocks, f, name in _products(PRODUCTS, 8):
         for chi in range(-5, 6):
-            left = math.prod((chi_sp(chi, a) for a in sizes), start=chi ** (degree - sum(sizes)))
+            left = math.prod((chi_sp(chi**k, m) for m, k in blocks), start=chi**f)
             right = chi_gamma_product(chi, group)
             if left != right:
-                raise AssertionError(f"chi={chi}, S_{sizes} on {degree} points: {left} != {right}")
+                raise AssertionError(f"chi={chi}, {name}: {left} != {right}")
             cases += 1
-    for m, k, gens in DIAGONAL:
-        group = PermutationGroupModel(m * k, gens)
-        for chi in range(-5, 6):
-            left, right = chi_sp(chi**k, m), chi_gamma_product(chi, group)
-            if left != right:
-                raise AssertionError(f"chi={chi}, S_{m} on {k} blocks: {left} != {right}")
-            cases += 1
-    return (f"{cases} cases, n <= {n_max}, {len(KUNNETH)} Young and {len(DIAGONAL)} diagonal"
-            " subgroups")
+    return f"{cases} cases, {len(PRODUCTS)} products of symmetric groups, degree <= 8"
 
 
 def _against_oracles(kind: str, chi: int, columns: dict[int, list[int]]) -> int:
@@ -157,9 +174,9 @@ def check_fd_corrected() -> str:
 
 
 def check_invariant_poincare() -> str:
-    """Quotient Betti fixtures and the symmetric-product series identity,
-    over S_n and, times P^f, over Young subgroups (Kunneth); over a diagonal
-    S_m on k blocks the series is that of SP^m of P^k."""
+    """Quotient Betti fixtures, and the invariant Poincare series over each
+    group of PRODUCTS with m <= 5 equals P^f times the series of SP^m at
+    P^k over its blocks (m, k)."""
     polys = {name: preset(name).poincare() for name in [
         "point", "circle", "sphere:2", "sphere:3", "torus", "surface:2", "projective_plane",
         "wedge_circles:3"]}
@@ -170,28 +187,16 @@ def check_invariant_poincare() -> str:
     got_circle = invariant_poincare(polys["circle"], z3).to_list()
     if got_circle != [1, 1, 1, 1]:
         raise AssertionError(f"circle/Z3 ranks {got_circle}")
-    cases = [(name, (n, (n,)), symmetric_group_cached(n)) for name in polys for n in range(1, 6)]
-    # the Young subgroups on two presets with odd-degree classes, whose
-    # traces carry the Koszul sign
-    cases += [(name, case, _young(*case)) for case in KUNNETH for name in ("sphere:3", "torus")]
-    for name, (degree, sizes), group in cases:
-        poly = polys[name]
-        left = invariant_poincare(poly, group)
-        right = math.prod((macdonald_poincare_sp(poly, a) for a in sizes),
-                          start=poly ** (degree - sum(sizes)))
-        if left != right:
-            raise AssertionError(f"{name}, S_{sizes} on {degree} points: {left} != {right}")
-    identities = len(cases)
-    for m, k, gens in DIAGONAL:
-        group = PermutationGroupModel(m * k, gens)
-        for name in ("sphere:3", "torus"):
-            left = invariant_poincare(polys[name], group)
-            right = macdonald_poincare_sp(polys[name] ** k, m)
+    identities = 0
+    for group, blocks, f, name in _products(PRODUCTS, 5):
+        for space, poly in polys.items():
+            left = invariant_poincare(poly, group)
+            right = math.prod((macdonald_poincare_sp(poly**k, m) for m, k in blocks),
+                              start=poly**f)
             if left != right:
-                raise AssertionError(f"{name}, S_{m} on {k} blocks: {left} != {right}")
+                raise AssertionError(f"{space}, {name}: {left} != {right}")
             identities += 1
-    return (f"fixtures plus {identities} series identities, {len(KUNNETH)} Young and"
-            f" {len(DIAGONAL)} diagonal subgroups")
+    return f"fixtures plus {identities} series identities on products of symmetric groups"
 
 
 def check_sphere_fixtures() -> str:
@@ -274,31 +279,36 @@ def check_graph_configuration() -> str:
 
 
 def check_depth_length() -> str:
-    """Stratification depth values and the subgroup chain-length bound."""
-    n_max = 6
-    # each group's depth and chain length once: the S_n of the table come
-    # back in the battery and in the comparison with length_sn
+    """Stratification depth and subgroup chain length on products of
+    symmetric groups, and the depth <= length bound on a battery."""
+    # each group's depth and chain length once: S_3 and S_4 come back in
+    # the battery
     depth_of, length_of = cache(depth), cache(group_length)
-    sym = symmetric_group_cached
-    for n in range(1, n_max + 1):
-        if depth_of(sym(n)) != n - 1:
-            raise AssertionError(f"depth(S_{n})")
-    regular = regular_representation(sym(3))
-    if not (depth_of(regular) == 2 == length_of(sym(3))):
-        raise AssertionError
     expected = [0, 1, 2, 4, 5, 6, 7, 10, 11, 12]
     for n in range(1, 11):
         if length_sn(n) != expected[n - 1]:
             raise AssertionError(f"length_sn({n})")
-    for n in range(1, 5):
-        if length_of(sym(n)) != length_sn(n):
-            raise AssertionError(n)
+    # a product of symmetric groups stabilizes exactly the patterns that
+    # refine its orbits, a product of partition lattices, so its depth is
+    # the sum of m - 1 over its blocks (m, k); its chain length is the sum
+    # of length_sn(m), a diagonal S_m being a copy of S_m
+    by_depth = list(_products(PRODUCTS + DEPTH_PRODUCTS, 6))
+    for group, blocks, _, name in by_depth:
+        if depth_of(group) != sum(m - 1 for m, _ in blocks if m > 1):
+            raise AssertionError(f"depth of {name}")
+    by_length = list(_products(PRODUCTS, 4))
+    for group, blocks, _, name in by_length:
+        if length_of(group) != sum(length_sn(m) for m, _ in blocks if m > 1):
+            raise AssertionError(f"length of {name}")
+    regular = regular_representation(_sym(3))
+    if not (depth_of(regular) == 2 == length_of(_sym(3))):
+        raise AssertionError
     battery = [
         trivial_group(3),
         cyclic_group(4),
         cyclic_group(6),
-        sym(3),
-        sym(4),
+        _sym(3),
+        _sym(4),
         alternating_group(4),
         PermutationGroupModel(4, ["(1 2 3 4)", "(1 3)"]),  # dihedral
         regular,
@@ -308,35 +318,20 @@ def check_depth_length() -> str:
         d_val, l_val = depth_of(group), length_of(group)
         if d_val > l_val:
             raise AssertionError(f"depth {d_val} > length {l_val} at degree {group.degree}")
-    for n in (5, 6):
-        if not (depth_of(sym(n)) == n - 1 < length_sn(n)):
-            raise AssertionError
-    # a Young subgroup S_l1 x S_l2 x ... stabilizes exactly the patterns
-    # that refine its orbits, a product of partition lattices, so its depth
-    # is the degree minus the number of orbits (fixed points included)
-    young = [(5, (2, 3)), (7, (3, 4)), (8, (3, 3)), (8, (2, 3, 3)),
-             (12, (3, 3, 3, 3)), (12, (2, 2, 2, 2, 2, 2)),
-             (12, (4, 4, 4))]  # 13824 elements, three S_4 factors
-    for degree, sizes in young:
-        orbits = len(sizes) + degree - sum(sizes)
-        got = depth(_young(degree, sizes))
-        if got != degree - orbits:
-            raise AssertionError(f"depth(S_{sizes} on {degree} points) = {got}")
-    return (f"depth table n <= {n_max}, battery of {len(battery)} groups, "
-            f"{len(young)} Young subgroups")
+    return (f"depth of {len(by_depth)} and length of {len(by_length)} products of symmetric"
+            f" groups, battery of {len(battery)} groups")
 
 
 def check_pi1_descriptors() -> str:
     """Fundamental-group descriptor shapes."""
     opaque = preset("wedge_circles:2")
     circle = preset("circle")
-    sym = symmetric_group_cached
     transitive = [
-        cyclic_group(2), cyclic_group(3), sym(3),
+        cyclic_group(2), cyclic_group(3), _sym(3),
         cyclic_group(4), PermutationGroupModel(4, ["(1 2 3 4)", "(1 3)"]),
-        alternating_group(4), cyclic_group(5), sym(5),
-        cyclic_group(6), regular_representation(sym(3)),
-        sym(6),
+        alternating_group(4), cyclic_group(5), _sym(5),
+        cyclic_group(6), regular_representation(_sym(3)),
+        _sym(6),
     ]
     for group in transitive:
         if not group.is_transitive():
@@ -375,7 +370,7 @@ def check_pi1_descriptors() -> str:
     # group up to d = n/2, and past it the criterion makes no claim while
     # the branch table keeps a Pi1(X) factor
     for n in range(1, 13):
-        full, even = sym(n), alternating_group(n)
+        full, even = _sym(n), alternating_group(n)
         for d in range(1, n // 2 + 1):
             if not pi1_bgamma_abelian(full, d):
                 raise AssertionError((n, d))

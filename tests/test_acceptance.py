@@ -8,6 +8,7 @@ pytest -v through the test name, and in captured output on failure).
 
 from __future__ import annotations
 
+import math
 import re
 import subprocess
 import sys
@@ -26,14 +27,14 @@ BUDGET = 5.0
 # between the criteria cannot drop a case unnoticed.
 DETAILS = {
     "all": [
-        "143 cases, n <= 8, 2 Young and 2 diagonal subgroups",
+        "143 cases, 13 products of symmetric groups, degree <= 8",
         "252 cases three-way, n <= 8",
         "252 oracle cases; coefficient-free variant rejected (6 != 2)",
-        "fixtures plus 48 series identities, 2 Young and 2 diagonal subgroups",
+        "fixtures plus 80 series identities on products of symmetric groups",
         "31 fixture values",
         "414 identity cases, n <= 8",
         "fixtures plus 50 random graphs",
-        "depth table n <= 6, battery of 9 groups, 7 Young subgroups",
+        "depth of 18 and length of 9 products of symmetric groups, battery of 9 groups",
         "11 transitive groups, branch table 36 cells",
         "Bell + 66 type counts, Stirling identity, d=2 forms, n <= 8",
     ],
@@ -118,6 +119,19 @@ def test_suites_check_the_same_cases(outcomes):
     assert [o.detail for o in outcomes] == DETAILS["all"]
 
 
+def test_product_groups_have_their_blocks():
+    # criteria 1, 4 and 8 read each group's expected values off its blocks
+    # (m, k): S_m acting alike on k sets of m points, the rest fixed
+    for degree, blocks in selfcheck.PRODUCTS + selfcheck.DEPTH_PRODUCTS:
+        group = selfcheck.product_group(degree, blocks)
+        fixed = degree - sum(m * k for m, k in blocks)
+        orbits = [1] * fixed + [m for m, k in blocks for _ in range(k) if m]
+        assert group.order() == math.prod(math.factorial(m) for m, _ in blocks), blocks
+        assert group.orbit_sizes() == sorted(orbits), blocks
+        # a block with k > 1 ties its orbits into one factor
+        assert len(group.direct_factors()) == sum(m >= 2 for m, _ in blocks), blocks
+
+
 def test_cli_verify_stdout_is_pinned(capsys):
     # --suite keeps its one value, all, which is also the default; each
     # check's time goes to stderr, in milliseconds
@@ -150,4 +164,5 @@ def test_battery_checks_under_python_O():
                           env=_child_env(), capture_output=True, text=True, check=True)
     lines = proc.stdout.splitlines()
     assert lines[0] == "False"
-    assert "macdonald-burnside: chi=-5, S_(0,) on 0 points: 12345 != 1" in lines[1:], lines
+    wrong = "macdonald-burnside: chi=-5, blocks ((0, 1),) on 0 points: 12345 != 1"
+    assert wrong in lines[1:], lines

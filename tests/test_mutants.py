@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import pytest
 
-from fatdiag import eulerchar, permgroup, selfcheck
-from fatdiag.permgroup import PermutationGroupModel, symmetric_group_cached
+from fatdiag import eulerchar, permgroup, selfcheck, strata
+from fatdiag.permgroup import PermutationGroupModel
 
 
 def _fixed_points_removed(monkeypatch) -> None:
@@ -46,12 +46,30 @@ def _tied_orbits_split(monkeypatch) -> None:
                                        for orbit in group._moved_orbits()])
 
 
+def _length_plus_one_on_products(monkeypatch) -> None:
+    # group_length is one too long on a group of several direct factors
+    monkeypatch.setattr(selfcheck, "group_length",
+                        lambda group: strata.group_length(group)
+                        + (len(group.direct_factors()) > 1))
+
+
+def _equal_factors_once(monkeypatch) -> None:
+    # group_length adds the climb of each distinct factor model once, as
+    # _factor_sum would if it dropped a repeated factor's height: S_2 x S_2
+    # would answer as S_2
+    monkeypatch.setattr(selfcheck, "group_length",
+                        lambda group: sum(map(strata.group_length,
+                                              dict.fromkeys(group.direct_factors()))))
+
+
 MUTANTS = {
     "chi-gamma-fixed-points-removed": (_fixed_points_removed, ["macdonald-burnside"]),
     "betti-gamma-factor-left-out": (_factor_left_out, ["invariant-poincare"]),
     "pi1-bgamma-half-bound-dropped": (_half_bound_dropped, ["pi1-descriptors"]),
     "direct-factors-split-tied-orbits": (_tied_orbits_split,
                                          ["macdonald-burnside", "invariant-poincare"]),
+    "group-length-plus-one-on-products": (_length_plus_one_on_products, ["depth-length"]),
+    "group-length-equal-factors-once": (_equal_factors_once, ["depth-length"]),
 }
 
 
@@ -59,13 +77,11 @@ MUTANTS = {
 def test_verify_catches_the_mutant(monkeypatch, name):
     mutate, criteria = MUTANTS[name]
     checks = [dict(selfcheck.CHECKS)[criterion] for criterion in criteria]
-    symmetric_group_cached.cache_clear()
-    selfcheck._young.cache_clear()
+    selfcheck.product_group.cache_clear()
     for check in checks:
         check()
     mutate(monkeypatch)
     for check in checks:
-        symmetric_group_cached.cache_clear()
-        selfcheck._young.cache_clear()
+        selfcheck.product_group.cache_clear()
         with pytest.raises(AssertionError):
             check()

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import importlib
 import math
 import random
@@ -21,7 +22,6 @@ from fatdiag.permgroup import (
     parse_cycles,
     regular_representation,
     symmetric_group,
-    symmetric_group_cached,
     trivial_group,
 )
 from fatdiag.strata import _cycle_partition, _steps, depth, group_length
@@ -152,6 +152,10 @@ def test_cycle_type_histogram_is_a_copy():
     hist[(4, 0, 0, 0)] += 5
     hist.clear()
     assert g.cycle_type_histogram() == dict(conjugacy_classes_sn(4))
+    counts = g.cycle_count_histogram()
+    assert counts == {4: 1, 3: 6, 2: 11, 1: 6}
+    # the counts are summed once and kept; each call returns a copy
+    counts.clear()
     assert g.cycle_count_histogram() == {4: 1, 3: 6, 2: 11, 1: 6}
 
 
@@ -445,12 +449,16 @@ def test_histograms_of_products_match_the_stream():
         assert group.cycle_type_histogram() == streamed, group.generators
 
 
+# S_n shared by the two tests below, so that S_10's histogram is built once
+_symmetric = functools.cache(symmetric_group)
+
+
 def test_histograms_match_classes_up_to_s10():
     # S_n against the centralizer formula; A_n holds every even class of
     # S_n whole, so its histogram is the even part of the same table
     for n in range(1, 11):
         classes = dict(conjugacy_classes_sn(n))
-        assert symmetric_group_cached(n).cycle_type_histogram() == classes, n
+        assert _symmetric(n).cycle_type_histogram() == classes, n
         even = {t: size for t, size in classes.items()
                 if sum((l - 1) * a for l, a in enumerate(t, start=1)) % 2 == 0}
         if n < 10:
@@ -466,4 +474,4 @@ def test_conjugacy_classes_from_s0_to_s12():
         classes = conjugacy_classes_sn(n)
         assert sum(size for _, size in classes) == math.factorial(n), n
         if n <= 10:
-            assert symmetric_group_cached(n).cycle_type_histogram() == dict(classes), n
+            assert _symmetric(n).cycle_type_histogram() == dict(classes), n
