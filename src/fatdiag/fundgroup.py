@@ -18,7 +18,7 @@ as text, so pi1 bd never loads the group engine.
 """
 
 from .errors import UnsupportedSpaceError
-from .spaces import AbelianDescriptor, Record, SpaceModel
+from .spaces import AbelianDescriptor, Record, SpaceModel, power_text
 
 
 class GroupExpression(Record):
@@ -74,16 +74,8 @@ class GroupExpression(Record):
         return self.h1.power(self.h1_exponent)
 
     def display(self) -> str:
-        parts = []
-        if self.pi1_exponent == 1:
-            parts.append("Pi1(X)")
-        elif self.pi1_exponent > 1:
-            parts.append(f"Pi1(X)^{self.pi1_exponent}")
-        if self.h1_exponent == 1:
-            parts.append("H1(X)")
-        elif self.h1_exponent > 1:
-            parts.append(f"H1(X)^{self.h1_exponent}")
-        return " x ".join(parts) if parts else "1"
+        parts = power_text("Pi1(X)", self.pi1_exponent) + power_text("H1(X)", self.h1_exponent)
+        return " x ".join(parts) or "1"
 
 
 def pi1_gamma_product(space: SpaceModel, group: "PermutationGroupModel") -> GroupExpression:

@@ -311,11 +311,16 @@ def _chain_histogram(chain: _Chain, degree: int) -> Counter[tuple[int, ...]]:
 
 def _restrict(generators, points: list[int]) -> "PermutationGroupModel":
     """The group the generators generate, acting on a union of its orbits,
-    renumbered in order."""
+    renumbered in order.  Each restricted generator is kept once, in order,
+    and one that restricts to the identity is dropped, so orbits on which
+    the generators act alike but for repeats and identities give one
+    generator list: the three S_2 of <(1 2)(3 4)(5 6), (1 2), (3 4)> are
+    each <(1 2)>."""
     index = dict(zip(points, range(len(points))))
-    return PermutationGroupModel(
-        len(points), [tuple(map(index.__getitem__, map(g.__getitem__, points)))
-                      for g in generators])
+    restricted = dict.fromkeys(tuple(map(index.__getitem__, map(g.__getitem__, points)))
+                               for g in generators)
+    restricted.pop(tuple(range(len(points))), None)
+    return PermutationGroupModel(len(points), list(restricted))
 
 
 def _classes(groups) -> list[list]:
@@ -451,8 +456,8 @@ class PermutationGroupModel:
         entries they build and compose, over all groups of orbits; once the
         count passes MAX_GROUP_WORK, scaled, the orbits not yet tested stay
         with the rest.  Factors of the same degree and renumbered
-        generators are one model, listed once for each, so that its chain
-        and histogram are built once.
+        generators, as _restrict lists them, are one model, listed once for
+        each, so that its chain and histogram are built once.
         """
         if self._factors is None:
             chain = self._stabilizers()  # the chain guard comes first

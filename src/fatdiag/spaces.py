@@ -113,6 +113,16 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
+def power_text(symbol: str, k: int) -> list[str]:
+    """The power symbol^k as the written groups spell it, as a list of the
+    factors to join: none for k = 0 and the bare symbol for k = 1.
+
+    >>> power_text("Z", 0), power_text("Z", 1), power_text("Z", 3)
+    ([], ['Z'], ['Z^3'])
+    """
+    return [symbol if k == 1 else f"{symbol}^{k}"] if k else []
+
+
 class AbelianDescriptor(Record):
     """Finitely generated abelian group Z^rank + Z/d_1 + ... + Z/d_k in
     invariant factor normal form."""
@@ -146,13 +156,8 @@ class AbelianDescriptor(Record):
         return self.rank == 0 and not self.torsion
 
     def __str__(self) -> str:
-        parts = []
-        if self.rank == 1:
-            parts.append("Z")
-        elif self.rank > 1:
-            parts.append(f"Z^{self.rank}")
-        parts.extend(f"Z/{d}" for d in self.torsion)
-        return " + ".join(parts) if parts else "0"
+        parts = power_text("Z", self.rank) + [f"Z/{d}" for d in self.torsion]
+        return " + ".join(parts) or "0"
 
 
 TRIVIAL_GROUP = AbelianDescriptor(0, ())
@@ -193,66 +198,36 @@ class SpaceModel(Record):
         return GradedPolynomial.from_list(self.betti)
 
 
-def _sphere(k: int) -> SpaceModel:
-    if k < 1:
-        raise ValueError("sphere dimension must be >= 1")
-    check_guard(k + 1, MAX_SPACE_SIZE, "space size")
-    if k == 1:
-        return SpaceModel(
-            label="circle",
-            betti=(1, 1),
-            h1=AbelianDescriptor(1),
-            pi1_kind="abelian",
-            parity="odd",
-        )
-    betti = (1,) + (0,) * (k - 1) + (1,)
-    return SpaceModel(
-        label=f"sphere:{k}",
-        betti=betti,
-        pi1_kind="trivial",
-        parity="even" if k % 2 == 0 else "odd",
-    )
-
-
-def _surface(genus: int) -> SpaceModel:
-    if genus < 0:
-        raise ValueError("genus must be >= 0")
-    if genus == 0:
-        return _sphere(2)
-    if genus == 1:
-        return preset("torus")
-    return SpaceModel(
-        label=f"surface:{genus}",
-        betti=(1, 2 * genus, 1),
-        h1=AbelianDescriptor(2 * genus),
-        pi1_kind="opaque",
-        parity="even",
-    )
-
-
-def _wedge_circles(r: int) -> SpaceModel:
-    if r < 0:
-        raise ValueError("rank must be >= 0")
-    if r == 0:
-        return preset("point")
-    if r == 1:
-        return _sphere(1)
-    return SpaceModel(
-        label=f"wedge_circles:{r}",
-        betti=(1, r),
-        h1=AbelianDescriptor(r),
-        pi1_kind="opaque",
-        parity="none",
-    )
+# One row per preset.  A plain preset's row is its model: Betti numbers,
+# H_1 torsion, pi1 kind and parity.  A family's row is its least parameter,
+# the parameter's name, the small parameters that name another preset, and
+# the model of every other parameter k, its Betti numbers given by degree.
+# H_1's rank is b_1 throughout.
+_PRESETS = {
+    "point": ((1,), (), "trivial", "even"),
+    "circle": ((1, 1), (), "abelian", "odd"),
+    "torus": ((1, 2, 1), (), "abelian", "even"),
+    "projective_plane": ((1, 0, 0), (2,), "abelian", "even"),
+    "sphere": (1, "sphere dimension", {1: "circle"},
+               lambda k: ({0: 1, k: 1}, (), "trivial", "odd" if k % 2 else "even")),
+    "surface": (0, "genus", {0: "sphere:2", 1: "torus"},
+                lambda g: ({0: 1, 1: 2 * g, 2: 1}, (), "opaque", "even")),
+    "wedge_circles": (0, "rank", {0: "point", 1: "circle"},
+                      lambda r: ({0: 1, 1: r}, (), "opaque", "none")),
+}
 
 
 def preset(name: str) -> SpaceModel:
-    """Look up a named space.
+    """Look up a named space in the one preset table.
 
-    Registry: point, circle, torus, projective_plane, sphere:k (k >= 1),
-    surface:g (g >= 0, orientable, surface:0 = sphere:2, surface:1 = torus),
-    wedge_circles:r (r >= 0).  The parameter is read by errors._integer:
-    ASCII digits with at most one sign.
+    Plain presets: point, circle, torus, projective_plane.  Families:
+    sphere:k (k >= 1, sphere:1 = circle), surface:g (g >= 0, orientable,
+    surface:0 = sphere:2, surface:1 = torus) and wedge_circles:r (r >= 0,
+    wedge_circles:0 = point, wedge_circles:1 = circle); an alias answers
+    with the model of the preset it names.  The parameter is read by
+    errors._integer: ASCII digits with at most one sign.  A family's Betti
+    vector is guarded on its length before it is laid out, so sphere:k
+    refuses k + 1 > MAX_SPACE_SIZE without building anything.
 
     >>> preset("torus").betti
     (1, 2, 1)
@@ -261,37 +236,32 @@ def preset(name: str) -> SpaceModel:
     """
     name = name.strip()
     base, _, arg = name.partition(":")
-    base = base.strip()
-    arg = arg.strip()
-    plain = {
-        "point": lambda: SpaceModel(label="point", betti=(1,), parity="even"),
-        "circle": lambda: _sphere(1),
-        "torus": lambda: SpaceModel(
-            label="torus",
-            betti=(1, 2, 1),
-            h1=AbelianDescriptor(2),
-            pi1_kind="abelian",
-            parity="even",
-        ),
-        "projective_plane": lambda: SpaceModel(
-            label="projective_plane",
-            betti=(1, 0, 0),
-            h1=AbelianDescriptor(0, (2,)),
-            pi1_kind="abelian",
-            parity="even",
-        ),
-    }
-    if base in plain:
+    base, arg = base.strip(), arg.strip()
+    row = _PRESETS.get(base)
+    if row is None:
+        raise ValueError(f"unknown space preset {name!r}")
+    if not callable(row[-1]):
         if arg:
             raise ValueError(f"preset {base!r} takes no parameter")
-        return plain[base]()
-    parametrized = {"sphere": _sphere, "surface": _surface, "wedge_circles": _wedge_circles}
-    if base in parametrized:
-        value = _integer(arg)
-        if value is None:
+        label, (betti, torsion, kind, parity) = base, row
+    else:
+        least, what, aliases, model = row
+        k = _integer(arg)
+        if k is None:
             raise ValueError(f"preset {base!r} needs an integer parameter, e.g. {base}:2")
-        return parametrized[base](value)
-    raise ValueError(f"unknown space preset {name!r}")
+        if k < least:
+            raise ValueError(f"{what} must be >= {least}")
+        if k in aliases:
+            return preset(aliases[k])
+        by_degree, torsion, kind, parity = model(k)
+        size = max(by_degree) + 1
+        check_guard(size, MAX_SPACE_SIZE, "space size")
+        betti = [0] * size
+        for i, b in by_degree.items():
+            betti[i] = b
+        label = f"{base}:{k}"
+    h1 = AbelianDescriptor(betti[1] if len(betti) > 1 else 0, torsion)
+    return SpaceModel(label, tuple(betti), h1, kind, parity)
 
 
 def _combine_parity(a: str, b: str) -> str:
@@ -302,8 +272,9 @@ def _combine_parity(a: str, b: str) -> str:
 
 def product(a: SpaceModel, b: SpaceModel) -> SpaceModel:
     """Cartesian product: Betti convolution, H_1 direct sum, parities add.
-    Guarded on the convolution steps, the product of the Betti lengths."""
-    check_guard(len(a.betti) * len(b.betti), MAX_SPACE_SIZE, "space size")
+    Unguarded: it takes len(a.betti) * len(b.betti) steps, which
+    parse_space, its one caller, counts into the guarded total of a chain
+    of products before each product."""
     betti = [0] * (len(a.betti) + len(b.betti) - 1)
     for i, x in enumerate(a.betti):
         for j, y in enumerate(b.betti):
@@ -385,8 +356,9 @@ def parse_space(text: str) -> SpaceModel:
     steps = 0
     for factor in factors[1:]:
         right = preset(factor)
-        # each product is guarded alone; a chain of small ones, such as
-        # "circle x circle x ...", is guarded on its total
+        # the convolution steps of the products so far are guarded on their
+        # total, so one large product and a chain of small ones, such as
+        # "circle x circle x ...", are refused alike
         steps += len(model.betti) * len(right.betti)
         check_guard(steps, MAX_SPACE_SIZE, "space size")
         model = product(model, right)

@@ -929,6 +929,24 @@ def test_every_typed_integer_has_one_grammar(capsys):
         1, "", "error: bad --degree or --gens: degree must be >= 0, got -1\n")
 
 
+def test_refusals_of_counts_graphs_and_json_spaces(capsys):
+    # each refusal is a usage error, worded by the reader that refuses it
+    for argv, err in (
+        (("chi", "sp", "--space", "torus", "-n", "-1"), "error: -n must be >= 0\n"),
+        (("graph", "chi2", "--graph", '{"vertices":["a","b","c"],"edges":[["a","b"]]}'),
+         "error: formula needs a connected graph\n"),
+        (("chi", "sp", "--space", '{"betti":[1],"h1":{"rank":0,"torsion":[1]}}', "-n", "2"),
+         "error: bad --space: torsion orders must be >= 2, got 1\n"),
+        (("chi", "sp", "--space", '{"betti":[2,0]}', "-n", "2"),
+         "error: bad --space: connected space needs b_0 = 1, got 2\n"),
+        (("chi", "sp", "--space", '{"betti":[1,1],"pi1":"trivial"}', "-n", "2"),
+         "error: bad --space: trivial fundamental group forces trivial H_1\n"),
+        (("chi", "sp", "--space", '{"betti":[1,0,-1]}', "-n", "2"),
+         "error: bad --space: bad Betti vector (1, 0, -1)\n"),
+    ):
+        assert run(capsys, *argv) == (1, "", err), argv
+
+
 def test_result_size_is_guarded_before_computing(capsys, monkeypatch):
     # chi gamma on the trivial group is chi^degree, and chi sp a binomial:
     # both are refused from a bound on their bit length, before the value

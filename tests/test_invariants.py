@@ -24,6 +24,7 @@ from fatdiag.permgroup import (
     trivial_group,
 )
 from fatdiag.spaces import parse_space, preset
+from fatdiag.strata import depth, group_length
 
 TORUS = GradedPolynomial.from_list([1, 2, 1])
 CIRCLE = GradedPolynomial.from_list([1, 1])
@@ -278,3 +279,24 @@ def test_products_walk_each_factor_and_never_the_whole_group(monkeypatch):
     assert (invariant_poincare(TORUS, PermutationGroupModel(30, gens))
             == macdonald_poincare_sp(TORUS, 6) ** 5)
     assert walked == [6]
+
+
+def test_equal_factors_among_tied_orbits_share_one_model(monkeypatch):
+    # <(1 2)(3 4)(5 6), (1 2), (3 4)> is S_2^3 on orbits that its first
+    # generator ties, and each orbit splits off.  Each factor keeps its
+    # restricted generators once and drops the identity, so the three are
+    # one model: one chain beside the group's own, one histogram of 2 points
+    built, walked = [], []
+    chain, histogram = permgroup._stabilizer_chain, permgroup._chain_histogram
+    monkeypatch.setattr(permgroup, "_stabilizer_chain",
+                        lambda degree, gens: built.append(degree) or chain(degree, gens))
+    monkeypatch.setattr(permgroup, "_chain_histogram",
+                        lambda c, degree: walked.append(degree) or histogram(c, degree))
+    group = PermutationGroupModel(6, ["(1 2)(3 4)(5 6)", "(1 2)", "(3 4)"])
+    factors = group.direct_factors()
+    assert len(factors) == 3 and len(set(map(id, factors))) == 1
+    assert factors[0].generators == ((1, 0),)
+    assert chi_gamma_product(2, group) == 27
+    assert invariant_poincare(TORUS, group).to_list()[:7] == [1, 6, 18, 38, 63, 84, 92]
+    assert built == [6, 2] and walked == [2]
+    assert depth(group) == 3 and group_length(group) == 3

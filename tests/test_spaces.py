@@ -254,3 +254,62 @@ def test_torsion_factoring_is_guarded_on_its_trial_divisions(monkeypatch):
                         lambda n, work: factored.append(n) or factor(n, work))
     assert invariant_factors([4, 2, 3, 2, 4]) == (2, 2, 4, 12)
     assert sorted(factored) == [2, 3, 4]
+
+
+# Every preset name and spelling with its whole model: label, Betti
+# numbers, H_1 as (rank, torsion), pi1 kind and parity.  An alias answers
+# with the model of the preset it names, label included.
+_CIRCLE = ("circle", (1, 1), (1, ()), "abelian", "odd")
+_POINT = ("point", (1,), (0, ()), "trivial", "even")
+_SPHERE2 = ("sphere:2", (1, 0, 1), (0, ()), "trivial", "even")
+_TORUS = ("torus", (1, 2, 1), (2, ()), "abelian", "even")
+_PRESET_MODELS = {
+    "point": _POINT,
+    "circle": _CIRCLE,
+    "torus": _TORUS,
+    "projective_plane": ("projective_plane", (1, 0, 0), (0, (2,)), "abelian", "even"),
+    "sphere:1": _CIRCLE,
+    "sphere:2": _SPHERE2,
+    "sphere:3": ("sphere:3", (1, 0, 0, 1), (0, ()), "trivial", "odd"),
+    "surface:0": _SPHERE2,
+    "surface:1": _TORUS,
+    "surface:2": ("surface:2", (1, 4, 1), (4, ()), "opaque", "even"),
+    "wedge_circles:0": _POINT,
+    "wedge_circles:1": _CIRCLE,
+    "wedge_circles:3": ("wedge_circles:3", (1, 3), (3, ()), "opaque", "none"),
+    # a sign, leading zeros and surrounding whitespace are read, and an
+    # empty parameter is no parameter
+    "sphere:+2": _SPHERE2,
+    "surface:007": ("surface:7", (1, 14, 1), (14, ()), "opaque", "even"),
+    " torus ": _TORUS,
+    "torus:": _TORUS,
+}
+
+
+def test_every_preset_is_pinned():
+    for name, (label, betti, (rank, torsion), kind, parity) in _PRESET_MODELS.items():
+        model = SpaceModel(label, betti, AbelianDescriptor(rank, torsion), kind, parity)
+        assert preset(name) == model, name
+
+
+def test_preset_refusals_are_pinned(guard_scale_env):
+    guard_scale_env(None)
+    for name, message in (
+        ("klein", "unknown space preset 'klein'"),
+        ("torus:2", "preset 'torus' takes no parameter"),
+        ("sphere", "preset 'sphere' needs an integer parameter, e.g. sphere:2"),
+        ("sphere:x", "preset 'sphere' needs an integer parameter, e.g. sphere:2"),
+        ("sphere:0", "sphere dimension must be >= 1"),
+        ("surface:-1", "genus must be >= 0"),
+        ("wedge_circles:-2", "rank must be >= 0"),
+    ):
+        with pytest.raises(ValueError) as refused:
+            preset(name)
+        assert str(refused.value) == message, name
+    with pytest.raises(ResourceGuardError) as refused:
+        preset("sphere:100000")
+    assert str(refused.value) == ("space size: size 100001 exceeds guard limit 100000"
+                                  " (scale with FATDIAG_GUARD_SCALE)")
+    # the guard is on k + 1, checked before any Betti number is laid out
+    with pytest.raises(ResourceGuardError, match="space size"):
+        preset("sphere:1" + "0" * 4000)
