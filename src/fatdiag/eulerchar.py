@@ -133,12 +133,11 @@ def chi_gamma_product(chi: int, group: "PermutationGroupModel") -> int:
     >>> chi_gamma_product(2, cyclic_group(3))
     4
     """
-    factors = group.direct_factors()
-    value = chi ** (group.degree - sum(factor.degree for factor in factors))
-    for factor in factors:
+    def average(factor) -> int:
         total = sum(count * chi**c for c, count in factor.cycle_count_histogram().items())
-        value *= _exact_div(total, factor.order(), "chi_gamma_product")
-    return value
+        return _exact_div(total, factor.order(), "chi_gamma_product")
+
+    return group.fold_factors(chi.__pow__, average, int.__mul__)
 
 
 def chi_stratum(chi: int, alpha: tuple[int, ...]) -> int:

@@ -79,24 +79,23 @@ def invariant_poincare(
     integer sum is divided by the factor's order coefficient by
     coefficient.  The result must have non-negative integer coefficients
     (they are dimensions of invariant subspaces), and anything else is a
-    bug.  The products, joins included, are guarded before the first.
+    bug.  The products, joins included, are guarded before the first, on a
+    bound that is one more fold (permgroup.fold_factors).
 
     >>> torus = GradedPolynomial.from_list([1, 2, 1])
     >>> from .permgroup import cyclic_group
     >>> invariant_poincare(torus, cyclic_group(3)).to_list()
     [1, 2, 5, 8, 5, 2, 1]
     """
-    factors = group.direct_factors()
-    fixed = joined = group.degree - sum(factor.degree for factor in factors)
-    work = _poincare_work(poincare, fixed, [(fixed,)])
-    for factor in factors:
-        work += (_poincare_work(poincare, factor.degree, factor.cycle_type_histogram())
-                 + _terms(poincare, joined) * _terms(poincare, factor.degree))
-        joined += factor.degree
+    # (products, points): each factor's, and the join with the points before it
+    work, _ = group.fold_factors(
+        lambda f: (_poincare_work(poincare, f, [(f,)]), f),
+        lambda g: (_poincare_work(poincare, g.degree, g.cycle_type_histogram()), g.degree),
+        lambda a, b: (a[0] + b[0] + _terms(poincare, a[1]) * _terms(poincare, b[1]), a[1] + b[1]))
     check_guard(work, MAX_POINCARE_WORK, "invariant Poincare products")
-    result = poincare ** fixed
     trace = cache(partial(graded_trace_cycle, poincare))  # each cycle length made once
-    for factor in factors:
+
+    def average(factor: PermutationGroupModel) -> GradedPolynomial:
         acc = GradedPolynomial.zero()
         for ctype, count in factor.cycle_type_histogram().items():
             # a factor moves some point, so there is a power to start from
@@ -108,8 +107,9 @@ def invariant_poincare(
             if rank < 0:
                 raise InternalConsistencyError(f"negative invariant rank {rank} in degree {deg}")
             ranks[deg] = rank
-        result = result * GradedPolynomial(ranks)
-    return result
+        return GradedPolynomial(ranks)
+
+    return group.fold_factors(poincare.__pow__, average, GradedPolynomial.__mul__)
 
 
 def macdonald_poincare_sp(poincare: GradedPolynomial, n: int) -> GradedPolynomial:

@@ -36,14 +36,14 @@ _classes under H's strong generators, of the orbit size times the
 histogram of one coset (Seress, ch. 4-5, for the chain and its strong
 generators).
 
-A group that is a direct product over its orbits is split into factors
-(direct_factors).  Orbits that no generator ties together carry
-commuting factors at once; within a set of tied orbits, an orbit O splits
-off when, for every generator g, the element acting as g on O and fixing
-every other point lies in G, which sifting through the chain decides, and
-the orbits that do not split form one last factor.  Each factor is a
-group on its own renumbered points; chi and Betti numbers of X^n / G
-multiply over the factors, and depth and chain length add.
+A group that is a direct product over its orbits is split into factors,
+each a group on its own renumbered points, by sifting through the chain
+(direct_factors).  X^n / G is X^f times the X^(n_i) / G_i of the
+factors G_i, for the f fixed points, so chi and the Poincare polynomial
+multiply over the factors (Kunneth; Macdonald, Topology 1, 1962), and
+stratification depth and subgroup chain length add (strata).  Each is
+one fold, fold_factors: its value on the fixed points, its rule on one
+factor, run once for each distinct factor model, and how values combine.
 
 The closure walk, _closure, is the orbit of a tuple under the group
 generated by some permutations, found breadth-first by left multiplication.
@@ -456,8 +456,7 @@ class PermutationGroupModel:
         entries they build and compose, over all groups of orbits; once the
         count passes MAX_GROUP_WORK, scaled, the orbits not yet tested stay
         with the rest.  Factors of the same degree and renumbered
-        generators, as _restrict lists them, are one model, listed once for
-        each, so that its chain and histogram are built once.
+        generators, as _restrict lists them, are one model, listed once each.
         """
         if self._factors is None:
             chain = self._stabilizers()  # the chain guard comes first
@@ -504,6 +503,24 @@ class PermutationGroupModel:
                                    else factor(gens[root], sorted(rest)))
             self._factors = factors
         return list(self._factors)
+
+    def fold_factors(self, fixed, rule, combine, work: Work | None = None):
+        """fixed(f), f the fixed points, combined in order with rule(factor)
+        for each direct factor, run once per model; on work, if given, a
+        repeat counts its rule's units again, and the count is checked last."""
+        factors = self.direct_factors()
+        value = fixed(self.degree - sum(factor.degree for factor in factors))
+        done: dict[PermutationGroupModel, tuple] = {}
+        for factor in factors:
+            if factor not in done:
+                units = work.units if work else 0
+                done[factor] = rule(factor), (work.units if work else 0) - units
+            elif work:
+                work.add(done[factor][1])
+            value = combine(value, done[factor][0])
+        if work:
+            work.done()
+        return value
 
     def cycle_type_histogram(self) -> Counter[tuple[int, ...]]:
         """Map cycle type -> number of elements of that type (a copy), by

@@ -34,6 +34,7 @@ from .combinatorics import (
     count_set_partitions_of_type,
     set_partitions,
 )
+from .errors import InternalConsistencyError
 from .eulerchar import (
     chi_b2,
     chi_columns,
@@ -457,14 +458,14 @@ CHECKS: list[tuple[str, Callable[[], str]]] = [
 
 
 def run_suite() -> list[CheckOutcome]:
-    """Run every check."""
+    """Run every check; a broken build's InternalConsistencyError fails it."""
     outcomes = []
     for name, check in CHECKS:
         start = time.monotonic()
         try:
             detail = check()
             passed = True
-        except AssertionError as exc:
+        except (AssertionError, InternalConsistencyError) as exc:
             detail = str(exc) or "assertion failed"
             passed = False
         outcomes.append(CheckOutcome(name, passed, detail, time.monotonic() - start))

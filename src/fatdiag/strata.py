@@ -32,15 +32,14 @@ multiplicity, since each step of a strict chain multiplies the order by
 at least a prime.  With no bound the climb reaches every subgroup
 (all_subgroups, the tests' reference).
 
-Both invariants are sums over the direct factors of permgroup (each on its
-own renumbered points, so fixed points cost nothing).  Cycle partitions
-never cross orbits, so the lattice of joins of cycle partitions of a
-direct product is the product of the factors' lattices, whose height is
-the sum of their heights; and the chain length l is additive over any
-normal subgroup N, l(G) = l(N) + l(G/N) (a chain meets N and G/N in
-chains, and a step that neither grows is no step), so over direct
-products.  Each guard counts the work of all factors together; equal
-factors are climbed once, and each repeat counts its climb's work again.
+Both invariants add over the direct factors, with 0 for the fixed
+points, as permgroup's fold_factors: one climb for each distinct factor
+model, and one guard count for all the factors.  Cycle partitions never
+cross orbits, so the lattice of joins of cycle partitions of a direct
+product is the product of the factors' lattices, whose height is the sum
+of their heights; and the chain length l is additive over any normal
+subgroup N, l(G) = l(N) + l(G/N) (a chain meets N and G/N in chains, and
+a step that neither grows is no step), so over direct products.
 """
 
 import math
@@ -84,25 +83,6 @@ def _climb(start, moves, bound):
         return score
 
     return climb(start), best
-
-
-def _factor_sum(group: PermutationGroupModel, height, cap: int, what: str) -> int:
-    """The sum of height(factor, work) over the direct factors of group,
-    with one work count for them all, guarded on cap as what.  Equal
-    factors are one model, climbed once: each repeat adds its height and
-    the units its climb counted again."""
-    work = Work(cap, what)
-    climbed: dict[PermutationGroupModel, tuple[int, int]] = {}
-    total = 0
-    for factor in group.direct_factors():
-        if factor in climbed:
-            work.add(climbed[factor][1])
-        else:
-            units = work.units
-            climbed[factor] = height(factor, work), work.units - units
-        total += climbed[factor][0]
-    work.done()
-    return total
 
 
 def _cycle_partition(g: Perm) -> tuple[int, ...]:
@@ -214,7 +194,9 @@ def depth(group: PermutationGroupModel) -> int:
     >>> depth(trivial_group(5))
     0
     """
-    return _factor_sum(group, _factor_depth, MAX_DEPTH_WORK, "stratification depth")
+    work = Work(MAX_DEPTH_WORK, "stratification depth")
+    return group.fold_factors(lambda f: 0, lambda factor: _factor_depth(factor, work),
+                              int.__add__, work)
 
 
 def _factor_depth(group: PermutationGroupModel, work: Work) -> int:
@@ -311,6 +293,7 @@ def group_length(group: PermutationGroupModel) -> int:
     >>> group_length(cyclic_group(4))
     2
     """
-    return _factor_sum(group, lambda factor, work: _subgroup_climb(factor, work, _omega)[0],
-                       MAX_SUBGROUP_WORK, "subgroup enumeration")
+    work = Work(MAX_SUBGROUP_WORK, "subgroup enumeration")
+    return group.fold_factors(lambda f: 0, lambda factor: _subgroup_climb(factor, work, _omega)[0],
+                              int.__add__, work)
 

@@ -15,6 +15,7 @@ import sys
 
 import pytest
 from test_cli import _child_env
+from test_mutants import MUTANTS
 
 from fatdiag import selfcheck
 from fatdiag.cli import main
@@ -143,6 +144,33 @@ def test_cli_verify_stdout_is_pinned(capsys):
         assert [line.split(":")[0] for line in lines] == [
             f"ok   {name}" for name, _ in selfcheck.CHECKS]
         assert all(re.search(r" \(\d+\.\d ms\)$", line) for line in lines), lines
+
+
+def test_cli_verify_reports_a_broken_build_as_failed_checks(monkeypatch, capsys):
+    # with the coset-orbit weights dropped from the histograms, the
+    # averages of criteria 1 and 4 are not whole, and their exactness
+    # assertions raise InternalConsistencyError: verify reports each as
+    # its criterion's failure, runs the other eight and prints the envelope
+    MUTANTS["chi-gamma-coset-orbit-weight-dropped"][0](monkeypatch)
+    selfcheck.product_group.cache_clear()
+    try:
+        assert main(["verify"]) == 3
+    finally:
+        monkeypatch.undo()
+        selfcheck.product_group.cache_clear()
+    out, err = capsys.readouterr()
+    failed = ("macdonald-burnside", "invariant-poincare")
+    want = VERIFY_ALL_STDOUT.replace('"failed": "0", "passed": "10"', '"failed": "2", "passed": "8"')
+    for name in failed:
+        want = want.replace(f'"{name}", "status": "ok"', f'"{name}", "status": "fail"')
+    assert out == want
+    assert [re.sub(r" \(\d+\.\d ms\)$", "", line) for line in err.splitlines()] == [
+        "FAIL macdonald-burnside: chi_gamma_product: non-integral value -80/6",
+        f"ok   bd-three-way: {DETAILS['all'][1]}",
+        f"ok   fd-corrected: {DETAILS['all'][2]}",
+        "FAIL invariant-poincare: coefficient in degree 0: non-integral value 4/6",
+    ] + [f"ok   {name}: {detail}"
+         for (name, _), detail in zip(selfcheck.CHECKS[4:], DETAILS["all"][4:])]
 
 
 # The battery in a child, with the symmetric-product formula made wrong:

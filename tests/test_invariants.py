@@ -202,6 +202,13 @@ def test_products_of_factors_are_guarded_with_their_joins(monkeypatch):
     with pytest.raises(ResourceGuardError, match=rf"invariant Poincare products: size {size} "):
         invariant_poincare(GradedPolynomial.from_list([1] * 1201),
                            PermutationGroupModel(3, ["(1 2)"]))
+    # S_2 x S_3 x S_2 on 7 points, the two S_2 one model: 5 products of
+    # 2,401^2 for each S_2 and 10 of 3,601^2 for S_3, and the joins in
+    # factor order, each factor with the points before it (0, 2 and 5)
+    size = 2 * 5 * 2401**2 + 10 * 3601**2 + 1 * 2401 + 2401 * 3601 + 6001 * 2401
+    with pytest.raises(ResourceGuardError, match=rf"invariant Poincare products: size {size} "):
+        invariant_poincare(GradedPolynomial.from_list([1] * 1201),
+                           PermutationGroupModel(7, ["(1 2)", "(3 4 5)", "(3 4)", "(6 7)"]))
 
 
 def _walked_cycle_lengths(group: PermutationGroupModel) -> Counter:
@@ -231,6 +238,8 @@ def test_products_match_the_element_walk(monkeypatch):
         PermutationGroupModel(5, ["(1 2)(3 4)", "(1 2)"]),
         PermutationGroupModel(9, ["(1 2)(3 4)", "(5 6 7)"]),
         PermutationGroupModel(7, ["(1 2)", "(3 4 5)", "(3 4)"]),  # S_2 x S_3
+        # S_2 x S_3 x S_2, the two S_2 one model, apart in factor order
+        PermutationGroupModel(7, ["(1 2)", "(3 4 5)", "(3 4)", "(6 7)"]),
         PermutationGroupModel(9, ["(1 2 3)", "(2 3 4)", "(5 6 7)"]),  # A_4 x C_3
         PermutationGroupModel(10, ["(1 2)", "(3 4 5)", "(3 4)", "(6 7 8 9)", "(6 8)"]),
     ]

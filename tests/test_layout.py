@@ -1,10 +1,15 @@
-"""The package keeps no code that only its tests run.
+"""The package keeps no code that only its tests run, and one fold over a
+group's direct factors.
 
 Every function and class defined at module level or in a class body of
 src/fatdiag (dunders excluded) must be named somewhere in the package
 outside its own body: by a name, an attribute or an import.  A function
 whose only caller is its own unit test should go, unless it is listed
 below with the reason it stays.
+
+Only permgroup names direct_factors: every invariant that splits over
+the factors goes through PermutationGroupModel.fold_factors, so that no
+module writes a fold of its own.
 """
 
 from __future__ import annotations
@@ -45,8 +50,12 @@ def _references(tree: ast.Module):
             yield from ((alias.name, node.lineno) for alias in node.names)
 
 
+def _trees() -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+
+
 def unreferenced() -> set[str]:
-    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    trees = _trees()
     references = {stem: list(_references(tree)) for stem, tree in trees.items()}
     missing = set()
     for stem, tree in trees.items():
@@ -63,3 +72,9 @@ def unreferenced() -> set[str]:
 
 def test_every_definition_has_a_caller_in_the_package():
     assert unreferenced() == set(ALLOWED)
+
+
+def test_only_permgroup_names_the_direct_factors():
+    naming = {stem for stem, tree in _trees().items()
+              if any(name == "direct_factors" for name, _ in _references(tree))}
+    assert naming <= {"permgroup"}, naming

@@ -1,17 +1,31 @@
 """Named wrong programs that `fatdiag verify` must catch.
 
 Each entry is a name, a monkeypatch that makes the program wrong, and the
-verify criteria that must then each fail.  The memoized models are
-cleared first, so that no answer computed by the right program is
-reused, and only the named criteria run.
+verify criteria that must then each fail, as `verify` reports them
+(selfcheck.run_suite).  The memoized models are cleared first, so that
+no answer computed by the right program is reused, and only the named
+criteria run.
 """
 
 from __future__ import annotations
+
+import inspect
+import textwrap
 
 import pytest
 
 from fatdiag import eulerchar, permgroup, selfcheck, strata
 from fatdiag.permgroup import PermutationGroupModel
+
+
+def _rewritten(function, old: str, new: str):
+    """function with the one occurrence of old in its source replaced by
+    new, compiled in its module's namespace."""
+    source = textwrap.dedent(inspect.getsource(function))
+    assert source.count(old) == 1, old
+    namespace: dict = {}
+    exec(source.replace(old, new), vars(inspect.getmodule(function)), namespace)
+    return namespace[function.__name__]
 
 
 def _fixed_points_removed(monkeypatch) -> None:
@@ -53,13 +67,29 @@ def _length_plus_one_on_products(monkeypatch) -> None:
                         + (len(group.direct_factors()) > 1))
 
 
-def _equal_factors_once(monkeypatch) -> None:
-    # group_length adds the climb of each distinct factor model once, as
-    # _factor_sum would if it dropped a repeated factor's height: S_2 x S_2
-    # would answer as S_2
+def _length_equal_factors_once(monkeypatch) -> None:
+    # group_length adds the climb of each distinct factor model once:
+    # S_2 x S_2 would answer as S_2
     monkeypatch.setattr(selfcheck, "group_length",
                         lambda group: sum(map(strata.group_length,
                                               dict.fromkeys(group.direct_factors()))))
+
+
+def _coset_orbit_weight_dropped(monkeypatch) -> None:
+    # a histogram counts one coset for each H-orbit of cosets, not the
+    # orbit's size: the averages over S_3 and larger are no longer whole
+    monkeypatch.setattr(permgroup, "_chain_histogram",
+                        _rewritten(permgroup._chain_histogram,
+                                   "len(orbit) * count", "count"))
+
+
+def _products_equal_factors_once(monkeypatch) -> None:
+    # the fold combines a repeated factor model's value only once, its
+    # points still not fixed: S_2 x S_2 x S_3 would answer as S_2 x S_3
+    monkeypatch.setattr(PermutationGroupModel, "fold_factors",
+                        _rewritten(PermutationGroupModel.fold_factors,
+                                   "for factor in factors:",
+                                   "for factor in dict.fromkeys(factors):"))
 
 
 MUTANTS = {
@@ -69,19 +99,32 @@ MUTANTS = {
     "direct-factors-split-tied-orbits": (_tied_orbits_split,
                                          ["macdonald-burnside", "invariant-poincare"]),
     "group-length-plus-one-on-products": (_length_plus_one_on_products, ["depth-length"]),
-    "group-length-equal-factors-once": (_equal_factors_once, ["depth-length"]),
+    "group-length-equal-factors-once": (_length_equal_factors_once, ["depth-length"]),
+    "chi-gamma-coset-orbit-weight-dropped": (_coset_orbit_weight_dropped,
+                                             ["macdonald-burnside", "invariant-poincare"]),
+    "products-equal-factors-once": (_products_equal_factors_once,
+                                    ["macdonald-burnside", "invariant-poincare",
+                                     "depth-length"]),
 }
+
+
+def _failed(monkeypatch, criteria: list[str]) -> list[str]:
+    """The criteria that fail when run_suite, as `verify` calls it, runs
+    only them."""
+    checks = dict(selfcheck.CHECKS)
+    with monkeypatch.context() as patch:
+        patch.setattr(selfcheck, "CHECKS", [(name, checks[name]) for name in criteria])
+        selfcheck.product_group.cache_clear()
+        return [outcome.name for outcome in selfcheck.run_suite() if not outcome.passed]
 
 
 @pytest.mark.parametrize("name", MUTANTS)
 def test_verify_catches_the_mutant(monkeypatch, name):
     mutate, criteria = MUTANTS[name]
-    checks = [dict(selfcheck.CHECKS)[criterion] for criterion in criteria]
-    selfcheck.product_group.cache_clear()
-    for check in checks:
-        check()
+    assert _failed(monkeypatch, criteria) == []
     mutate(monkeypatch)
-    for check in checks:
+    try:
+        assert _failed(monkeypatch, criteria) == criteria
+    finally:
+        monkeypatch.undo()
         selfcheck.product_group.cache_clear()
-        with pytest.raises(AssertionError):
-            check()

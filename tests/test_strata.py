@@ -418,6 +418,8 @@ def test_products_equal_their_factors():
         PermutationGroupModel(7, ["(1 2 3)", "(1 2)", "(4 5 6 7)", "(4 5)"]),
         PermutationGroupModel(8, ["(1 2 3)", "(2 3 4)", "(5 6)", "(7 8)"]),
         PermutationGroupModel(6, ["(1 2)", "(3 4)", "(5 6)"]),
+        # S_2 x S_3 x S_2, the two S_2 one model, apart in factor order
+        PermutationGroupModel(7, ["(1 2)", "(3 4 5)", "(3 4)", "(6 7)"]),
     ]
     cases += [group for group, _ in _product_groups(40, seed=15, max_degree=8)]
     for group in cases:
