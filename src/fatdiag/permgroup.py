@@ -56,7 +56,6 @@ to slot g(j) and (g h) . x = g . (h . x).
 """
 
 import math
-import re
 from collections import Counter
 from collections.abc import Iterator
 
@@ -346,9 +345,6 @@ def _classes(groups) -> list[list]:
     return list(classes.values())
 
 
-_CYCLE_RE = re.compile(r"\(([^()]*)\)")
-
-
 def parse_cycles(text: str, degree: int) -> Perm:
     """Parse 1-indexed cycle notation like "(1 2 3)(4 5)".
 
@@ -362,12 +358,14 @@ def parse_cycles(text: str, degree: int) -> Perm:
     text = text.strip()
     if text in ("", "e", "()", "id"):
         return tuple(range(degree))
-    stripped = _CYCLE_RE.sub("", text)
-    if stripped.strip():
+    # each ")" ends a cycle: whitespace, "(", then a body with no "("
+    *pieces, tail = text.split(")")
+    parts = [piece.partition("(") for piece in pieces]
+    if tail or any(space.strip() or not paren or "(" in body for space, paren, body in parts):
         raise ValueError(f"cannot parse cycle notation: {text!r}")
     cycles = []
     seen: set[int] = set()
-    for body in _CYCLE_RE.findall(text):
+    for _, _, body in parts:
         cyc = []
         for p in body.replace(",", " ").split():
             point = _integer(p)

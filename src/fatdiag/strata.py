@@ -100,63 +100,41 @@ def _cycle_partition(g: Perm) -> tuple[int, ...]:
     return tuple(labels)
 
 
-def _steps(group: PermutationGroupModel) -> list[list]:
-    """The distinct cycle partitions of the elements other than the
-    identity, with the most blocks first.
+def _steps(group: PermutationGroupModel) -> list[Perm]:
+    """One element for each distinct cycle partition other than the
+    discrete one, with the most blocks first.
 
-    Each is kept as [g, None] for one element g that has it: g sends every
-    point to the next point of its cycle, so a pattern P is refined by the
-    cycle partition exactly when P[g[p]] = P[p] for every p.  The join with
-    P merges the labels of P that each cycle of two or more points touches;
-    _blocks lists those cycles, and the search stores them in the second
-    slot on the step's first join.
+    A step is the element itself: g sends every point to the next point of
+    its cycle, so a pattern P is refined by g's cycle partition exactly
+    when P[g[p]] = P[p] for every p, and _join follows the same pairs.
     """
     identity = tuple(range(group.degree))
     elements = {}
     for g in group.stream():
         elements[_cycle_partition(g)] = g
     elements.pop(identity, None)
-    return [[elements[c], None] for c in sorted(elements, key=lambda c: (-max(c), c))]
+    return [elements[c] for c in sorted(elements, key=lambda c: (-max(c), c))]
 
 
-def _blocks(g: Perm) -> list[list[int]]:
-    """The cycles of g of two or more points, found in one walk over g,
-    each from its smallest point in the order g visits them."""
-    seen = [False] * len(g)
-    blocks = []
-    for start, p in enumerate(g):
-        if p != start and not seen[start]:
-            cycle = [start]
-            while p != start:
-                seen[p] = True
-                cycle.append(p)
-                p = g[p]
-            blocks.append(cycle)
-    return blocks
+def _join(labels: tuple[int, ...], b: int, g: Perm) -> tuple[tuple[int, ...], int]:
+    """The join of the pattern labels (b blocks) with the cycle partition
+    of g, and its number of blocks.
 
-
-def _join(labels: tuple[int, ...], b: int,
-          blocks: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], int]:
-    """The join of the pattern labels (b blocks) with the partition whose
-    blocks of two or more points are given, and its number of blocks.
-
-    Each merged class of labels is rooted at its smallest label.  Labels
-    number the blocks in order of first appearance, so the classes appear
-    in the order of their roots, and a root's rank among the roots is the
-    class's new label.
+    The label of each point p merges with the label of g[p], which merges
+    exactly the labels that each cycle of g touches.  Each merged class of
+    labels is rooted at its smallest label.  Labels number the blocks in
+    order of first appearance, so the classes appear in the order of their
+    roots, and a root's rank among the roots is the class's new label.
     """
     root = list(range(b))
-    for block in blocks:
-        r = root[labels[block[0]]]
-        while root[r] != r:
-            r = root[r]
-        for p in block[1:]:
-            s = root[labels[p]]
+    for r, s in zip(labels, map(labels.__getitem__, g)):
+        if r != s:
+            while root[r] != r:
+                r = root[r]
             while root[s] != s:
                 s = root[s]
             if s < r:
                 root[r] = s
-                r = s
             elif s > r:
                 root[s] = r
     # root becomes the rank table in place: a label that is not a root
@@ -211,12 +189,10 @@ def _factor_depth(group: PermutationGroupModel, work: Work) -> int:
         label_of = labels.__getitem__
         for step in steps:
             work.units += n  # checked at the next join, or when the climbs end
-            if tuple(map(label_of, step[0])) == labels:
+            if tuple(map(label_of, step)) == labels:
                 continue
             work.add(n)
-            if step[1] is None:
-                step[1] = _blocks(step[0])
-            yield _join(labels, b, step[1])
+            yield _join(labels, b, step)
 
     return _climb((tuple(range(n)), n), moves, lambda state: state[1] - top)[0]
 

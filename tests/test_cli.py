@@ -284,7 +284,7 @@ def _loaded_modules(*argvs: str) -> set[str]:
 def test_commands_import_only_what_they_run():
     loaded = _loaded_modules("chi|sp|--space|torus|-n|5",
                              "chi|bd|--space|sphere:2|-n|4|-d|2")
-    for name in ("argparse", "gettext", "locale", "dataclasses", "inspect", "json",
+    for name in ("argparse", "gettext", "locale", "dataclasses", "inspect", "json", "re", "enum",
                  "__future__", "typing", "fatdiag.selfcheck", "fatdiag.graphconf",
                  "fatdiag.strata", "fatdiag.fundgroup", "fatdiag.permgroup"):
         assert name not in loaded, name
@@ -294,14 +294,15 @@ def test_commands_import_only_what_they_run():
                              'graph|chi2|--graph|{"vertices": ["a", "b"], "edges": [["a", "b"]]}'
                              "|--oracle",
                              "chi|bd|--space|sphere:2|-n|6|-d|3|--verify")
-    assert {"json", "__future__", "typing", "fatdiag.permgroup"} & loaded == set()
+    assert {"json", "__future__", "typing", "re", "enum", "fatdiag.permgroup"} & loaded == set()
     assert {"fatdiag.jsonread", "fatdiag.graphconf", "fatdiag.combinatorics"} <= loaded
     # verify loads every module but the JSON reader
     package = {f"fatdiag.{path.stem}" for path in Path(fatdiag.__file__).parent.glob("*.py")
                if path.stem != "__init__"}
     loaded = _loaded_modules("verify", "--help")
     assert package - loaded == {"fatdiag.jsonread"}
-    assert {"argparse", "gettext", "locale", "json", "__future__", "typing"} & loaded == set()
+    assert {"argparse", "gettext", "locale", "json", "__future__", "typing", "re",
+            "enum"} & loaded == set()
     # the commands on a group share one handler, and each loads only the
     # modules its invariant runs
     group = "|--degree|3|--gens|(1 2 3)"
@@ -316,8 +317,10 @@ def test_commands_import_only_what_they_run():
         ("betti|gamma|--space|torus" + group,
          {"cli", "errors", "permgroup", "spaces", "algebra", "invariants"}),
     ):
-        loaded = {name for name in _loaded_modules(argv) if name.startswith("fatdiag.")}
-        assert loaded == {f"fatdiag.{name}" for name in modules}, argv
+        loaded = _loaded_modules(argv)
+        assert {name for name in loaded if name.startswith("fatdiag.")} == {
+            f"fatdiag.{name}" for name in modules}, argv
+        assert {"re", "enum"} & loaded == set(), argv
     # a graph fixture is read without the JSON reader
     loaded = {name for name in _loaded_modules("graph|chi2|--graph|gamma1|--oracle")
               if name.startswith("fatdiag.")}

@@ -14,7 +14,8 @@ import textwrap
 
 import pytest
 
-from fatdiag import eulerchar, permgroup, selfcheck, strata
+from fatdiag import eulerchar, invariants, permgroup, selfcheck, strata
+from fatdiag.algebra import GradedPolynomial
 from fatdiag.permgroup import PermutationGroupModel
 
 
@@ -92,6 +93,28 @@ def _products_equal_factors_once(monkeypatch) -> None:
                                    "for factor in dict.fromkeys(factors):"))
 
 
+def _chi_plus_one_on_products(monkeypatch) -> None:
+    # chi_gamma_product is one too large on a group of several direct
+    # factors
+    monkeypatch.setattr(selfcheck, "chi_gamma_product",
+                        lambda chi, group: eulerchar.chi_gamma_product(chi, group)
+                        + (len(group.direct_factors()) > 1))
+
+
+def _betti_plus_one_on_products(monkeypatch) -> None:
+    # invariant_poincare is one too large in degree 0 on a group of several
+    # direct factors
+    monkeypatch.setattr(selfcheck, "invariant_poincare",
+                        lambda poly, group: invariants.invariant_poincare(poly, group)
+                        + GradedPolynomial({0: int(len(group.direct_factors()) > 1)}))
+
+
+def _join_miscounts_blocks(monkeypatch) -> None:
+    # the depth search's join reports one block fewer than it makes, so
+    # every bound is one short
+    monkeypatch.setattr(strata, "_join", _rewritten(strata._join, "labels)), k", "labels)), k - 1"))
+
+
 MUTANTS = {
     "chi-gamma-fixed-points-removed": (_fixed_points_removed, ["macdonald-burnside"]),
     "betti-gamma-factor-left-out": (_factor_left_out, ["invariant-poincare"]),
@@ -105,6 +128,9 @@ MUTANTS = {
     "products-equal-factors-once": (_products_equal_factors_once,
                                     ["macdonald-burnside", "invariant-poincare",
                                      "depth-length"]),
+    "chi-gamma-plus-one-on-products": (_chi_plus_one_on_products, ["macdonald-burnside"]),
+    "betti-gamma-plus-one-on-products": (_betti_plus_one_on_products, ["invariant-poincare"]),
+    "depth-join-miscounts-blocks": (_join_miscounts_blocks, ["depth-length"]),
 }
 
 

@@ -34,6 +34,8 @@ def test_parse_cycles():
     assert parse_cycles("", 3) == (0, 1, 2)
     assert parse_cycles("e", 3) == (0, 1, 2)
     assert parse_cycles("(1, 2)", 2) == (1, 0)
+    assert parse_cycles("(1 2) (3 4)", 4) == (1, 0, 3, 2)
+    assert parse_cycles("(1 2)()", 3) == (1, 0, 2)
 
 
 def test_parse_cycles_rejects_garbage():
@@ -45,8 +47,9 @@ def test_parse_cycles_rejects_garbage():
         parse_cycles("(1 4)", 3)
     with pytest.raises(ValueError):
         parse_cycles("(1 2 1)", 3)
-    with pytest.raises(ValueError):
-        parse_cycles("(1 2", 3)
+    for text in ("(1 2", ")(", "((1 2))", "(1 2)x", "1 2)", "x(1 2)", "(1 (2)"):
+        with pytest.raises(ValueError, match="cannot parse"):
+            parse_cycles(text, 3)
 
 
 def test_group_model_validates_inputs():
@@ -248,10 +251,10 @@ def test_stabilizer_chain_matches_closure(monkeypatch):
         assert group.order() == len(walk) == len(streamed), group.generators
         assert set(streamed) == walk == group.elements()
         assert group.cycle_type_histogram() == Counter(map(_cycle_type, walk))
-        # the depth search steps by the distinct cycle partitions other than
-        # the discrete one; each step's successor map has those cycles
+        # the depth search steps by one element for each distinct cycle
+        # partition other than the discrete one
         partitions = set(map(_cycle_partition, walk)) - {tuple(range(group.degree))}
-        steps = [_cycle_partition(successor) for successor, _ in _steps(group)]
+        steps = list(map(_cycle_partition, _steps(group)))
         assert len(steps) == len(partitions) and set(steps) == partitions
 
 

@@ -153,19 +153,25 @@ def test_depth_enumerates_no_set_partitions(monkeypatch):
     assert depth(PermutationGroupModel(12, ["(1 2)(3 4)", "(5 6 7)", "(9 10 11 12)"])) == 4
 
 
-def test_blocks_are_the_classes_of_the_moved_pairs():
-    # the one walk over g's cycles against the union-find over the pairs
-    # (p, g(p)) with p moved, as sets of sets
+def test_join_merges_the_labels_each_cycle_touches():
+    # the join with g's cycle partition against the union-find over the
+    # label pairs (labels[p], labels[g[p]]), renumbered in order of first
+    # appearance
     rng = random.Random(73)
     for _ in range(500):
         n = rng.randint(0, 12)
-        moved = rng.sample(range(n), rng.randint(0, n))
-        images = list(range(n))
-        for p, q in zip(moved, rng.sample(moved, len(moved))):
-            images[p] = q
-        g = tuple(images)
-        want = permgroup._classes((p, q) for p, q in enumerate(g) if p != q)
-        assert {frozenset(b) for b in strata._blocks(g)} == set(map(frozenset, want)), g
+        labels = _first_appearance(rng.randrange(n) for _ in range(n))
+        g = tuple(rng.sample(range(n), n))
+        classes = permgroup._classes((labels[p], labels[q]) for p, q in enumerate(g))
+        class_of = {label: i for i, members in enumerate(classes) for label in members}
+        want = _first_appearance(class_of[label] for label in labels)
+        assert strata._join(labels, max(labels, default=-1) + 1, g) == (want, len(classes)), g
+
+
+def _first_appearance(values) -> tuple[int, ...]:
+    """values renumbered 0, 1, ... in order of first appearance."""
+    numbers: dict = {}
+    return tuple(numbers.setdefault(value, len(numbers)) for value in values)
 
 
 def test_depth_symmetric_groups():
