@@ -433,9 +433,9 @@ def _unit_counts(r: int) -> Mapping[tuple[int, int], int]:
     return MappingProxyType(counts)
 
 
-# The tables, not the partitions, are kept, and each walks the set
-# partitions of its long cycles only, as a stream.
-@lru_cache(maxsize=256)
+# Not memoized: its one caller, _burnside_table, is, and asks once per
+# cycle type.  Each table walks the set partitions of its long cycles only,
+# as a stream.
 def _fat_counts(weights: tuple[int, ...]) -> Mapping[tuple[int, int], int]:
     """Set partitions of points carrying these weights, counted by (weight
     of the heaviest block, number of blocks): the table of one cycle type

@@ -548,9 +548,6 @@ class PermutationGroupModel:
         sizes = [len(orbit) for orbit in self._moved_orbits()]
         return [1] * (self.degree - sum(sizes)) + sorted(sizes)
 
-    def is_transitive(self) -> bool:
-        return self.degree > 0 and len(self.orbit_sizes()) == 1
-
     def is_d_transitive(self, d: int) -> bool:
         """Whether the action on ordered d-tuples of distinct points is
         transitive.

@@ -3,7 +3,8 @@
 Each check re-derives a family of published or independently-derived values
 and compares them against the closed formulas, raising AssertionError with
 a pinpointed message on the first disagreement.  The acceptance tests and
-`fatdiag verify` run them alike, over one set of ranges.
+`fatdiag verify` run them alike, over one set of ranges: every check of
+Euler characteristics reads chi over CHIS and n up to N_MAX.
 
 Checks are pure and deterministic, including the randomized graph check,
 which uses a fixed seed.
@@ -35,15 +36,7 @@ from .combinatorics import (
     set_partitions,
 )
 from .errors import InternalConsistencyError
-from .eulerchar import (
-    chi_b2,
-    chi_columns,
-    chi_f2,
-    chi_fd,
-    chi_gamma_product,
-    chi_oracles,
-    chi_sp,
-)
+from .eulerchar import chi_columns, chi_fd, chi_gamma_product, chi_oracles, chi_sp
 from .fundgroup import pi1_bd, pi1_bgamma_abelian, pi1_gamma_product
 from .graphconf import Graph, discretized_chi_f2, farber_chi_f2, fixture
 from .invariants import invariant_poincare, macdonald_poincare_sp
@@ -59,6 +52,9 @@ from .spaces import preset
 from .strata import depth, group_length, length_sn
 
 GRAPH_SEED = 20260821
+# The chi and the largest n of every check of Euler characteristics
+CHIS = range(-5, 6)
+N_MAX = 8
 
 # Products of symmetric groups, whose quotients are known in closed form, as
 # (degree, blocks).  A block (m, k) is S_m acting alike on k consecutive
@@ -67,7 +63,7 @@ GRAPH_SEED = 20260821
 # symmetric products SP^m(X^k) over the blocks (Macdonald 1962, with
 # Kunneth).  The entries are S_0 ... S_8, two Young subgroups, and two
 # diagonal groups, whose tied orbits make them no direct product.
-PRODUCTS = [(n, ((n, 1),)) for n in range(9)] + [
+PRODUCTS = [(n, ((n, 1),)) for n in range(N_MAX + 1)] + [
     (7, ((2, 1), (3, 1))), (8, ((2, 1), (2, 1), (3, 1))),
     (4, ((2, 2),)), (6, ((3, 2),)),
 ]
@@ -111,14 +107,14 @@ def check_macdonald_burnside() -> str:
     """The Burnside average over each group of PRODUCTS equals chi^f times
     chi_sp(chi^k, m) over its blocks (m, k)."""
     cases = 0
-    for group, blocks, f, name in _products(PRODUCTS, 8):
-        for chi in range(-5, 6):
+    for group, blocks, f, name in _products(PRODUCTS, N_MAX):
+        for chi in CHIS:
             left = math.prod((chi_sp(chi**k, m) for m, k in blocks), start=chi**f)
             right = chi_gamma_product(chi, group)
             if left != right:
                 raise AssertionError(f"chi={chi}, {name}: {left} != {right}")
             cases += 1
-    return f"{cases} cases, {len(PRODUCTS)} products of symmetric groups, degree <= 8"
+    return f"{cases} cases, {len(PRODUCTS)} products of symmetric groups, degree <= {N_MAX}"
 
 
 def _against_oracles(kind: str, chi: int, columns: dict[int, list[int]]) -> int:
@@ -138,30 +134,25 @@ def _against_oracles(kind: str, chi: int, columns: dict[int, list[int]]) -> int:
 def check_bd_three_way() -> str:
     """Closed unordered-fat-diagonal formula, stratification sum, and the
     cycle-type average all agree (and the closed form at d = 2)."""
-    n_max = 8
-    cases = sum(_against_oracles("bd", chi, chi_columns("bd", chi, range(2, n_max + 1), n_max))
-                for chi in range(-4, 5))
-    return f"{cases} cases three-way, n <= {n_max}"
+    cases = sum(_against_oracles("bd", chi, chi_columns("bd", chi, range(2, N_MAX + 1), N_MAX))
+                for chi in CHIS)
+    return f"{cases} cases three-way, n <= {N_MAX}"
 
 
 def check_fd_corrected() -> str:
     """Ordered fat diagonal: the formula with partition-type coefficients
-    matches the set-partition oracle, the d = 2 and d = n - 1 polynomial
-    specializations hold, and the coefficient-free variant provably fails
-    at n = d = 3."""
-    n_max = 8
+    matches the set-partition oracle and the closed form at d = 2, the
+    d = n and d = n - 1 polynomial specializations hold, and the
+    coefficient-free variant provably fails at n = d = 3."""
     cases = 0
-    for chi in range(-5, 6):
+    for chi in CHIS:
         # formula[d][n] is chi_fd(chi, n, d)
-        formula = chi_columns("fd", chi, range(2, n_max + 1), n_max)
-        if -4 <= chi <= 4:
-            cases += _against_oracles("fd", chi, formula)
-        if formula[2][3] != 3 * chi**2 - 2 * chi:
-            raise AssertionError
-        for n in range(2, n_max + 1):
+        formula = chi_columns("fd", chi, range(2, N_MAX + 1), N_MAX)
+        cases += _against_oracles("fd", chi, formula)
+        for n in range(2, N_MAX + 1):
             if formula[n][n] != chi:
                 raise AssertionError(f"thin diagonal at n={n}")
-        for n in range(3, n_max + 1):
+        for n in range(3, N_MAX + 1):
             if formula[n - 1][n] != n * chi**2 - (n - 1) * chi:
                 raise AssertionError(f"two-block case at n={n}, chi={chi}")
     # the coefficient-free variant: wrong for d >= 3
@@ -203,7 +194,7 @@ def check_invariant_poincare() -> str:
 def check_sphere_fixtures() -> str:
     """Published sphere fat-diagonal values and the chi = 0 vanishing."""
     sphere = chi_columns("bd", 2, (2,), 5)[2]
-    vanishing = chi_columns("bd", 0, range(2, 9), 8)
+    vanishing = chi_columns("bd", 0, range(2, N_MAX + 1), N_MAX)
     if sphere[4] != 5:
         raise AssertionError
     if sphere[5] != 6:
@@ -211,7 +202,7 @@ def check_sphere_fixtures() -> str:
     if vanishing[2][5] != 0:
         raise AssertionError
     cases = 3
-    for n in range(2, 9):
+    for n in range(2, N_MAX + 1):
         for d in range(2, n + 1):
             if vanishing[d][n] != 0:
                 raise AssertionError(f"chi_bd(0,{n},{d}) != 0")
@@ -221,12 +212,11 @@ def check_sphere_fixtures() -> str:
 
 def check_complement_product() -> str:
     """Complement identity and the product splitting for large d."""
-    n_max = 8
     cases = 0
-    for chi in range(-4, 5):
-        upper = chi_columns("bupper", chi, range(1, n_max), n_max)
-        fat = chi_columns("bd", chi, range(2, n_max + 1), n_max)
-        for n in range(2, n_max + 1):
+    for chi in CHIS:
+        upper = chi_columns("bupper", chi, range(1, N_MAX), N_MAX)
+        fat = chi_columns("bd", chi, range(2, N_MAX + 1), N_MAX)
+        for n in range(2, N_MAX + 1):
             for d in range(1, n):
                 if upper[d][n] + fat[d + 1][n] != chi_sp(chi, n):
                     raise AssertionError(f"complement identity fails at chi={chi}, n={n}, d={d}")
@@ -236,7 +226,7 @@ def check_complement_product() -> str:
                     if fat[d][n] != chi * chi_sp(chi, n - d):
                         raise AssertionError(f"product identity fails at chi={chi}, n={n}, d={d}")
                     cases += 1
-    return f"{cases} identity cases, n <= {n_max}"
+    return f"{cases} identity cases, n <= {N_MAX}"
 
 
 def random_connected_graphs(count: int):
@@ -335,7 +325,7 @@ def check_pi1_descriptors() -> str:
         _sym(6),
     ]
     for group in transitive:
-        if not group.is_transitive():
+        if not group.is_d_transitive(1):
             raise AssertionError
         expr = pi1_gamma_product(opaque, group)
         if (expr.pi1_exponent, expr.h1_exponent) != (0, 1):
@@ -398,9 +388,8 @@ def check_pi1_descriptors() -> str:
 
 def check_partition_infrastructure() -> str:
     """Set-partition counts and the Stirling identity."""
-    n_max = 8
     cases = 0
-    for n in range(0, n_max + 1):
+    for n in range(0, N_MAX + 1):
         # one pass over the partitions, tallied by their sorted labels, a
         # run of each label 0 ... blocks - 1 as long as its block, which
         # give the block count and the type
@@ -422,21 +411,11 @@ def check_partition_infrastructure() -> str:
             if want != got:
                 raise AssertionError(f"type {alpha}: count {want} != {got}")
             cases += 1
-        for chi in range(-4, 5):
+        for chi in CHIS:
             total = sum(count * falling_factorial(chi, k) for k, count in by_blocks.items())
             if total != chi**n:
                 raise AssertionError(f"Stirling identity at chi={chi}, n={n}")
-    # d = 2 closed forms against the general ones, at the chi = +-5 that
-    # criteria 2 and 3 (chi in -4..4) leave out
-    for chi in (-5, 5):
-        ordered = chi_columns("fd", chi, (2,), n_max)[2]
-        unordered = chi_columns("bd", chi, (2,), n_max)[2]
-        for n in range(2, n_max + 1):
-            if chi_f2(chi, n) != ordered[n]:
-                raise AssertionError
-            if chi_b2(chi, n) != unordered[n]:
-                raise AssertionError
-    return f"Bell + {cases} type counts, Stirling identity, d=2 forms, n <= {n_max}"
+    return f"Bell + {cases} type counts, Stirling identity, n <= {N_MAX}"
 
 
 # elapsed is in seconds

@@ -1,7 +1,8 @@
 """Acceptance battery: every cross-validation criterion at full range.
 
 The full battery runs once, through the same `selfcheck.run_suite` that the
-CLI `fatdiag verify` uses.  Each criterion test then checks its own outcome
+CLI `fatdiag verify` uses.  Each criterion then has its own test, made by
+one factory and named test_criterion_NN_<check>, which checks the outcome
 against its time budget and prints a single pass line (visible with
 pytest -v through the test name, and in captured output on failure).
 """
@@ -26,20 +27,18 @@ BUDGET = 5.0
 
 # What each check covers, case counts included, so that work shared
 # between the criteria cannot drop a case unnoticed.
-DETAILS = {
-    "all": [
-        "143 cases, 13 products of symmetric groups, degree <= 8",
-        "252 cases three-way, n <= 8",
-        "252 oracle cases; coefficient-free variant rejected (6 != 2)",
-        "fixtures plus 80 series identities on products of symmetric groups",
-        "31 fixture values",
-        "414 identity cases, n <= 8",
-        "fixtures plus 50 random graphs",
-        "depth of 18 and length of 9 products of symmetric groups, battery of 9 groups",
-        "11 transitive groups, branch table 36 cells",
-        "Bell + 66 type counts, Stirling identity, d=2 forms, n <= 8",
-    ],
-}
+DETAILS = [
+    "143 cases, 13 products of symmetric groups, degree <= 8",
+    "308 cases three-way, n <= 8",
+    "308 oracle cases; coefficient-free variant rejected (6 != 2)",
+    "fixtures plus 80 series identities on products of symmetric groups",
+    "31 fixture values",
+    "506 identity cases, n <= 8",
+    "fixtures plus 50 random graphs",
+    "depth of 18 and length of 9 products of symmetric groups, battery of 9 groups",
+    "11 transitive groups, branch table 36 cells",
+    "Bell + 66 type counts, Stirling identity, n <= 8",
+]
 
 VERIFY_ALL_STDOUT = (
     '{"command": "verify", "inputs": {"suite": "all"}, "result": {"checks": ['
@@ -62,53 +61,25 @@ def outcomes() -> list[selfcheck.CheckOutcome]:
     return selfcheck.run_suite()
 
 
-def _criterion(outcomes, number: int, name: str) -> None:
-    outcome = next(o for o in outcomes if o.name == name)
-    status = "PASS" if outcome.passed else "FAIL"
-    print(f"criterion {number} ({name}): {status} in {outcome.elapsed:.2f}s ({outcome.detail})")
-    assert outcome.passed, f"criterion {number}: {outcome.detail}"
-    assert outcome.elapsed < BUDGET, (
-        f"criterion {number} took {outcome.elapsed:.2f}s, budget {BUDGET}s")
+def _criterion_test(number: int, name: str):
+    def test(outcomes):
+        outcome = next(o for o in outcomes if o.name == name)
+        status = "PASS" if outcome.passed else "FAIL"
+        print(f"criterion {number} ({name}): {status} in {outcome.elapsed:.2f}s"
+              f" ({outcome.detail})")
+        assert outcome.passed, f"criterion {number}: {outcome.detail}"
+        assert outcome.elapsed < BUDGET, (
+            f"criterion {number} took {outcome.elapsed:.2f}s, budget {BUDGET}s")
+
+    test.__name__ = test.__qualname__ = f"test_criterion_{number:02}_{name.replace('-', '_')}"
+    return test
 
 
-def test_criterion_01_macdonald_burnside(outcomes):
-    _criterion(outcomes, 1, "macdonald-burnside")
-
-
-def test_criterion_02_bd_three_way(outcomes):
-    _criterion(outcomes, 2, "bd-three-way")
-
-
-def test_criterion_03_fd_corrected(outcomes):
-    _criterion(outcomes, 3, "fd-corrected")
-
-
-def test_criterion_04_invariant_poincare(outcomes):
-    _criterion(outcomes, 4, "invariant-poincare")
-
-
-def test_criterion_05_sphere_fixtures(outcomes):
-    _criterion(outcomes, 5, "sphere-fixtures")
-
-
-def test_criterion_06_complement_product(outcomes):
-    _criterion(outcomes, 6, "complement-product")
-
-
-def test_criterion_07_graph_configuration(outcomes):
-    _criterion(outcomes, 7, "graph-configuration")
-
-
-def test_criterion_08_depth_length(outcomes):
-    _criterion(outcomes, 8, "depth-length")
-
-
-def test_criterion_09_pi1_descriptors(outcomes):
-    _criterion(outcomes, 9, "pi1-descriptors")
-
-
-def test_criterion_10_partition_infrastructure(outcomes):
-    _criterion(outcomes, 10, "partition-infrastructure")
+# one test per criterion, test_criterion_01_macdonald_burnside ...
+# test_criterion_10_partition_infrastructure, in the battery's order
+for _number, (_name, _) in enumerate(selfcheck.CHECKS, start=1):
+    _test = _criterion_test(_number, _name)
+    globals()[_test.__name__] = _test
 
 
 def test_cli_verify_runs_all_criteria(outcomes):
@@ -116,8 +87,8 @@ def test_cli_verify_runs_all_criteria(outcomes):
     assert all(o.passed for o in outcomes), [o.name for o in outcomes if not o.passed]
 
 
-def test_suites_check_the_same_cases(outcomes):
-    assert [o.detail for o in outcomes] == DETAILS["all"]
+def test_checks_report_their_case_counts(outcomes):
+    assert [o.detail for o in outcomes] == DETAILS
 
 
 def test_product_groups_have_their_blocks():
@@ -166,11 +137,11 @@ def test_cli_verify_reports_a_broken_build_as_failed_checks(monkeypatch, capsys)
     assert out == want
     assert [re.sub(r" \(\d+\.\d ms\)$", "", line) for line in err.splitlines()] == [
         "FAIL macdonald-burnside: chi_gamma_product: non-integral value -80/6",
-        f"ok   bd-three-way: {DETAILS['all'][1]}",
-        f"ok   fd-corrected: {DETAILS['all'][2]}",
+        f"ok   bd-three-way: {DETAILS[1]}",
+        f"ok   fd-corrected: {DETAILS[2]}",
         "FAIL invariant-poincare: coefficient in degree 0: non-integral value 4/6",
     ] + [f"ok   {name}: {detail}"
-         for (name, _), detail in zip(selfcheck.CHECKS[4:], DETAILS["all"][4:])]
+         for (name, _), detail in zip(selfcheck.CHECKS[4:], DETAILS[4:])]
 
 
 # The battery in a child, with the symmetric-product formula made wrong:

@@ -267,11 +267,7 @@ def test_fat_counts_walk_only_the_long_cycles(monkeypatch):
     for weights, partitions in (((1,) * 9, 1), ((2, 2, 2, 1, 1, 1), 5),
                                 ((3, 2, 2, 2, 1), 15)):
         walked.clear()
-        eulerchar._fat_counts.cache_clear()
-        try:
-            table = eulerchar._fat_counts(weights)
-        finally:
-            eulerchar._fat_counts.cache_clear()
+        table = eulerchar._fat_counts(weights)
         assert len(walked) == partitions, weights
         assert sum(table.values()) == bell_number(len(weights))
         assert table == _fat_table_scan(weights)
@@ -350,24 +346,30 @@ def test_oracle_guards_limit_work(monkeypatch):
             oracle(2, n, 3)
 
 
-def test_oracles_enumerate_once_per_weight_vector():
+def test_oracles_enumerate_once_per_weight_vector(monkeypatch):
     # a count, not a time: one table per cycle type of S_2 ... S_8, the
     # Burnside oracle's work estimated once per n, and the ordered oracle's
-    # 252 calls read the unit-point recurrence, never a _fat_counts table
+    # 308 calls read the unit-point recurrence, never a _fat_counts table
+    from fatdiag import eulerchar
     from fatdiag.eulerchar import _burnside_table, _fat_counts, bd_oracle_work
     from fatdiag.selfcheck import check_bd_three_way, check_fd_corrected
 
-    _fat_counts.cache_clear()
+    tables = []
+
+    def counted(weights):
+        tables.append(weights)
+        return _fat_counts(weights)
+
+    monkeypatch.setattr(eulerchar, "_fat_counts", counted)
     _burnside_table.cache_clear()
     bd_oracle_work.cache_clear()
     check_bd_three_way()
     assert _burnside_table.cache_info().misses == 7  # one table per n
     work = bd_oracle_work.cache_info()
-    assert (work.misses, work.hits) == (7, 252 - 7)  # 9 chi x 28 cells (n, d)
-    info = _fat_counts.cache_info()
-    assert info.misses == 65
-    assert check_fd_corrected().startswith("252 oracle cases")
-    assert _fat_counts.cache_info() == info
+    assert (work.misses, work.hits) == (7, 308 - 7)  # 11 chi x 28 cells (n, d)
+    assert len(tables) == len(set(tables)) == 65
+    assert check_fd_corrected().startswith("308 oracle cases")
+    assert len(tables) == 65
 
 
 def test_chi_bd_product_identity():

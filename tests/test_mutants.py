@@ -115,6 +115,17 @@ def _join_miscounts_blocks(monkeypatch) -> None:
     monkeypatch.setattr(strata, "_join", _rewritten(strata._join, "labels)), k", "labels)), k - 1"))
 
 
+def _closed_d2_off_at_five(form: str):
+    # the closed d = 2 form is one too large at |chi| = 5, which the oracle
+    # table chi_oracles reads through its module's binding
+    def mutate(monkeypatch) -> None:
+        right = getattr(eulerchar, form)
+        monkeypatch.setattr(eulerchar, form,
+                            lambda chi, n: right(chi, n) + (abs(chi) == 5))
+
+    return mutate
+
+
 MUTANTS = {
     "chi-gamma-fixed-points-removed": (_fixed_points_removed, ["macdonald-burnside"]),
     "betti-gamma-factor-left-out": (_factor_left_out, ["invariant-poincare"]),
@@ -131,6 +142,8 @@ MUTANTS = {
     "chi-gamma-plus-one-on-products": (_chi_plus_one_on_products, ["macdonald-burnside"]),
     "betti-gamma-plus-one-on-products": (_betti_plus_one_on_products, ["invariant-poincare"]),
     "depth-join-miscounts-blocks": (_join_miscounts_blocks, ["depth-length"]),
+    "closed-d2-bd-off-at-five": (_closed_d2_off_at_five("chi_b2"), ["bd-three-way"]),
+    "closed-d2-fd-off-at-five": (_closed_d2_off_at_five("chi_f2"), ["fd-corrected"]),
 }
 
 

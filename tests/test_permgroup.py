@@ -116,11 +116,13 @@ def test_symmetric_and_alternating_orders():
 def test_cyclic_and_trivial():
     c = cyclic_group(6)
     assert c.order() == 6
-    assert c.is_transitive()
+    assert c.is_d_transitive(1)
     t = trivial_group(4)
     assert t.order() == 1
-    assert not t.is_transitive()
+    assert not t.is_d_transitive(1)
     assert t.orbit_sizes() == [1, 1, 1, 1]
+    # one point is one orbit; no points are none
+    assert trivial_group(1).is_d_transitive(1) and not trivial_group(0).is_d_transitive(1)
 
 
 def _member(group: PermutationGroupModel, g) -> bool:
@@ -181,7 +183,7 @@ def test_regular_representation_structure():
     r = regular_representation(symmetric_group(3))
     assert r.degree == 6
     assert r.order() == 6
-    assert r.is_transitive()
+    assert r.is_d_transitive(1)
     # regular action of a nontrivial group is never 2-transitive
     assert not r.is_d_transitive(2)
 

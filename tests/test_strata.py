@@ -135,7 +135,7 @@ def test_depth_matches_zeta_search(monkeypatch):
     groups += _roster(monkeypatch)
     for order, gens in PRIMITIVE_9.values():
         group = PermutationGroupModel(9, gens)
-        assert group.order() == order and group.is_transitive()
+        assert group.order() == order and group.is_d_transitive(1)
         groups.append(group)
     groups += _random_groups(40, seed=12)
     for group in groups:
