@@ -126,9 +126,8 @@ def set_partitions(n: int) -> Iterator[tuple[int, ...]]:
 def set_partitions_cached(n: int) -> tuple[tuple[int, ...], ...]:
     """Memoized tuple of set_partitions(n).
 
-    No code of the package calls it any more (strata.depth no longer sums
-    over coarsenings); it stays because the benchmark's tracer wraps it
-    when it installs, and the tests' reference depth search reuses it."""
+    The package has no caller of it: the benchmark's tracer wraps it when
+    it installs, and the tests' reference depth search reuses it."""
     return tuple(set_partitions(n))
 
 

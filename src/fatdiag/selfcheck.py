@@ -36,7 +36,7 @@ from .combinatorics import (
     set_partitions,
 )
 from .errors import InternalConsistencyError
-from .eulerchar import chi_columns, chi_fd, chi_gamma_product, chi_oracles, chi_sp
+from .eulerchar import KINDS, chi_columns, chi_fd, chi_gamma_product, chi_oracles, chi_sp
 from .fundgroup import pi1_bd, pi1_bgamma_abelian, pi1_gamma_product
 from .graphconf import Graph, discretized_chi_f2, farber_chi_f2, fixture
 from .invariants import invariant_poincare, macdonald_poincare_sp
@@ -117,25 +117,27 @@ def check_macdonald_burnside() -> str:
     return f"{cases} cases, {len(PRODUCTS)} products of symmetric groups, degree <= {N_MAX}"
 
 
-def _against_oracles(kind: str, chi: int, columns: dict[int, list[int]]) -> int:
-    """Every cell (n, d), d <= n, of kind's columns at chi against each of
-    its oracles in eulerchar.chi_oracles; the number of cells."""
-    cases = 0
-    for d, column in columns.items():
-        for n in range(d, len(column)):
-            for name, got in chi_oracles(kind, chi, n, d).items():
-                if got != column[n]:
-                    raise AssertionError(
-                        f"chi_{kind}({chi},{n},{d}): formula {column[n]}, {name} {got}")
-            cases += 1
-    return cases
+def _against_oracles(kind: str) -> tuple[int, dict[int, dict[int, list[int]]]]:
+    """Every cell (n, d), d <= n <= N_MAX, of kind's columns at each chi of
+    CHIS, d from the least of KINDS, against each of its oracles in
+    eulerchar.chi_oracles; the number of cells, and the columns by chi."""
+    cases, by_chi = 0, {}
+    for chi in CHIS:
+        columns = by_chi[chi] = chi_columns(kind, chi, range(KINDS[kind][0], N_MAX + 1), N_MAX)
+        for d, column in columns.items():
+            for n in range(d, N_MAX + 1):
+                for name, got in chi_oracles(kind, chi, n, d).items():
+                    if got != column[n]:
+                        raise AssertionError(
+                            f"chi_{kind}({chi},{n},{d}): formula {column[n]}, {name} {got}")
+                cases += 1
+    return cases, by_chi
 
 
 def check_bd_three_way() -> str:
     """Closed unordered-fat-diagonal formula, stratification sum, and the
     cycle-type average all agree (and the closed form at d = 2)."""
-    cases = sum(_against_oracles("bd", chi, chi_columns("bd", chi, range(2, N_MAX + 1), N_MAX))
-                for chi in CHIS)
+    cases, _ = _against_oracles("bd")
     return f"{cases} cases three-way, n <= {N_MAX}"
 
 
@@ -144,11 +146,9 @@ def check_fd_corrected() -> str:
     matches the set-partition oracle and the closed form at d = 2, the
     d = n and d = n - 1 polynomial specializations hold, and the
     coefficient-free variant provably fails at n = d = 3."""
-    cases = 0
-    for chi in CHIS:
-        # formula[d][n] is chi_fd(chi, n, d)
-        formula = chi_columns("fd", chi, range(2, N_MAX + 1), N_MAX)
-        cases += _against_oracles("fd", chi, formula)
+    cases, columns = _against_oracles("fd")
+    # formula[d][n] is chi_fd(chi, n, d)
+    for chi, formula in columns.items():
         for n in range(2, N_MAX + 1):
             if formula[n][n] != chi:
                 raise AssertionError(f"thin diagonal at n={n}")
@@ -195,13 +195,10 @@ def check_sphere_fixtures() -> str:
     """Published sphere fat-diagonal values and the chi = 0 vanishing."""
     sphere = chi_columns("bd", 2, (2,), 5)[2]
     vanishing = chi_columns("bd", 0, range(2, N_MAX + 1), N_MAX)
-    if sphere[4] != 5:
-        raise AssertionError
-    if sphere[5] != 6:
-        raise AssertionError
-    if vanishing[2][5] != 0:
-        raise AssertionError
-    cases = 3
+    for n, want in ((4, 5), (5, 6)):
+        if sphere[n] != want:
+            raise AssertionError(f"chi_bd(2,{n},2) = {sphere[n]}, not {want}")
+    cases = 2
     for n in range(2, N_MAX + 1):
         for d in range(2, n + 1):
             if vanishing[d][n] != 0:
@@ -211,22 +208,18 @@ def check_sphere_fixtures() -> str:
 
 
 def check_complement_product() -> str:
-    """Complement identity and the product splitting for large d."""
-    cases = 0
+    """The bounded-multiplicity formula against its complement oracle, and
+    the product splitting of the fat diagonal for large d."""
+    cases, _ = _against_oracles("bupper")
+    products = 0
     for chi in CHIS:
-        upper = chi_columns("bupper", chi, range(1, N_MAX), N_MAX)
         fat = chi_columns("bd", chi, range(2, N_MAX + 1), N_MAX)
-        for n in range(2, N_MAX + 1):
-            for d in range(1, n):
-                if upper[d][n] + fat[d + 1][n] != chi_sp(chi, n):
-                    raise AssertionError(f"complement identity fails at chi={chi}, n={n}, d={d}")
-                cases += 1
-            for d in range(2, n + 1):
-                if n >= 3 and d > n // 2:
-                    if fat[d][n] != chi * chi_sp(chi, n - d):
-                        raise AssertionError(f"product identity fails at chi={chi}, n={n}, d={d}")
-                    cases += 1
-    return f"{cases} identity cases, n <= {N_MAX}"
+        for n in range(3, N_MAX + 1):
+            for d in range(n // 2 + 1, n + 1):
+                if fat[d][n] != chi * chi_sp(chi, n - d):
+                    raise AssertionError(f"product identity fails at chi={chi}, n={n}, d={d}")
+                products += 1
+    return f"{cases} oracle cases, {products} product identities, n <= {N_MAX}"
 
 
 def random_connected_graphs(count: int):
@@ -251,15 +244,12 @@ def random_connected_graphs(count: int):
 
 def check_graph_configuration() -> str:
     """Closed graph formula against the discretized cell count."""
-    gamma1, gamma2 = fixture("gamma1"), fixture("gamma2")
-    if farber_chi_f2(gamma1) != -4:
-        raise AssertionError
-    if farber_chi_f2(gamma2) != -6:
-        raise AssertionError
-    if discretized_chi_f2(gamma1) != -4:
-        raise AssertionError
-    if discretized_chi_f2(gamma2) != -6:
-        raise AssertionError
+    for name, want in (("gamma1", -4), ("gamma2", -6)):
+        graph = fixture(name)
+        for formula in (farber_chi_f2, discretized_chi_f2):
+            got = formula(graph)
+            if got != want:
+                raise AssertionError(f"{formula.__name__}({name}) = {got}, not {want}")
     count = 50
     for graph in random_connected_graphs(count):
         left = farber_chi_f2(graph)
@@ -293,7 +283,8 @@ def check_depth_length() -> str:
             raise AssertionError(f"length of {name}")
     regular = regular_representation(_sym(3))
     if not (depth_of(regular) == 2 == length_of(_sym(3))):
-        raise AssertionError
+        raise AssertionError(f"depth {depth_of(regular)} of the regular S_3,"
+                             f" length {length_of(_sym(3))} of S_3, not 2")
     battery = [
         trivial_group(3),
         cyclic_group(4),
@@ -326,7 +317,8 @@ def check_pi1_descriptors() -> str:
     ]
     for group in transitive:
         if not group.is_d_transitive(1):
-            raise AssertionError
+            raise AssertionError(f"degree {group.degree} group of order {group.order()}"
+                                 " not transitive")
         expr = pi1_gamma_product(opaque, group)
         if (expr.pi1_exponent, expr.h1_exponent) != (0, 1):
             raise AssertionError(f"transitive degree {group.degree} gave {expr.display()}")
@@ -339,7 +331,7 @@ def check_pi1_descriptors() -> str:
     if (second.pi1_exponent, second.h1_exponent) != (0, 2):
         raise AssertionError(second.display())
     if first == second:
-        raise AssertionError
+        raise AssertionError(f"(1 2) and (1 3)(2 4) both gave {first.display()}")
     cases = 0
     for n in range(1, 9):
         for d in range(1, n + 1):
@@ -364,25 +356,27 @@ def check_pi1_descriptors() -> str:
         full, even = _sym(n), alternating_group(n)
         for d in range(1, n // 2 + 1):
             if not pi1_bgamma_abelian(full, d):
-                raise AssertionError((n, d))
+                raise AssertionError(f"pi1_bgamma_abelian(S_{n}, {d}) fails at d <= n/2")
             if not (n < 3 or pi1_bgamma_abelian(even, d)):
-                raise AssertionError((n, d))
+                raise AssertionError(f"pi1_bgamma_abelian(A_{n}, {d}) fails at d <= n/2")
             if pi1_bd(opaque, n, d).pi1_exponent != 0:
-                raise AssertionError((n, d))
+                raise AssertionError(f"pi1_bd at n={n}, d={d} <= n/2 keeps a Pi1(X) factor")
         for d in range(n // 2 + 1, n + 1):
             if pi1_bgamma_abelian(full, d) or pi1_bgamma_abelian(even, d):
-                raise AssertionError((n, d))
+                raise AssertionError(f"pi1_bgamma_abelian claimed at n={n}, d={d} > n/2")
             if pi1_bd(opaque, n, d).pi1_exponent < 1:
-                raise AssertionError((n, d))
+                raise AssertionError(f"pi1_bd at n={n}, d={d} > n/2 has no Pi1(X) factor")
         if n >= 4:
             if not (even.is_d_transitive(n - 2) and not even.is_d_transitive(n - 1)):
-                raise AssertionError(n)
+                raise AssertionError(f"A_{n} should be {n - 2}- but not {n - 1}-transitive")
     if pi1_bgamma_abelian(cyclic_group(4), 2):
-        raise AssertionError
-    if str(pi1_bd(circle, 4, 2).abelian_descriptor()) != "Z":
-        raise AssertionError
-    if pi1_bd(circle, 4, 3).display() != "H1(X)^2":
-        raise AssertionError
+        raise AssertionError("pi1_bgamma_abelian(Z/4, 2) holds; Z/4 is not 2-transitive")
+    got = str(pi1_bd(circle, 4, 2).abelian_descriptor())
+    if got != "Z":
+        raise AssertionError(f"pi1_bd(circle,4,2) abelianizes to {got}, not Z")
+    got = pi1_bd(circle, 4, 3).display()
+    if got != "H1(X)^2":
+        raise AssertionError(f"pi1_bd(circle,4,3) = {got}, not H1(X)^2")
     return f"{len(transitive)} transitive groups, branch table {cases} cells"
 
 

@@ -9,6 +9,7 @@ pytest -v through the test name, and in captured output on failure).
 
 from __future__ import annotations
 
+import ast
 import math
 import re
 import subprocess
@@ -16,6 +17,7 @@ import sys
 
 import pytest
 from test_cli import _child_env
+from test_layout import _trees
 from test_mutants import MUTANTS
 
 from fatdiag import selfcheck
@@ -32,8 +34,8 @@ DETAILS = [
     "308 cases three-way, n <= 8",
     "308 oracle cases; coefficient-free variant rejected (6 != 2)",
     "fixtures plus 80 series identities on products of symmetric groups",
-    "31 fixture values",
-    "506 identity cases, n <= 8",
+    "30 fixture values",
+    "396 oracle cases, 198 product identities, n <= 8",
     "fixtures plus 50 random graphs",
     "depth of 18 and length of 9 products of symmetric groups, battery of 9 groups",
     "11 transitive groups, branch table 36 cells",
@@ -165,3 +167,12 @@ def test_battery_checks_under_python_O():
     assert lines[0] == "False"
     wrong = "macdonald-burnside: chi=-5, blocks ((0, 1),) on 0 points: 12345 != 1"
     assert wrong in lines[1:], lines
+
+
+def test_every_failure_carries_a_message():
+    # verify prints a failed criterion's message, and a bare AssertionError
+    # has none: "assertion failed" would not say which case broke
+    bare = [node.lineno for node in ast.walk(_trees()["selfcheck"])
+            if isinstance(node, ast.Raise) and node.exc is not None
+            and ast.unparse(node.exc) in ("AssertionError", "AssertionError()")]
+    assert bare == []

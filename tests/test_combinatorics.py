@@ -90,17 +90,6 @@ def test_type_counts_sum_to_bell():
         assert total == bell_number(n)
 
 
-def test_type_histogram_matches_enumeration():
-    for n in range(1, 8):
-        hist: dict = {}
-        for labels in set_partitions(n):
-            sizes = [labels.count(b) for b in range(max(labels) + 1)]
-            key = tuple(sizes.count(i) for i in range(1, n + 1))
-            hist[key] = hist.get(key, 0) + 1
-        for a in alpha_sequences(n, n):
-            assert hist.get(a, 0) == count_set_partitions_of_type(a)
-
-
 def test_set_partition_guard():
     with pytest.raises(ResourceGuardError):
         next(iter(set_partitions(40)))

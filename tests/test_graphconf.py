@@ -69,20 +69,10 @@ def test_chi_graph():
     assert chi_graph(path_graph(4)) == 1
 
 
-def test_farber_fixed_values():
-    assert farber_chi_f2(fixture("gamma1")) == -4
-    assert farber_chi_f2(fixture("gamma2")) == -6
-
-
 def test_farber_needs_connected():
     g = Graph.from_parts(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
     with pytest.raises(ValueError):
         farber_chi_f2(g)
-
-
-def test_discretized_fixed_values():
-    assert discretized_chi_f2(fixture("gamma1")) == -4
-    assert discretized_chi_f2(fixture("gamma2")) == -6
 
 
 def test_cycle_two_point_space():

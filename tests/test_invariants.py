@@ -61,11 +61,6 @@ def test_graded_trace_is_the_even_odd_rule():
             assert got.to_list() == reference(betti, length), (betti, length)
 
 
-def test_invariant_poincare_fixtures():
-    assert invariant_poincare(TORUS, cyclic_group(3)).to_list() == [1, 2, 5, 8, 5, 2, 1]
-    assert invariant_poincare(CIRCLE, cyclic_group(3)).to_list() == [1, 1, 1, 1]
-
-
 def test_invariant_poincare_trivial_group_is_plain_power():
     for p in (TORUS, CIRCLE, SPHERE):
         for n in range(1, 5):

@@ -126,6 +126,14 @@ def _closed_d2_off_at_five(form: str):
     return mutate
 
 
+def _complement_oracle_off_by_one(monkeypatch) -> None:
+    # bupper's complement oracle, read by criterion 6 and by `chi bupper
+    # --verify`, is one too large
+    monkeypatch.setattr(selfcheck, "chi_oracles",
+                        _rewritten(eulerchar.chi_oracles, "chi_sp(chi, n) - fat}",
+                                   "chi_sp(chi, n) - fat + 1}"))
+
+
 MUTANTS = {
     "chi-gamma-fixed-points-removed": (_fixed_points_removed, ["macdonald-burnside"]),
     "betti-gamma-factor-left-out": (_factor_left_out, ["invariant-poincare"]),
@@ -144,6 +152,8 @@ MUTANTS = {
     "depth-join-miscounts-blocks": (_join_miscounts_blocks, ["depth-length"]),
     "closed-d2-bd-off-at-five": (_closed_d2_off_at_five("chi_b2"), ["bd-three-way"]),
     "closed-d2-fd-off-at-five": (_closed_d2_off_at_five("chi_f2"), ["fd-corrected"]),
+    "bupper-complement-oracle-off-by-one": (_complement_oracle_off_by_one,
+                                            ["complement-product"]),
 }
 
 

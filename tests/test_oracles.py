@@ -156,7 +156,17 @@ def test_every_formula_has_an_independent_oracle():
     assert dependent == set(ALLOWED)
 
 
-def test_the_table_names_the_oracles_that_run():
+def test_the_table_names_the_oracles_that_run(monkeypatch):
+    # the battery compares every kind with its oracles in chi_oracles
+    kinds = set()
+
+    def recorded(kind, chi, n, d):
+        kinds.add(kind)
+        return eulerchar.chi_oracles(kind, chi, n, d)
+
+    monkeypatch.setattr(selfcheck, "chi_oracles", recorded)
+    selfcheck.run_suite()
+    assert kinds == set(eulerchar.KINDS)
     graph = call_graph()
     checks = {name: f"selfcheck.{check.__name__}" for name, check in selfcheck.CHECKS}
     for formula, (where, oracles) in ORACLES.items():
