@@ -9,16 +9,16 @@ Euler characteristics reads chi over CHIS and n up to N_MAX.
 Checks are pure and deterministic, including the randomized graph check,
 which uses a fixed seed.
 
-Each piece of work is done once.  The closed formulas chi_bd, chi_fd and
-chi_b_upper are read a whole (kind, chi) at a time, as the columns of
-eulerchar.chi_columns over every d and every n up to the range, as a
-command-line grid reads them; criteria 1, 4 and 8 read one table of
-products of symmetric groups, PRODUCTS, and every such group, S_n
-included, is one model of one memoized builder, product_group, so its
-chain and histogram are shared between checks; and check_depth_length
-takes each group's depth and chain length once.  The formulas are
-compared per cell with the oracles of eulerchar.chi_oracles, which
-`chi --verify` reads too.
+Each piece of work is done once, except criterion 5's chi = 0 columns, which
+criterion 2 builds too.  The closed formulas chi_bd, chi_fd and chi_b_upper
+are read a whole (kind, chi) at a time, as the columns of
+eulerchar.chi_columns over every d and n up to the range, as a command-line
+grid reads them; criteria 1, 4 and 8 read one table of products of symmetric
+groups, PRODUCTS, and every such group, S_n included, is one model of one
+memoized builder, product_group, so its chain and histogram are shared
+between checks; and check_depth_length takes each group's depth and chain
+length once.  The formulas are compared per cell with the oracles of
+eulerchar.chi_oracles, which `chi --verify` reads too.
 """
 
 import math
@@ -36,7 +36,7 @@ from .combinatorics import (
     set_partitions,
 )
 from .errors import InternalConsistencyError
-from .eulerchar import KINDS, chi_columns, chi_fd, chi_gamma_product, chi_oracles, chi_sp
+from .eulerchar import KINDS, chi_columns, chi_gamma_product, chi_oracles, chi_sp
 from .fundgroup import pi1_bd, pi1_bgamma_abelian, pi1_gamma_product
 from .graphconf import Graph, discretized_chi_f2, farber_chi_f2, fixture
 from .invariants import invariant_poincare, macdonald_poincare_sp
@@ -160,8 +160,8 @@ def check_fd_corrected() -> str:
     uncorrected = chi**3 - sum(
         falling_factorial(chi, sum(alpha)) for alpha in alpha_sequences(3, 2)
     )
-    if not (uncorrected == 6 and chi_fd(2, 3, 3) == 2):
-        raise AssertionError(f"coefficient witness: without {uncorrected}, with {chi_fd(2, 3, 3)}")
+    if not (uncorrected == 6 and columns[2][3][3] == 2):
+        raise AssertionError(f"coefficient witness: without {uncorrected}, with {columns[2][3][3]}")
     return f"{cases} oracle cases; coefficient-free variant rejected (6 != 2)"
 
 
@@ -209,14 +209,15 @@ def check_sphere_fixtures() -> str:
 
 def check_complement_product() -> str:
     """The bounded-multiplicity formula against its complement oracle, and
-    the product splitting of the fat diagonal for large d."""
-    cases, _ = _against_oracles("bupper")
+    the product splitting of the fat diagonal for large d, whose chi is
+    chi_sp less the bounded one a level down."""
+    cases, columns = _against_oracles("bupper")
     products = 0
-    for chi in CHIS:
-        fat = chi_columns("bd", chi, range(2, N_MAX + 1), N_MAX)
+    # upper[d][n] is chi_b_upper(chi, n, d)
+    for chi, upper in columns.items():
         for n in range(3, N_MAX + 1):
             for d in range(n // 2 + 1, n + 1):
-                if fat[d][n] != chi * chi_sp(chi, n - d):
+                if chi_sp(chi, n) - upper[d - 1][n] != chi * chi_sp(chi, n - d):
                     raise AssertionError(f"product identity fails at chi={chi}, n={n}, d={d}")
                 products += 1
     return f"{cases} oracle cases, {products} product identities, n <= {N_MAX}"
@@ -266,21 +267,23 @@ def check_depth_length() -> str:
     # the battery
     depth_of, length_of = cache(depth), cache(group_length)
     expected = [0, 1, 2, 4, 5, 6, 7, 10, 11, 12]
-    for n in range(1, 11):
-        if length_sn(n) != expected[n - 1]:
-            raise AssertionError(f"length_sn({n})")
+    for n, want in enumerate(expected, start=1):
+        if length_sn(n) != want:
+            raise AssertionError(f"length_sn({n}): {length_sn(n)}, not {want}")
     # a product of symmetric groups stabilizes exactly the patterns that
     # refine its orbits, a product of partition lattices, so its depth is
     # the sum of m - 1 over its blocks (m, k); its chain length is the sum
     # of length_sn(m), a diagonal S_m being a copy of S_m
     by_depth = list(_products(PRODUCTS + DEPTH_PRODUCTS, 6))
     for group, blocks, _, name in by_depth:
-        if depth_of(group) != sum(m - 1 for m, _ in blocks if m > 1):
-            raise AssertionError(f"depth of {name}")
+        want = sum(m - 1 for m, _ in blocks if m > 1)
+        if depth_of(group) != want:
+            raise AssertionError(f"depth of {name}: {depth_of(group)}, not {want}")
     by_length = list(_products(PRODUCTS, 4))
     for group, blocks, _, name in by_length:
-        if length_of(group) != sum(length_sn(m) for m, _ in blocks if m > 1):
-            raise AssertionError(f"length of {name}")
+        want = sum(length_sn(m) for m, _ in blocks if m > 1)
+        if length_of(group) != want:
+            raise AssertionError(f"length of {name}: {length_of(group)}, not {want}")
     regular = regular_representation(_sym(3))
     if not (depth_of(regular) == 2 == length_of(_sym(3))):
         raise AssertionError(f"depth {depth_of(regular)} of the regular S_3,"
@@ -305,7 +308,9 @@ def check_depth_length() -> str:
 
 
 def check_pi1_descriptors() -> str:
-    """Fundamental-group descriptor shapes."""
+    """pi_1 descriptors of quotients against their orbits, and of the
+    unordered fat diagonal against SP^n(X) for 2d <= n and its splitting
+    X x SP^(n-d)(X) for d > n/2; the d-transitivity criterion on S_n, A_n."""
     opaque = preset("wedge_circles:2")
     circle = preset("circle")
     transitive = [
@@ -315,60 +320,38 @@ def check_pi1_descriptors() -> str:
         cyclic_group(6), regular_representation(_sym(3)),
         _sym(6),
     ]
-    for group in transitive:
-        if not group.is_d_transitive(1):
-            raise AssertionError(f"degree {group.degree} group of order {group.order()}"
-                                 " not transitive")
+    # (group, its (Pi1(X), H1(X)) exponents): one Pi1(X) per fixed point and
+    # one H1(X) per larger orbit, so those of a transitive group are (0, 1)
+    quotients = [(group, (0, 1)) for group in transitive] + [
+        (PermutationGroupModel(4, ["(1 2)"]), (2, 1)),
+        (PermutationGroupModel(4, ["(1 3)(2 4)"]), (0, 2)),
+    ]
+    for group, want in quotients:
         expr = pi1_gamma_product(opaque, group)
-        if (expr.pi1_exponent, expr.h1_exponent) != (0, 1):
-            raise AssertionError(f"transitive degree {group.degree} gave {expr.display()}")
-    embed_fix = PermutationGroupModel(4, ["(1 2)"])
-    embed_free = PermutationGroupModel(4, ["(1 3)(2 4)"])
-    first = pi1_gamma_product(opaque, embed_fix)
-    second = pi1_gamma_product(opaque, embed_free)
-    if (first.pi1_exponent, first.h1_exponent) != (2, 1):
-        raise AssertionError(first.display())
-    if (second.pi1_exponent, second.h1_exponent) != (0, 2):
-        raise AssertionError(second.display())
-    if first == second:
-        raise AssertionError(f"(1 2) and (1 3)(2 4) both gave {first.display()}")
+        if (expr.pi1_exponent, expr.h1_exponent) != want or (
+                want == (0, 1) and not group.is_d_transitive(1)):
+            raise AssertionError(f"degree {group.degree} group of order {group.order()}, transitive"
+                                 f" {group.is_d_transitive(1)}: {expr.display()}, not {want}")
+    # sp[m] is the exponents of pi_1(SP^m(X)), the quotient by S_m
+    sp = [(expr.pi1_exponent, expr.h1_exponent)
+          for expr in (pi1_gamma_product(opaque, _sym(m)) for m in range(13))]
+    # the abelian criterion holds on S_n exactly where pi1_bd has no Pi1(X)
+    # factor, and on A_n too from n = 3, A_n being (n - 2)- but not (n - 1)-transitive
     cases = 0
-    for n in range(1, 9):
-        for d in range(1, n + 1):
-            expr = pi1_bd(opaque, n, d)
-            if 2 * d <= n:
-                want = (0, 1)
-            elif d == n:
-                want = (1, 0)
-            elif n - d == 1:
-                want = (2, 0)
-            else:
-                want = (1, 1)
-            if (expr.pi1_exponent, expr.h1_exponent) != want:
-                raise AssertionError(f"pi1_bd branch at n={n}, d={d}: {expr.display()}")
-            cases += 1
-    # the abelian criterion for quotients of the ordered fat diagonal agrees
-    # with the unordered branch table where both speak, for S_n and for A_n,
-    # which is (n - 2)- but not (n - 1)-transitive: both claim an abelian
-    # group up to d = n/2, and past it the criterion makes no claim while
-    # the branch table keeps a Pi1(X) factor
     for n in range(1, 13):
         full, even = _sym(n), alternating_group(n)
-        for d in range(1, n // 2 + 1):
-            if not pi1_bgamma_abelian(full, d):
-                raise AssertionError(f"pi1_bgamma_abelian(S_{n}, {d}) fails at d <= n/2")
-            if not (n < 3 or pi1_bgamma_abelian(even, d)):
-                raise AssertionError(f"pi1_bgamma_abelian(A_{n}, {d}) fails at d <= n/2")
-            if pi1_bd(opaque, n, d).pi1_exponent != 0:
-                raise AssertionError(f"pi1_bd at n={n}, d={d} <= n/2 keeps a Pi1(X) factor")
-        for d in range(n // 2 + 1, n + 1):
-            if pi1_bgamma_abelian(full, d) or pi1_bgamma_abelian(even, d):
-                raise AssertionError(f"pi1_bgamma_abelian claimed at n={n}, d={d} > n/2")
-            if pi1_bd(opaque, n, d).pi1_exponent < 1:
-                raise AssertionError(f"pi1_bd at n={n}, d={d} > n/2 has no Pi1(X) factor")
-        if n >= 4:
-            if not (even.is_d_transitive(n - 2) and not even.is_d_transitive(n - 1)):
-                raise AssertionError(f"A_{n} should be {n - 2}- but not {n - 1}-transitive")
+        for d in range(1, n + 1):
+            small = 2 * d <= n
+            want = sp[n] if small else (sp[n - d][0] + 1, sp[n - d][1])
+            expr = pi1_bd(opaque, n, d)
+            if (expr.pi1_exponent, expr.h1_exponent) != want:
+                raise AssertionError(f"pi1_bd at n={n}, d={d}: {expr.display()}, not {want}")
+            for label, group, claim in (("S", full, small), ("A", even, small and n >= 3)):
+                if pi1_bgamma_abelian(group, d) != claim:
+                    raise AssertionError(f"pi1_bgamma_abelian({label}_{n}, {d}) is not {claim}")
+            cases += 1
+        if n >= 4 and not (even.is_d_transitive(n - 2) and not even.is_d_transitive(n - 1)):
+            raise AssertionError(f"A_{n} should be {n - 2}- but not {n - 1}-transitive")
     if pi1_bgamma_abelian(cyclic_group(4), 2):
         raise AssertionError("pi1_bgamma_abelian(Z/4, 2) holds; Z/4 is not 2-transitive")
     got = str(pi1_bd(circle, 4, 2).abelian_descriptor())

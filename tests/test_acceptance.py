@@ -20,7 +20,7 @@ from test_cli import _child_env
 from test_layout import _trees
 from test_mutants import MUTANTS
 
-from fatdiag import selfcheck
+from fatdiag import eulerchar, selfcheck
 from fatdiag.cli import main
 
 # Every criterion's budget: each takes well under 0.1 s, so 5 s catches a
@@ -38,7 +38,7 @@ DETAILS = [
     "396 oracle cases, 198 product identities, n <= 8",
     "fixtures plus 50 random graphs",
     "depth of 18 and length of 9 products of symmetric groups, battery of 9 groups",
-    "11 transitive groups, branch table 36 cells",
+    "11 transitive groups, branch table 78 cells",
     "Bell + 66 type counts, Stirling identity, n <= 8",
 ]
 
@@ -91,6 +91,22 @@ def test_cli_verify_runs_all_criteria(outcomes):
 
 def test_checks_report_their_case_counts(outcomes):
     assert [o.detail for o in outcomes] == DETAILS
+
+
+def test_identities_read_the_columns_compared_with_the_oracles(monkeypatch):
+    # criteria 3 and 6 check their identities on the columns that
+    # _against_oracles built for their own kind, and build no other
+    for check, kind in ((selfcheck.check_fd_corrected, "fd"),
+                        (selfcheck.check_complement_product, "bupper")):
+        kinds = set()
+
+        def recorded(called, *args):
+            kinds.add(called)
+            return eulerchar.chi_columns(called, *args)
+
+        monkeypatch.setattr(selfcheck, "chi_columns", recorded)
+        check()
+        assert kinds == {kind}, check.__name__
 
 
 def test_product_groups_have_their_blocks():

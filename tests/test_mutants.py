@@ -14,7 +14,7 @@ import textwrap
 
 import pytest
 
-from fatdiag import eulerchar, invariants, permgroup, selfcheck, strata
+from fatdiag import eulerchar, fundgroup, invariants, permgroup, selfcheck, strata
 from fatdiag.algebra import GradedPolynomial
 from fatdiag.permgroup import PermutationGroupModel
 
@@ -51,6 +51,24 @@ def _half_bound_dropped(monkeypatch) -> None:
     # d-transitive, past d = n/2 too (S_4 at d = 3)
     monkeypatch.setattr(selfcheck, "pi1_bgamma_abelian",
                         lambda group, d: group.is_d_transitive(d))
+
+
+def _split_branch_off(monkeypatch) -> None:
+    # pi1_bd at n - d = 1 keeps an H1(X) factor as if n - d were 2 or more,
+    # where the fat diagonal is X x SP^1(X) = X x X
+    monkeypatch.setattr(selfcheck, "pi1_bd",
+                        _rewritten(fundgroup.pi1_bd, "pi1_exponent=2, h1_exponent=0",
+                                   "pi1_exponent=2, h1_exponent=1"))
+
+
+def _fixed_points_as_h1(monkeypatch) -> None:
+    # pi1_gamma_product counts a fixed point as an H1(X) factor, not Pi1(X)
+    monkeypatch.setattr(selfcheck, "pi1_gamma_product",
+                        _rewritten(fundgroup.pi1_gamma_product,
+                                   "pi1_exponent=group.degree - sum(map(len, moved)), "
+                                   "h1_exponent=len(moved)",
+                                   "pi1_exponent=0, "
+                                   "h1_exponent=group.degree - sum(map(len, moved)) + len(moved)"))
 
 
 def _tied_orbits_split(monkeypatch) -> None:
@@ -138,6 +156,8 @@ MUTANTS = {
     "chi-gamma-fixed-points-removed": (_fixed_points_removed, ["macdonald-burnside"]),
     "betti-gamma-factor-left-out": (_factor_left_out, ["invariant-poincare"]),
     "pi1-bgamma-half-bound-dropped": (_half_bound_dropped, ["pi1-descriptors"]),
+    "pi1-bd-split-branch-off": (_split_branch_off, ["pi1-descriptors"]),
+    "pi1-gamma-fixed-points-as-h1": (_fixed_points_as_h1, ["pi1-descriptors"]),
     "direct-factors-split-tied-orbits": (_tied_orbits_split,
                                          ["macdonald-burnside", "invariant-poincare"]),
     "group-length-plus-one-on-products": (_length_plus_one_on_products, ["depth-length"]),

@@ -49,7 +49,7 @@ ORACLES = {
     "graphconf.farber_chi_f2": ("graph-configuration", {
         "discretized": ["graphconf.discretized_chi_f2"],
     }),
-    "fundgroup.pi1_bd": ("pi1-descriptors", {}),
+    "fundgroup.pi1_bd": ("pi1-descriptors", {"splitting": ["fundgroup.pi1_gamma_product"]}),
     "fundgroup.pi1_gamma_product": ("pi1-descriptors", {}),
 }
 
@@ -63,7 +63,9 @@ PRIMITIVES = {
 # formula with no independent oracle -> the ROADMAP item that gives it one
 ALLOWED = {
     "strata.depth": "item 12: criterion 8 compares it with the pinned sum of m - 1",
-    "fundgroup.pi1_bd": "item 9: criterion 9 compares it with a restated branch table",
+    "fundgroup.pi1_bd": "item 9: criterion 9 compares it with pi1_gamma_product on S_n or"
+                        " S_(n-d), and both fold Pi1 into H1 through GroupExpression.for_space;"
+                        " the engine gives it an oracle that shares nothing",
     "fundgroup.pi1_gamma_product": "item 9: criterion 9 checks it only on orbit counts",
 }
 
